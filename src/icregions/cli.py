@@ -15,6 +15,7 @@ from fractions import Fraction
 from .claims import ALL_CLAIMS, run_all, run_claim
 from .dist import SpecError, Var, build_joint, load_spec, spec_to_json
 from .linsys import AXIOM_SETS, derive_region, system_from_json, system_to_json
+from .linsys import _frac_to_obj as _frac
 from .polytope import HPoly, bind, fm_eliminate_numeric, snap_terms, vertices2
 from .regions import FormMismatchError, build_system, region_for
 from .sampler import SearchConfig, binary_alphabets, improvement_search
@@ -23,10 +24,6 @@ from .terms import eval_terms
 _REGION_BY_NAME = {
     "hk": "HK_R", "cmg": "CMG_R", "hod": "HOD_R", "compact": "COMPACT_R",
 }
-
-
-def _frac(v: Fraction):
-    return int(v) if v.denominator == 1 else {"num": v.numerator, "den": v.denominator}
 
 
 def _write_json(path: str, obj) -> None:

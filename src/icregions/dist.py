@@ -82,6 +82,9 @@ def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
     """Every slice along the last axis must be a probability vector."""
     if table.shape != shape:
         raise SpecError(f"factor {name}: expected shape {shape}, got {table.shape}")
+    if not np.all(np.isfinite(table)):
+        idx = tuple(int(i) for i in np.argwhere(~np.isfinite(table))[0])
+        raise SpecError(f"factor {name}: non-finite entry at {idx}")
     if np.any(table < 0):
         idx = np.unravel_index(int(np.argmin(table)), table.shape)
         raise SpecError(f"factor {name}: negative entry at {idx}")
@@ -335,14 +338,24 @@ def spec_to_json(spec: FactorSpec) -> dict:
     return d
 
 
+class _Factors(dict):
+    """Factor tables by name; looking up a missing one is a SpecError."""
+
+    def __missing__(self, key):
+        raise SpecError(f"factor {key} is missing")
+
+
 def spec_from_json(d: dict) -> FactorSpec:
     try:
         form = _FORM_NAMES[d["form"].lower()]
     except KeyError:
         raise SpecError(f"unknown form {d.get('form')!r}") from None
-    sizes = {Var[name]: int(n) for name, n in d["alphabets"].items()}
+    try:
+        sizes = {Var[name]: int(n) for name, n in d.get("alphabets", {}).items()}
+    except KeyError as exc:
+        raise SpecError(f"unknown alphabet {exc.args[0]!r}") from None
     alph = AlphabetSpec(sizes)
-    f = {k: np.asarray(v, dtype=float) for k, v in d["factors"].items()}
+    f = _Factors((k, np.asarray(v, dtype=float)) for k, v in d.get("factors", {}).items())
     ch = f["channel_y1y2_given_x1x2"]
     if form is Form.CMG9:
         return cmg9_spec(alph, f["q"], f["w1_given_q"], f["x1_given_q_w1"],

@@ -110,7 +110,7 @@ class Inequality:
                 dens.append(v.denominator)
         if not nums:
             return self
-        scale = F(lcm(*dens), gcd(*nums)) if len(nums) > 1 else F(dens[0], nums[0])
+        scale = F(lcm(*dens), gcd(*nums))
         return Inequality(tuple((k, v * scale) for k, v in self.lhs),
                           self.rhs.scale(scale))
 
@@ -149,11 +149,12 @@ class LinearSystem:
         return LinearSystem(tuple(rate_vars), tuple(ineqs), tuple(ffacts))
 
 
-def fm_eliminate(system: LinearSystem, v: str) -> LinearSystem:
-    """Project out rate variable ``v`` (its implicit v >= 0 supplies a lower
-    bound); pure term-facts generated by pairing are kept as facts."""
+def fm_rows(inequalities, v: str, rate_vars) -> list:
+    """One Fourier-Motzkin step, unsorted: the rows free of ``v``, then each
+    upper bound on ``v`` paired with each lower bound.  When ``v`` is one of
+    ``rate_vars`` its implicit v >= 0 is the last lower bound."""
     keep, uppers, lowers = [], [], []
-    for ineq in system.inequalities:
+    for ineq in inequalities:
         c = ineq.coeff(v)
         if c == 0:
             keep.append(ineq)
@@ -161,34 +162,36 @@ def fm_eliminate(system: LinearSystem, v: str) -> LinearSystem:
             uppers.append(ineq)
         else:
             lowers.append(ineq)
-    if v in system.rate_vars:
+    if v in rate_vars:
         # -v <= 0
         lowers.append(Inequality.of({v: F(-1)}, Combo.of()))
-    new = list(keep)
     for up in uppers:
         a = up.coeff(v)
         for lo in lowers:
             b = -lo.coeff(v)
-            lhs = up.lhs_dict()
-            lo_lhs = lo.lhs_dict()
-            combined = {k: b * val for k, val in lhs.items()}
-            for k, val in lo_lhs.items():
+            combined = {k: b * val for k, val in up.lhs}
+            for k, val in lo.lhs:
                 combined[k] = combined.get(k, F(0)) + a * val
             combined.pop(v, None)
-            new.append(Inequality.of(combined, up.rhs.scale(b) + lo.rhs.scale(a)))
+            keep.append(Inequality.of(combined, up.rhs.scale(b) + lo.rhs.scale(a)))
+    return keep
+
+
+def fm_eliminate(system: LinearSystem, v: str) -> LinearSystem:
+    """Project out rate variable ``v`` (its implicit v >= 0 supplies a lower
+    bound); pure term-facts generated by pairing are kept as facts."""
     rv = tuple(r for r in system.rate_vars if r != v)
-    return LinearSystem.of(rv, new, system.term_facts)
+    return LinearSystem.of(rv, fm_rows(system.inequalities, v, system.rate_vars),
+                           system.term_facts)
 
 
-def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
-    """Rewrite the (S1,T1,S2,T2) system over (R1,T1,R2,T2) via R_i = S_i + T_i.
-
-    S_i >= 0 materializes as T_i <= R_i."""
-    for ineq in system.inequalities:
+def substitution_rows(inequalities) -> list:
+    """Rewrite rows over (S1,T1,S2,T2) over (R1,T1,R2,T2) via R_i = S_i + T_i,
+    in order, followed by S_i >= 0 as T_i <= R_i."""
+    out = []
+    for ineq in inequalities:
         if ineq.coeff("R1") or ineq.coeff("R2"):
             raise ValueError("system already mentions R variables")
-    out = []
-    for ineq in system.inequalities:
         lhs = ineq.lhs_dict()
         for s, r, t in (("S1", "R1", "T1"), ("S2", "R2", "T2")):
             c = lhs.pop(s, F(0))
@@ -198,7 +201,16 @@ def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
         out.append(Inequality.of(lhs, ineq.rhs))
     out.append(Inequality.of({"T1": F(1), "R1": F(-1)}, Combo.of()))
     out.append(Inequality.of({"T2": F(1), "R2": F(-1)}, Combo.of()))
-    return LinearSystem.of(("R1", "T1", "R2", "T2"), out, system.term_facts)
+    return out
+
+
+def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
+    """Rewrite the (S1,T1,S2,T2) system over (R1,T1,R2,T2) via R_i = S_i + T_i.
+
+    S_i >= 0 materializes as T_i <= R_i."""
+    return LinearSystem.of(("R1", "T1", "R2", "T2"),
+                           substitution_rows(system.inequalities),
+                           system.term_facts)
 
 
 # --- axioms -----------------------------------------------------------------
@@ -243,13 +255,21 @@ AXIOM_SETS = {"chain": AXIOMS_CHAIN, "hk-indep": AXIOMS_HK_INDEP}
 
 # --- redundancy pruning -----------------------------------------------------
 
-def _implied_by(target: Inequality, others, axioms, rate_vars) -> bool:
-    """Exact certificate: target = nonneg. combination of others + facts.
+def _exact(v: Fraction):
+    """An integral Fraction as an int (the LP's fast path), else as is."""
+    return v.numerator if v.denominator == 1 else v
 
-    One LP column per usable fact, one equality row per rate variable, per
-    term symbol and for the constant; the LP is feasible iff the target's
-    coefficients are a nonnegative combination of the columns."""
-    keys = list(rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
+
+def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
+    """Remove every inequality provably implied by the rest plus axioms.
+
+    An inequality goes when an exact LP certifies it as a nonnegative
+    combination of the remaining inequalities, rate nonnegativity, the
+    axioms and term facts, term-symbol nonnegativity and a nonnegative
+    constant slack: one LP column per usable fact, one equality row per
+    rate variable, per term symbol and for the constant.  Inequalities are
+    visited in canonical order, so the result is deterministic."""
+    keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
     index = {k: r for r, k in enumerate(keys)}
 
     def column(lhs, rhs: Combo) -> list:
@@ -259,49 +279,21 @@ def _implied_by(target: Inequality, others, axioms, rate_vars) -> bool:
         col[-1] = _exact(rhs.const)
         return col
 
-    cols = [column(o.lhs, o.rhs) for o in others]
-    cols += [column(((v, -1),), Combo.of()) for v in rate_vars]  # -v <= 0
+    fixed = [column(((v, -1),), Combo.of()) for v in system.rate_vars]  # -v <= 0
     # 0 <= ax contributes +ax to the certified rhs
-    cols += [column((), ax) for ax in axioms]
-    cols += [column((), Combo.of({s: 1})) for s in BASE_SYMBOLS]  # 0 <= s
-    cols.append(column((), Combo.of({}, 1)))  # nonnegative constant slack
-    return feasible(A_eq=[list(row) for row in zip(*cols)],
-                    b_eq=column(target.lhs, target.rhs))
-
-
-def _exact(v: Fraction):
-    """An integral Fraction as an int (the LP's fast path), else as is."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
-    """Remove every inequality provably implied by the rest plus axioms.
-
-    Inequalities are visited in canonical order, so the result is
-    deterministic."""
-    axioms = tuple(axioms) + system.term_facts
-    remaining = list(system.inequalities)
-    for ineq in list(system.inequalities):
-        others = [o for o in remaining if o is not ineq]
-        if _implied_by(ineq, others, axioms, system.rate_vars):
-            remaining = others
-    return LinearSystem.of(system.rate_vars, remaining, system.term_facts)
-
-
-def prune_report(system: LinearSystem, axioms) -> dict:
-    """Like prune_redundant but records which inequalities were removed."""
-    axioms_all = tuple(axioms) + system.term_facts
-    remaining = list(system.inequalities)
-    removed = []
-    for ineq in list(system.inequalities):
-        others = [o for o in remaining if o is not ineq]
-        if _implied_by(ineq, others, axioms_all, system.rate_vars):
-            remaining = others
-            removed.append(ineq)
-    return {
-        "pruned": LinearSystem.of(system.rate_vars, remaining, system.term_facts),
-        "removed": tuple(removed),
-    }
+    fixed += [column((), ax) for ax in (*axioms, *system.term_facts)]
+    fixed += [column((), Combo.of({s: 1})) for s in BASE_SYMBOLS]  # 0 <= s
+    fixed.append(column((), Combo.of({}, 1)))  # nonnegative constant slack
+    cols = [column(i.lhs, i.rhs) for i in system.inequalities]
+    kept = list(range(len(cols)))
+    for i in range(len(cols)):
+        others = [j for j in kept if j != i]
+        if feasible(A_eq=list(zip(*(cols[j] for j in others), *fixed)),
+                    b_eq=cols[i]):
+            kept = others
+    return LinearSystem.of(system.rate_vars,
+                           [system.inequalities[j] for j in kept],
+                           system.term_facts)
 
 
 def substitute_zero(system: LinearSystem, symbols) -> LinearSystem:

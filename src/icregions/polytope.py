@@ -4,6 +4,11 @@ Term values measured in bits are snapped once to rationals with denominator
 2**48; everything downstream (binding, vertex enumeration, containment,
 area) is exact.  Cross-region comparisons that combine independently
 snapped values use a generous eps of 2**-30.
+
+``vertices2`` clips the exact bounding box of a 2-D region by each row.
+The numeric projection runs the Fourier-Motzkin step, S->R substitution
+and canonicaliser of ``linsys`` on rows whose right-hand sides are
+constants.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lp import solve_lp
-from .linsys import LinearSystem
+from .linsys import Combo, Inequality, LinearSystem, fm_rows, substitution_rows
 
 F = Fraction
 
@@ -72,46 +77,38 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
     return HPoly(dims, tuple(rows))
 
 
-def _all_rows(p: HPoly):
-    """Explicit rows plus the nonnegativity rows -x_i <= 0."""
-    n = len(p.dims)
-    rows = list(p.rows)
-    for i in range(n):
-        rows.append((tuple(F(-1) if j == i else F(0) for j in range(n)), F(0)))
-    return rows
-
-
 def vertices2(p: HPoly):
     """Exact vertex list of a bounded 2-D polytope.
 
-    All pairwise intersections of constraint lines are filtered by
-    feasibility, then hull-ordered counterclockwise starting at the
-    lexicographically smallest vertex.  Empty region -> empty list.
+    Maximizing x, then y, decides emptiness and boundedness and gives the
+    box [0, X] x [0, Y] around the region; clipping the box by each row
+    (Sutherland and Hodgman, "Reentrant polygon clipping", 1974) leaves the
+    region itself.  Its vertices are hull-ordered counterclockwise starting
+    at the lexicographically smallest one.  Empty region -> empty list.
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
-    feas = p.maximize([F(0), F(0)])
-    if feas.status == "infeasible":
-        return []
+    box = []
     for obj in ([F(1), F(0)], [F(0), F(1)]):
-        if p.maximize(obj).status != "optimal":
+        res = p.maximize(obj)
+        if res.status == "infeasible":
+            return []
+        if res.status != "optimal":
             raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
-    rows = _all_rows(p)
-    pts = set()
-    for i in range(len(rows)):
-        (a1, b1), c1 = rows[i]
-        for j in range(i + 1, len(rows)):
-            (a2, b2), c2 = rows[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
-                continue
-            x = (c1 * b2 - c2 * b1) / det
-            y = (a1 * c2 - a2 * c1) / det
-            if p.contains_point((x, y)):
-                pts.add((x, y))
-    if not pts:
-        return []
-    return _hull_ccw(sorted(pts))
+        box.append(res.value)
+    x, y = box
+    poly = [(F(0), F(0)), (x, F(0)), (x, y), (F(0), y)]
+    for (a, b), c in p.rows:
+        clipped = []
+        for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+            fp, fq = a * px + b * py - c, a * qx + b * qy - c
+            if fp <= 0:
+                clipped.append((px, py))
+            if (fp < 0 < fq) or (fq < 0 < fp):
+                t = fp / (fp - fq)
+                clipped.append((px + t * (qx - px), py + t * (qy - py)))
+        poly = clipped
+    return _hull_ccw(sorted(set(poly)))
 
 
 def _hull_ccw(pts):
@@ -179,46 +176,35 @@ def poly_equal(p: HPoly, q: HPoly, eps=F(0)) -> bool:
     return contains(p, q, eps) and contains(q, p, eps)
 
 
+def _ineqs(p: HPoly) -> list:
+    """The rows as inequalities whose right-hand sides are constants."""
+    return [Inequality.of(dict(zip(p.dims, lhs)), Combo(const=rhs))
+            for lhs, rhs in p.rows]
+
+
+def _rows(ineqs, dims) -> tuple:
+    return tuple((tuple(i.coeff(d) for d in dims), i.rhs.const) for i in ineqs)
+
+
 def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
     """Exact Fourier-Motzkin projection of a numeric polytope.
 
     The implicit dim >= 0 row participates as a lower bound."""
     if dim not in p.dims:
         raise ValueError(f"{dim!r} is not a coordinate of this polytope")
-    k = p.dims.index(dim)
-    keep, uppers, lowers = [], [], []
-    rows = list(p.rows)
-    n = len(p.dims)
-    rows.append((tuple(F(-1) if j == k else F(0) for j in range(n)), F(0)))
-    for lhs, rhs in rows:
-        c = lhs[k]
-        if c == 0:
-            keep.append((lhs, rhs))
-        elif c > 0:
-            uppers.append((lhs, rhs))
-        else:
-            lowers.append((lhs, rhs))
-    new = [( _drop(lhs, k), rhs) for lhs, rhs in keep]
-    for ulhs, urhs in uppers:
-        a = ulhs[k]
-        for llhs, lrhs in lowers:
-            b = -llhs[k]
-            comb = tuple(b * u + a * l for u, l in zip(ulhs, llhs))
-            new.append((_drop(comb, k), b * urhs + a * lrhs))
-    dims = tuple(d for d in p.dims if d != dim)
-    # drop vacuous 0 <= rhs rows and exact duplicates
-    dedup = []
-    seen = set()
-    for lhs, rhs in new:
-        if all(c == 0 for c in lhs):
-            if rhs < 0:
+    # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
+    rows, seen = [], set()
+    for ineq in fm_rows(_ineqs(p), dim, p.dims):
+        if ineq.is_term_fact():
+            if ineq.rhs.const < 0:
                 raise ValueError("projection produced an infeasible constant row")
             continue
-        key = _canon_row(lhs, rhs)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(key)
-    return HPoly(dims, tuple(dedup))
+        ineq = ineq.canonical()
+        if ineq not in seen:
+            seen.add(ineq)
+            rows.append(ineq)
+    dims = tuple(d for d in p.dims if d != dim)
+    return HPoly(dims, _rows(rows, dims))
 
 
 def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
@@ -226,23 +212,4 @@ def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
     if p.dims != ("S1", "T1", "S2", "T2"):
         raise ValueError("expected a quadruple polytope over (S1, T1, S2, T2)")
     dims = ("R1", "T1", "R2", "T2")
-    rows = []
-    for (s1, t1, s2, t2), rhs in p.rows:
-        rows.append(((s1, t1 - s1, s2, t2 - s2), rhs))
-    rows.append(((F(-1), F(1), F(0), F(0)), F(0)))  # T1 <= R1
-    rows.append(((F(0), F(0), F(-1), F(1)), F(0)))  # T2 <= R2
-    return HPoly(dims, tuple(rows))
-
-
-def _drop(t, k):
-    return t[:k] + t[k + 1:]
-
-
-def _canon_row(lhs, rhs):
-    from math import gcd, lcm
-
-    vals = [v for v in lhs if v != 0] + ([rhs] if rhs != 0 else [])
-    dens = [v.denominator for v in vals]
-    nums = [abs(v.numerator) for v in vals]
-    scale = F(lcm(*dens), gcd(*nums)) if len(nums) > 1 else F(dens[0], nums[0])
-    return (tuple(v * scale for v in lhs), rhs * scale)
+    return HPoly(dims, _rows(substitution_rows(_ineqs(p)), dims))

@@ -35,6 +35,35 @@ class TestTerms:
         err = capsys.readouterr().err
         assert "w1_given_q" in err and "row (0,)" in err
 
+    def _terms_exit(self, data, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        return main(["terms", "--spec", str(bad), "--out",
+                     str(tmp_path / "x.json")])
+
+    def test_non_finite_entry_exit_2(self, hk2_path, tmp_path, capsys):
+        data = json.loads(hk2_path.read_text())
+        data["factors"]["q"] = [float("nan"), float("nan")]
+        assert self._terms_exit(data, tmp_path) == 2
+        assert "factor q: non-finite entry at (0,)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("drop,message", [
+        (lambda d: d["factors"].pop("w1_given_q"), "factor w1_given_q is missing"),
+        (lambda d: d.pop("alphabets"), "alphabet size missing for Q"),
+    ], ids=["factor", "alphabets"])
+    def test_missing_factor_or_alphabet_exit_2(self, drop, message, hk2_path,
+                                               tmp_path, capsys):
+        data = json.loads(hk2_path.read_text())
+        drop(data)
+        assert self._terms_exit(data, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unknown_alphabet_exit_2(self, hk2_path, tmp_path, capsys):
+        data = json.loads(hk2_path.read_text())
+        data["alphabets"]["Z9"] = 2
+        assert self._terms_exit(data, tmp_path) == 2
+        assert "unknown alphabet 'Z9'" in capsys.readouterr().err
+
 
 class TestRegion:
     def test_vertex_csv(self, hk2_path, tmp_path):
@@ -157,3 +186,44 @@ class TestProject:
         proj = json.loads(out.read_text())
         assert proj["dims"] == ["S1", "S2"]
         assert len(proj["rows"]) >= 1
+
+    # dyadic terms snap exactly on every platform, so the bytes are fixed
+    DYADIC_TERMS = {
+        "a1": 0.1875, "b1": 0.125, "c1": 0.0625, "d1": 0.3125, "e1": 0.25,
+        "f1": 0.1875, "g1": 0.375, "rho1": 0.03125, "a2": 0.125,
+        "b2": 0.1875, "c2": 0.03125, "d2": 0.3125, "e2": 0.15625,
+        "f2": 0.21875, "g2": 0.34375, "rho2": 0.0625,
+    }
+    S1_S2_ROWS = [([16, 0], 3), ([0, 8], 1), ([16, 0], 5), ([0, 32], 5),
+                  ([4, 0], 1), ([0, 16], 5), ([8, 0], 3), ([0, 32], 11)]
+
+    @pytest.mark.parametrize("system,eliminate,dims,rows", [
+        ("HK_Q", "T1,T2", ["S1", "S2"], S1_S2_ROWS),
+        ("HOD_Q", "T1,T2", ["S1", "S2"], S1_S2_ROWS),
+        ("HK_Q", "S1,T2", ["T1", "S2"], [
+            ([0, 8], 1), ([32, 32], 5), ([8, 0], 1), ([32, 0], 1),
+            ([16, 0], 5), ([32, 32], 11), ([0, 16], 5), ([16, 0], 3),
+            ([32, 0], 7), ([8, 0], 3)]),
+        ("HOD_Q", "S1,T2", ["T1", "S2"], [
+            ([0, 8], 1), ([32, 32], 5), ([32, 0], 5), ([32, 0], 3),
+            ([16, 0], 5), ([32, 32], 11), ([0, 16], 5), ([32, 0], 7),
+            ([32, 0], 9), ([8, 0], 3)]),
+    ])
+    def test_projection_bytes_pinned(self, system, eliminate, dims, rows,
+                                     tmp_path):
+        from icregions.linsys import system_to_json
+
+        sys_path, terms_path = tmp_path / "sys.json", tmp_path / "terms.json"
+        sys_path.write_text(json.dumps(system_to_json(build_system(system))))
+        terms_path.write_text(json.dumps(self.DYADIC_TERMS))
+        out = tmp_path / "proj.json"
+        assert main(["project", "--system", str(sys_path), "--terms",
+                     str(terms_path), "--eliminate", eliminate,
+                     "--out", str(out)]) == 0
+        expected = {
+            "dims": dims,
+            "implicit": "all coordinates nonnegative",
+            "rows": [{"coeffs": c, "rhs": r} for c, r in rows],
+        }
+        assert out.read_text() == json.dumps(expected, indent=2,
+                                             sort_keys=True) + "\n"

@@ -5,11 +5,12 @@ import pytest
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOMS_CHAIN, AXIOMS_HK_INDEP, Combo, Inequality,
                               LinearSystem, derive_region, fm_eliminate,
-                              prune_redundant, prune_report,
-                              substitute_rate_sums, substitute_zero,
+                              prune_redundant, substitute_rate_sums,
+                              substitute_zero,
                               system_equal, system_from_json, system_to_json)
 from icregions.polytope import bind, poly_equal, snap_terms
-from icregions.regions import build_system, hk_r_with_redundant
+from icregions.regions import (HK_R_REDUNDANT, build_system,
+                               hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import eval_terms
 
@@ -132,11 +133,14 @@ class TestPruning:
         assert len(prune_redundant(sys0, ()).inequalities) == 2
         assert len(prune_redundant(sys0, AXIOMS_CHAIN).inequalities) == 1
 
-    def test_prune_report_lists_removed(self):
-        rep = prune_report(hk_r_with_redundant(), AXIOMS_HK_INDEP)
-        eq, _ = system_equal(rep["pruned"], build_system("HK_R"))
+    def test_prune_removes_exactly_the_redundant_pair(self):
+        full = hk_r_with_redundant()
+        pruned = prune_redundant(full, AXIOMS_HK_INDEP)
+        eq, _ = system_equal(pruned, build_system("HK_R"))
         assert eq
-        assert len(rep["removed"]) == 2
+        removed = ({i.key() for i in full.inequalities}
+                   - {i.key() for i in pruned.inequalities})
+        assert removed == {i.key() for i in HK_R_REDUNDANT}
 
     def test_pruning_preserves_polytope_on_valid_bindings(self):
         full = hk_r_with_redundant()

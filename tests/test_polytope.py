@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icregions.dist import Form, build_joint
@@ -72,7 +72,49 @@ class TestBind:
             assert poly.contains_point((px, py)) == direct
 
 
+def line(a, b, c):
+    """a.x = c as two rows."""
+    return ((F(a), F(b)), F(c)), ((F(-a), F(-b)), F(-c))
+
+
+@st.composite
+def boxed_regions(draw):
+    """Small-integer rows inside a box [0, X] x [0, Y], plus up to two
+    lines a.x = c as row pairs, so that segments, single points and empty
+    regions come up as well as polygons."""
+    ints = st.integers(-3, 3)
+    rows = [((F(draw(ints)), F(draw(ints))), F(draw(st.integers(-1, 6))))
+            for _ in range(draw(st.integers(0, 4)))]
+    rows += [((F(1), F(0)), F(draw(st.integers(0, 4)))),
+             ((F(0), F(1)), F(draw(st.integers(0, 4))))]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        rows += line(draw(ints), draw(ints), draw(st.integers(0, 3)))
+    return HPoly(("R1", "R2"), tuple(rows))
+
+
 class TestVertices2:
+    @settings(max_examples=300, deadline=None)
+    @given(boxed_regions())
+    @example(HPoly(("R1", "R2"), (((F(1), F(1)), F(-1)), ((F(1), F(0)), F(1)),
+                                  ((F(0), F(1)), F(1)))))  # empty
+    @example(HPoly(("R1", "R2"), (((F(1), F(0)), F(2)),
+                                  ((F(0), F(1)), F(0)))))  # segment on an axis
+    @example(HPoly(("R1", "R2"), (*line(1, 1, 1), ((F(1), F(0)), F(1)),
+                                  ((F(0), F(1)), F(1)))))  # diagonal segment
+    @example(HPoly(("R1", "R2"), (*line(1, 0, 1), *line(1, -1, 0),
+                                  ((F(1), F(0)), F(3)),
+                                  ((F(0), F(1)), F(3)))))  # the point (1, 1)
+    def test_degenerate_regions_match_brute_force(self, poly):
+        vs = vertices2(poly)
+        assert set(vs) == brute_force_vertices(poly.rows)
+        assert len(set(vs)) == len(vs)
+        if vs:
+            assert vs[0] == min(vs)
+        if len(vs) >= 3:
+            for a, b, c in zip(vs, vs[1:] + vs[:1], vs[2:] + vs[:2]):
+                cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+                assert cross > 0
+
     def test_unit_square(self):
         assert vertices2(square()) == [(F(0), F(0)), (F(1), F(0)),
                                        (F(1), F(1)), (F(0), F(1))]
