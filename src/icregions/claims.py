@@ -17,8 +17,8 @@ from .dist import (Form, Var, build_joint, cond_mutual_info,
 from .linsys import AXIOMS_HK_INDEP, derive_region, prune_redundant, \
     substitute_zero, system_equal
 from .polytope import DEFAULT_EPS, bind, contains, poly_equal, snap_terms
-from .regions import build_system, hk_r_with_redundant, region_for
-from .sampler import binary_alphabets, cmg_as_hod, sample_spec
+from .regions import build_system, hk_r_with_redundant
+from .sampler import binary_alphabets, sample_spec
 from .terms import eval_terms
 
 F = Fraction
@@ -109,8 +109,9 @@ def claim_reduction_independence(n: int, seed: int, specs=None) -> ClaimReport:
         }
         terms_ok = (tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12
                     and all(abs(v) <= 1e-9 for v in gaps.values()))
-        hod = region_for(spec, "HOD_R")
-        hk = region_for(spec, "HK_R")
+        binding = snap_terms(tv)
+        hod = bind(build_system("HOD_R"), binding)
+        hk = bind(build_system("HK_R"), binding)
         poly_ok = poly_equal(hod, hk, DEFAULT_EPS)
         rep.add(i, bool(terms_ok and poly_ok),
                 {"terms_ok": terms_ok, "polytopes_equal": poly_ok, **gaps},
@@ -159,7 +160,10 @@ def claim_redundancy_relations(n: int, seed: int, specs=None) -> ClaimReport:
 
 def claim_cmg_subset_hod(n: int, seed: int, specs=None) -> ClaimReport:
     """Containment of the superposition quadruple region in the correlated
-    quadruple region of the re-expressed spec (exact LP per constraint)."""
+    quadruple region of the re-expressed spec (exact LP per constraint).
+
+    ``cmg_as_hod`` keeps every table, so the re-expressed spec has the same
+    joint tensor and both regions bind the same terms."""
     rep = ClaimReport("cmg-subset-hod", seed, n, "eps=2^-30", hard=True)
     for i in range(n):
         spec = specs[i] if specs is not None else _cmg9(seed, i)
@@ -167,8 +171,9 @@ def claim_cmg_subset_hod(n: int, seed: int, specs=None) -> ClaimReport:
             rep.add(i, False, {"form_violation": spec.form.value})
             continue
         tv = eval_terms(build_joint(spec))
-        cmg = region_for(spec, "CMG_Q")
-        hod = region_for(cmg_as_hod(spec), "HOD_Q")
+        binding = snap_terms(tv)
+        cmg = bind(build_system("CMG_Q"), binding)
+        hod = bind(build_system("HOD_Q"), binding)
         ok = contains(hod, cmg, DEFAULT_EPS)
         witness = {
             "rho1": tv["rho1"], "rho2": tv["rho2"],

@@ -14,7 +14,9 @@ conditional mutual informations are computed (all in bits).
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -97,22 +99,27 @@ def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
         )
 
 
+# (field, conditioning vars, conditioned vars) of each factor table, in field
+# order; a table's axes follow the vars, and each row is a probability vector.
+FACTORS = (
+    ("q", (), (Var.Q,)),
+    ("w1_given_q", (Var.Q,), (Var.W1,)),
+    ("u1_given_q_w1", (Var.Q, Var.W1), (Var.U1,)),
+    ("w2_given_q", (Var.Q,), (Var.W2,)),
+    ("u2_given_q_w2", (Var.Q, Var.W2), (Var.U2,)),
+    ("x1_given_q_u1_w1", (Var.Q, Var.U1, Var.W1), (Var.X1,)),
+    ("x2_given_q_u2_w2", (Var.Q, Var.U2, Var.W2), (Var.X2,)),
+    ("channel", (Var.X1, Var.X2), (Var.Y1, Var.Y2)),
+)
+
+
 @dataclass(frozen=True)
 class FactorSpec:
     """A factored input distribution plus encoders and channel.
 
-    Table layouts (conditioning axes first, conditioned variable last):
-
-    ==================  =============================
-    q                   (nQ,)
-    w1_given_q          (nQ, nW1)
-    u1_given_q_w1       (nQ, nW1, nU1)   [absent for CMG9]
-    x1_given_q_u1_w1    (nQ, nU1, nW1, nX1)
-    channel             (nX1, nX2, nY1, nY2)
-    ==================  =============================
-
-    HK2 stores ``u1_given_q_w1`` with the W1 axis constant (built from a
-    (nQ, nU1) table).  CMG9 reuses the U axes as copies of the X axes:
+    The tables are laid out as ``FACTORS`` says.  HK2 stores
+    ``u1_given_q_w1`` with the W1 axis constant (built from a (nQ, nU1)
+    table).  CMG9 reuses the U axes as copies of the X axes:
     ``u1_given_q_w1`` is the spec's ``x1_given_q_w1`` table and the encoder
     is the identity indicator.
     """
@@ -133,26 +140,13 @@ class FactorSpec:
         if self.form is Form.CMG9:
             if n[Var.U1] != n[Var.X1] or n[Var.U2] != n[Var.X2]:
                 raise SpecError("CMG9 requires U alphabets equal to X alphabets")
-        _check_rows("q", self.q, (n[Var.Q],))
-        _check_rows("w1_given_q", self.w1_given_q, (n[Var.Q], n[Var.W1]))
-        _check_rows("w2_given_q", self.w2_given_q, (n[Var.Q], n[Var.W2]))
-        _check_rows("u1_given_q_w1", self.u1_given_q_w1, (n[Var.Q], n[Var.W1], n[Var.U1]))
-        _check_rows("u2_given_q_w2", self.u2_given_q_w2, (n[Var.Q], n[Var.W2], n[Var.U2]))
-        _check_rows(
-            "x1_given_q_u1_w1",
-            self.x1_given_q_u1_w1,
-            (n[Var.Q], n[Var.U1], n[Var.W1], n[Var.X1]),
-        )
-        _check_rows(
-            "x2_given_q_u2_w2",
-            self.x2_given_q_u2_w2,
-            (n[Var.Q], n[Var.U2], n[Var.W2], n[Var.X2]),
-        )
-        _check_rows(
-            "channel",
-            self.channel.reshape(self.channel.shape[:2] + (-1,)),
-            (n[Var.X1], n[Var.X2], n[Var.Y1] * n[Var.Y2]),
-        )
+        for name, given, of in FACTORS:
+            table = getattr(self, name)
+            if len(of) > 1:  # one probability vector over the joint outcome
+                table = table.reshape(table.shape[:len(given)]
+                                      + (math.prod(table.shape[len(given):]),))
+            _check_rows(name, table, tuple(n[v] for v in given)
+                        + (math.prod(n[v] for v in of),))
         if self.form is Form.HK2:
             # the stored conditional must not actually depend on W1/W2
             if not np.allclose(self.u1_given_q_w1, self.u1_given_q_w1[:, :1, :], atol=NORM_TOL):
@@ -164,10 +158,12 @@ class FactorSpec:
 def hk2_spec(alphabets, q, w1_given_q, u1_given_q, w2_given_q, u2_given_q,
              x1_given_q_u1_w1, x2_given_q_u2_w2, channel) -> FactorSpec:
     """Build an HK2 FactorSpec from p(u_i|q) tables."""
-    nw1 = alphabets.size(Var.W1)
-    nw2 = alphabets.size(Var.W2)
-    u1 = np.repeat(np.asarray(u1_given_q)[:, None, :], nw1, axis=1)
-    u2 = np.repeat(np.asarray(u2_given_q)[:, None, :], nw2, axis=1)
+    u1, u2 = np.asarray(u1_given_q), np.asarray(u2_given_q)
+    for name, u in (("u1_given_q", u1), ("u2_given_q", u2)):
+        if u.ndim != 2:
+            raise SpecError(f"factor {name}: expected axes (Q, U), got shape {u.shape}")
+    u1 = np.repeat(u1[:, None, :], alphabets.size(Var.W1), axis=1)
+    u2 = np.repeat(u2[:, None, :], alphabets.size(Var.W2), axis=1)
     return FactorSpec(Form.HK2, alphabets, np.asarray(q), np.asarray(w1_given_q), u1,
                       np.asarray(w2_given_q), u2, np.asarray(x1_given_q_u1_w1),
                       np.asarray(x2_given_q_u2_w2), np.asarray(channel))
@@ -202,22 +198,19 @@ class JointDist:
             raise SpecError(f"joint tensor sums to {self.tensor.sum():.15g}")
 
 
+# einsum subscripts of the factor product, one letter per variable in VARS
+# order: "q,qw,qwu,qv,qvm,quwx,qmvz,xzab->quwmvxzab".
+_AXES = "quwmvxzab"
+_JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v.value] for v in given + of)
+                             for _, given, of in FACTORS) + "->" + _AXES
+
+
 def build_joint(spec: FactorSpec) -> JointDist:
     """Multiply the declared factors into the full nine-variable joint."""
     if spec.alphabets.joint_entries() > MAX_JOINT_ENTRIES:
         raise SpecError("joint tensor would exceed the 1e8 entry limit")
-    t = np.einsum(
-        "q,qw,qwu,qv,qvm,quwx,qmvz,xzab->quwmvxzab",
-        spec.q,
-        spec.w1_given_q,
-        spec.u1_given_q_w1,
-        spec.w2_given_q,
-        spec.u2_given_q_w2,
-        spec.x1_given_q_u1_w1,
-        spec.x2_given_q_u2_w2,
-        spec.channel,
-        optimize=True,
-    )
+    t = np.einsum(_JOINT_SUBSCRIPTS, *(getattr(spec, name) for name, _, _ in FACTORS),
+                  optimize=True)
     return JointDist(spec.alphabets, t)
 
 
@@ -297,76 +290,75 @@ def check_markov_chains(joint: JointDist) -> dict:
 
 _FORM_NAMES = {f.value: f for f in Form}
 
+# JSON name of each FACTORS table per form; None marks a table that is not
+# stored (CMG9's encoders are the identity, since U_i is a copy of X_i).
+_CHANNEL = "channel_y1y2_given_x1x2"
+_GENERAL_NAMES = ("q", "w1_given_q", "u1_given_q_w1", "w2_given_q", "u2_given_q_w2",
+                  "x1_given_q_u1_w1", "x2_given_q_u2_w2", _CHANNEL)
+JSON_NAMES = {
+    Form.GENERAL1: _GENERAL_NAMES,
+    Form.HK2: ("q", "w1_given_q", "u1_given_q", "w2_given_q", "u2_given_q",
+               "x1_given_q_u1_w1", "x2_given_q_u2_w2", _CHANNEL),
+    Form.CMG9: ("q", "w1_given_q", "x1_given_q_w1", "w2_given_q", "x2_given_q_w2",
+                None, None, _CHANNEL),
+    Form.HOD16: _GENERAL_NAMES,
+}
+
+# Builders that expand the stored tables (in FACTORS order) of these forms.
+_FROM_STORED = {Form.HK2: hk2_spec, Form.CMG9: cmg9_spec}
+
 
 def spec_to_json(spec: FactorSpec) -> dict:
-    d = {
+    factors = {}
+    for (name, _, _), key in zip(FACTORS, JSON_NAMES[spec.form]):
+        table = getattr(spec, name)
+        if spec.form is Form.HK2 and name in ("u1_given_q_w1", "u2_given_q_w2"):
+            table = table[:, 0, :]  # hk2_spec repeats it along the W axis
+        if key is not None:
+            factors[key] = np.asarray(table).tolist()
+    return {
         "form": spec.form.value,
         "alphabets": {v.name: spec.alphabets.size(v) for v in VARS},
+        "factors": factors,
     }
-    if spec.form is Form.CMG9:
-        factors = {
-            "q": spec.q,
-            "w1_given_q": spec.w1_given_q,
-            "x1_given_q_w1": spec.u1_given_q_w1,
-            "w2_given_q": spec.w2_given_q,
-            "x2_given_q_w2": spec.u2_given_q_w2,
-            "channel_y1y2_given_x1x2": spec.channel,
-        }
-    elif spec.form is Form.HK2:
-        factors = {
-            "q": spec.q,
-            "w1_given_q": spec.w1_given_q,
-            "u1_given_q": spec.u1_given_q_w1[:, 0, :],
-            "w2_given_q": spec.w2_given_q,
-            "u2_given_q": spec.u2_given_q_w2[:, 0, :],
-            "x1_given_q_u1_w1": spec.x1_given_q_u1_w1,
-            "x2_given_q_u2_w2": spec.x2_given_q_u2_w2,
-            "channel_y1y2_given_x1x2": spec.channel,
-        }
-    else:
-        factors = {
-            "q": spec.q,
-            "w1_given_q": spec.w1_given_q,
-            "u1_given_q_w1": spec.u1_given_q_w1,
-            "w2_given_q": spec.w2_given_q,
-            "u2_given_q_w2": spec.u2_given_q_w2,
-            "x1_given_q_u1_w1": spec.x1_given_q_u1_w1,
-            "x2_given_q_u2_w2": spec.x2_given_q_u2_w2,
-            "channel_y1y2_given_x1x2": spec.channel,
-        }
-    d["factors"] = {k: np.asarray(v).tolist() for k, v in factors.items()}
-    return d
 
 
-class _Factors(dict):
-    """Factor tables by name; looking up a missing one is a SpecError."""
+def _json_object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SpecError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
-    def __missing__(self, key):
+
+def _table(factors: dict, key: str) -> np.ndarray:
+    if key not in factors:
         raise SpecError(f"factor {key} is missing")
+    try:
+        table = np.asarray(factors[key])
+    except ValueError:
+        raise SpecError(f"factor {key}: nested lists do not form an array") from None
+    if table.dtype.kind not in "iuf":  # strings, booleans, null, objects
+        raise SpecError(f"factor {key}: entries must be probabilities")
+    return table.astype(float)
 
 
 def spec_from_json(d: dict) -> FactorSpec:
-    try:
-        form = _FORM_NAMES[d["form"].lower()]
-    except KeyError:
-        raise SpecError(f"unknown form {d.get('form')!r}") from None
-    try:
-        sizes = {Var[name]: int(n) for name, n in d.get("alphabets", {}).items()}
-    except KeyError as exc:
-        raise SpecError(f"unknown alphabet {exc.args[0]!r}") from None
+    d = _json_object(d, "spec")
+    name = d.get("form")
+    form = _FORM_NAMES.get(name.lower()) if isinstance(name, str) else None
+    if form is None:
+        raise SpecError(f"unknown form {name!r}")
+    sizes = {}
+    for var, n in _json_object(d.get("alphabets", {}), "alphabets").items():
+        if var not in Var.__members__:
+            raise SpecError(f"unknown alphabet {var!r}")
+        if type(n) is not int:
+            raise SpecError(f"alphabet size for {var} must be an integer, got {n!r}")
+        sizes[Var[var]] = n
     alph = AlphabetSpec(sizes)
-    f = _Factors((k, np.asarray(v, dtype=float)) for k, v in d.get("factors", {}).items())
-    ch = f["channel_y1y2_given_x1x2"]
-    if form is Form.CMG9:
-        return cmg9_spec(alph, f["q"], f["w1_given_q"], f["x1_given_q_w1"],
-                         f["w2_given_q"], f["x2_given_q_w2"], ch)
-    if form is Form.HK2:
-        return hk2_spec(alph, f["q"], f["w1_given_q"], f["u1_given_q"],
-                        f["w2_given_q"], f["u2_given_q"],
-                        f["x1_given_q_u1_w1"], f["x2_given_q_u2_w2"], ch)
-    return FactorSpec(form, alph, f["q"], f["w1_given_q"], f["u1_given_q_w1"],
-                      f["w2_given_q"], f["u2_given_q_w2"],
-                      f["x1_given_q_u1_w1"], f["x2_given_q_u2_w2"], ch)
+    factors = _json_object(d.get("factors", {}), "factors")
+    tables = [_table(factors, key) for key in JSON_NAMES[form] if key is not None]
+    build = _FROM_STORED.get(form, functools.partial(FactorSpec, form))
+    return build(alph, *tables)
 
 
 def load_spec(path) -> FactorSpec:

@@ -7,6 +7,8 @@ over (S1, T1, S2, T2); rate-pair systems over (R1, R2).
 
 from __future__ import annotations
 
+import functools
+
 from .dist import FactorSpec, Form, build_joint
 from .linsys import Combo, Inequality, LinearSystem
 from .polytope import HPoly, bind, snap_terms
@@ -14,17 +16,6 @@ from .terms import eval_terms
 
 QUAD_VARS = ("S1", "T1", "S2", "T2")
 PAIR_VARS = ("R1", "R2")
-
-REGION_IDS = (
-    "HK_Q", "HK_Q_MODIFIED", "HK_R", "HK_R_MODIFIED",
-    "CMG_Q", "CMG_R", "COMPACT_R", "HOD_Q", "HOD_R",
-)
-
-
-def _sys(rate_vars, rows, term_facts=()):
-    return LinearSystem.of(
-        rate_vars, [Inequality.of(lhs, rhs) for lhs, rhs in rows], term_facts)
-
 
 # Theorem-1-form distributions make U_i and W_i independent given Q, so the
 # HK quadruple systems carry rho_i = 0 as intrinsic term-facts.
@@ -136,29 +127,35 @@ _HOD_R_ROWS = [
 ]
 
 
+_HK_Q_DROPPED = (({"T2": 1}, {"c1": 1}), ({"T1": 1}, {"c2": 1}))
+_HOD_FORMS = (Form.HOD16, Form.GENERAL1, Form.HK2)
+
+# Region id -> (rate variables, rows, term facts, forms whose specs it binds).
+_CATALOGUE = {
+    "HK_Q": (QUAD_VARS, _hk_q_rows(), _RHO_ZERO, (Form.HK2,)),
+    "HK_Q_MODIFIED": (QUAD_VARS, [r for r in _hk_q_rows() if r not in _HK_Q_DROPPED],
+                      _RHO_ZERO, (Form.HK2,)),
+    "HK_R": (PAIR_VARS, _HK_R_ROWS, (), (Form.HK2,)),
+    "HK_R_MODIFIED": (PAIR_VARS, _HK_R_MODIFIED_ROWS, (), (Form.HK2,)),
+    "CMG_Q": (QUAD_VARS, _CMG_Q_ROWS, (), (Form.CMG9,)),
+    "CMG_R": (PAIR_VARS, _CMG_R_ROWS, (), (Form.CMG9,)),
+    "COMPACT_R": (PAIR_VARS, _COMPACT_R_ROWS, (), (Form.HK2, Form.CMG9)),
+    "HOD_Q": (QUAD_VARS, _hk_q_rows(b="B", c="C", f="F"), (), _HOD_FORMS),
+    "HOD_R": (PAIR_VARS, _HOD_R_ROWS, (), _HOD_FORMS),
+}
+
+REGION_IDS = tuple(_CATALOGUE)
+
+
+@functools.cache
 def build_system(region_id: str) -> LinearSystem:
-    """Return the named golden system (verbatim inequality list)."""
-    if region_id == "HK_Q":
-        return _sys(QUAD_VARS, _hk_q_rows(), _RHO_ZERO)
-    if region_id == "HK_Q_MODIFIED":
-        dropped = (({"T2": 1}, {"c1": 1}), ({"T1": 1}, {"c2": 1}))
-        rows = [r for r in _hk_q_rows() if r not in dropped]
-        return _sys(QUAD_VARS, rows, _RHO_ZERO)
-    if region_id == "HOD_Q":
-        return _sys(QUAD_VARS, _hk_q_rows(b="B", c="C", f="F"))
-    if region_id == "CMG_Q":
-        return _sys(QUAD_VARS, _CMG_Q_ROWS)
-    if region_id == "HK_R":
-        return _sys(PAIR_VARS, _HK_R_ROWS)
-    if region_id == "HK_R_MODIFIED":
-        return _sys(PAIR_VARS, _HK_R_MODIFIED_ROWS)
-    if region_id == "CMG_R":
-        return _sys(PAIR_VARS, _CMG_R_ROWS)
-    if region_id == "COMPACT_R":
-        return _sys(PAIR_VARS, _COMPACT_R_ROWS)
-    if region_id == "HOD_R":
-        return _sys(PAIR_VARS, _HOD_R_ROWS)
-    raise ValueError(f"unknown region id {region_id!r}")
+    """Return the named golden system (verbatim inequality list), built once
+    on first use and shared, since it is immutable."""
+    if region_id not in _CATALOGUE:
+        raise ValueError(f"unknown region id {region_id!r}")
+    rate_vars, rows, term_facts, _ = _CATALOGUE[region_id]
+    return LinearSystem.of(
+        rate_vars, [Inequality.of(lhs, rhs) for lhs, rhs in rows], term_facts)
 
 
 def hk_r_with_redundant() -> LinearSystem:
@@ -167,33 +164,19 @@ def hk_r_with_redundant() -> LinearSystem:
     return LinearSystem.of(PAIR_VARS, list(base.inequalities) + list(HK_R_REDUNDANT))
 
 
-_ALLOWED_FORMS = {
-    "HK_Q": {Form.HK2},
-    "HK_Q_MODIFIED": {Form.HK2},
-    "HK_R": {Form.HK2},
-    "HK_R_MODIFIED": {Form.HK2},
-    "CMG_Q": {Form.CMG9},
-    "CMG_R": {Form.CMG9},
-    "COMPACT_R": {Form.HK2, Form.CMG9},
-    "HOD_Q": {Form.HOD16, Form.GENERAL1, Form.HK2},
-    "HOD_R": {Form.HOD16, Form.GENERAL1, Form.HK2},
-}
-
-
 class FormMismatchError(ValueError):
     pass
 
 
 def region_for(spec: FactorSpec, region_id: str) -> HPoly:
     """build_joint -> eval_terms -> snap -> bind for a named region."""
-    allowed = _ALLOWED_FORMS.get(region_id)
-    if allowed is None:
-        raise ValueError(f"unknown region id {region_id!r}")
-    if spec.form not in allowed:
+    system = build_system(region_id)
+    *_, accepted = _CATALOGUE[region_id]
+    if spec.form not in accepted:
         hint = ""
         if spec.form in (Form.HOD16, Form.GENERAL1):
             hint = " (apply independence_projection first)"
         raise FormMismatchError(
             f"region {region_id} does not accept form {spec.form.value}{hint}")
     binding = snap_terms(eval_terms(build_joint(spec)))
-    return bind(build_system(region_id), binding)
+    return bind(system, binding)

@@ -8,7 +8,7 @@ the spec.  Per-sample generators are seeded with the pair (seed, index).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -68,9 +68,7 @@ def cmg_as_hod(spec: FactorSpec) -> FactorSpec:
     copies, encoders are identity); the joint tensor is unchanged."""
     if spec.form is not Form.CMG9:
         raise ValueError("expected a CMG9 spec")
-    return FactorSpec(Form.HOD16, spec.alphabets, spec.q, spec.w1_given_q,
-                      spec.u1_given_q_w1, spec.w2_given_q, spec.u2_given_q_w2,
-                      spec.x1_given_q_u1_w1, spec.x2_given_q_u2_w2, spec.channel)
+    return replace(spec, form=Form.HOD16)
 
 
 @dataclass(frozen=True)
@@ -109,13 +107,15 @@ def hod_vs_projected_hk(spec: FactorSpec):
     return hod, hk
 
 
-def _objective(spec: FactorSpec, which: str) -> Fraction:
+def _objective(spec: FactorSpec, which: str):
+    """The gain of the spec's correlated region over the projected HK
+    region, with the two polytopes it compares: (gain, hod, hk)."""
     hod, hk = hod_vs_projected_hk(spec)
     if which == "area":
-        return area2(hod) - area2(hk)
+        return area2(hod) - area2(hk), hod, hk
     m_hod = hod.maximize([1, 1])
     m_hk = hk.maximize([1, 1])
-    return m_hod.value - m_hk.value
+    return m_hod.value - m_hk.value, hod, hk
 
 
 def _perturb(spec: FactorSpec, rng, step: float) -> FactorSpec:
@@ -143,16 +143,15 @@ def improvement_search(cfg: SearchConfig) -> SearchResult:
     for r in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, r])
         spec = sample_spec(cfg.alphabets, Form.HOD16, [cfg.seed, r, 0])
-        val = _objective(spec, cfg.objective)
+        val, hod, hk = _objective(spec, cfg.objective)
         trace = [float(val)]
         for _ in range(cfg.budget - 1):
             cand = _perturb(spec, rng, cfg.step)
-            cval = _objective(cand, cfg.objective)
+            cval, chod, chk = _objective(cand, cfg.objective)
             if cval > val:
-                spec, val = cand, cval
+                spec, val, hod, hk = cand, cval, chod, chk
             trace.append(float(val))
         if best is None or val > best.objective:
-            hod, hk = hod_vs_projected_hk(spec)
             from .polytope import vertices2
 
             best = SearchResult(spec, val, vertices2(hod), vertices2(hk),

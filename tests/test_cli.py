@@ -64,6 +64,33 @@ class TestTerms:
         assert self._terms_exit(data, tmp_path) == 2
         assert "unknown alphabet 'Z9'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path,value,message", [
+        (("alphabets", "Q"), "two", "alphabet size for Q must be an integer"),
+        (("alphabets", "Q"), 2.5, "alphabet size for Q must be an integer"),
+        (("alphabets", "Q"), True, "alphabet size for Q must be an integer"),
+        (("factors", "q"), ["a", "b"], "factor q: entries must be probabilities"),
+        (("factors", "w1_given_q"), [[0.5, 0.5], [1.0]],
+         "factor w1_given_q: nested lists do not form an array"),
+        (("form",), 3, "unknown form 3"),
+        (("alphabets",), [2] * 9, "alphabets must be a JSON object"),
+        (("factors",), [[0.5, 0.5]], "factors must be a JSON object"),
+        ((), [], "spec must be a JSON object"),
+    ], ids=["size-string", "size-fraction", "size-bool", "factor-strings",
+            "factor-ragged", "form-number", "alphabets-list", "factors-list",
+            "top-level-list"])
+    def test_malformed_json_exit_2(self, path, value, message, hk2_path,
+                                   tmp_path, capsys):
+        data = json.loads(hk2_path.read_text())
+        if path:
+            node = data
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+        else:
+            data = value
+        assert self._terms_exit(data, tmp_path) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRegion:
     def test_vertex_csv(self, hk2_path, tmp_path):

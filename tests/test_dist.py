@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icregions.dist import (AlphabetSpec, FactorSpec, Form, JointDist, SpecError,
-                            Var, build_joint, check_markov_chains,
+                            Var, build_joint, check_markov_chains, cmg9_spec,
                             cond_mutual_info, entropy, hk2_spec,
                             independence_projection, marginal_tensor,
-                            spec_from_json, spec_to_json)
+                            save_spec, spec_from_json, spec_to_json)
 from icregions.sampler import binary_alphabets, sample_spec
 from oracles import cmi_vars, dict_from_tensor, naive_entropy, naive_joint, \
     naive_marginal
@@ -123,12 +124,112 @@ class TestSpecValidation:
                        spec.x1_given_q_u1_w1, spec.x2_given_q_u2_w2, spec.channel)
 
     def test_json_round_trip(self):
-        for form in (Form.HK2, Form.CMG9, Form.HOD16):
+        for form in (Form.HK2, Form.CMG9, Form.HOD16, Form.GENERAL1):
             spec = sample_spec(binary_alphabets(), form, [11, 7])
             back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
             assert back.form is spec.form
             assert np.allclose(back.u1_given_q_w1, spec.u1_given_q_w1)
             assert np.allclose(back.channel, spec.channel)
+
+
+def _dyadic(shape):
+    """Rows (k/8, 1 - k/8) for k = 1, 2, ..., 7, 1, ...; (1.0,) when the last
+    axis has size 1.  Exact in binary, so the JSON text is short and exact."""
+    if shape[-1] == 1:
+        return np.ones(shape)
+    k = (np.arange(math.prod(shape[:-1])) % 7 + 1) / 8
+    return np.stack([k, 1 - k], axis=-1).reshape(shape)
+
+
+def dyadic_spec(form):
+    """A small spec of the given form, with W1 and U1 binary so that HK2's
+    u_given_q tables are expanded along a real W axis."""
+    alph = binary_alphabets(Q=1, W2=1, U2=1, X2=1, Y1=1)
+    d = _dyadic
+    if form is Form.HK2:
+        return hk2_spec(alph, d((1,)), d((1, 2)), d((1, 2)), d((1, 1)), d((1, 1)),
+                        d((1, 2, 2, 2)), d((1, 1, 1, 1)), d((2, 1, 1, 2)))
+    if form is Form.CMG9:
+        return cmg9_spec(alph, d((1,)), d((1, 2)), d((1, 2, 2)), d((1, 1)),
+                         d((1, 1, 1)), d((2, 1, 1, 2)))
+    return FactorSpec(form, alph, d((1,)), d((1, 2)), d((1, 2, 2)), d((1, 1)),
+                      d((1, 1, 1)), d((1, 2, 2, 2)), d((1, 1, 1, 1)), d((2, 1, 1, 2)))
+
+
+# Compact spec_to_json text of dyadic_spec(form), kept literal so that a change
+# to the JSON names or their order shows; save_spec writes it with indent=1.
+PINNED_JSON = {
+    "general1": (
+        '{"form":"general1","alphabets":{"Q":1,"U1":2,"W1":2,"U2":1,"W2":1,'
+        '"X1":2,"X2":1,"Y1":1,"Y2":2},"factors":{"q":[1.0],'
+        '"w1_given_q":[[0.125,0.875]],"u1_given_q_w1":[[[0.125,0.875],[0.25,'
+        '0.75]]],"w2_given_q":[[1.0]],"u2_given_q_w2":[[[1.0]]],'
+        '"x1_given_q_u1_w1":[[[[0.125,0.875],[0.25,0.75]],[[0.375,0.625],'
+        '[0.5,0.5]]]],"x2_given_q_u2_w2":[[[[1.0]]]],'
+        '"channel_y1y2_given_x1x2":[[[[0.125,0.875]]],[[[0.25,0.75]]]]}}'),
+    "hk2": (
+        '{"form":"hk2","alphabets":{"Q":1,"U1":2,"W1":2,"U2":1,"W2":1,"X1":2,'
+        '"X2":1,"Y1":1,"Y2":2},"factors":{"q":[1.0],"w1_given_q":[[0.125,'
+        '0.875]],"u1_given_q":[[0.125,0.875]],"w2_given_q":[[1.0]],'
+        '"u2_given_q":[[1.0]],"x1_given_q_u1_w1":[[[[0.125,0.875],[0.25,'
+        '0.75]],[[0.375,0.625],[0.5,0.5]]]],"x2_given_q_u2_w2":[[[[1.0]]]],'
+        '"channel_y1y2_given_x1x2":[[[[0.125,0.875]]],[[[0.25,0.75]]]]}}'),
+    "cmg9": (
+        '{"form":"cmg9","alphabets":{"Q":1,"U1":2,"W1":2,"U2":1,"W2":1,'
+        '"X1":2,"X2":1,"Y1":1,"Y2":2},"factors":{"q":[1.0],'
+        '"w1_given_q":[[0.125,0.875]],"x1_given_q_w1":[[[0.125,0.875],[0.25,'
+        '0.75]]],"w2_given_q":[[1.0]],"x2_given_q_w2":[[[1.0]]],'
+        '"channel_y1y2_given_x1x2":[[[[0.125,0.875]]],[[[0.25,0.75]]]]}}'),
+    "hod16": (
+        '{"form":"hod16","alphabets":{"Q":1,"U1":2,"W1":2,"U2":1,"W2":1,'
+        '"X1":2,"X2":1,"Y1":1,"Y2":2},"factors":{"q":[1.0],'
+        '"w1_given_q":[[0.125,0.875]],"u1_given_q_w1":[[[0.125,0.875],[0.25,'
+        '0.75]]],"w2_given_q":[[1.0]],"u2_given_q_w2":[[[1.0]]],'
+        '"x1_given_q_u1_w1":[[[[0.125,0.875],[0.25,0.75]],[[0.375,0.625],'
+        '[0.5,0.5]]]],"x2_given_q_u2_w2":[[[[1.0]]]],'
+        '"channel_y1y2_given_x1x2":[[[[0.125,0.875]]],[[[0.25,0.75]]]]}}'),
+}
+
+
+_JSON_JUNK = st.one_of(
+    st.text(max_size=4), st.floats(), st.just(float("nan")), st.none(),
+    st.lists(st.one_of(st.floats(), st.text(max_size=2), st.none()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.floats(), max_size=2))
+
+
+def _json_slots(node):
+    """(container, key) of every node below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _json_slots(child)
+
+
+class TestSpecJson:
+    @pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
+    def test_saved_bytes_pinned(self, form, tmp_path):
+        path = tmp_path / "spec.json"
+        save_spec(dyadic_spec(form), path)
+        want = json.dumps(json.loads(PINNED_JSON[form.value]), indent=1)
+        assert path.read_text() == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(list(Form)), st.data())
+    def test_mutated_json_parses_or_raises_spec_error(self, form, data):
+        # One node replaced by junk, or one key dropped; the wrapper lets the
+        # whole spec be replaced too.
+        doc = {"spec": spec_to_json(dyadic_spec(form))}
+        parent, key = data.draw(st.sampled_from(list(_json_slots(doc))))
+        if isinstance(key, str) and parent is not doc and data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(_JSON_JUNK)
+        try:
+            spec = spec_from_json(doc["spec"])
+        except SpecError:
+            return
+        assert isinstance(spec, FactorSpec)
 
 
 class TestMarginal:
