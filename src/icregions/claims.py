@@ -9,11 +9,11 @@ per-distribution harness cannot decide).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .dist import (Form, Var, build_joint, cond_mutual_info,
-                   independence_projection, spec_to_json)
+from .dist import Form, Var, build_joint, cond_mutual_info, spec_to_json
 from .linsys import AXIOMS_HK_INDEP, derive_region, prune_redundant, \
     substitute_zero, system_equal
 from .polytope import DEFAULT_EPS, bind, contains, poly_equal, snap_terms
@@ -23,15 +23,9 @@ from .terms import eval_terms
 
 F = Fraction
 
-HARD_CLAIMS = (
-    "reduction-independence",
-    "redundancy-relations",
-    "cmg-subset-hod",
-    "hod-extra-terms",
-    "fm-reproduction",
-)
-EXPLORATORY_CLAIMS = ("compact-equivalence", "remark2-data")
-ALL_CLAIMS = HARD_CLAIMS + EXPLORATORY_CLAIMS
+# claim id -> (report function of (n, seed), hard), filled by ``_claim`` in
+# the order the report functions are defined below: hard claims first.
+CLAIMS = {}
 
 
 @dataclass
@@ -40,9 +34,12 @@ class ClaimReport:
     seed: int
     n: int
     tolerance: str
-    hard: bool
     samples: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+
+    @property
+    def hard(self) -> bool:
+        return CLAIMS[self.claim_id][1]
 
     def add(self, index: int, ok: bool | None, witness: dict, spec=None):
         rec = {"index": index, "ok": ok, **witness}
@@ -77,26 +74,28 @@ class ClaimReport:
         }
 
 
-def _hk2(seed, i):
-    return sample_spec(binary_alphabets(), Form.HK2, [seed, i])
+def _claim(claim_id: str, hard: bool):
+    """Enter the decorated report function in ``CLAIMS``, its ``claim_id`` bound."""
+    def register(report_fn):
+        report = functools.partial(report_fn, claim_id=claim_id)
+        CLAIMS[claim_id] = (report, hard)
+        return functools.update_wrapper(report, report_fn)
+    return register
 
 
-def _cmg9(seed, i):
-    return sample_spec(binary_alphabets(), Form.CMG9, [seed, i])
+def _sample(form: Form, seed, i):
+    return sample_spec(binary_alphabets(), form, [seed, i])
 
 
-def _hod16(seed, i):
-    return sample_spec(binary_alphabets(), Form.HOD16, [seed, i])
-
-
-def claim_reduction_independence(n: int, seed: int, specs=None) -> ClaimReport:
+@_claim("reduction-independence", hard=True)
+def claim_reduction_independence(n: int, seed: int, specs=None, *,
+                                 claim_id: str) -> ClaimReport:
     """Independent U_i, W_i: the composite bounds collapse (B=b, C=c, F=f)
     and the correlated-form region equals the HK region."""
-    rep = ClaimReport("reduction-independence", seed, n,
-                      "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30",
-                      hard=True)
+    rep = ClaimReport(claim_id, seed, n,
+                      "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30")
     for i in range(n):
-        spec = specs[i] if specs is not None else _hk2(seed, i)
+        spec = specs[i] if specs is not None else _sample(Form.HK2, seed, i)
         if spec.form is not Form.HK2:
             rep.add(i, False, {"form_violation": spec.form.value})
             continue
@@ -119,15 +118,16 @@ def claim_reduction_independence(n: int, seed: int, specs=None) -> ClaimReport:
     return rep
 
 
-def claim_redundancy_relations(n: int, seed: int, specs=None) -> ClaimReport:
+@_claim("redundancy-relations", hard=True)
+def claim_redundancy_relations(n: int, seed: int, specs=None, *,
+                               claim_id: str) -> ClaimReport:
     """The two conditioning relations behind the redundancy of the two
     extra sum-rate inequalities, plus the polytope-level redundancy."""
-    rep = ClaimReport("redundancy-relations", seed, n,
-                      "slack>=-1e-9, polytopes at eps=0", hard=True)
+    rep = ClaimReport(claim_id, seed, n, "slack>=-1e-9, polytopes at eps=0")
     sys9 = build_system("HK_R")
     sys11 = hk_r_with_redundant()
     for i in range(n):
-        spec = specs[i] if specs is not None else _hk2(seed, i)
+        spec = specs[i] if specs is not None else _sample(Form.HK2, seed, i)
         joint = build_joint(spec)
         tv = eval_terms(joint)
         # relation (I(Y;U|Q) <= I(Y;U|QW)) per receiver
@@ -158,15 +158,16 @@ def claim_redundancy_relations(n: int, seed: int, specs=None) -> ClaimReport:
     return rep
 
 
-def claim_cmg_subset_hod(n: int, seed: int, specs=None) -> ClaimReport:
+@_claim("cmg-subset-hod", hard=True)
+def claim_cmg_subset_hod(n: int, seed: int, specs=None, *, claim_id: str) -> ClaimReport:
     """Containment of the superposition quadruple region in the correlated
     quadruple region of the re-expressed spec (exact LP per constraint).
 
     ``cmg_as_hod`` keeps every table, so the re-expressed spec has the same
     joint tensor and both regions bind the same terms."""
-    rep = ClaimReport("cmg-subset-hod", seed, n, "eps=2^-30", hard=True)
+    rep = ClaimReport(claim_id, seed, n, "eps=2^-30")
     for i in range(n):
-        spec = specs[i] if specs is not None else _cmg9(seed, i)
+        spec = specs[i] if specs is not None else _sample(Form.CMG9, seed, i)
         if spec.form is not Form.CMG9:
             rep.add(i, False, {"form_violation": spec.form.value})
             continue
@@ -192,12 +193,13 @@ def claim_cmg_subset_hod(n: int, seed: int, specs=None) -> ClaimReport:
     return rep
 
 
-def claim_hod_extra_terms(n: int, seed: int) -> ClaimReport:
+@_claim("hod-extra-terms", hard=True)
+def claim_hod_extra_terms(n: int, seed: int, *, claim_id: str) -> ClaimReport:
     """Every T-rate bound grows by exactly the correlation penalty while the
     S-involving bounds are unchanged relative to the independent formulas."""
-    rep = ClaimReport("hod-extra-terms", seed, n, "1e-9", hard=True)
+    rep = ClaimReport(claim_id, seed, n, "1e-9")
     for i in range(n):
-        spec = _hod16(seed, i)
+        spec = _sample(Form.HOD16, seed, i)
         joint = build_joint(spec)
         tv = eval_terms(joint)
         rho = {
@@ -228,11 +230,13 @@ def claim_hod_extra_terms(n: int, seed: int) -> ClaimReport:
     return rep
 
 
-def claim_fm_reproduction() -> ClaimReport:
+@_claim("fm-reproduction", hard=True)
+def claim_fm_reproduction(n: int = 0, seed: int = 0, *, claim_id: str) -> ClaimReport:
     """Purely symbolic: the elimination pipeline reproduces the golden
     systems, and the superposition/HK rate-pair systems differ exactly in
-    the two cross bounds."""
-    rep = ClaimReport("fm-reproduction", 0, 0, "exact", hard=True)
+    the two cross bounds.  Takes no samples, so it ignores n and seed and
+    reports both as 0."""
+    rep = ClaimReport(claim_id, 0, 0, "exact")
     cases = [
         ("hk->11", derive_region("hk", "chain"), hk_r_with_redundant()),
         ("hk->9", derive_region("hk", "hk-indep"), build_system("HK_R")),
@@ -264,22 +268,23 @@ def claim_fm_reproduction() -> ClaimReport:
     return rep
 
 
-def compact_equivalence_report(n: int, seed: int) -> ClaimReport:
+@_claim("compact-equivalence", hard=False)
+def compact_equivalence_report(n: int, seed: int, *, claim_id: str) -> ClaimReport:
     """Exploratory: containments around the seven-inequality description.
 
     The forced directions (dropping constraints only enlarges) are checked;
     the reverse direction is recorded as data because the equivalence is a
     statement about unions over distributions."""
-    rep = ClaimReport("compact-equivalence", seed, n, "eps=0", hard=False)
+    rep = ClaimReport(claim_id, seed, n, "eps=0")
     compact = build_system("COMPACT_R")
     for i in range(n):
-        hk_spec = _hk2(seed, i)
+        hk_spec = _sample(Form.HK2, seed, i)
         binding = snap_terms(eval_terms(build_joint(hk_spec)))
         hk = bind(build_system("HK_R"), binding)
         comp = bind(compact, binding)
         forced = contains(comp, hk, F(0))
         reverse = contains(hk, comp, F(0))
-        cmg_spec = _cmg9(seed, i)
+        cmg_spec = _sample(Form.CMG9, seed, i)
         binding2 = snap_terms(eval_terms(build_joint(cmg_spec)))
         cmg = bind(build_system("CMG_R"), binding2)
         comp2 = bind(compact, binding2)
@@ -291,12 +296,13 @@ def compact_equivalence_report(n: int, seed: int) -> ClaimReport:
     return rep
 
 
-def remark2_report(n: int, seed: int) -> ClaimReport:
+@_claim("remark2-data", hard=False)
+def remark2_report(n: int, seed: int, *, claim_id: str) -> ClaimReport:
     """Exploratory: per-sample term relations used informally in the
     equivalence argument for the seven-inequality description."""
-    rep = ClaimReport("remark2-data", seed, n, "data only", hard=False)
+    rep = ClaimReport(claim_id, seed, n, "data only")
     for i in range(n):
-        spec = _hk2(seed, i)
+        spec = _sample(Form.HK2, seed, i)
         tv = eval_terms(build_joint(spec))
         rep.add(i, None, {
             "e1<=a1+c1": bool(tv["e1"] <= tv["a1"] + tv["c1"] + 1e-9),
@@ -309,22 +315,14 @@ def remark2_report(n: int, seed: int) -> ClaimReport:
     return rep
 
 
+ALL_CLAIMS = tuple(CLAIMS)
+HARD_CLAIMS = tuple(c for c, (_, hard) in CLAIMS.items() if hard)
+
+
 def run_claim(claim_id: str, n: int, seed: int) -> ClaimReport:
-    if claim_id == "reduction-independence":
-        return claim_reduction_independence(n, seed)
-    if claim_id == "redundancy-relations":
-        return claim_redundancy_relations(n, seed)
-    if claim_id == "cmg-subset-hod":
-        return claim_cmg_subset_hod(n, seed)
-    if claim_id == "hod-extra-terms":
-        return claim_hod_extra_terms(n, seed)
-    if claim_id == "fm-reproduction":
-        return claim_fm_reproduction()
-    if claim_id == "compact-equivalence":
-        return compact_equivalence_report(n, seed)
-    if claim_id == "remark2-data":
-        return remark2_report(n, seed)
-    raise ValueError(f"unknown claim {claim_id!r}")
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}")
+    return CLAIMS[claim_id][0](n, seed)
 
 
 def run_all(n: int, seed: int) -> dict:

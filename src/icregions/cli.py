@@ -2,7 +2,7 @@
 
 Subcommands: terms, region, derive, verify, search, project.  All outputs
 are deterministic given identical inputs and seeds.  Exit codes: 0 success,
-1 hard-claim failure (verify), 2 invalid spec file, 3 region/form mismatch.
+1 hard-claim failure (verify), 2 invalid spec file or usage, 3 region/form mismatch.
 """
 
 from __future__ import annotations
@@ -14,16 +14,21 @@ from fractions import Fraction
 
 from .claims import ALL_CLAIMS, run_all, run_claim
 from .dist import SpecError, Var, build_joint, load_spec, spec_to_json
-from .linsys import AXIOM_SETS, derive_region, system_from_json, system_to_json
+from .linsys import (AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region, system_from_json,
+                     system_to_json)
 from .linsys import _frac_to_obj as _frac
 from .polytope import HPoly, bind, fm_eliminate_numeric, snap_terms, vertices2
-from .regions import FormMismatchError, build_system, region_for
+from .regions import FormMismatchError, region_for
 from .sampler import SearchConfig, binary_alphabets, improvement_search
 from .terms import eval_terms
 
 _REGION_BY_NAME = {
     "hk": "HK_R", "cmg": "CMG_R", "hod": "HOD_R", "compact": "COMPACT_R",
 }
+
+
+class UsageError(ValueError):
+    """A command-line argument the command cannot use (exit 2)."""
 
 
 def _write_json(path: str, obj) -> None:
@@ -98,7 +103,7 @@ def _cmd_project(args) -> int:
     for v in args.eliminate.split(","):
         v = v.strip()
         if v not in poly.dims:
-            raise SystemExit(f"variable {v!r} not in system dims {poly.dims}")
+            raise UsageError(f"variable {v!r} not in system dims {poly.dims}")
         poly = fm_eliminate_numeric(poly, v)
     _write_json(args.out, _poly_json(poly))
     return 0
@@ -117,9 +122,10 @@ def _parse_alphabets(text: str):
     overrides = {}
     for part in text.split(","):
         key, _, val = part.strip().partition("=")
-        if not val:
-            raise SystemExit(f"bad alphabet item {part!r}, expected name=size")
-        n = int(val)
+        try:
+            n = int(val)
+        except ValueError:
+            raise UsageError(f"bad alphabet item {part!r}, expected name=size") from None
         key = key.strip().upper()
         if key in ("U", "W", "X", "Y"):
             overrides[f"{key}1"] = n
@@ -127,7 +133,7 @@ def _parse_alphabets(text: str):
         elif key in Var.__members__:
             overrides[key] = n
         else:
-            raise SystemExit(f"unknown alphabet name {key!r}")
+            raise UsageError(f"unknown alphabet name {key!r}")
     return binary_alphabets(**overrides)
 
 
@@ -149,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("derive", help="symbolic Fourier-Motzkin derivation")
     d.add_argument("--system", required=True,
-                   choices=("hk", "hk-mod", "cmg", "hod"))
+                   choices=tuple(QUADRUPLE_SYSTEMS))
     d.add_argument("--axioms", default="chain", choices=sorted(AXIOM_SETS))
     d.add_argument("--out", required=True)
     d.set_defaults(func=_cmd_derive)
@@ -187,6 +193,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
+        return 2
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except FormMismatchError as exc:
         print(f"form mismatch: {exc}", file=sys.stderr)

@@ -304,18 +304,32 @@ JSON_NAMES = {
     Form.HOD16: _GENERAL_NAMES,
 }
 
-# Builders that expand the stored tables (in FACTORS order) of these forms.
-_FROM_STORED = {Form.HK2: hk2_spec, Form.CMG9: cmg9_spec}
+
+def stored_factors(form: Form):
+    """Yield (field, JSON name, conditioning vars, conditioned vars) of each
+    table a spec of this form stores, in ``FACTORS`` order.  HK2 stores its
+    u_i tables without the W_i axis, which ``hk2_spec`` repeats."""
+    for (name, given, of), key in zip(FACTORS, JSON_NAMES[form]):
+        if form is Form.HK2 and of[0] in (Var.U1, Var.U2):
+            given = (Var.Q,)
+        if key is not None:
+            yield name, key, given, of
+
+
+def from_stored(form: Form, alphabets: AlphabetSpec, tables) -> FactorSpec:
+    """The spec of this form whose stored tables, in ``stored_factors``
+    order, are ``tables``; HK2 and CMG9 have builders that expand them."""
+    build = {Form.HK2: hk2_spec, Form.CMG9: cmg9_spec}.get(form)
+    return (build or functools.partial(FactorSpec, form))(alphabets, *tables)
 
 
 def spec_to_json(spec: FactorSpec) -> dict:
     factors = {}
-    for (name, _, _), key in zip(FACTORS, JSON_NAMES[spec.form]):
-        table = getattr(spec, name)
-        if spec.form is Form.HK2 and name in ("u1_given_q_w1", "u2_given_q_w2"):
-            table = table[:, 0, :]  # hk2_spec repeats it along the W axis
-        if key is not None:
-            factors[key] = np.asarray(table).tolist()
+    for name, key, given, of in stored_factors(spec.form):
+        table = np.asarray(getattr(spec, name))
+        # index 0 of any axis the field repeats after the stored conditioning vars
+        lost = table.ndim - len(given) - len(of)
+        factors[key] = table[(slice(None),) * len(given) + (0,) * lost].tolist()
     return {
         "form": spec.form.value,
         "alphabets": {v.name: spec.alphabets.size(v) for v in VARS},
@@ -356,9 +370,8 @@ def spec_from_json(d: dict) -> FactorSpec:
         sizes[Var[var]] = n
     alph = AlphabetSpec(sizes)
     factors = _json_object(d.get("factors", {}), "factors")
-    tables = [_table(factors, key) for key in JSON_NAMES[form] if key is not None]
-    build = _FROM_STORED.get(form, functools.partial(FactorSpec, form))
-    return build(alph, *tables)
+    return from_stored(form, alph, [_table(factors, key)
+                                    for _, key, _, _ in stored_factors(form)])
 
 
 def load_spec(path) -> FactorSpec:

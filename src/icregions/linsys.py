@@ -321,24 +321,27 @@ def system_equal(sys_a: LinearSystem, sys_b: LinearSystem):
     return (not only_a and not only_b), {"only_a": only_a, "only_b": only_b}
 
 
+# Each system id derive_region accepts -> the bundled quadruple system it
+# starts from; hk-mod drops the two cross T-bounds from the HK system.
+QUADRUPLE_SYSTEMS = {
+    "hk": "HK_Q",
+    "hk-mod": "HK_Q_MODIFIED",
+    "cmg": "CMG_Q",
+    "hod": "HOD_Q",
+}
+
+
 def derive_region(system_id: str, axioms_id: str = "chain") -> LinearSystem:
     """Substitute R_i = S_i + T_i, eliminate T1 and T2, then prune.
 
-    system_id: one of hk, hk-mod, cmg, hod (the bundled quadruple systems);
-    hk-mod drops the two cross T-bounds from the HK system."""
+    system_id: a key of ``QUADRUPLE_SYSTEMS``."""
     from . import regions
 
-    quad = {
-        "hk": "HK_Q",
-        "hk-mod": "HK_Q_MODIFIED",
-        "cmg": "CMG_Q",
-        "hod": "HOD_Q",
-    }
-    if system_id not in quad:
+    if system_id not in QUADRUPLE_SYSTEMS:
         raise ValueError(f"unknown system id {system_id!r}")
     if axioms_id not in AXIOM_SETS:
         raise ValueError(f"unknown axiom set {axioms_id!r}")
-    sys0 = regions.build_system(quad[system_id])
+    sys0 = regions.build_system(QUADRUPLE_SYSTEMS[system_id])
     sys1 = substitute_rate_sums(sys0)
     sys2 = fm_eliminate(fm_eliminate(sys1, "T1"), "T2")
     return prune_redundant(sys2, AXIOM_SETS[axioms_id])

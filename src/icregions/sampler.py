@@ -1,23 +1,24 @@
 """Seeded random FactorSpecs and a random-restart improvement search.
 
 Random conditional rows are independent uniform(0,1) draws normalized to
-sum 1.  Draw order is fixed (q, w1|q, u-factor 1, w2|q, u-factor 2,
-encoder 1, encoder 2, channel, each row-major), so a seed fully determines
-the spec.  Per-sample generators are seeded with the pair (seed, index).
+sum 1.  Draw order is fixed: each stored table in ``FACTORS`` order
+(``dist.stored_factors``), each row-major; ``_perturb`` mixes the channel
+first.  So a seed fully determines the spec.  Per-sample generators are
+seeded with the pair (seed, index).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .dist import (AlphabetSpec, FactorSpec, Form, Var, build_joint,
-                   cmg9_spec, hk2_spec, independence_projection)
-from .polytope import area2, snap_terms
+from .dist import (FACTORS, AlphabetSpec, FactorSpec, Form, Var, from_stored,
+                   independence_projection, stored_factors)
+from .polytope import area2
 from .regions import region_for
-from .terms import eval_terms
 
 
 def _rows(rng, shape) -> np.ndarray:
@@ -35,32 +36,12 @@ def binary_alphabets(**overrides) -> AlphabetSpec:
 def sample_spec(alphabets: AlphabetSpec, form: Form, seed) -> FactorSpec:
     """Draw a random FactorSpec of the given form, deterministically."""
     rng = np.random.default_rng(seed)
-    n = {v: alphabets.size(v) for v in Var}
-    q = _rows(rng, (n[Var.Q],))
-    w1 = _rows(rng, (n[Var.Q], n[Var.W1]))
-    if form is Form.CMG9:
-        x1_w = _rows(rng, (n[Var.Q], n[Var.W1], n[Var.X1]))
-        w2 = _rows(rng, (n[Var.Q], n[Var.W2]))
-        x2_w = _rows(rng, (n[Var.Q], n[Var.W2], n[Var.X2]))
-        ch = _rows(rng, (n[Var.X1], n[Var.X2], n[Var.Y1] * n[Var.Y2]))
-        ch = ch.reshape(n[Var.X1], n[Var.X2], n[Var.Y1], n[Var.Y2])
-        return cmg9_spec(alphabets, q, w1, x1_w, w2, x2_w, ch)
-    if form is Form.HK2:
-        u1 = _rows(rng, (n[Var.Q], n[Var.U1]))
-    else:
-        u1 = _rows(rng, (n[Var.Q], n[Var.W1], n[Var.U1]))
-    w2 = _rows(rng, (n[Var.Q], n[Var.W2]))
-    if form is Form.HK2:
-        u2 = _rows(rng, (n[Var.Q], n[Var.U2]))
-    else:
-        u2 = _rows(rng, (n[Var.Q], n[Var.W2], n[Var.U2]))
-    x1 = _rows(rng, (n[Var.Q], n[Var.U1], n[Var.W1], n[Var.X1]))
-    x2 = _rows(rng, (n[Var.Q], n[Var.U2], n[Var.W2], n[Var.X2]))
-    ch = _rows(rng, (n[Var.X1], n[Var.X2], n[Var.Y1] * n[Var.Y2]))
-    ch = ch.reshape(n[Var.X1], n[Var.X2], n[Var.Y1], n[Var.Y2])
-    if form is Form.HK2:
-        return hk2_spec(alphabets, q, w1, u1, w2, u2, x1, x2, ch)
-    return FactorSpec(form, alphabets, q, w1, u1, w2, u2, x1, x2, ch)
+    tables = []
+    for _, _, given, of in stored_factors(form):
+        rows = tuple(alphabets.size(v) for v in given)
+        cells = tuple(alphabets.size(v) for v in of)
+        tables.append(_rows(rng, rows + (math.prod(cells),)).reshape(rows + cells))
+    return from_stored(form, alphabets, tables)
 
 
 def cmg_as_hod(spec: FactorSpec) -> FactorSpec:
@@ -119,19 +100,15 @@ def _objective(spec: FactorSpec, which: str):
 
 
 def _perturb(spec: FactorSpec, rng, step: float) -> FactorSpec:
-    def mix(t):
-        fresh = _rows(rng, t.shape)
-        return (1 - step) * t + step * fresh
+    def mix(name, given):
+        # each row is one probability vector over all conditioned axes
+        t = getattr(spec, name)
+        flat = t.reshape(t.shape[:len(given)] + (-1,))
+        return ((1 - step) * flat + step * _rows(rng, flat.shape)).reshape(t.shape)
 
-    # the channel's probability vector spans the last two axes jointly
-    ch = spec.channel
-    ch_flat = ch.reshape(ch.shape[:2] + (-1,))
-    new_ch = mix(ch_flat).reshape(ch.shape)
-    return FactorSpec(Form.HOD16, spec.alphabets, mix(spec.q),
-                      mix(spec.w1_given_q), mix(spec.u1_given_q_w1),
-                      mix(spec.w2_given_q), mix(spec.u2_given_q_w2),
-                      mix(spec.x1_given_q_u1_w1), mix(spec.x2_given_q_u2_w2),
-                      new_ch)
+    # the channel (last in FACTORS) is drawn first
+    tables = {name: mix(name, given) for name, given, _ in FACTORS[-1:] + FACTORS[:-1]}
+    return FactorSpec(Form.HOD16, spec.alphabets, **tables)
 
 
 def improvement_search(cfg: SearchConfig) -> SearchResult:

@@ -1,9 +1,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from icregions.cli import main
-from icregions.dist import Form, save_spec
+from icregions.cli import UsageError, _parse_alphabets, main
+from icregions.dist import AlphabetSpec, Form, SpecError, save_spec
 from icregions.linsys import system_from_json, system_equal
 from icregions.regions import build_system
 from icregions.sampler import binary_alphabets, sample_spec
@@ -188,6 +189,75 @@ class TestSearch:
         spec = json.loads(out.read_text())["best_spec"]
         assert spec["alphabets"]["Q"] == 1
         assert spec["alphabets"]["U1"] == 2
+
+    def test_larger_alphabets_end_to_end(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["search", "--alphabets", "x=3,y=3,u=3", "--budget", "3",
+                     "--restarts", "2", "--seed", "9", "--out", str(out)]) == 0
+        res = json.loads(out.read_text())
+        assert len(res["trace"]) == 3
+        assert res["best_spec"]["alphabets"] == {
+            "Q": 2, "U1": 3, "W1": 2, "U2": 3, "W2": 2, "X1": 3, "X2": 3,
+            "Y1": 3, "Y2": 3}
+        spec = tmp_path / "best.json"
+        spec.write_text(json.dumps(res["best_spec"]))
+        terms = tmp_path / "terms.json"
+        assert main(["terms", "--spec", str(spec), "--out", str(terms)]) == 0
+        assert len(json.loads(terms.read_text())) == 22
+        csv = tmp_path / "v.csv"
+        assert main(["region", "--spec", str(spec), "--which", "hod",
+                     "--emit", str(csv)]) == 0
+        assert csv.read_text().splitlines()[:2] == ["R1,R2", "0,0"]
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("alphabets,message", [
+        ("q=two", "bad alphabet item 'q=two'"),
+        ("q=2.5", "bad alphabet item 'q=2.5'"),
+        ("q", "bad alphabet item 'q'"),
+        ("zz=2", "unknown alphabet name 'ZZ'"),
+    ])
+    def test_bad_alphabets_exit_2(self, alphabets, message, tmp_path, capsys):
+        assert main(["search", "--alphabets", alphabets, "--seed", "1",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert err.count("\n") == 1
+
+    def test_zero_size_is_an_invalid_spec(self, tmp_path, capsys):
+        assert main(["search", "--alphabets", "q=0", "--seed", "1",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid spec: alphabet size for Q must be >= 1\n")
+
+    def test_unknown_eliminated_variable_exit_2(self, tmp_path, capsys):
+        from icregions.linsys import system_to_json
+
+        sys_path, terms_path = tmp_path / "sys.json", tmp_path / "terms.json"
+        sys_path.write_text(json.dumps(system_to_json(build_system("HK_Q"))))
+        terms_path.write_text(json.dumps(TestProject.DYADIC_TERMS))
+        assert main(["project", "--system", str(sys_path), "--terms", str(terms_path),
+                     "--eliminate", "T1,Z9", "--out", str(tmp_path / "p.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: variable 'Z9' not in system dims")
+        assert err.count("\n") == 1
+
+    # The parser is fuzzed alone, not `search`, so no large alphabet is sampled.
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.text(max_size=30),
+        st.lists(st.tuples(st.sampled_from(["q", "u", "W", "x1", "Y2", "z", ""]),
+                           st.sampled_from(["=", "", "=="]),
+                           st.sampled_from(["0", "1", "9", "-2", "2.5", "two", "",
+                                            " 3", "1_0"])),
+                 min_size=1, max_size=4)
+        .map(lambda items: ",".join("".join(item) for item in items))))
+    def test_alphabet_parser_parses_or_raises_usage_error(self, text):
+        try:
+            alphabets = _parse_alphabets(text)
+        except (UsageError, SpecError):  # both exit 2 in main
+            return
+        assert isinstance(alphabets, AlphabetSpec)
 
 
 class TestProject:

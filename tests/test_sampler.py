@@ -1,13 +1,15 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icregions.dist import FactorSpec, Form
+from icregions.dist import FactorSpec, Form, spec_to_json
 from icregions.polytope import area2
 from icregions.sampler import (SearchConfig, binary_alphabets, cmg_as_hod,
                                hod_vs_projected_hk, improvement_search,
-                               sample_spec, _objective)
+                               sample_spec, _objective, _perturb)
 
 F = Fraction
 
@@ -56,6 +58,53 @@ class TestSampleSpec:
         assert np.array_equal(hod.u1_given_q_w1, cmg.u1_given_q_w1)
         with pytest.raises(ValueError):
             cmg_as_hod(hod)
+
+
+
+# U_i and X_i share sizes so that CMG9 specs exist on these alphabets too.
+MIXED = dict(Q=3, U1=3, W1=2, U2=2, W2=3, X1=3, X2=2, Y1=2, Y2=3)
+ALPHABETS = {"binary": {}, "mixed": MIXED}
+
+
+def _digest(spec) -> str:
+    return hashlib.sha256(json.dumps(spec_to_json(spec)).encode()).hexdigest()
+
+
+class TestDrawOrder:
+    """The RNG draw order is part of the determinism contract: these
+    SHA-256 digests of the saved JSON were made by the sampler that spelled
+    each form's tables out by hand, and must not move."""
+
+    SAMPLE_DIGESTS = [
+        ("binary", Form.GENERAL1,
+         "1f8ba2da2b0083a77af87a0eeeb192bd7c50f9c733f51ff77b8f89325b24e5bc"),
+        ("binary", Form.HK2,
+         "d854c93d65811f2b66e4613d570d5a97dd0d75633f202b2dbe08a0c8519f7b30"),
+        ("binary", Form.CMG9,
+         "6cbe514fa2433d565dd2770c9fc033edd0c28f66fa84ca8fea9beecbcb70fa26"),
+        ("binary", Form.HOD16,
+         "15af0353d696a4158a6a286d65db6c23aa853bbbf2df1775fbc3ff9a59baa6c2"),
+        ("mixed", Form.GENERAL1,
+         "98f2cf04e714e622c65648cc4525d70c3c33d18b7a758e82db6831dc2d87b853"),
+        ("mixed", Form.HK2,
+         "c337ada8fc86160238e504d741968e2cb113c0904155cd6f3754ff48a46cdd30"),
+        ("mixed", Form.CMG9,
+         "8c3ee1f86132e3297696e5cc959df0f09a5d0c8deee1ea2183bd6c4813d29bc2"),
+        ("mixed", Form.HOD16,
+         "3ab0a3a6f983284467d0ae96bdb439edfeb05403da8446a84937128ab64f2c07"),
+    ]
+
+    @pytest.mark.parametrize("alphabets,form,digest", SAMPLE_DIGESTS,
+                             ids=[f"{a}-{f.value}" for a, f, _ in SAMPLE_DIGESTS])
+    def test_sample_spec_digest(self, alphabets, form, digest):
+        alph = binary_alphabets(**ALPHABETS[alphabets])
+        assert _digest(sample_spec(alph, form, [91, 0])) == digest
+
+    def test_perturb_digest(self):
+        spec = sample_spec(binary_alphabets(**MIXED), Form.HOD16, [91, 0])
+        step = _perturb(spec, np.random.default_rng([91, 1]), 0.25)
+        assert _digest(step) == (
+            "ca61e1b61739f0f734c9f7df14b5e5da589632944cbb3a6a8f0ef0f21d4385de")
 
 
 class TestImprovementSearch:
