@@ -19,7 +19,7 @@ from .linsys import AXIOMS_HK_INDEP, derive_region, prune_redundant, \
 from .polytope import DEFAULT_EPS, bind, contains, poly_equal, snap_terms
 from .regions import build_system, hk_r_with_redundant
 from .sampler import binary_alphabets, sample_spec
-from .terms import eval_terms
+from .terms import COMPOSITE_EXPANSION, eval_terms
 
 F = Fraction
 
@@ -87,147 +87,131 @@ def _sample(form: Form, seed, i):
     return sample_spec(binary_alphabets(), form, [seed, i])
 
 
+def _per_sample(form: Form, tolerance: str, *, strict=False, note=None):
+    """Make a claim's report function from its per-sample check.
+
+    Sample ``i`` is ``specs[i]`` when specs are given, else the spec drawn in
+    ``form`` for ``[seed, i]``.  A ``strict`` claim records a spec of another
+    form as a failure without checking it.  Otherwise the joint and its
+    terms are built once and ``check(rep, i, spec, joint, terms)`` returns
+    (ok, witness); a failed sample carries its spec.  ``note`` is appended
+    once when any sample failed."""
+    def wrap(check):
+        def report(n: int, seed: int, specs=None, *, claim_id: str) -> ClaimReport:
+            rep = ClaimReport(claim_id, seed, n, tolerance)
+            for i in range(n):
+                spec = specs[i] if specs is not None else _sample(form, seed, i)
+                if strict and spec.form is not form:
+                    rep.add(i, False, {"form_violation": spec.form.value})
+                    continue
+                joint = build_joint(spec)
+                ok, witness = check(rep, i, spec, joint, eval_terms(joint))
+                rep.add(i, ok, witness, spec)
+            if note and rep.failed:
+                rep.notes.append(note)
+            return rep
+        functools.update_wrapper(report, check)
+        del report.__wrapped__  # the signature is report's, not the check's
+        return report
+    return wrap
+
+
 @_claim("reduction-independence", hard=True)
-def claim_reduction_independence(n: int, seed: int, specs=None, *,
-                                 claim_id: str) -> ClaimReport:
+@_per_sample(Form.HK2, "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30",
+             strict=True)
+def claim_reduction_independence(rep, i, spec, joint, tv):
     """Independent U_i, W_i: the composite bounds collapse (B=b, C=c, F=f)
     and the correlated-form region equals the HK region."""
-    rep = ClaimReport(claim_id, seed, n,
-                      "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30")
-    for i in range(n):
-        spec = specs[i] if specs is not None else _sample(Form.HK2, seed, i)
-        if spec.form is not Form.HK2:
-            rep.add(i, False, {"form_violation": spec.form.value})
-            continue
-        tv = eval_terms(build_joint(spec))
-        gaps = {
-            "rho1": tv["rho1"], "rho2": tv["rho2"],
-            "B1-b1": tv["B1"] - tv["b1"], "C1-c1": tv["C1"] - tv["c1"],
-            "F1-f1": tv["F1"] - tv["f1"], "B2-b2": tv["B2"] - tv["b2"],
-            "C2-c2": tv["C2"] - tv["c2"], "F2-f2": tv["F2"] - tv["f2"],
-        }
-        terms_ok = (tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12
-                    and all(abs(v) <= 1e-9 for v in gaps.values()))
-        binding = snap_terms(tv)
-        hod = bind(build_system("HOD_R"), binding)
-        hk = bind(build_system("HK_R"), binding)
-        poly_ok = poly_equal(hod, hk, DEFAULT_EPS)
-        rep.add(i, bool(terms_ok and poly_ok),
-                {"terms_ok": terms_ok, "polytopes_equal": poly_ok, **gaps},
-                spec)
-    return rep
+    gaps = {"rho1": tv["rho1"], "rho2": tv["rho2"]}
+    for comp, (base, _) in COMPOSITE_EXPANSION.items():
+        gaps[f"{comp}-{base}"] = tv[comp] - tv[base]
+    terms_ok = (tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12
+                and all(abs(v) <= 1e-9 for v in gaps.values()))
+    binding = snap_terms(tv)
+    poly_ok = poly_equal(bind(build_system("HOD_R"), binding),
+                         bind(build_system("HK_R"), binding), DEFAULT_EPS)
+    return (terms_ok and poly_ok,
+            {"terms_ok": terms_ok, "polytopes_equal": poly_ok, **gaps})
 
 
 @_claim("redundancy-relations", hard=True)
-def claim_redundancy_relations(n: int, seed: int, specs=None, *,
-                               claim_id: str) -> ClaimReport:
+@_per_sample(Form.HK2, "slack>=-1e-9, polytopes at eps=0")
+def claim_redundancy_relations(rep, i, spec, joint, tv):
     """The two conditioning relations behind the redundancy of the two
     extra sum-rate inequalities, plus the polytope-level redundancy."""
-    rep = ClaimReport(claim_id, seed, n, "slack>=-1e-9, polytopes at eps=0")
-    sys9 = build_system("HK_R")
-    sys11 = hk_r_with_redundant()
-    for i in range(n):
-        spec = specs[i] if specs is not None else _sample(Form.HK2, seed, i)
-        joint = build_joint(spec)
-        tv = eval_terms(joint)
-        # relation (I(Y;U|Q) <= I(Y;U|QW)) per receiver
-        slack6 = {
-            "side1": cond_mutual_info(joint, {Var.Y1}, {Var.U1}, {Var.Q, Var.W1})
-            - cond_mutual_info(joint, {Var.Y1}, {Var.U1}, {Var.Q}),
-            "side2": cond_mutual_info(joint, {Var.Y2}, {Var.U2}, {Var.Q, Var.W2})
-            - cond_mutual_info(joint, {Var.Y2}, {Var.U2}, {Var.Q}),
-        }
-        slack7 = {
-            "side1": tv["e1"] + tv["f1"] - tv["c1"] - tv["g1"],
-            "side2": tv["e2"] + tv["f2"] - tv["c2"] - tv["g2"],
-        }
-        if spec.form is not Form.HK2:
-            rep.notes.append(
-                f"sample {i}: form {spec.form.value} is out of contract; the "
-                "conditioning relations may legitimately fail there")
-            rep.add(i, None, {"slack6": slack6, "slack7": slack7,
-                              "out_of_contract": True})
-            continue
-        slack_ok = all(v >= -1e-9 for v in slack6.values()) and \
-            all(v >= -1e-9 for v in slack7.values())
-        binding = snap_terms(tv)
-        poly_ok = poly_equal(bind(sys9, binding), bind(sys11, binding), F(0))
-        rep.add(i, bool(slack_ok and poly_ok),
-                {"slack6": slack6, "slack7": slack7,
-                 "polytopes_equal": poly_ok}, spec)
-    return rep
+    # relation (I(Y;U|Q) <= I(Y;U|QW)) per receiver
+    slack6 = {
+        f"side{s}": cond_mutual_info(joint, {y}, {u}, {Var.Q, w})
+        - cond_mutual_info(joint, {y}, {u}, {Var.Q})
+        for s, y, u, w in ((1, Var.Y1, Var.U1, Var.W1), (2, Var.Y2, Var.U2, Var.W2))
+    }
+    slack7 = {
+        f"side{s}": tv[f"e{s}"] + tv[f"f{s}"] - tv[f"c{s}"] - tv[f"g{s}"]
+        for s in (1, 2)
+    }
+    if spec.form is not Form.HK2:
+        rep.notes.append(
+            f"sample {i}: form {spec.form.value} is out of contract; the "
+            "conditioning relations may legitimately fail there")
+        return None, {"slack6": slack6, "slack7": slack7, "out_of_contract": True}
+    slack_ok = all(v >= -1e-9 for v in (*slack6.values(), *slack7.values()))
+    binding = snap_terms(tv)
+    poly_ok = poly_equal(bind(build_system("HK_R"), binding),
+                         bind(hk_r_with_redundant(), binding), F(0))
+    return (slack_ok and poly_ok,
+            {"slack6": slack6, "slack7": slack7, "polytopes_equal": poly_ok})
 
 
 @_claim("cmg-subset-hod", hard=True)
-def claim_cmg_subset_hod(n: int, seed: int, specs=None, *, claim_id: str) -> ClaimReport:
+@_per_sample(
+    Form.CMG9, "eps=2^-30", strict=True,
+    note="the containment is a statement about unions over all input "
+    "distributions; per-distribution counterexamples occur when the "
+    "re-expressed common-rate bound I(X_i;W_i|Q) is smaller than the "
+    "T-rate range the superposition region leaves unbounded")
+def claim_cmg_subset_hod(rep, i, spec, joint, tv):
     """Containment of the superposition quadruple region in the correlated
     quadruple region of the re-expressed spec (exact LP per constraint).
 
     ``cmg_as_hod`` keeps every table, so the re-expressed spec has the same
     joint tensor and both regions bind the same terms."""
-    rep = ClaimReport(claim_id, seed, n, "eps=2^-30")
-    for i in range(n):
-        spec = specs[i] if specs is not None else _sample(Form.CMG9, seed, i)
-        if spec.form is not Form.CMG9:
-            rep.add(i, False, {"form_violation": spec.form.value})
-            continue
-        tv = eval_terms(build_joint(spec))
-        binding = snap_terms(tv)
-        cmg = bind(build_system("CMG_Q"), binding)
-        hod = bind(build_system("HOD_Q"), binding)
-        ok = contains(hod, cmg, DEFAULT_EPS)
-        witness = {
-            "rho1": tv["rho1"], "rho2": tv["rho2"],
-            "B1": tv["B1"], "C1": tv["C1"], "B2": tv["B2"], "C2": tv["C2"],
-            "d1": tv["d1"], "d2": tv["d2"], "e1": tv["e1"], "e2": tv["e2"],
-        }
-        if tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12:
-            witness["rho_zero_equality_case"] = True
-        rep.add(i, bool(ok), witness, spec)
-    if rep.failed:
-        rep.notes.append(
-            "the containment is a statement about unions over all input "
-            "distributions; per-distribution counterexamples occur when the "
-            "re-expressed common-rate bound I(X_i;W_i|Q) is smaller than the "
-            "T-rate range the superposition region leaves unbounded")
-    return rep
+    binding = snap_terms(tv)
+    ok = contains(bind(build_system("HOD_Q"), binding),
+                  bind(build_system("CMG_Q"), binding), DEFAULT_EPS)
+    witness = {k: tv[k] for k in ("rho1", "rho2", "B1", "C1", "B2", "C2",
+                                  "d1", "d2", "e1", "e2")}
+    if tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12:
+        witness["rho_zero_equality_case"] = True
+    return ok, witness
 
 
 @_claim("hod-extra-terms", hard=True)
-def claim_hod_extra_terms(n: int, seed: int, *, claim_id: str) -> ClaimReport:
+@_per_sample(Form.HOD16, "1e-9")
+def claim_hod_extra_terms(rep, i, spec, joint, tv):
     """Every T-rate bound grows by exactly the correlation penalty while the
-    S-involving bounds are unchanged relative to the independent formulas."""
-    rep = ClaimReport(claim_id, seed, n, "1e-9")
-    for i in range(n):
-        spec = _sample(Form.HOD16, seed, i)
-        joint = build_joint(spec)
-        tv = eval_terms(joint)
-        rho = {
-            1: cond_mutual_info(joint, {Var.U1}, {Var.W1}, {Var.Q}),
-            2: cond_mutual_info(joint, {Var.U2}, {Var.W2}, {Var.Q}),
+    S-involving bounds are unchanged relative to the independent formulas.
+
+    Each composite and S-bound is checked against chain-rule forms that
+    ``eval_terms`` does not compute, so a wrong term definition shows.  The
+    composites use (U_i, W_i) independent of W_j given Q."""
+    I = functools.partial(cond_mutual_info, joint)  # noqa: E741
+    Q, ok = Var.Q, True
+    for s, o in ((1, 2), (2, 1)):
+        Y, U, W, Wo = Var[f"Y{s}"], Var[f"U{s}"], Var[f"W{s}"], Var[f"W{o}"]
+        f_form = I({Y, U}, {W, Wo}, {Q})
+        d_form = tv[f"a{s}"] + I({Y}, {W}, {Wo, Q})
+        want = {
+            f"B{s}": I({Y, U}, {W}, {Wo, Q}),
+            f"C{s}": f_form - I({Y}, {W}, {U, Q}),
+            f"F{s}": f_form,
+            f"d{s}": d_form,
+            f"e{s}": tv[f"a{s}"] + I({Y}, {Wo}, {W, Q}),
+            f"g{s}": d_form + I({Y}, {Wo}, {Q}),
         }
-        growth = {}
-        ok = True
-        for side in (1, 2):
-            for comp, base in ((f"B{side}", f"b{side}"), (f"C{side}", f"c{side}"),
-                               (f"F{side}", f"f{side}")):
-                growth[f"{comp}-{base}"] = tv[comp] - tv[base]
-                ok &= abs(tv[comp] - tv[base] - rho[side]) <= 1e-9
-        # S-involving bounds must equal the plain conditional MI formulas
-        s_bounds = {
-            "a1": cond_mutual_info(joint, {Var.Y1}, {Var.U1}, {Var.W1, Var.W2, Var.Q}),
-            "d1": cond_mutual_info(joint, {Var.Y1}, {Var.U1, Var.W1}, {Var.W2, Var.Q}),
-            "e1": cond_mutual_info(joint, {Var.Y1}, {Var.U1, Var.W2}, {Var.W1, Var.Q}),
-            "g1": cond_mutual_info(joint, {Var.Y1}, {Var.U1, Var.W1, Var.W2}, {Var.Q}),
-            "a2": cond_mutual_info(joint, {Var.Y2}, {Var.U2}, {Var.W1, Var.W2, Var.Q}),
-            "d2": cond_mutual_info(joint, {Var.Y2}, {Var.U2, Var.W2}, {Var.W1, Var.Q}),
-            "e2": cond_mutual_info(joint, {Var.Y2}, {Var.U2, Var.W1}, {Var.W2, Var.Q}),
-            "g2": cond_mutual_info(joint, {Var.Y2}, {Var.U2, Var.W1, Var.W2}, {Var.Q}),
-        }
-        ok &= all(abs(tv[k] - v) <= 1e-9 for k, v in s_bounds.items())
-        rep.add(i, bool(ok),
-                {"rho1": rho[1], "rho2": rho[2], **growth}, spec)
-    return rep
+        ok &= all(abs(tv[k] - v) <= 1e-9 for k, v in want.items())
+    growth = {f"{comp}-{base}": tv[comp] - tv[base]
+              for comp, (base, _) in COMPOSITE_EXPANSION.items()}
+    return ok, {"rho1": tv["rho1"], "rho2": tv["rho2"], **growth}
 
 
 @_claim("fm-reproduction", hard=True)
@@ -269,50 +253,37 @@ def claim_fm_reproduction(n: int = 0, seed: int = 0, *, claim_id: str) -> ClaimR
 
 
 @_claim("compact-equivalence", hard=False)
-def compact_equivalence_report(n: int, seed: int, *, claim_id: str) -> ClaimReport:
+@_per_sample(Form.HK2, "eps=0")
+def compact_equivalence_report(rep, i, spec, joint, tv):
     """Exploratory: containments around the seven-inequality description.
 
     The forced directions (dropping constraints only enlarges) are checked;
     the reverse direction is recorded as data because the equivalence is a
-    statement about unions over distributions."""
-    rep = ClaimReport(claim_id, seed, n, "eps=0")
-    compact = build_system("COMPACT_R")
-    for i in range(n):
-        hk_spec = _sample(Form.HK2, seed, i)
-        binding = snap_terms(eval_terms(build_joint(hk_spec)))
-        hk = bind(build_system("HK_R"), binding)
-        comp = bind(compact, binding)
-        forced = contains(comp, hk, F(0))
-        reverse = contains(hk, comp, F(0))
-        cmg_spec = _sample(Form.CMG9, seed, i)
-        binding2 = snap_terms(eval_terms(build_joint(cmg_spec)))
-        cmg = bind(build_system("CMG_R"), binding2)
-        comp2 = bind(compact, binding2)
-        forced2 = contains(comp2, cmg, F(0))
-        reverse2 = contains(cmg, comp2, F(0))
-        rep.add(i, bool(forced and forced2),
-                {"hk_in_compact": forced, "compact_in_hk": reverse,
-                 "cmg_in_compact": forced2, "compact_in_cmg": reverse2})
-    return rep
+    statement about unions over distributions.  Each sample pairs its HK2
+    spec with the CMG9 spec drawn for the same ``[seed, i]``."""
+    compact, witness = build_system("COMPACT_R"), {}
+    cmg_tv = eval_terms(build_joint(_sample(Form.CMG9, rep.seed, i)))
+    for name, region_id, terms in (("hk", "HK_R", tv), ("cmg", "CMG_R", cmg_tv)):
+        binding = snap_terms(terms)
+        region, comp = bind(build_system(region_id), binding), bind(compact, binding)
+        witness[f"{name}_in_compact"] = contains(comp, region, F(0))
+        witness[f"compact_in_{name}"] = contains(region, comp, F(0))
+    return witness["hk_in_compact"] and witness["cmg_in_compact"], witness
 
 
 @_claim("remark2-data", hard=False)
-def remark2_report(n: int, seed: int, *, claim_id: str) -> ClaimReport:
+@_per_sample(Form.HK2, "data only")
+def remark2_report(rep, i, spec, joint, tv):
     """Exploratory: per-sample term relations used informally in the
     equivalence argument for the seven-inequality description."""
-    rep = ClaimReport(claim_id, seed, n, "data only")
-    for i in range(n):
-        spec = _sample(Form.HK2, seed, i)
-        tv = eval_terms(build_joint(spec))
-        rep.add(i, None, {
-            "e1<=a1+c1": bool(tv["e1"] <= tv["a1"] + tv["c1"] + 1e-9),
-            "e2<=a2+c2": bool(tv["e2"] <= tv["a2"] + tv["c2"] + 1e-9),
-            "e1-a1-c1": tv["e1"] - tv["a1"] - tv["c1"],
-            "e2-a2-c2": tv["e2"] - tv["a2"] - tv["c2"],
-            "a1+c2_vs_e1+e2": tv["a1"] + tv["c2"] - tv["e1"] - tv["e2"],
-            "a2+c1_vs_e1+e2": tv["a2"] + tv["c1"] - tv["e1"] - tv["e2"],
-        })
-    return rep
+    return None, {
+        "e1<=a1+c1": bool(tv["e1"] <= tv["a1"] + tv["c1"] + 1e-9),
+        "e2<=a2+c2": bool(tv["e2"] <= tv["a2"] + tv["c2"] + 1e-9),
+        "e1-a1-c1": tv["e1"] - tv["a1"] - tv["c1"],
+        "e2-a2-c2": tv["e2"] - tv["a2"] - tv["c2"],
+        "a1+c2_vs_e1+e2": tv["a1"] + tv["c2"] - tv["e1"] - tv["e2"],
+        "a2+c1_vs_e1+e2": tv["a2"] + tv["c1"] - tv["e1"] - tv["e2"],
+    }
 
 
 ALL_CLAIMS = tuple(CLAIMS)

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from .claims import ALL_CLAIMS, run_all, run_claim
 from .dist import SpecError, Var, build_joint, load_spec, spec_to_json
-from .linsys import (AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region, system_from_json,
-                     system_to_json)
+from .linsys import (AXIOM_SETS, QUADRUPLE_SYSTEMS, RATE_VARS, derive_region,
+                     system_from_json, system_to_json)
 from .linsys import _frac_to_obj as _frac
 from .polytope import HPoly, bind, fm_eliminate_numeric, snap_terms, vertices2
 from .regions import FormMismatchError, region_for
@@ -93,20 +94,46 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    with open(args.system) as fh:
-        system = system_from_json(json.load(fh))
-    binding = {}
-    if args.terms:
-        with open(args.terms) as fh:
-            binding = snap_terms(json.load(fh))
-    poly = bind(system, binding)
-    for v in args.eliminate.split(","):
-        v = v.strip()
-        if v not in poly.dims:
-            raise UsageError(f"variable {v!r} not in system dims {poly.dims}")
-        poly = fm_eliminate_numeric(poly, v)
+    system = _load_system(args.system)
+    binding = _load_terms(args.terms) if args.terms else {}
+    try:
+        poly = bind(system, binding)
+        for v in args.eliminate.split(","):
+            if v.strip() not in poly.dims:
+                raise UsageError(f"variable {v.strip()!r} not in system dims {poly.dims}")
+            poly = fm_eliminate_numeric(poly, v.strip())
+    except ValueError as exc:  # a term symbol --terms lacks, or an empty projection
+        raise UsageError(str(exc)) from None
     _write_json(args.out, _poly_json(poly))
     return 0
+
+
+def _load_system(path: str):
+    """A system JSON whose rows name only its own distinct rate variables."""
+    try:
+        with open(path) as fh:
+            system = system_from_json(json.load(fh))
+        dims, used = system.rate_vars, {v for i in system.inequalities for v, _ in i.lhs}
+        if len(set(dims)) != len(dims) or not used <= set(dims) <= set(RATE_VARS):
+            raise ValueError(f"rate_vars {list(dims)} do not fit the rows' {sorted(used)}")
+    except (LookupError, TypeError, AttributeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"--system is not a system JSON: {exc!r}") from None
+    return system
+
+
+def _load_terms(path: str) -> dict:
+    """The snapped binding of a terms JSON, each value checked before use."""
+    with open(path) as fh:
+        try:
+            terms = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise UsageError(f"--terms is not JSON: {exc}") from None
+    if not isinstance(terms, dict):
+        raise UsageError("--terms must be a JSON object of term values")
+    for sym, v in terms.items():
+        if not (type(v) is int or type(v) is float and math.isfinite(v)):
+            raise UsageError(f"--terms value of {sym!r} must be a finite number, not {v!r}")
+    return snap_terms(terms)
 
 
 def _poly_json(poly: HPoly) -> dict:
@@ -187,9 +214,18 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# smallest accepted value of each integer argument (--step lies in (0, 1))
+_MINIMUM = {"seed": 0, "samples": 0, "budget": 1, "restarts": 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name, low in _MINIMUM.items():
+            if getattr(args, name, low) < low:
+                raise UsageError(f"--{name} must be >= {low}, not {getattr(args, name)}")
+        if not 0 < getattr(args, "step", 0.5) < 1:
+            raise UsageError(f"--step must be in (0, 1), not {args.step}")
         return args.func(args)
     except SpecError as exc:
         print(f"invalid spec: {exc}", file=sys.stderr)
@@ -200,6 +236,9 @@ def main(argv=None) -> int:
     except FormMismatchError as exc:
         print(f"form mismatch: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

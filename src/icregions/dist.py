@@ -375,8 +375,12 @@ def spec_from_json(d: dict) -> FactorSpec:
 
 
 def load_spec(path) -> FactorSpec:
-    with open(path) as fh:
-        return spec_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as exc:  # unreadable, not JSON or not UTF-8
+        raise SpecError(f"cannot read {path}: {exc}") from None
+    return spec_from_json(doc)
 
 
 def save_spec(spec: FactorSpec, path):

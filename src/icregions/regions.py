@@ -158,8 +158,9 @@ def build_system(region_id: str) -> LinearSystem:
         rate_vars, [Inequality.of(lhs, rhs) for lhs, rhs in rows], term_facts)
 
 
+@functools.cache
 def hk_r_with_redundant() -> LinearSystem:
-    """The eleven-inequality rate-pair system before independence pruning."""
+    """The eleven-inequality rate-pair system before independence pruning, built once."""
     base = build_system("HK_R")
     return LinearSystem.of(PAIR_VARS, list(base.inequalities) + list(HK_R_REDUNDANT))
 

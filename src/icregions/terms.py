@@ -12,81 +12,64 @@ conditional mutual informations
 with j the other index.  The correlation penalty rho_i = I(U_i; W_i | Q)
 produces the composite bounds B_i = b_i + rho_i, C_i = c_i + rho_i,
 F_i = f_i + rho_i that replace b, c, f when U_i and W_i are allowed to be
-correlated given Q.
+correlated given Q.  ``TERMS`` is the one place these definitions are
+written (Chong, Motani, Garg and El Gamal, IEEE Trans. IT 54(7), 2008).
 """
 
 from __future__ import annotations
 
 from .dist import JointDist, Var, cond_mutual_info
 
-BASE_SYMBOLS = (
-    "a1", "b1", "c1", "d1", "e1", "f1", "g1",
-    "a2", "b2", "c2", "d2", "e2", "f2", "g2",
-    "rho1", "rho2",
-)
-COMPOSITE_SYMBOLS = ("B1", "C1", "F1", "B2", "C2", "F2")
-ALL_SYMBOLS = BASE_SYMBOLS + COMPOSITE_SYMBOLS
+# The seven shapes above as (B, C) of I(Y_i; B | C Q), spelled in u = U_i,
+# w = W_i and v = W_j.
+_SHAPES = {"a": ("u", "wv"), "b": ("w", "uv"), "c": ("v", "uw"),
+           "d": ("uw", "v"), "e": ("uv", "w"), "f": ("wv", "u"), "g": ("uwv", "")}
+
+
+def _receiver(i: int, j: int) -> dict:
+    var = {"u": Var[f"U{i}"], "w": Var[f"W{i}"], "v": Var[f"W{j}"]}
+    return {f"{name}{i}": (frozenset({Var[f"Y{i}"]}), frozenset(var[c] for c in b),
+                           frozenset(var[c] for c in cond) | {Var.Q})
+            for name, (b, cond) in _SHAPES.items()}
+
+
+# base symbol -> (A, B, C) of its I(A; B | C), in the order a1..g1, a2..g2,
+# rho1, rho2 (the column order of the symbolic pruning LP).
+TERMS = {
+    **_receiver(1, 2),
+    **_receiver(2, 1),
+    **{f"rho{i}": (frozenset({Var[f"U{i}"]}), frozenset({Var[f"W{i}"]}),
+                   frozenset({Var.Q})) for i in (1, 2)},
+}
+BASE_SYMBOLS = tuple(TERMS)
 
 # Composite symbol -> (base symbol, rho symbol); the expansion basis for all
 # exact symbolic work.
-COMPOSITE_EXPANSION = {
-    "B1": ("b1", "rho1"),
-    "C1": ("c1", "rho1"),
-    "F1": ("f1", "rho1"),
-    "B2": ("b2", "rho2"),
-    "C2": ("c2", "rho2"),
-    "F2": ("f2", "rho2"),
-}
+COMPOSITE_EXPANSION = {f"{comp}{i}": (f"{comp.lower()}{i}", f"rho{i}")
+                       for i in (1, 2) for comp in "BCF"}
+COMPOSITE_SYMBOLS = tuple(COMPOSITE_EXPANSION)
+ALL_SYMBOLS = BASE_SYMBOLS + COMPOSITE_SYMBOLS
 
 
 def eval_terms(joint: JointDist) -> dict[str, float]:
     """Evaluate all 22 term symbols (in bits) from the full joint."""
-    I = lambda A, B, C: cond_mutual_info(joint, A, B, C)  # noqa: E731
-    Q, U1, W1, U2, W2, Y1, Y2 = (
-        Var.Q, Var.U1, Var.W1, Var.U2, Var.W2, Var.Y1, Var.Y2)
-    t = {
-        "a1": I({Y1}, {U1}, {W1, W2, Q}),
-        "b1": I({Y1}, {W1}, {U1, W2, Q}),
-        "c1": I({Y1}, {W2}, {U1, W1, Q}),
-        "d1": I({Y1}, {U1, W1}, {W2, Q}),
-        "e1": I({Y1}, {U1, W2}, {W1, Q}),
-        "f1": I({Y1}, {W1, W2}, {U1, Q}),
-        "g1": I({Y1}, {U1, W1, W2}, {Q}),
-        "a2": I({Y2}, {U2}, {W1, W2, Q}),
-        "b2": I({Y2}, {W2}, {U2, W1, Q}),
-        "c2": I({Y2}, {W1}, {U2, W2, Q}),
-        "d2": I({Y2}, {U2, W2}, {W1, Q}),
-        "e2": I({Y2}, {U2, W1}, {W2, Q}),
-        "f2": I({Y2}, {W1, W2}, {U2, Q}),
-        "g2": I({Y2}, {U2, W1, W2}, {Q}),
-        "rho1": I({U1}, {W1}, {Q}),
-        "rho2": I({U2}, {W2}, {Q}),
-    }
+    t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()}
     for comp, (base, rho) in COMPOSITE_EXPANSION.items():
         t[comp] = t[base] + t[rho]
     return t
 
 
+def _x_form(sym: str):
+    """The term with (U_i, W_i) in B replaced by X_i."""
+    a, b, c = TERMS[sym]
+    i = sym[-1]
+    return a, b - {Var[f"U{i}"], Var[f"W{i}"]} | {Var[f"X{i}"]}, c
+
+
 # The eight identities tying the U-form and X-form of the superposition
-# region's terms: (name, (M, AB-with-U, C), (M, AB-with-X, C)).
-_CMG_IDENTITIES = [
-    ("a1", ({Var.Y1}, {Var.U1}, {Var.W1, Var.W2, Var.Q}),
-            ({Var.Y1}, {Var.X1}, {Var.W1, Var.W2, Var.Q})),
-    ("d1", ({Var.Y1}, {Var.U1, Var.W1}, {Var.W2, Var.Q}),
-            ({Var.Y1}, {Var.X1}, {Var.W2, Var.Q})),
-    ("e1", ({Var.Y1}, {Var.U1, Var.W2}, {Var.W1, Var.Q}),
-            ({Var.Y1}, {Var.X1, Var.W2}, {Var.W1, Var.Q})),
-    ("g1", ({Var.Y1}, {Var.U1, Var.W1, Var.W2}, {Var.Q}),
-            ({Var.Y1}, {Var.X1, Var.W2}, {Var.Q})),
-    ("a2", ({Var.Y2}, {Var.U2}, {Var.W1, Var.W2, Var.Q}),
-            ({Var.Y2}, {Var.X2}, {Var.W1, Var.W2, Var.Q})),
-    ("d2", ({Var.Y2}, {Var.U2, Var.W2}, {Var.W1, Var.Q}),
-            ({Var.Y2}, {Var.X2}, {Var.W1, Var.Q})),
-    ("e2", ({Var.Y2}, {Var.U2, Var.W1}, {Var.W2, Var.Q}),
-            ({Var.Y2}, {Var.X2, Var.W1}, {Var.W2, Var.Q})),
-    ("g2", ({Var.Y2}, {Var.U2, Var.W1, Var.W2}, {Var.Q}),
-            ({Var.Y2}, {Var.X2, Var.W1}, {Var.Q})),
-]
+# region's terms: name -> ((A, B-with-U, C), (A, B-with-X, C)).
+_CMG_IDENTITIES = {sym: (TERMS[sym], _x_form(sym))
+                   for sym in ("a1", "d1", "e1", "g1", "a2", "d2", "e2", "g2")}
 
 
 def cmg_identity_report(joint: JointDist) -> dict:
@@ -97,9 +80,9 @@ def cmg_identity_report(joint: JointDist) -> dict:
     """
     rows = {}
     worst = 0.0
-    for name, (mA, bA, cA), (mX, bX, cX) in _CMG_IDENTITIES:
-        lhs = cond_mutual_info(joint, mA, bA, cA)
-        rhs = cond_mutual_info(joint, mX, bX, cX)
+    for name, (u_form, x_form) in _CMG_IDENTITIES.items():
+        lhs = cond_mutual_info(joint, *u_form)
+        rhs = cond_mutual_info(joint, *x_form)
         diff = abs(lhs - rhs)
         worst = max(worst, diff)
         rows[name] = {"u_form": lhs, "x_form": rhs, "abs_diff": diff}

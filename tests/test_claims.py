@@ -6,6 +6,7 @@ from icregions.claims import (ALL_CLAIMS, HARD_CLAIMS, claim_cmg_subset_hod,
                               claim_redundancy_relations,
                               compact_equivalence_report, remark2_report,
                               run_all, run_claim)
+from icregions import terms
 from icregions.dist import Form, build_joint, cond_mutual_info, Var
 from icregions.sampler import binary_alphabets, sample_spec
 
@@ -77,6 +78,19 @@ class TestHodExtraTerms:
         assert rep.ok and rep.passed == 5
         for s in rep.samples:
             assert abs(s["B1-b1"] - s["rho1"]) <= 1e-9
+
+    def test_wrongly_conditioned_rho_fails(self, monkeypatch):
+        # rho1 = I(U1; W1) instead of I(U1; W1 | Q): the claim's chain-rule
+        # forms do not read TERMS, so the wrong composites must show
+        u1, w1, _ = terms.TERMS["rho1"]
+        monkeypatch.setitem(terms.TERMS, "rho1", (u1, w1, frozenset()))
+        rep = claim_hod_extra_terms(20, 7)
+        assert rep.failed == 20 and all("spec" in s for s in rep.samples)
+
+    def test_given_specs_match_drawn_ones(self):
+        specs = [sample_spec(binary_alphabets(), Form.HOD16, [74, i]) for i in range(2)]
+        assert claim_hod_extra_terms(2, 74, specs=specs).to_json() == \
+            claim_hod_extra_terms(2, 74).to_json()
 
 
 class TestFmReproduction:

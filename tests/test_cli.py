@@ -1,14 +1,17 @@
+import contextlib
+import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from icregions.claims import ALL_CLAIMS
 from icregions.cli import UsageError, _parse_alphabets, main
-from icregions.dist import AlphabetSpec, Form, SpecError, save_spec
+from icregions.dist import AlphabetSpec, Form, SpecError, save_spec, spec_to_json
 from icregions.linsys import system_from_json, system_equal
 from icregions.regions import build_system
 from icregions.sampler import binary_alphabets, sample_spec
-from test_dist import degenerate_spec
+from test_dist import _JSON_JUNK, _json_slots, degenerate_spec
 
 
 @pytest.fixture()
@@ -324,3 +327,168 @@ class TestProject:
         }
         assert out.read_text() == json.dumps(expected, indent=2,
                                              sort_keys=True) + "\n"
+
+
+def _one_usage_line(err: str, prefix: str, message: str):
+    assert err.startswith(prefix) and message in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+class TestBadArguments:
+    @pytest.mark.parametrize("argv,message", [
+        (["search", "--budget", "0", "--seed", "1"], "--budget must be >= 1"),
+        (["search", "--restarts", "0", "--seed", "1"], "--restarts must be >= 1"),
+        (["search", "--step", "2", "--seed", "1"], "--step must be in (0, 1)"),
+        (["search", "--step", "nan", "--seed", "1"], "--step must be in (0, 1)"),
+        (["verify", "--seed", "-1"], "--seed must be >= 0"),
+        (["search", "--seed", "-2"], "--seed must be >= 0"),
+        (["verify", "--claim", "hod-extra-terms", "--samples", "-3", "--seed", "1"],
+         "--samples must be >= 0"),
+    ], ids=["budget-0", "restarts-0", "step-2", "step-nan", "verify-seed",
+            "search-seed", "samples-negative"])
+    def test_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 2
+        _one_usage_line(capsys.readouterr().err, "usage error: ", message)
+        assert not out.exists()
+
+    def test_zero_samples_is_an_empty_report(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--claim", "hod-extra-terms", "--samples", "0",
+                     "--seed", "1", "--out", str(out)]) == 0
+        rep = json.loads(out.read_text())
+        assert rep["n"] == 0 and rep["samples"] == [] and rep["ok"]
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("content,message", [
+        ("{not json", "cannot read"),
+        (None, "No such file"),
+    ], ids=["not-json", "missing"])
+    def test_spec_file_exit_2(self, content, message, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        if content is not None:
+            spec.write_text(content)
+        assert main(["terms", "--spec", str(spec), "--out",
+                     str(tmp_path / "t.json")]) == 2
+        _one_usage_line(capsys.readouterr().err, "invalid spec: ", message)
+
+    @pytest.fixture()
+    def derived(self, tmp_path):
+        path = tmp_path / "hk.json"
+        assert main(["derive", "--system", "hk", "--out", str(path)]) == 0
+        return path
+
+    def _project(self, system, terms, tmp_path):
+        argv = ["project", "--system", str(system), "--eliminate", "R1",
+                "--out", str(tmp_path / "p.json")]
+        if terms is not None:
+            path = tmp_path / "terms.json"
+            path.write_text(terms)
+            argv += ["--terms", str(path)]
+        return main(argv)
+
+    # A string value is never snapped: before this check, snap_terms would
+    # multiply the string by 2**48.
+    @pytest.mark.parametrize("terms,message", [
+        (None, "binding is missing term symbol 'a1'"),
+        ('{"a1": 0.25}', "binding is missing term symbol"),
+        ("[0.25, 0.5]", "--terms must be a JSON object"),
+        ("0.25", "--terms must be a JSON object"),
+        ('{"a1": null}', "value of 'a1' must be a finite number, not None"),
+        ('{"a1": NaN}', "value of 'a1' must be a finite number, not nan"),
+        ('{"a1": Infinity}', "value of 'a1' must be a finite number, not inf"),
+        ('{"a1": "0.25"}', "value of 'a1' must be a finite number, not '0.25'"),
+        ('{"a1": true}', "value of 'a1' must be a finite number, not True"),
+    ], ids=["no-terms", "missing-symbol", "list", "number", "null", "nan",
+            "infinity", "string", "boolean"])
+    def test_terms_file_exit_2(self, terms, message, derived, tmp_path, capsys):
+        assert self._project(derived, terms, tmp_path) == 2
+        _one_usage_line(capsys.readouterr().err, "usage error: ", message)
+
+    def test_system_without_inequalities_exit_2(self, tmp_path, capsys):
+        system = tmp_path / "sys.json"
+        system.write_text('{"rate_vars": ["R1", "R2"]}')
+        assert self._project(system, None, tmp_path) == 2
+        _one_usage_line(capsys.readouterr().err, "usage error: ",
+                        "--system is not a system JSON: KeyError('inequalities')")
+
+
+def _mutated(doc, data):
+    """``doc`` with one node replaced by junk or one key dropped; the
+    wrapper lets the whole document be replaced too."""
+    wrapper = {"doc": doc}
+    parent, key = data.draw(st.sampled_from(list(_json_slots(wrapper))))
+    if isinstance(key, str) and parent is not wrapper and data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_JUNK)
+    return wrapper["doc"]
+
+
+def _write_document(data, path, doc):
+    """``doc`` itself, a mutated copy, or raw bytes that are rarely JSON."""
+    mode = data.draw(st.sampled_from(["valid", "mutated", "bytes"]))
+    if mode == "bytes":
+        path.write_bytes(data.draw(st.binary(max_size=12)))
+    else:
+        path.write_text(json.dumps(doc if mode == "valid" else _mutated(doc, data)))
+
+
+# Counts, budgets and restarts stay small or invalid, so every run is short.
+_COUNT = st.integers(-1, 2).map(str)
+_SEED = st.integers(-3, 2**64).map(str)
+
+
+def _verify_argv(data, tmp):
+    return ["verify", "--claim",
+            data.draw(st.sampled_from(("all", "bogus") + ALL_CLAIMS)),
+            "--samples", data.draw(_COUNT), "--seed", data.draw(_SEED)]
+
+
+def _search_argv(data, tmp):
+    step = data.draw(st.one_of(st.floats().map(repr), st.sampled_from(["0.25", "1"])))
+    return ["search", "--budget", data.draw(_COUNT), "--restarts",
+            data.draw(_COUNT), f"--step={step}", "--seed", data.draw(_SEED),
+            "--objective", data.draw(st.sampled_from(["area", "sumrate"]))]
+
+
+def _project_argv(data, tmp):
+    from icregions.linsys import system_to_json
+
+    system, terms = tmp / "sys.json", tmp / "terms.json"
+    _write_document(data, system, system_to_json(build_system("HK_Q")))
+    eliminate = data.draw(st.sampled_from(["T1", "T1,T2", "S1,T2", "R1", "Z9", ""]))
+    argv = ["project", "--system", str(system), "--eliminate", eliminate]
+    if data.draw(st.booleans()):
+        _write_document(data, terms, dict(TestProject.DYADIC_TERMS))
+        argv += ["--terms", str(terms)]
+    return argv
+
+
+def _terms_argv(data, tmp):
+    # spec_from_json is fuzzed in test_dist; here the file itself is bad
+    spec = tmp / "spec.json"
+    text = json.dumps(spec_to_json(sample_spec(binary_alphabets(), Form.HK2, [81, 0])))
+    spec.write_bytes(data.draw(st.one_of(st.binary(max_size=12),
+                                         st.integers(0, len(text)).map(
+                                             lambda n: text[:n].encode()))))
+    return ["terms", "--spec", str(spec)]
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(make_argv=st.sampled_from([_verify_argv, _search_argv, _project_argv,
+                                      _terms_argv]),
+           data=st.data())
+    def test_exit_code_without_traceback(self, make_argv, data, tmp_path):
+        argv = make_argv(data, tmp_path) + ["--out", str(tmp_path / "out.json")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refusing an argument
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

@@ -17,6 +17,12 @@ class TestEvalTerms:
         assert len(BASE_SYMBOLS) == 16
         assert len(tv) == 22
 
+    def test_base_symbol_order(self):
+        # the column order of the symbolic pruning LP, so derive's pivots
+        assert BASE_SYMBOLS == ("a1", "b1", "c1", "d1", "e1", "f1", "g1",
+                                "a2", "b2", "c2", "d2", "e2", "f2", "g2",
+                                "rho1", "rho2")
+
     def test_hk2_joint_has_zero_rho(self):
         tv = eval_terms(build_joint(sample_spec(binary_alphabets(), Form.HK2,
                                                 [21, 1])))
