@@ -65,9 +65,6 @@ class Combo:
         s = F(s)
         return Combo(tuple((k, v * s) for k, v in self.coeffs), self.const * s)
 
-    def __neg__(self) -> "Combo":
-        return self.scale(-1)
-
     def evaluate(self, binding: dict) -> Fraction:
         return sum((F(binding[k]) * v for k, v in self.coeffs), self.const)
 
@@ -129,24 +126,16 @@ class LinearSystem:
 
     @staticmethod
     def of(rate_vars, inequalities, term_facts=()) -> "LinearSystem":
-        seen, ineqs, facts = set(), [], []
+        rows, facts = {}, list(term_facts)
         for ineq in inequalities:
             if ineq.is_term_fact():
                 facts.append(ineq.rhs)
-                continue
-            k = ineq.key()
-            if k not in seen:
-                seen.add(k)
-                ineqs.append(ineq.canonical())
-        fseen, ffacts = set(), []
-        for c in list(term_facts) + facts:
-            if c.is_zero():
-                continue
-            if (c.coeffs, c.const) not in fseen:
-                fseen.add((c.coeffs, c.const))
-                ffacts.append(c)
-        ineqs.sort(key=lambda i: i.key())
-        return LinearSystem(tuple(rate_vars), tuple(ineqs), tuple(ffacts))
+            else:
+                c = ineq.canonical()  # once: the stored row gives its own key
+                rows.setdefault((c.lhs, c.rhs.coeffs, c.rhs.const), c)
+        facts = dict.fromkeys(c for c in facts if not c.is_zero())
+        return LinearSystem(tuple(rate_vars), tuple(rows[k] for k in sorted(rows)),
+                            tuple(facts))
 
 
 def fm_rows(inequalities, v: str, rate_vars) -> list:
@@ -354,9 +343,12 @@ def _frac_to_obj(v: Fraction):
 
 
 def _obj_to_frac(o) -> Fraction:
-    if isinstance(o, dict):
-        return F(o["num"], o["den"])
-    return F(o)
+    """A JSON number or {"num": ..., "den": ...}; booleans and strings are
+    not numbers."""
+    parts = (o["num"], o["den"]) if isinstance(o, dict) else (o,)
+    if not all(type(p) in (int, float) for p in parts):
+        raise ValueError(f"coefficient {o!r} is not a number")
+    return F(*parts)
 
 
 def system_to_json(system: LinearSystem) -> dict:

@@ -150,8 +150,8 @@ def area2(p: HPoly) -> Fraction:
 def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     """True iff inner is inside outer slackened by eps (exact test).
 
-    2-D uses vertex enumeration; higher dimensions maximize each outer
-    constraint over inner via exact LP."""
+    A bounded 2-D inner uses vertex enumeration; otherwise each outer
+    constraint is maximized over inner via exact LP."""
     if set(outer.dims) != set(inner.dims):
         raise ValueError("polytopes are over different rate variables")
     if outer.dims != inner.dims:
@@ -160,7 +160,10 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
                       tuple((tuple(lhs[i] for i in perm), rhs) for lhs, rhs in inner.rows))
     eps = F(eps)
     if len(outer.dims) == 2:
-        return all(outer.contains_point(v, eps) for v in vertices2(inner))
+        try:
+            return all(outer.contains_point(v, eps) for v in vertices2(inner))
+        except UnboundedRegionError:
+            pass  # the LP loop below decides an unbounded inner
     for lhs, rhs in outer.rows:
         res = inner.maximize(list(lhs))
         if res.status == "infeasible":

@@ -3,11 +3,21 @@
 These systems are hard-coded data, not derived, so the Fourier-Motzkin
 pipeline has an independent target to reproduce.  Quadruple systems are
 over (S1, T1, S2, T2); rate-pair systems over (R1, R2).
+
+Each bound is written once, for receiver 1; receiver 2's rows are its
+image under swapping the indices 1 and 2 in every name (S1<->S2, a1<->a2,
+rho1<->rho2, C2<->C1), the device ``terms`` uses for receiver 2's terms.
+Every rate-pair system is the seven-row core that Chong, Motani, Garg and
+El Gamal (IEEE Trans. IT 54(7), 2008) reduce the HK region to (COMPACT_R)
+plus the region's own bounds.  The quadruple systems all start from HK_Q's
+Theorem-1 rows: HOD_Q writes the composite B, C, F for b, c, f, CMG_Q
+keeps the rows with S_i and HK_Q_MODIFIED drops T_j <= c_i.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 
 from .dist import FactorSpec, Form, build_joint
 from .linsys import Combo, Inequality, LinearSystem
@@ -17,131 +27,54 @@ from .terms import eval_terms
 QUAD_VARS = ("S1", "T1", "S2", "T2")
 PAIR_VARS = ("R1", "R2")
 
+_MIRROR = str.maketrans("12", "21")
+_TERM = re.compile(r"(\d*)([A-Za-z]\w*)")
+
+
+def _inequalities(bounds) -> list:
+    """Each receiver-1 bound ('2R1 + R2 <= a1 + g1 + e2', positive integer
+    coefficients) followed by its receiver-2 image, whose names have the
+    index swapped.  A self-mirrored bound comes out twice and
+    ``LinearSystem.of`` drops the copy."""
+    def side(text, swap):
+        return {name.translate(swap): int(c or 1) for c, name in _TERM.findall(text)}
+
+    return [Inequality.of(*(side(text, swap) for text in bound.split("<=")))
+            for bound in bounds for swap in ({}, _MIRROR)]
+
+
 # Theorem-1-form distributions make U_i and W_i independent given Q, so the
 # HK quadruple systems carry rho_i = 0 as intrinsic term-facts.
-_RHO_ZERO = (Combo.of({"rho1": -1}), Combo.of({"rho2": -1}))
+_RHO_ZERO = tuple(Combo.of({f"rho{i}": -1}) for i in (1, 2))
 
+_HK_Q = ("S1 <= a1", "T1 <= b1", "T2 <= c1", "S1 + T1 <= d1", "S1 + T2 <= e1",
+         "T1 + T2 <= f1", "S1 + T1 + T2 <= g1")
+_COMPOSITE = str.maketrans("bcf", "BCF")
 
-def _hk_q_rows(b="b", c="c", f="f"):
-    """Theorem-1-shaped quadruple rows; the Hodtani variant swaps in the
-    composite B/C/F bounds on the T rates."""
-    return [
-        ({"S1": 1}, {"a1": 1}),
-        ({"T1": 1}, {f"{b}1": 1}),
-        ({"T2": 1}, {f"{c}1": 1}),
-        ({"S1": 1, "T1": 1}, {"d1": 1}),
-        ({"S1": 1, "T2": 1}, {"e1": 1}),
-        ({"T1": 1, "T2": 1}, {f"{f}1": 1}),
-        ({"S1": 1, "T1": 1, "T2": 1}, {"g1": 1}),
-        ({"S2": 1}, {"a2": 1}),
-        ({"T2": 1}, {f"{b}2": 1}),
-        ({"T1": 1}, {f"{c}2": 1}),
-        ({"S2": 1, "T2": 1}, {"d2": 1}),
-        ({"S2": 1, "T1": 1}, {"e2": 1}),
-        ({"T1": 1, "T2": 1}, {f"{f}2": 1}),
-        ({"S2": 1, "T1": 1, "T2": 1}, {"g2": 1}),
-    ]
+# The rate-pair core (COMPACT_R), and the bound that is redundant given
+# independent U_i, W_i.
+_CORE_R = ("R1 <= d1", "R1 + R2 <= a1 + g2", "R1 + R2 <= e1 + e2",
+           "2R1 + R2 <= a1 + g1 + e2")
+_REDUNDANT_R = "2R1 + R2 <= 2a1 + e2 + f2"
+HK_R_REDUNDANT = tuple(_inequalities([_REDUNDANT_R]))
 
-
-_CMG_Q_ROWS = [
-    ({"S1": 1}, {"a1": 1}),
-    ({"S1": 1, "T1": 1}, {"d1": 1}),
-    ({"S1": 1, "T2": 1}, {"e1": 1}),
-    ({"S1": 1, "T1": 1, "T2": 1}, {"g1": 1}),
-    ({"S2": 1}, {"a2": 1}),
-    ({"S2": 1, "T2": 1}, {"d2": 1}),
-    ({"S2": 1, "T1": 1}, {"e2": 1}),
-    ({"S2": 1, "T1": 1, "T2": 1}, {"g2": 1}),
-]
-
-_HK_R_ROWS = [
-    ({"R1": 1}, {"d1": 1}),
-    ({"R1": 1}, {"a1": 1, "c2": 1}),
-    ({"R2": 1}, {"d2": 1}),
-    ({"R2": 1}, {"a2": 1, "c1": 1}),
-    ({"R1": 1, "R2": 1}, {"a1": 1, "g2": 1}),
-    ({"R1": 1, "R2": 1}, {"a2": 1, "g1": 1}),
-    ({"R1": 1, "R2": 1}, {"e1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 1, "g2": 1, "e1": 1}),
-]
-
-# The two inequalities that are redundant given independent U_i, W_i.
-HK_R_REDUNDANT = (
-    Inequality.of({"R1": 2, "R2": 1}, {"a1": 2, "e2": 1, "f2": 1}),
-    Inequality.of({"R1": 1, "R2": 2}, {"a2": 2, "e1": 1, "f1": 1}),
-)
-
-_HK_R_MODIFIED_ROWS = [
-    ({"R1": 1}, {"d1": 1}),
-    ({"R1": 1}, {"a1": 1, "e2": 1}),
-    ({"R1": 1}, {"a1": 1, "f2": 1}),
-    ({"R2": 1}, {"d2": 1}),
-    ({"R2": 1}, {"a2": 1, "e1": 1}),
-    ({"R2": 1}, {"a2": 1, "f1": 1}),
-    ({"R1": 1, "R2": 1}, {"a2": 1, "g1": 1}),
-    ({"R1": 1, "R2": 1}, {"a1": 1, "g2": 1}),
-    ({"R1": 1, "R2": 1}, {"e1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 2, "e2": 1, "f2": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 1, "g2": 1, "e1": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 2, "e1": 1, "f1": 1}),
-]
-
-_CMG_R_ROWS = [
-    ({"R1": 1}, {"d1": 1}),
-    ({"R1": 1}, {"a1": 1, "e2": 1}),
-    ({"R2": 1}, {"d2": 1}),
-    ({"R2": 1}, {"a2": 1, "e1": 1}),
-    ({"R1": 1, "R2": 1}, {"a1": 1, "g2": 1}),
-    ({"R1": 1, "R2": 1}, {"a2": 1, "g1": 1}),
-    ({"R1": 1, "R2": 1}, {"e1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 1, "g2": 1, "e1": 1}),
-]
-
-_COMPACT_R_ROWS = [
-    ({"R1": 1}, {"d1": 1}),
-    ({"R2": 1}, {"d2": 1}),
-    ({"R1": 1, "R2": 1}, {"a1": 1, "g2": 1}),
-    ({"R1": 1, "R2": 1}, {"a2": 1, "g1": 1}),
-    ({"R1": 1, "R2": 1}, {"e1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 1, "g2": 1, "e1": 1}),
-]
-
-_HOD_R_ROWS = [
-    ({"R1": 1}, {"d1": 1}),
-    ({"R1": 1}, {"a1": 1, "C2": 1}),
-    ({"R1": 1}, {"a1": 1, "e2": 1}),
-    ({"R2": 1}, {"d2": 1}),
-    ({"R2": 1}, {"a2": 1, "C1": 1}),
-    ({"R2": 1}, {"a2": 1, "e1": 1}),
-    ({"R1": 1, "R2": 1}, {"a2": 1, "g1": 1}),
-    ({"R1": 1, "R2": 1}, {"a1": 1, "g2": 1}),
-    ({"R1": 1, "R2": 1}, {"e1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}),
-    ({"R1": 2, "R2": 1}, {"a1": 2, "e2": 1, "F2": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 1, "g2": 1, "e1": 1}),
-    ({"R1": 1, "R2": 2}, {"a2": 2, "e1": 1, "F1": 1}),
-]
-
-
-_HK_Q_DROPPED = (({"T2": 1}, {"c1": 1}), ({"T1": 1}, {"c2": 1}))
 _HOD_FORMS = (Form.HOD16, Form.GENERAL1, Form.HK2)
 
-# Region id -> (rate variables, rows, term facts, forms whose specs it binds).
+# Region id -> (rate variables, receiver-1 bounds, term facts, forms whose
+# specs it binds).
 _CATALOGUE = {
-    "HK_Q": (QUAD_VARS, _hk_q_rows(), _RHO_ZERO, (Form.HK2,)),
-    "HK_Q_MODIFIED": (QUAD_VARS, [r for r in _hk_q_rows() if r not in _HK_Q_DROPPED],
-                      _RHO_ZERO, (Form.HK2,)),
-    "HK_R": (PAIR_VARS, _HK_R_ROWS, (), (Form.HK2,)),
-    "HK_R_MODIFIED": (PAIR_VARS, _HK_R_MODIFIED_ROWS, (), (Form.HK2,)),
-    "CMG_Q": (QUAD_VARS, _CMG_Q_ROWS, (), (Form.CMG9,)),
-    "CMG_R": (PAIR_VARS, _CMG_R_ROWS, (), (Form.CMG9,)),
-    "COMPACT_R": (PAIR_VARS, _COMPACT_R_ROWS, (), (Form.HK2, Form.CMG9)),
-    "HOD_Q": (QUAD_VARS, _hk_q_rows(b="B", c="C", f="F"), (), _HOD_FORMS),
-    "HOD_R": (PAIR_VARS, _HOD_R_ROWS, (), _HOD_FORMS),
+    "HK_Q": (QUAD_VARS, _HK_Q, _RHO_ZERO, (Form.HK2,)),
+    "HK_Q_MODIFIED": (QUAD_VARS, [b for b in _HK_Q if b != "T2 <= c1"], _RHO_ZERO,
+                      (Form.HK2,)),
+    "HK_R": (PAIR_VARS, (*_CORE_R, "R1 <= a1 + c2"), (), (Form.HK2,)),
+    "HK_R_MODIFIED": (PAIR_VARS, (*_CORE_R, "R1 <= a1 + e2", "R1 <= a1 + f2", _REDUNDANT_R),
+                      (), (Form.HK2,)),
+    "CMG_Q": (QUAD_VARS, [b for b in _HK_Q if "S1" in b], (), (Form.CMG9,)),
+    "CMG_R": (PAIR_VARS, (*_CORE_R, "R1 <= a1 + e2"), (), (Form.CMG9,)),
+    "COMPACT_R": (PAIR_VARS, _CORE_R, (), (Form.HK2, Form.CMG9)),
+    "HOD_Q": (QUAD_VARS, [b.translate(_COMPOSITE) for b in _HK_Q], (), _HOD_FORMS),
+    "HOD_R": (PAIR_VARS, (*_CORE_R, "R1 <= a1 + C2", "R1 <= a1 + e2",
+                          "2R1 + R2 <= 2a1 + e2 + F2"), (), _HOD_FORMS),
 }
 
 REGION_IDS = tuple(_CATALOGUE)
@@ -153,9 +86,8 @@ def build_system(region_id: str) -> LinearSystem:
     on first use and shared, since it is immutable."""
     if region_id not in _CATALOGUE:
         raise ValueError(f"unknown region id {region_id!r}")
-    rate_vars, rows, term_facts, _ = _CATALOGUE[region_id]
-    return LinearSystem.of(
-        rate_vars, [Inequality.of(lhs, rhs) for lhs, rhs in rows], term_facts)
+    rate_vars, bounds, term_facts, _ = _CATALOGUE[region_id]
+    return LinearSystem.of(rate_vars, _inequalities(bounds), term_facts)
 
 
 @functools.cache

@@ -11,6 +11,7 @@ from icregions.dist import AlphabetSpec, Form, SpecError, save_spec, spec_to_jso
 from icregions.linsys import system_from_json, system_equal
 from icregions.regions import build_system
 from icregions.sampler import binary_alphabets, sample_spec
+from icregions.terms import BASE_SYMBOLS
 from test_dist import _JSON_JUNK, _json_slots, degenerate_spec
 
 
@@ -412,6 +413,23 @@ class TestBadInputFiles:
         assert self._project(system, None, tmp_path) == 2
         _one_usage_line(capsys.readouterr().err, "usage error: ",
                         "--system is not a system JSON: KeyError('inequalities')")
+
+    # JSON true reads as the number 1, and "1/3" as a fraction, unless the
+    # loader refuses them; with every term bound, such a file would
+    # otherwise be projected.
+    @pytest.mark.parametrize("field,value", [
+        ("lhs", {"R1": True}), ("rhs", {"a1": True}), ("const", True),
+        ("const", {"num": True, "den": 2}), ("lhs", {"R1": "1/3"}),
+    ], ids=["lhs", "rhs", "const", "num", "string"])
+    def test_non_number_coefficient_exit_2(self, field, value, derived, tmp_path, capsys):
+        doc = json.loads(derived.read_text())
+        doc["inequalities"][0][field] = value
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps(doc))
+        terms = json.dumps(dict.fromkeys(BASE_SYMBOLS, 0.25))
+        assert self._project(system, terms, tmp_path) == 2
+        _one_usage_line(capsys.readouterr().err, "usage error: --system is not a system JSON",
+                        "is not a number")
 
 
 def _mutated(doc, data):

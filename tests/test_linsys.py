@@ -34,7 +34,7 @@ class TestCombo:
     def test_arithmetic(self):
         c = Combo.of({"a1": 1}) + Combo.of({"a1": -1, "b1": 2})
         assert c.as_dict() == {"b1": F(2)}
-        assert (-c).as_dict() == {"b1": F(-2)}
+        assert c.scale(-1).as_dict() == {"b1": F(-2)}
         assert c.scale(F(1, 2)).as_dict() == {"b1": F(1)}
 
     def test_evaluate(self):

@@ -164,6 +164,12 @@ class TestContains:
         assert poly_equal(region_for(spec, "HOD_R"), region_for(spec, "HK_R"),
                           DEFAULT_EPS)
 
+    def test_unbounded_inner(self):
+        strip = HPoly(("R1", "R2"), (((F(0), F(1)), F(1, 2)),))  # R2 <= 1/2
+        assert contains(HPoly(("R1", "R2"), (((F(0), F(1)), F(1)),)), strip, F(0))
+        assert not contains(strip, HPoly(("R1", "R2"), (((F(0), F(1)), F(1)),)), F(0))
+        assert not contains(square(1), strip, F(0))
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             contains(square(), HPoly(("S1", "T1", "S2", "T2"), ()), F(0))

@@ -1,10 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from icregions.dist import Form, build_joint, independence_projection
-from icregions.linsys import Combo, Inequality
+from icregions.linsys import (Combo, Inequality, LinearSystem, system_equal,
+                              system_to_json)
 from icregions.polytope import DEFAULT_EPS, contains, poly_equal, vertices2
 from icregions.regions import (REGION_IDS, FormMismatchError, build_system,
                                hk_r_with_redundant, region_for)
@@ -19,8 +22,57 @@ EXPECTED_SIZES = {
     "CMG_Q": 8, "CMG_R": 9, "COMPACT_R": 7, "HOD_Q": 14, "HOD_R": 13,
 }
 
+# SHA-256 of each golden system's sorted-key JSON; None is the HK_R system
+# with its two redundant rows.
+SYSTEM_DIGESTS = {
+    "HK_Q": "a2edbf9f93512d295688c267681988357fa9cfe0c4243b055735e96bb967ba9f",
+    "HK_Q_MODIFIED": "0357b0da39f4307d6154996570bbc955416d27c1dfa31eca5642807f318e523d",
+    "HK_R": "4fe8b53aa3ddb164b0a2f7878e7d8b00dbdbd0baa0760d42c2cc2e92b017b1bc",
+    "HK_R_MODIFIED": "6527e7dfe79d693341fd1d39883759d3194f601065307d871e9333759bfe617e",
+    "CMG_Q": "a58ada2449a6561cf51cd922a7ecb9c6c191c9742f376866582cfaad828c2790",
+    "CMG_R": "131d3f98e603f254abc1837b19d035a2de27342f15db67a28a408457f13536f5",
+    "COMPACT_R": "79b7fbe8bc5a3fc897c361dbdd6bccbfd76eea214581724099b8d5fd5bb14af6",
+    "HOD_Q": "c20ff56a1ff4e17999f68a35c6945d05a3d3f0f8487358b05a507415edf77626",
+    "HOD_R": "c8033c02099816bd95ba37c1adeab6775ab0b7a5ccfb71d6014bc2811cbd834f",
+    None: "d305d9ec433bc22572755e8756f5de770690fb03a54a9dc60e293997fe007d91",
+}
+
+
+def _rid(rid) -> str:
+    return rid or "HK_R_WITH_REDUNDANT"
+
+
+def _swapped(name: str) -> str:
+    return name[:-1] + {"1": "2", "2": "1"}[name[-1]]
+
+
+def _receiver_swap(system: LinearSystem) -> LinearSystem:
+    """The system with the indices 1 and 2 swapped in every name."""
+    def combo(c):
+        return Combo.of({_swapped(k): v for k, v in c.coeffs}, c.const)
+
+    return LinearSystem.of(
+        tuple(map(_swapped, system.rate_vars)),
+        [Inequality.of({_swapped(k): v for k, v in i.lhs}, combo(i.rhs))
+         for i in system.inequalities],
+        [combo(c) for c in system.term_facts])
+
 
 class TestBuildSystem:
+    @pytest.mark.parametrize("rid", [*REGION_IDS, None], ids=_rid)
+    def test_rows_pinned(self, rid):
+        system = build_system(rid) if rid else hk_r_with_redundant()
+        text = json.dumps(system_to_json(system), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SYSTEM_DIGESTS[rid]
+
+    @pytest.mark.parametrize("rid", [*REGION_IDS, None], ids=_rid)
+    def test_symmetric_in_the_receivers(self, rid):
+        system = build_system(rid) if rid else hk_r_with_redundant()
+        mirror = _receiver_swap(system)
+        eq, diff = system_equal(mirror, system)
+        assert eq, diff
+        assert set(mirror.term_facts) == set(system.term_facts)
+
     def test_inequality_counts(self):
         for rid in REGION_IDS:
             assert len(build_system(rid).inequalities) == EXPECTED_SIZES[rid], rid
