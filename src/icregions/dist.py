@@ -73,11 +73,11 @@ class AlphabetSpec:
     def shape(self) -> tuple[int, ...]:
         return tuple(self.sizes[v] for v in VARS)
 
-    def joint_entries(self) -> int:
-        n = 1
-        for v in VARS:
-            n *= self.sizes[v]
-        return n
+    def check_joint_size(self) -> None:
+        """Refuse alphabets whose joint tensor would exceed the entry limit,
+        before any table over them is drawn or multiplied."""
+        if math.prod(self.shape) > MAX_JOINT_ENTRIES:
+            raise SpecError("joint tensor would exceed the 1e8 entry limit")
 
 
 def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
@@ -207,8 +207,7 @@ _JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v.value] for v in given + of)
 
 def build_joint(spec: FactorSpec) -> JointDist:
     """Multiply the declared factors into the full nine-variable joint."""
-    if spec.alphabets.joint_entries() > MAX_JOINT_ENTRIES:
-        raise SpecError("joint tensor would exceed the 1e8 entry limit")
+    spec.alphabets.check_joint_size()
     t = np.einsum(_JOINT_SUBSCRIPTS, *(getattr(spec, name) for name, _, _ in FACTORS),
                   optimize=True)
     return JointDist(spec.alphabets, t)
@@ -263,7 +262,7 @@ def independence_projection(spec: FactorSpec) -> FactorSpec:
     p(q), p(w_i|q) and the same encoders and channel.
     """
     if spec.form is not Form.HOD16:
-        raise SpecError(f"independence_projection requires HOD16, got {spec.form}")
+        raise SpecError(f"independence_projection requires form hod16, got {spec.form.value}")
     # p(u1|q) = sum_w1 p(w1|q) p(u1|q,w1)
     u1_q = np.einsum("qw,qwu->qu", spec.w1_given_q, spec.u1_given_q_w1)
     u2_q = np.einsum("qv,qvm->qm", spec.w2_given_q, spec.u2_given_q_w2)

@@ -5,7 +5,8 @@ Term values measured in bits are snapped once to rationals with denominator
 area) is exact.  Cross-region comparisons that combine independently
 snapped values use a generous eps of 2**-30.
 
-``vertices2`` clips the exact bounding box of a 2-D region by each row.
+``vertices2`` finds a square around a 2-D region with one exact LP, clips
+it by each row and reads the vertices off the clipped ring.
 The numeric projection runs the Fourier-Motzkin step, S->R substitution
 and canonicaliser of ``linsys`` on rows whose right-hand sides are
 constants.
@@ -80,60 +81,39 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
 def vertices2(p: HPoly):
     """Exact vertex list of a bounded 2-D polytope.
 
-    Maximizing x, then y, decides emptiness and boundedness and gives the
-    box [0, X] x [0, Y] around the region; clipping the box by each row
-    (Sutherland and Hodgman, "Reentrant polygon clipping", 1974) leaves the
-    region itself.  Its vertices are hull-ordered counterclockwise starting
-    at the lexicographically smallest one.  Empty region -> empty list.
+    Maximizing x + y decides emptiness and boundedness, and its value M
+    gives the square [0, M] x [0, M] around the region (x, y <= x + y <= M).
+    Clipping the square by each row (Sutherland and Hodgman, "Reentrant
+    polygon clipping", 1974) leaves the region as a counterclockwise ring;
+    its vertices are the points where the ring turns left, listed from the
+    lexicographically smallest one.  A point or a segment gives its sorted
+    distinct ends; an empty region gives an empty list.
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
-    box = []
-    for obj in ([F(1), F(0)], [F(0), F(1)]):
-        res = p.maximize(obj)
-        if res.status == "infeasible":
-            return []
-        if res.status != "optimal":
-            raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
-        box.append(res.value)
-    x, y = box
-    poly = [(F(0), F(0)), (x, F(0)), (x, y), (F(0), y)]
+    res = p.maximize([1, 1])
+    if res.status == "infeasible":
+        return []
+    if res.status != "optimal":
+        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
+    m = res.value
+    ring = [(F(0), F(0)), (m, F(0)), (m, m), (F(0), m)]
     for (a, b), c in p.rows:
         clipped = []
-        for (px, py), (qx, qy) in zip(poly, poly[1:] + poly[:1]):
+        for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
             fp, fq = a * px + b * py - c, a * qx + b * qy - c
             if fp <= 0:
                 clipped.append((px, py))
             if (fp < 0 < fq) or (fq < 0 < fp):
                 t = fp / (fp - fq)
                 clipped.append((px + t * (qx - px), py + t * (qy - py)))
-        poly = clipped
-    return _hull_ccw(sorted(set(poly)))
-
-
-def _hull_ccw(pts):
-    """Andrew monotone chain; returns CCW hull starting at lex-smallest."""
-    if len(pts) <= 2:
-        return list(pts)
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for pt in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], pt) <= 0:
-            lower.pop()
-        lower.append(pt)
-    upper = []
-    for pt in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], pt) <= 0:
-            upper.pop()
-        upper.append(pt)
-    hull = lower[:-1] + upper[:-1]
-    if not hull:  # fully collinear input
-        hull = [pts[0], pts[-1]]
-    # monotone chain already starts at the lexicographically smallest point
-    return hull
+        ring = clipped
+    corners = [q for o, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
+               if (q[0] - o[0]) * (r[1] - q[1]) - (q[1] - o[1]) * (r[0] - q[0]) > 0]
+    if not corners:  # a point or a segment: at most two distinct ring points
+        return sorted(set(ring))
+    i = corners.index(min(corners))
+    return corners[i:] + corners[:i]
 
 
 def area2(p: HPoly) -> Fraction:
@@ -152,12 +132,8 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
 
     A bounded 2-D inner uses vertex enumeration; otherwise each outer
     constraint is maximized over inner via exact LP."""
-    if set(outer.dims) != set(inner.dims):
-        raise ValueError("polytopes are over different rate variables")
     if outer.dims != inner.dims:
-        perm = [inner.dims.index(d) for d in outer.dims]
-        inner = HPoly(outer.dims,
-                      tuple((tuple(lhs[i] for i in perm), rhs) for lhs, rhs in inner.rows))
+        raise ValueError("polytopes are over different rate variables or orders")
     eps = F(eps)
     if len(outer.dims) == 2:
         try:

@@ -106,9 +106,7 @@ def region_for(spec: FactorSpec, region_id: str) -> HPoly:
     system = build_system(region_id)
     *_, accepted = _CATALOGUE[region_id]
     if spec.form not in accepted:
-        hint = ""
-        if spec.form in (Form.HOD16, Form.GENERAL1):
-            hint = " (apply independence_projection first)"
+        hint = " (apply independence_projection first)" if spec.form is Form.HOD16 else ""
         raise FormMismatchError(
             f"region {region_id} does not accept form {spec.form.value}{hint}")
     binding = snap_terms(eval_terms(build_joint(spec)))

@@ -35,6 +35,7 @@ def binary_alphabets(**overrides) -> AlphabetSpec:
 
 def sample_spec(alphabets: AlphabetSpec, form: Form, seed) -> FactorSpec:
     """Draw a random FactorSpec of the given form, deterministically."""
+    alphabets.check_joint_size()
     rng = np.random.default_rng(seed)
     tables = []
     for _, _, given, of in stored_factors(form):

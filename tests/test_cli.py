@@ -120,7 +120,19 @@ class TestRegion:
         save_spec(sample_spec(binary_alphabets(), Form.HOD16, [81, 1]), p)
         assert main(["region", "--spec", str(p), "--which", "hk",
                      "--emit", str(tmp_path / "v.csv")]) == 3
-        assert "independence_projection" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "form mismatch: region HK_R does not accept form hod16"
+            " (apply independence_projection first)\n")
+
+    @pytest.mark.parametrize("which", ["hk", "cmg", "compact"])
+    def test_general1_mismatch_has_no_projection_hint(self, which, tmp_path, capsys):
+        p = tmp_path / "general.json"
+        save_spec(sample_spec(binary_alphabets(), Form.GENERAL1, [81, 2]), p)
+        assert main(["region", "--spec", str(p), "--which", which,
+                     "--emit", str(tmp_path / "v.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("form mismatch: ") and err.endswith(
+            " does not accept form general1\n")
 
 
 class TestDerive:
@@ -233,6 +245,13 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "r.json")]) == 2
         assert capsys.readouterr().err == (
             "invalid spec: alphabet size for Q must be >= 1\n")
+
+    def test_oversized_alphabets_refused_before_drawing(self, tmp_path, capsys):
+        # the 1000^4-entry channel table alone would need 7.28 TiB
+        assert main(["search", "--alphabets", "x=1000,y=1000", "--seed", "1",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == (
+            "invalid spec: joint tensor would exceed the 1e8 entry limit\n")
 
     def test_unknown_eliminated_variable_exit_2(self, tmp_path, capsys):
         from icregions.linsys import system_to_json

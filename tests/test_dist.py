@@ -373,6 +373,11 @@ class TestIndependenceProjection:
             independence_projection(sample_spec(binary_alphabets(), Form.HK2,
                                                 [11, 17]))
 
+    def test_wrong_form_named_by_its_tag(self):
+        spec = sample_spec(binary_alphabets(), Form.GENERAL1, [11, 19])
+        with pytest.raises(SpecError, match="requires form hod16, got general1$"):
+            independence_projection(spec)
+
 
 class TestMarkovChains:
     def test_cmg9_chains_hold(self):
