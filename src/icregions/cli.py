@@ -18,7 +18,8 @@ from .dist import SpecError, Var, build_joint, load_spec, spec_to_json
 from .linsys import (AXIOM_SETS, QUADRUPLE_SYSTEMS, RATE_VARS, derive_region,
                      system_from_json, system_to_json)
 from .linsys import _frac_to_obj as _frac
-from .polytope import HPoly, bind, fm_eliminate_numeric, snap_terms, vertices2
+from .polytope import (SNAP_DEN, HPoly, bind, fm_eliminate_numeric, snap_terms,
+                       vertices2)
 from .regions import FormMismatchError, region_for
 from .sampler import SearchConfig, binary_alphabets, improvement_search
 from .terms import eval_terms
@@ -133,6 +134,9 @@ def _load_terms(path: str) -> dict:
     for sym, v in terms.items():
         if not (type(v) is int or type(v) is float and math.isfinite(v)):
             raise UsageError(f"--terms value of {sym!r} must be a finite number, not {v!r}")
+        if type(v) is float and math.isinf(v * SNAP_DEN):
+            raise UsageError(f"--terms value of {sym!r} is too large to snap to a multiple "
+                             f"of 2**-48: {v!r}")
     return snap_terms(terms)
 
 

@@ -17,7 +17,7 @@ import enum
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -184,10 +184,15 @@ def cmg9_spec(alphabets, q, w1_given_q, x1_given_q_w1, w2_given_q, x2_given_q_w2
 
 @dataclass(frozen=True)
 class JointDist:
-    """Dense joint probability tensor over the nine variables."""
+    """Dense joint probability tensor over the nine variables.
+
+    ``entropy`` memoises each marginal entropy on the joint, so the tensor
+    must not be mutated once the joint is built.
+    """
 
     alphabets: AlphabetSpec
     tensor: np.ndarray
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tensor.shape != self.alphabets.shape:
@@ -223,16 +228,19 @@ def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:
-    """Shannon entropy H(A) in bits, with 0 log 0 := 0."""
-    p = marginal_tensor(joint, A).ravel()
-    p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    """Shannon entropy H(A) in bits, with 0 log 0 := 0 and H() = 0.
 
-
-def _entropy_of(joint: JointDist, s: frozenset) -> float:
-    if not s:
+    Each variable set's value is computed once per joint and memoised on it.
+    """
+    A = frozenset(A)
+    if not A:
         return 0.0
-    return entropy(joint, s)
+    memo = joint._entropies
+    if A not in memo:
+        p = marginal_tensor(joint, A).ravel()
+        p = p[p > 0]
+        memo[A] = float(-(p * np.log2(p)).sum())
+    return memo[A]
 
 
 def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
@@ -243,10 +251,10 @@ def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
     if A & B or A & C or B & C:
         raise ValueError("A, B, C must be pairwise disjoint")
     val = (
-        _entropy_of(joint, A | C)
-        + _entropy_of(joint, B | C)
-        - _entropy_of(joint, A | B | C)
-        - _entropy_of(joint, C)
+        entropy(joint, A | C)
+        + entropy(joint, B | C)
+        - entropy(joint, A | B | C)
+        - entropy(joint, C)
     )
     if val < 0:
         if val < -1e-12:

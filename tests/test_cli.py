@@ -420,8 +420,12 @@ class TestBadInputFiles:
         ('{"a1": Infinity}', "value of 'a1' must be a finite number, not inf"),
         ('{"a1": "0.25"}', "value of 'a1' must be a finite number, not '0.25'"),
         ('{"a1": true}', "value of 'a1' must be a finite number, not True"),
+        ('{"a1": 1e308}', "value of 'a1' is too large to snap to a multiple of "
+                          "2**-48: 1e+308"),
+        ('{"a1": -1e300}', "value of 'a1' is too large to snap to a multiple of "
+                           "2**-48: -1e+300"),
     ], ids=["no-terms", "missing-symbol", "list", "number", "null", "nan",
-            "infinity", "string", "boolean"])
+            "infinity", "string", "boolean", "overflow", "negative-overflow"])
     def test_terms_file_exit_2(self, terms, message, derived, tmp_path, capsys):
         assert self._project(derived, terms, tmp_path) == 2
         _one_usage_line(capsys.readouterr().err, "usage error: ", message)

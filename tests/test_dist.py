@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -6,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icregions import dist
 from icregions.dist import (AlphabetSpec, FactorSpec, Form, JointDist, SpecError,
                             Var, build_joint, check_markov_chains, cmg9_spec,
                             cond_mutual_info, entropy, hk2_spec,
                             independence_projection, marginal_tensor,
                             save_spec, spec_from_json, spec_to_json)
 from icregions.sampler import binary_alphabets, sample_spec
+from icregions.terms import COMPOSITE_EXPANSION, TERMS, eval_terms
 from oracles import cmi_vars, dict_from_tensor, naive_entropy, naive_joint, \
     naive_marginal
 
@@ -341,6 +344,68 @@ class TestEntropy:
                                [VARS.index(Var.Y1), VARS.index(Var.Y2)])
         assert entropy(joint, {Var.Y1, Var.Y2}) == \
             pytest.approx(naive_entropy(table), abs=1e-12)
+
+
+def _unmemoised_entropy(joint, s):
+    """H(s) by the one reduction of the full tensor, outside the memo."""
+    p = joint.tensor.sum(axis=tuple(v.value for v in Var if v not in s)).ravel()
+    p = p[p > 0]
+    return float(-(p * np.log2(p)).sum())
+
+
+def _four_entropy_terms(joint):
+    h = functools.partial(_unmemoised_entropy, joint)
+    t = {sym: max(h(a | c) + h(b | c) - h(a | b | c) - h(c), 0.0)
+         for sym, (a, b, c) in TERMS.items()}
+    return {**t, **{comp: t[base] + t[rho]
+                    for comp, (base, rho) in COMPOSITE_EXPANSION.items()}}
+
+
+WIDE = dict(Q=2, **{f"{v}{i}": 4 for v in "UWXY" for i in (1, 2)})
+
+
+class TestEntropyMemo:
+    @pytest.fixture()
+    def marginals(self, monkeypatch):
+        """The variable sets of the marginals computed while the test runs."""
+        calls = []
+        real = dist.marginal_tensor
+
+        def counting(joint, keep):
+            calls.append(frozenset(keep))
+            return real(joint, keep)
+
+        monkeypatch.setattr(dist, "marginal_tensor", counting)
+        return calls
+
+    @pytest.mark.parametrize("alphabets,form", [
+        *((binary_alphabets(), form) for form in Form),
+        (binary_alphabets(**WIDE), Form.HOD16),
+    ], ids=[*(form.value for form in Form), "hod16-wide"])
+    def test_memoised_terms_bit_identical(self, alphabets, form):
+        spec = sample_spec(alphabets, form, [11, 20])
+        memoised, direct = build_joint(spec), build_joint(spec)
+        ref = _four_entropy_terms(direct)
+        assert eval_terms(memoised) == ref
+        assert eval_terms(memoised) == ref  # the second pass reads only the memo
+
+    def test_each_subset_computed_once(self, marginals):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 21]))
+        eval_terms(joint)
+        assert len(marginals) == len(set(marginals)) == 28
+        eval_terms(joint)
+        assert len(marginals) == 28
+
+    def test_empty_set_computes_nothing(self, marginals):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 22]))
+        assert entropy(joint, set()) == 0.0
+        assert marginals == []
+
+    def test_memo_is_not_part_of_equality_or_repr(self):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HK2, [11, 23]))
+        same = JointDist(joint.alphabets, joint.tensor)
+        eval_terms(joint)
+        assert joint == same and repr(joint) == repr(same)
 
 
 class TestIndependenceProjection:

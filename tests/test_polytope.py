@@ -43,6 +43,20 @@ class TestSnapTerms:
     def test_negative_roundoff_floors_to_zero(self):
         assert snap_terms({"a1": -1e-15})["a1"] == 0
 
+    # 2**900 * 2**48 is still a finite float; a tie rounds to even.
+    @given(st.floats(min_value=-2.0**900, max_value=2.0**900))
+    @example(2.0**900)
+    @example(2.0**-49)
+    @example(3 * 2.0**-49)
+    @example(5e-324)
+    @example(-5e-324)
+    def test_within_half_a_step_of_its_float(self, v):
+        snapped = snap_terms({"a1": v})["a1"]
+        if v < 0:
+            assert snapped == 0
+        else:
+            assert abs(snapped - F(v)) <= F(1, 2 * SNAP_DEN)
+
 
 class TestBind:
     def test_all_zero_binding_gives_origin(self):
