@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .dist import SpecError, Var, build_joint, load_spec, spec_to_json
 from .linsys import (AXIOM_SETS, QUADRUPLE_SYSTEMS, RATE_VARS, derive_region,
                      system_from_json, system_to_json)
 from .linsys import _frac_to_obj as _frac
-from .polytope import (SNAP_DEN, HPoly, bind, fm_eliminate_numeric, snap_terms,
+from .polytope import (HPoly, bind, fm_eliminate_numeric, snap_terms,
                        vertices2)
 from .regions import FormMismatchError, region_for
 from .sampler import SearchConfig, binary_alphabets, improvement_search
@@ -132,12 +131,12 @@ def _load_terms(path: str) -> dict:
     if not isinstance(terms, dict):
         raise UsageError("--terms must be a JSON object of term values")
     for sym, v in terms.items():
-        if not (type(v) is int or type(v) is float and math.isfinite(v)):
+        if type(v) not in (int, float):
             raise UsageError(f"--terms value of {sym!r} must be a finite number, not {v!r}")
-        if type(v) is float and math.isinf(v * SNAP_DEN):
-            raise UsageError(f"--terms value of {sym!r} is too large to snap to a multiple "
-                             f"of 2**-48: {v!r}")
-    return snap_terms(terms)
+    try:
+        return snap_terms(terms)
+    except ValueError as exc:  # a float that is not finite or too large
+        raise UsageError(f"--terms {exc}") from None
 
 
 def _poly_json(poly: HPoly) -> dict:

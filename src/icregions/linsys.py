@@ -14,6 +14,7 @@ axioms.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -134,14 +135,17 @@ class LinearSystem:
                 c = ineq.canonical()  # once: the stored row gives its own key
                 rows.setdefault((c.lhs, c.rhs.coeffs, c.rhs.const), c)
         facts = dict.fromkeys(c for c in facts if not c.is_zero())
+        for c in facts:
+            if not c.coeffs and c.const < 0:
+                raise ValueError(f"the constant term fact 0 <= {c.const} is infeasible")
         return LinearSystem(tuple(rate_vars), tuple(rows[k] for k in sorted(rows)),
                             tuple(facts))
 
 
-def fm_rows(inequalities, v: str, rate_vars) -> list:
+def fm_rows(inequalities, v: str) -> list:
     """One Fourier-Motzkin step, unsorted: the rows free of ``v``, then each
-    upper bound on ``v`` paired with each lower bound.  When ``v`` is one of
-    ``rate_vars`` its implicit v >= 0 is the last lower bound."""
+    upper bound on ``v`` paired with each lower bound, of which the implicit
+    v >= 0 is the last."""
     keep, uppers, lowers = [], [], []
     for ineq in inequalities:
         c = ineq.coeff(v)
@@ -151,9 +155,7 @@ def fm_rows(inequalities, v: str, rate_vars) -> list:
             uppers.append(ineq)
         else:
             lowers.append(ineq)
-    if v in rate_vars:
-        # -v <= 0
-        lowers.append(Inequality.of({v: F(-1)}, Combo.of()))
+    lowers.append(Inequality.of({v: F(-1)}, Combo.of()))  # -v <= 0
     for up in uppers:
         a = up.coeff(v)
         for lo in lowers:
@@ -169,9 +171,10 @@ def fm_rows(inequalities, v: str, rate_vars) -> list:
 def fm_eliminate(system: LinearSystem, v: str) -> LinearSystem:
     """Project out rate variable ``v`` (its implicit v >= 0 supplies a lower
     bound); pure term-facts generated by pairing are kept as facts."""
+    if v not in system.rate_vars:
+        raise ValueError(f"{v!r} is not a rate variable of this system")
     rv = tuple(r for r in system.rate_vars if r != v)
-    return LinearSystem.of(rv, fm_rows(system.inequalities, v, system.rate_vars),
-                           system.term_facts)
+    return LinearSystem.of(rv, fm_rows(system.inequalities, v), system.term_facts)
 
 
 def substitution_rows(inequalities) -> list:
@@ -202,42 +205,41 @@ def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
                            system.term_facts)
 
 
-# --- axioms -----------------------------------------------------------------
+# --- bound notation and axioms ----------------------------------------------
 
-def _side_axioms(i: int) -> list:
-    a, b, c, d, e, f, g, rho = (f"a{i}", f"b{i}", f"c{i}", f"d{i}", f"e{i}",
-                                f"f{i}", f"g{i}", f"rho{i}")
-    raw = [
-        # chain-rule monotonicity (true for every joint)
-        {d: 1, a: -1}, {d: 1, b: -1}, {e: 1, a: -1}, {e: 1, c: -1},
-        {f: 1, b: -1}, {f: 1, c: -1}, {g: 1, d: -1}, {g: 1, e: -1},
-        {g: 1, f: -1},
-        # true for every factorization with (U_i,W_i) independent of W_j
-        # given Q (the correlated-input form and all its special cases)
-        {a: 1, b: 1, rho: 1, d: -1},            # d <= a + b + rho
-        {a: 1, c: 1, e: -1},                    # e <= a + c
-        {b: 1, c: 1, f: -1},                    # f <= b + c
-        {c: 1, d: 1, g: -1},                    # g <= c + d
-        {b: 1, e: 1, rho: 1, g: -1},            # g <= b + e + rho
-        {a: 1, f: 1, rho: 1, g: -1},            # g <= a + f + rho
-        {d: 1, f: 1, b: -1, g: -1},             # g + b <= d + f
-        {d: 1, e: 1, a: -1, g: -1},             # g + a <= d + e
-    ]
-    return [Combo.of(d_) for d_ in raw]
+_MIRROR = str.maketrans("12", "21")
+_TERM = re.compile(r"(\d*)([A-Za-z]\w*)")
 
 
-def _indep_axioms(i: int) -> list:
-    """Facts that additionally need U_i independent of W_i given Q."""
-    c, e, f, g, rho = f"c{i}", f"e{i}", f"f{i}", f"g{i}", f"rho{i}"
-    return [
-        Combo.of({e: 1, f: 1, c: -1, g: -1}),   # c + g <= e + f
-        Combo.of({e: 1, c: -1, rho: -1}),       # C <= e
-        Combo.of({rho: -1}),                    # rho = 0 (with rho >= 0)
-    ]
+def parse_bounds(texts) -> list:
+    """Every receiver-1 bound ('2R1 + R2 <= a1 + g1 + e2', positive integer
+    coefficients), then every receiver-2 image (indices swapped in all names;
+    ``LinearSystem.of`` drops a self-mirrored copy), as inequalities.  A term
+    symbol on the left moves right, so 'C1 <= e1' is a pure term fact."""
+    def row(text, swap):
+        lhs, rhs = ({name.translate(swap): int(c or 1) for c, name in _TERM.findall(half)}
+                    for half in text.split("<="))
+        for name in set(lhs) - set(RATE_VARS):
+            rhs[name] = rhs.get(name, 0) - lhs.pop(name)
+        return Inequality.of(lhs, rhs)
+
+    return [row(text, swap) for swap in ({}, _MIRROR) for text in texts]
 
 
-AXIOMS_CHAIN = tuple(_side_axioms(1) + _side_axioms(2))
-AXIOMS_HK_INDEP = AXIOMS_CHAIN + tuple(_indep_axioms(1) + _indep_axioms(2))
+_CHAIN = (
+    # chain-rule monotonicity (true for every joint)
+    "a1 <= d1", "b1 <= d1", "a1 <= e1", "c1 <= e1", "b1 <= f1", "c1 <= f1",
+    "d1 <= g1", "e1 <= g1", "f1 <= g1",
+    # true for every factorization with (U_i,W_i) independent of W_j
+    # given Q (the correlated-input form and all its special cases)
+    "d1 <= a1 + B1", "e1 <= a1 + c1", "f1 <= b1 + c1", "g1 <= c1 + d1",
+    "g1 <= e1 + B1", "g1 <= a1 + F1", "g1 + b1 <= d1 + f1", "g1 + a1 <= d1 + e1",
+)
+# Facts that additionally need U_i independent of W_i given Q.
+_INDEP = ("c1 + g1 <= e1 + f1", "C1 <= e1", "rho1 <= 0")
+
+AXIOMS_CHAIN = tuple(i.rhs for i in parse_bounds(_CHAIN))
+AXIOMS_HK_INDEP = AXIOMS_CHAIN + tuple(i.rhs for i in parse_bounds(_INDEP))
 
 AXIOM_SETS = {"chain": AXIOMS_CHAIN, "hk-indep": AXIOMS_HK_INDEP}
 

@@ -14,6 +14,7 @@ constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,9 +32,14 @@ class UnboundedRegionError(ValueError):
 
 
 def snap_terms(term_values: dict) -> dict:
-    """Round each term (bits) to the nearest multiple of 2**-48, floored at 0."""
+    """Round each term (bits) to the nearest multiple of 2**-48, floored at 0;
+    a float that is not finite or too large to snap raises a ValueError."""
     out = {}
     for k, v in term_values.items():
+        if isinstance(v, float) and not math.isfinite(v * SNAP_DEN):
+            why = ("is too large to snap to a multiple of 2**-48:" if math.isfinite(v)
+                   else "must be a finite number, not")
+            raise ValueError(f"value of {k!r} {why} {v!r}")
         r = F(round(v * SNAP_DEN), SNAP_DEN)
         out[k] = r if r > 0 else F(0)
     return out
@@ -173,7 +179,7 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
         raise ValueError(f"{dim!r} is not a coordinate of this polytope")
     # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
     rows, seen = [], set()
-    for ineq in fm_rows(_ineqs(p), dim, p.dims):
+    for ineq in fm_rows(_ineqs(p), dim):
         if ineq.is_term_fact():
             if ineq.rhs.const < 0:
                 raise ValueError("projection produced an infeasible constant row")

@@ -4,9 +4,9 @@ These systems are hard-coded data, not derived, so the Fourier-Motzkin
 pipeline has an independent target to reproduce.  Quadruple systems are
 over (S1, T1, S2, T2); rate-pair systems over (R1, R2).
 
-Each bound is written once, for receiver 1; receiver 2's rows are its
-image under swapping the indices 1 and 2 in every name (S1<->S2, a1<->a2,
-rho1<->rho2, C2<->C1), the device ``terms`` uses for receiver 2's terms.
+Each bound is written once, for receiver 1; ``linsys.parse_bounds`` adds
+its image under swapping the indices 1 and 2 in every name (S1<->S2,
+a1<->a2, rho1<->rho2, C2<->C1), the device ``terms`` uses for receiver 2.
 Every rate-pair system is the seven-row core that Chong, Motani, Garg and
 El Gamal (IEEE Trans. IT 54(7), 2008) reduce the HK region to (COMPACT_R)
 plus the region's own bounds.  The quadruple systems all start from HK_Q's
@@ -17,35 +17,18 @@ keeps the rows with S_i and HK_Q_MODIFIED drops T_j <= c_i.
 from __future__ import annotations
 
 import functools
-import re
 
 from .dist import FactorSpec, Form, build_joint
-from .linsys import Combo, Inequality, LinearSystem
+from .linsys import LinearSystem, parse_bounds
 from .polytope import HPoly, bind, snap_terms
 from .terms import eval_terms
 
 QUAD_VARS = ("S1", "T1", "S2", "T2")
 PAIR_VARS = ("R1", "R2")
 
-_MIRROR = str.maketrans("12", "21")
-_TERM = re.compile(r"(\d*)([A-Za-z]\w*)")
-
-
-def _inequalities(bounds) -> list:
-    """Each receiver-1 bound ('2R1 + R2 <= a1 + g1 + e2', positive integer
-    coefficients) followed by its receiver-2 image, whose names have the
-    index swapped.  A self-mirrored bound comes out twice and
-    ``LinearSystem.of`` drops the copy."""
-    def side(text, swap):
-        return {name.translate(swap): int(c or 1) for c, name in _TERM.findall(text)}
-
-    return [Inequality.of(*(side(text, swap) for text in bound.split("<=")))
-            for bound in bounds for swap in ({}, _MIRROR)]
-
-
 # Theorem-1-form distributions make U_i and W_i independent given Q, so the
 # HK quadruple systems carry rho_i = 0 as intrinsic term-facts.
-_RHO_ZERO = tuple(Combo.of({f"rho{i}": -1}) for i in (1, 2))
+_RHO_ZERO = tuple(i.rhs for i in parse_bounds(["rho1 <= 0"]))
 
 _HK_Q = ("S1 <= a1", "T1 <= b1", "T2 <= c1", "S1 + T1 <= d1", "S1 + T2 <= e1",
          "T1 + T2 <= f1", "S1 + T1 + T2 <= g1")
@@ -56,7 +39,7 @@ _COMPOSITE = str.maketrans("bcf", "BCF")
 _CORE_R = ("R1 <= d1", "R1 + R2 <= a1 + g2", "R1 + R2 <= e1 + e2",
            "2R1 + R2 <= a1 + g1 + e2")
 _REDUNDANT_R = "2R1 + R2 <= 2a1 + e2 + f2"
-HK_R_REDUNDANT = tuple(_inequalities([_REDUNDANT_R]))
+HK_R_REDUNDANT = tuple(parse_bounds([_REDUNDANT_R]))
 
 _HOD_FORMS = (Form.HOD16, Form.GENERAL1, Form.HK2)
 
@@ -87,7 +70,7 @@ def build_system(region_id: str) -> LinearSystem:
     if region_id not in _CATALOGUE:
         raise ValueError(f"unknown region id {region_id!r}")
     rate_vars, bounds, term_facts, _ = _CATALOGUE[region_id]
-    return LinearSystem.of(rate_vars, _inequalities(bounds), term_facts)
+    return LinearSystem.of(rate_vars, parse_bounds(bounds), term_facts)
 
 
 @functools.cache

@@ -437,6 +437,25 @@ class TestBadInputFiles:
         _one_usage_line(capsys.readouterr().err, "usage error: ",
                         "--system is not a system JSON: KeyError('inequalities')")
 
+    # A constant row 0 <= -1 read from the file is refused on loading; one
+    # that only a projection produces is refused by the projection.
+    @pytest.mark.parametrize("doc,message", [
+        ({"inequalities": [{"lhs": {}, "rhs": {}, "const": -1}]},
+         "--system is not a system JSON: ValueError('the constant term fact 0 <= -1 "
+         "is infeasible')"),
+        ({"inequalities": [], "term_facts": [{"coeffs": {}, "const": -1}]},
+         "--system is not a system JSON: ValueError('the constant term fact 0 <= -1 "
+         "is infeasible')"),
+        ({"inequalities": [{"lhs": {"R1": 1}, "rhs": {}, "const": -1}]},
+         "projection produced an infeasible constant row"),
+    ], ids=["row", "term-fact", "projected"])
+    def test_infeasible_constant_exit_2(self, doc, message, tmp_path, capsys):
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps({"rate_vars": ["R1", "R2"], **doc}))
+        assert self._project(system, None, tmp_path) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "p.json").exists()
+
     # JSON true reads as the number 1, and "1/3" as a fraction, unless the
     # loader refuses them; with every term bound, such a file would
     # otherwise be projected.

@@ -1,12 +1,13 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from icregions.dist import Form, build_joint
-from icregions.linsys import (AXIOMS_CHAIN, AXIOMS_HK_INDEP, Combo, Inequality,
-                              LinearSystem, derive_region, fm_eliminate,
-                              prune_redundant, substitute_rate_sums,
-                              substitute_zero,
+from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP, Combo,
+                              Inequality, LinearSystem, derive_region,
+                              fm_eliminate, parse_bounds, prune_redundant,
+                              substitute_rate_sums, substitute_zero,
                               system_equal, system_from_json, system_to_json)
 from icregions.polytope import bind, poly_equal, snap_terms
 from icregions.regions import (HK_R_REDUNDANT, build_system,
@@ -56,6 +57,40 @@ class TestInequality:
         assert Inequality.of({}, {"a1": 1}).is_term_fact()
 
 
+class TestParseBounds:
+    def test_receiver_2_rows_follow_every_receiver_1_row(self):
+        rows = parse_bounds(["R1 <= d1", "2R1 + R2 <= a1 + g1 + e2"])
+        assert [i.key() for i in rows] == [
+            Inequality.of({"R1": 1}, {"d1": 1}).key(),
+            Inequality.of({"R1": 2, "R2": 1}, {"a1": 1, "g1": 1, "e2": 1}).key(),
+            Inequality.of({"R2": 1}, {"d2": 1}).key(),
+            Inequality.of({"R2": 2, "R1": 1}, {"a2": 1, "g2": 1, "e1": 1}).key()]
+
+    @pytest.mark.parametrize("text,fact", [
+        ("g1 + b1 <= d1 + f1", {"d1": 1, "f1": 1, "g1": -1, "b1": -1}),
+        ("C1 <= e1", {"e1": 1, "c1": -1, "rho1": -1}),
+        ("rho1 <= 0", {"rho1": -1}),
+    ])
+    def test_term_symbols_move_right(self, text, fact):
+        row = parse_bounds([text])[0]
+        assert row.is_term_fact()
+        assert row.rhs == Combo.of(fact)
+
+
+# SHA-256 of each axiom tuple's repr, order included.
+AXIOM_DIGESTS = {
+    "chain": "d51dd380893b51cf1b76ac91bce6d286f0602e21d8dd9c6e406f5e5e530c3167",
+    "hk-indep": "98004f7b6f5d19f2cdb9c1799d9764c1e47fc3dceaa9b9de43ccca9e1382ba9b",
+}
+
+
+class TestAxioms:
+    @pytest.mark.parametrize("name", sorted(AXIOM_DIGESTS))
+    def test_pinned(self, name):
+        digest = hashlib.sha256(repr(AXIOM_SETS[name]).encode()).hexdigest()
+        assert digest == AXIOM_DIGESTS[name]
+
+
 class TestFmEliminate:
     def test_textbook_pair(self):
         # {x <= a1, y - x <= b1} with implicit x >= 0 -> {y <= a1 + b1}
@@ -74,6 +109,12 @@ class TestFmEliminate:
                                [Inequality.of({"S1": 1}, {"a1": 1})])
         out = fm_eliminate(sys0, "T1")
         assert out.inequalities == sys0.inequalities
+
+    @pytest.mark.parametrize("v", ["T1", "R1", "a1"])
+    def test_variable_not_in_system_rejected(self, v):
+        sys0 = LinearSystem.of(("S1",), [Inequality.of({"S1": 1}, {"a1": 1})])
+        with pytest.raises(ValueError, match=f"{v!r} is not a rate variable"):
+            fm_eliminate(sys0, v)
 
     def test_order_independence_up_to_redundancy(self):
         quad = substitute_rate_sums(build_system("HK_Q"))

@@ -57,6 +57,21 @@ class TestSnapTerms:
         else:
             assert abs(snapped - F(v)) <= F(1, 2 * SNAP_DEN)
 
+    @pytest.mark.parametrize("v,message", [
+        (float("nan"), "value of 'a1' must be a finite number, not nan"),
+        (float("inf"), "value of 'a1' must be a finite number, not inf"),
+        (float("-inf"), "value of 'a1' must be a finite number, not -inf"),
+        (1e308, "value of 'a1' is too large to snap to a multiple of 2**-48: 1e+308"),
+        (-1e300, "value of 'a1' is too large to snap to a multiple of 2**-48: -1e+300"),
+    ], ids=["nan", "inf", "-inf", "overflow", "negative-overflow"])
+    def test_unsnappable_float_refused(self, v, message):
+        with pytest.raises(ValueError) as exc:
+            snap_terms({"b1": 0.5, "a1": v})
+        assert str(exc.value) == message
+
+    def test_big_int_snaps_exactly(self):
+        assert snap_terms({"a1": 10**400})["a1"] == 10**400
+
 
 class TestBind:
     def test_all_zero_binding_gives_origin(self):

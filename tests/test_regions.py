@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from icregions.dist import Form, build_joint, independence_projection
-from icregions.linsys import (Combo, Inequality, LinearSystem, system_equal,
-                              system_to_json)
+from icregions.linsys import (AXIOM_SETS, Combo, Inequality, LinearSystem,
+                              system_equal, system_to_json)
 from icregions.polytope import DEFAULT_EPS, contains, poly_equal, vertices2
 from icregions.regions import (REGION_IDS, FormMismatchError, build_system,
                                hk_r_with_redundant, region_for)
@@ -65,9 +65,13 @@ class TestBuildSystem:
         text = json.dumps(system_to_json(system), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == SYSTEM_DIGESTS[rid]
 
-    @pytest.mark.parametrize("rid", [*REGION_IDS, None], ids=_rid)
+    # An axiom set is tested as the term facts of a system without rows.
+    @pytest.mark.parametrize("rid", [*REGION_IDS, None, *AXIOM_SETS], ids=_rid)
     def test_symmetric_in_the_receivers(self, rid):
-        system = build_system(rid) if rid else hk_r_with_redundant()
+        if rid in AXIOM_SETS:
+            system = LinearSystem.of(("R1", "R2"), [], AXIOM_SETS[rid])
+        else:
+            system = build_system(rid) if rid else hk_r_with_redundant()
         mirror = _receiver_swap(system)
         eq, diff = system_equal(mirror, system)
         assert eq, diff
