@@ -15,6 +15,7 @@ axioms.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -89,9 +90,6 @@ class Inequality:
         if unknown:
             raise ValueError(f"unknown rate variables: {sorted(unknown)}")
         return Inequality(tuple(sorted(lhs.items())), rhs)
-
-    def lhs_dict(self) -> dict:
-        return dict(self.lhs)
 
     def coeff(self, v) -> Fraction:
         return dict(self.lhs).get(v, F(0))
@@ -184,7 +182,7 @@ def substitution_rows(inequalities) -> list:
     for ineq in inequalities:
         if ineq.coeff("R1") or ineq.coeff("R2"):
             raise ValueError("system already mentions R variables")
-        lhs = ineq.lhs_dict()
+        lhs = dict(ineq.lhs)
         for s, r, t in (("S1", "R1", "T1"), ("S2", "R2", "T2")):
             c = lhs.pop(s, F(0))
             if c:
@@ -208,19 +206,24 @@ def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
 # --- bound notation and axioms ----------------------------------------------
 
 _MIRROR = str.maketrans("12", "21")
-_TERM = re.compile(r"(\d*)([A-Za-z]\w*)")
+_TERM = re.compile(r"([1-9]\d*)?([A-Za-z]\w*)")
+_SIDE = re.compile(rf"\s*(0|{_TERM.pattern}(\s*\+\s*{_TERM.pattern})*)\s*")
 
 
 def parse_bounds(texts) -> list:
-    """Every receiver-1 bound ('2R1 + R2 <= a1 + g1 + e2', positive integer
-    coefficients), then every receiver-2 image (indices swapped in all names;
-    ``LinearSystem.of`` drops a self-mirrored copy), as inequalities.  A term
-    symbol on the left moves right, so 'C1 <= e1' is a pure term fact."""
+    """Every receiver-1 bound, then every receiver-2 image (indices swapped in
+    all names; ``LinearSystem.of`` drops a self-mirrored copy), as inequalities.
+    Each side is 0 or '+'-joined terms with positive integer coefficients, such
+    as '2R1 + R2', else a ValueError.  Term symbols on the left move right."""
     def row(text, swap):
-        lhs, rhs = ({name.translate(swap): int(c or 1) for c, name in _TERM.findall(half)}
-                    for half in text.split("<="))
+        halves = text.split("<=")
+        if len(halves) != 2 or not all(map(_SIDE.fullmatch, halves)):
+            raise ValueError(f"cannot read the bound {text!r}")
+        lhs, rhs = (sum((Counter({name.translate(swap): int(c or 1)})
+                         for c, name in _TERM.findall(half)), Counter())
+                    for half in halves)
         for name in set(lhs) - set(RATE_VARS):
-            rhs[name] = rhs.get(name, 0) - lhs.pop(name)
+            rhs[name] -= lhs.pop(name)
         return Inequality.of(lhs, rhs)
 
     return [row(text, swap) for swap in ({}, _MIRROR) for text in texts]

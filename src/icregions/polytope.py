@@ -62,26 +62,27 @@ class HPoly:
 
     def maximize(self, objective):
         """Exact max of objective.x over the polytope (x >= 0 implicit)."""
-        res = solve_lp(
-            [F(v) for v in objective],
-            A_ub=[list(lhs) for lhs, _ in self.rows],
-            b_ub=[rhs for _, rhs in self.rows],
-        )
-        return res
+        return solve_lp([F(v) for v in objective],
+                        A_ub=[list(lhs) for lhs, _ in self.rows],
+                        b_ub=[rhs for _, rhs in self.rows])
 
 
-def bind(system: LinearSystem, binding: dict) -> HPoly:
-    """Evaluate every rhs combo at the binding, yielding a numeric polytope."""
-    dims = tuple(system.rate_vars)
+def _hpoly(dims, ineqs, binding: dict) -> HPoly:
+    """The inequalities in order as dense rows over dims, rhs at the binding."""
     rows = []
-    for ineq in system.inequalities:
-        lhs = ineq.lhs_dict()
+    for ineq in ineqs:
+        lhs = dict(ineq.lhs)
         try:
             rhs = ineq.rhs.evaluate(binding)
         except KeyError as exc:
             raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
-        rows.append((tuple(lhs.get(v, F(0)) for v in dims), rhs))
-    return HPoly(dims, tuple(rows))
+        rows.append((tuple(lhs.get(d, F(0)) for d in dims), rhs))
+    return HPoly(tuple(dims), tuple(rows))
+
+
+def bind(system: LinearSystem, binding: dict) -> HPoly:
+    """Evaluate every rhs combo at the binding, yielding a numeric polytope."""
+    return _hpoly(system.rate_vars, system.inequalities, binding)
 
 
 def vertices2(p: HPoly):
@@ -167,10 +168,6 @@ def _ineqs(p: HPoly) -> list:
             for lhs, rhs in p.rows]
 
 
-def _rows(ineqs, dims) -> tuple:
-    return tuple((tuple(i.coeff(d) for d in dims), i.rhs.const) for i in ineqs)
-
-
 def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
     """Exact Fourier-Motzkin projection of a numeric polytope.
 
@@ -178,23 +175,18 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
     if dim not in p.dims:
         raise ValueError(f"{dim!r} is not a coordinate of this polytope")
     # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
-    rows, seen = [], set()
+    rows = {}
     for ineq in fm_rows(_ineqs(p), dim):
         if ineq.is_term_fact():
             if ineq.rhs.const < 0:
                 raise ValueError("projection produced an infeasible constant row")
             continue
-        ineq = ineq.canonical()
-        if ineq not in seen:
-            seen.add(ineq)
-            rows.append(ineq)
-    dims = tuple(d for d in p.dims if d != dim)
-    return HPoly(dims, _rows(rows, dims))
+        rows.setdefault(ineq.canonical())
+    return _hpoly(tuple(d for d in p.dims if d != dim), rows, {})
 
 
 def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
     """Numeric analogue of the symbolic S_i := R_i - T_i substitution."""
     if p.dims != ("S1", "T1", "S2", "T2"):
         raise ValueError("expected a quadruple polytope over (S1, T1, S2, T2)")
-    dims = ("R1", "T1", "R2", "T2")
-    return HPoly(dims, _rows(substitution_rows(_ineqs(p)), dims))
+    return _hpoly(("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p)), {})

@@ -130,7 +130,7 @@ def improvement_search(cfg: SearchConfig) -> SearchResult:
                 spec, val, hod, hk = cand, cval, chod, chk
             trace.append(float(val))
         if best is None or val > best.objective:
-            from .polytope import vertices2
+            from .polytope import vertices2  # looked up per call so a test can patch it
 
             best = SearchResult(spec, val, vertices2(hod), vertices2(hk),
                                 trace, r)

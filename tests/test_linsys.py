@@ -70,11 +70,20 @@ class TestParseBounds:
         ("g1 + b1 <= d1 + f1", {"d1": 1, "f1": 1, "g1": -1, "b1": -1}),
         ("C1 <= e1", {"e1": 1, "c1": -1, "rho1": -1}),
         ("rho1 <= 0", {"rho1": -1}),
+        ("a1 + a1 <= d1", {"d1": 1, "a1": -2}),
     ])
     def test_term_symbols_move_right(self, text, fact):
         row = parse_bounds([text])[0]
         assert row.is_term_fact()
         assert row.rhs == Combo.of(fact)
+
+    @pytest.mark.parametrize("text", [
+        "R1 <= a1 - b1", "R1 <= 1", "R1 <= 1/2 a1", "2 R1 <= a1", "R1 <= 0a1",
+    ])
+    def test_other_text_refused(self, text):
+        with pytest.raises(ValueError) as exc:
+            parse_bounds([text])
+        assert repr(text) in str(exc.value)
 
 
 # SHA-256 of each axiom tuple's repr, order included.

@@ -8,14 +8,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icregions.dist import Form, build_joint
-from icregions.linsys import substitute_rate_sums
+from icregions.linsys import (QUADRUPLE_SYSTEMS, fm_eliminate,
+                              substitute_rate_sums)
 from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly,
                                 UnboundedRegionError, area2, bind, contains,
                                 fm_eliminate_numeric, poly_equal, snap_terms,
                                 substitute_rate_sums_numeric, vertices2)
-from icregions.regions import build_system, region_for
+from icregions.regions import REGION_IDS, build_system, region_for
 from icregions.sampler import binary_alphabets, sample_spec
-from icregions.terms import ALL_SYMBOLS, eval_terms
+from icregions.terms import ALL_SYMBOLS, BASE_SYMBOLS, eval_terms
 from oracles import brute_force_vertices
 
 F = Fraction
@@ -336,3 +337,41 @@ class TestNumericFm:
                                    ((F(1), F(0)), F(1))))
         with pytest.raises(ValueError):
             fm_eliminate_numeric(bad, "R1")
+
+    # SHA-256 of the reprs of the numeric rows, in order: the nine golden
+    # systems bound to each of acceptance criterion 7's bindings, then each
+    # quadruple system of the binding's form substituted and projected on
+    # T1 and then on T2.
+    NUMERIC_ROWS_DIGEST = "1726d8a22c8853ef0fa636ee4555fcfb278e1027dc0b735069bd81598c1d99fb"
+    QUADS = {Form.HK2: ("HK_Q", "HK_Q_MODIFIED"), Form.CMG9: ("CMG_Q",),
+             Form.HOD16: ("HOD_Q",)}
+
+    def test_numeric_rows_pinned(self):
+        digest = hashlib.sha256()
+        for i in range(20):
+            for form, quads in self.QUADS.items():
+                binding = snap_terms(eval_terms(build_joint(
+                    sample_spec(binary_alphabets(), form, [91, i]))))
+                for rid in REGION_IDS:
+                    digest.update(repr(bind(build_system(rid), binding).rows).encode())
+                for quad_id in quads:
+                    poly = substitute_rate_sums_numeric(bind(build_system(quad_id), binding))
+                    digest.update(repr(poly.rows).encode())
+                    for v in ("T1", "T2"):
+                        poly = fm_eliminate_numeric(poly, v)
+                        digest.update(repr(poly.rows).encode())
+        assert digest.hexdigest() == self.NUMERIC_ROWS_DIGEST
+
+    # Few distinct values, zeros among them, make projections with
+    # duplicate rows and 0 <= c rows.
+    @settings(max_examples=20, deadline=None)
+    @given(st.fixed_dictionaries({s: st.sampled_from(
+        (F(0), F(1, 8), F(1, 4), F(1, 2), F(1))) for s in BASE_SYMBOLS}))
+    def test_projection_drops_duplicate_and_constant_rows(self, binding):
+        for quad_id in QUADRUPLE_SYSTEMS.values():
+            quad = build_system(quad_id)
+            for v in quad.rate_vars:
+                shadow = fm_eliminate_numeric(bind(quad, binding), v)
+                assert poly_equal(shadow, bind(fm_eliminate(quad, v), binding), F(0))
+                assert len(set(shadow.rows)) == len(shadow.rows)
+                assert all(any(lhs) for lhs, _ in shadow.rows)
