@@ -258,11 +258,14 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     """Remove every inequality provably implied by the rest plus axioms.
 
     An inequality goes when an exact LP certifies it as a nonnegative
-    combination of the remaining inequalities, rate nonnegativity, the
-    axioms and term facts, term-symbol nonnegativity and a nonnegative
-    constant slack: one LP column per usable fact, one equality row per
-    rate variable, per term symbol and for the constant.  Inequalities are
-    visited in canonical order, so the result is deterministic."""
+    combination of the remaining inequalities, rate nonnegativity and the
+    axioms and term facts, up to a nonnegative slack in each term symbol
+    and in the constant: one LP column per usable fact, one equality row
+    per rate variable, and one ``<=`` row per term symbol and for the
+    constant, whose slacks are the multipliers of 0 <= s and of a
+    nonnegative constant.  Each of those slacks starts basic where the
+    tested row's coefficient is >= 0.  Inequalities are visited in
+    canonical order, so the result is deterministic."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
     index = {k: r for r, k in enumerate(keys)}
 
@@ -276,14 +279,13 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     fixed = [column(((v, -1),), Combo.of()) for v in system.rate_vars]  # -v <= 0
     # 0 <= ax contributes +ax to the certified rhs
     fixed += [column((), ax) for ax in (*axioms, *system.term_facts)]
-    fixed += [column((), Combo.of({s: 1})) for s in BASE_SYMBOLS]  # 0 <= s
-    fixed.append(column((), Combo.of({}, 1)))  # nonnegative constant slack
     cols = [column(i.lhs, i.rhs) for i in system.inequalities]
+    nr = len(system.rate_vars)
     kept = list(range(len(cols)))
     for i in range(len(cols)):
         others = [j for j in kept if j != i]
-        if feasible(A_eq=list(zip(*(cols[j] for j in others), *fixed)),
-                    b_eq=cols[i]):
+        A, b = list(zip(*(cols[j] for j in others), *fixed)), cols[i]
+        if feasible(A_ub=A[nr:], b_ub=b[nr:], A_eq=A[:nr], b_eq=b[:nr]):
             kept = others
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],

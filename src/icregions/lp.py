@@ -7,11 +7,21 @@ tiny (tens of rows).
 
 The tableau is fraction-free (Bareiss 1968; see also Applegate, Cook,
 Dash and Espinoza, "Exact solutions to linear programming problems",
-2007).  Each constraint row is scaled by a positive integer to integer
-coefficients and gets a unit artificial column; one common factor
-scales the right-hand sides to integers.  These scalings change neither
-the sign of any reduced cost nor the order of any ratio, so the pivot
-sequence is the one a ``Fraction`` tableau of the unscaled problem takes.
+2007).  Each constraint row is scaled by a positive integer ``s_i`` to
+integer coefficients and negated if its right-hand side is negative; one
+common factor scales the right-hand sides to integers.  The simplex
+starts from the basis the problem already has (the slack, or crash,
+start): an ``A_ub`` row whose right-hand side is >= 0 starts with its
+slack basic, its slack column scaled to 1 (a change of unit for a slack
+the caller never sees), so the starting basis is the identity.  Only
+equality rows and ``A_ub`` rows with a negative right-hand side get a
+unit artificial column, and phase 1 minimizes the sum of those
+artificials, each weighted by ``1 / s_i`` so that it is the sum of the
+unscaled ones; with no artificial there is no phase 1.  Scaling a row
+or a slack column or all right-hand sides by a positive number changes
+neither the sign of any reduced cost nor the order of any ratio, and
+ties are broken by basis index, so the pivot sequence is the one a
+``Fraction`` tableau of the unscaled problem takes from the same basis.
 Every row, the objective row included, is then stored as an integer
 vector ``R`` over a positive denominator ``d``, and stands for the
 rational row ``R / d``.  The invariant is that ``D * tableau`` is
@@ -115,7 +125,7 @@ def _integers(values):
     """Integer vector ``k * values`` for the least positive integer ``k``,
     and ``k``."""
     values = list(values)
-    if all(type(v) is int for v in values):
+    if set(map(type, values)) <= {int}:
         return values, 1
     values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     k = lcm(*(v.denominator for v in values))
@@ -127,49 +137,65 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     A_ub, b_ub = A_ub or [], b_ub or []
     A_eq, b_eq = A_eq or [], b_eq or []
     n = len(c)
+    for name, A, b in (("A_ub", A_ub, b_ub), ("A_eq", A_eq, b_eq)):
+        if len(b) != len(A):
+            raise ValueError(f"b_{name[2:]} has {len(b)} entries for the "
+                             f"{len(A)} rows of {name}")
+        for i, a in enumerate(A):
+            if len(a) != n:
+                raise ValueError(f"row {i} of {name} has {len(a)} entries, "
+                                 f"c has {n}")
     m_ub = len(A_ub)
     m = m_ub + len(A_eq)
     ncols = n + m_ub  # structural | slacks; artificial i would be ncols + i
 
-    # row i times s_i > 0 (integer lhs), sign-normalised to rhs >= 0
-    rows, rhs, weights = [], [], []
+    # row i times s_i > 0 (integer lhs), sign-normalised to rhs >= 0; an
+    # A_ub row with rhs >= 0 starts with its slack basic, any other row with
+    # its artificial
+    rows, rhs, basis, weights = [], [], [], []
     for i, (a, b) in enumerate([*zip(A_ub, b_ub), *zip(A_eq, b_eq)]):
-        coeffs, s = _integers([a[j] for j in range(n)])
-        slacks = [0] * m_ub
+        row, s = _integers(a)
+        row += [0] * m_ub
+        b = b * s if type(b) is int else Fraction(b) * s
+        slack_basic = i < m_ub and b >= 0
         if i < m_ub:
-            slacks[i] = s
-        row, b = coeffs + slacks, Fraction(b) * s
+            row[n + i] = 1  # the slack in units of 1/s_i
         if b < 0:
             row, b = [-v for v in row], -b
         rows.append(row)
         rhs.append(b)
-        weights.append(s)
+        basis.append(n + i if slack_basic else ncols + i)
+        if not slack_basic:
+            weights.append((i, s))
     # all right-hand sides times one K > 0 (a change of unit for x)
     K = lcm(*(b.denominator for b in rhs))
     for row, b in zip(rows, rhs):
         row.append(b.numerator * (K // b.denominator))
 
-    # phase 1: maximize -(sum of artificials), priced out; the artificial
-    # of row i has cost -L / s_i, so the objective row is integral
-    L = lcm(*weights)
-    obj = [0] * (ncols + 1)
-    for row, s in zip(rows, weights):
-        f = L // s
-        for j, v in enumerate(row):
-            if v:
-                obj[j] += f * v
-    t = _Tableau(rows + [obj], list(range(ncols, ncols + m)))
-    t.phase(ncols)
-    if t.R[-1][-1] != 0:
-        return LPResult("infeasible", None, None)
-    t.R.pop()
-    t.den.pop()
-    # drive any artificial still in the basis out (degenerate rows)
-    for i in range(m):
-        if t.basis[i] >= ncols:
-            col = next((j for j in range(ncols) if t.R[i][j] != 0), None)
-            if col is not None:
-                t.pivot(i, col)
+    t = _Tableau(rows, basis)
+    if weights:
+        # phase 1: maximize -(sum of artificials), priced out; the artificial
+        # of row i has cost -L / s_i, so the objective row is integral
+        L = lcm(*(s for _, s in weights))
+        obj = [0] * (ncols + 1)
+        for i, s in weights:
+            f = L // s
+            for j, v in enumerate(rows[i]):
+                if v:
+                    obj[j] += f * v
+        t.R.append(obj)
+        t.den.append(t.D)
+        t.phase(ncols)
+        if t.R[-1][-1] != 0:
+            return LPResult("infeasible", None, None)
+        t.R.pop()
+        t.den.pop()
+        # drive any artificial still in the basis out (degenerate rows)
+        for i, _ in weights:
+            if t.basis[i] >= ncols:
+                col = next((j for j in range(ncols) if t.R[i][j] != 0), None)
+                if col is not None:
+                    t.pivot(i, col)
 
     # phase 2, objective scaled by kc > 0 and priced out at denominator D
     ci, kc = _integers(c)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's vectorized/einsum code paths:
 joints are built by explicit nested loops over flat index tuples, mutual
-informations by direct summation over dictionaries, and polygon vertices
-by a from-scratch pairwise-intersection search.
+informations by direct summation over dictionaries, polygon vertices
+by a from-scratch pairwise-intersection search, and redundancy pruning by
+the pruning LP written with equality rows only.
 """
 
 import math
@@ -11,6 +12,9 @@ from fractions import Fraction
 from itertools import product
 
 from icregions.dist import Var
+from icregions.linsys import LinearSystem
+from icregions.lp import feasible
+from icregions.terms import BASE_SYMBOLS
 
 VARS = list(Var)
 
@@ -150,3 +154,34 @@ def brute_force_vertices(rows, eps=Fraction(0)):
         if not inside:
             extreme.add(p)
     return extreme
+
+
+def prune_redundant_eq(system, axioms):
+    """Redundancy pruning with the LP in equality form: an inequality goes
+    when it equals a nonnegative combination of the remaining ones, -v <= 0
+    for each rate variable, the axioms and term facts, 0 <= s for each term
+    symbol and a nonnegative constant, one equality row per rate variable,
+    term symbol and the constant.  Rows are visited in order."""
+    keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]
+
+    def column(lhs, coeffs, const):
+        col = dict.fromkeys(keys, Fraction(0))
+        col.update(lhs)
+        col.update(coeffs)
+        col[None] = const
+        return [col[k] for k in keys]
+
+    fixed = [column({v: -1}, (), 0) for v in system.rate_vars]
+    fixed += [column((), c.coeffs, c.const) for c in (*axioms, *system.term_facts)]
+    fixed += [column((), {s: 1}, 0) for s in BASE_SYMBOLS]
+    fixed.append(column((), (), 1))
+    cols = [column(i.lhs, i.rhs.coeffs, i.rhs.const) for i in system.inequalities]
+    kept = list(range(len(cols)))
+    for i in range(len(cols)):
+        others = [j for j in kept if j != i]
+        if feasible(A_eq=[list(r) for r in zip(*(cols[j] for j in others), *fixed)],
+                    b_eq=cols[i]):
+            kept = others
+    return LinearSystem.of(system.rate_vars,
+                           [system.inequalities[j] for j in kept],
+                           system.term_facts)

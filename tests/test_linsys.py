@@ -2,6 +2,8 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP, Combo,
@@ -14,6 +16,7 @@ from icregions.regions import (HK_R_REDUNDANT, build_system,
                                hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import eval_terms
+from oracles import prune_redundant_eq
 
 F = Fraction
 
@@ -198,6 +201,24 @@ class TestPruning:
         for i in range(20):
             binding = hk2_binding(i)
             assert poly_equal(bind(full, binding), bind(pruned, binding), F(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.dictionaries(st.sampled_from(
+                                  ["a1", "b1", "d1", "g1", "rho1", "c2", "e2"]),
+                                  st.sampled_from([-1, 1, 2]), min_size=1, max_size=3),
+                              st.sampled_from([0, 0, 1, -1])),
+                    min_size=1, max_size=6),
+           st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
+    def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
+        """The pruning LP states the term-symbol and constant rows as
+        inequalities; it must keep exactly the rows that the LP with one
+        equality row per symbol and fixed 0 <= s columns keeps."""
+        sys0 = LinearSystem.of(("R1", "R2"), [
+            Inequality.of({"R1": r1, "R2": r2}, rhs, const)
+            for r1, r2, rhs, const in rows if r1 or r2])
+        assert (prune_redundant(sys0, axioms).inequalities
+                == prune_redundant_eq(sys0, axioms).inequalities)
 
 
 class TestDeriveRegion:

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icregions import lp
+from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
 from icregions.lp import feasible, solve_lp
 
 F = Fraction
@@ -44,6 +47,31 @@ class TestSolveLp:
         assert not feasible(A_ub=[[F(-1)]], b_ub=[F(-1)],
                             A_eq=[[F(1)]], b_eq=[F(0)])
 
+    def test_degenerate_start(self):
+        # max x + y  s.t.  x - y <= 0, y - z <= 0 (slacks start basic at 0),
+        # x + y + z >= 3 (negative rhs), x + y + 2z = 8 and twice that
+        # (redundant).  x, y <= z gives 8 - 2z = x + y <= 2z, so z >= 2 and
+        # x + y <= 4, with equality only at x = y = z = 2.
+        res = solve_lp([F(1), F(1), F(0)],
+                       A_ub=[[F(1), F(-1), F(0)], [F(0), F(1), F(-1)],
+                             [F(-1), F(-1), F(-1)]],
+                       b_ub=[F(0), F(0), F(-3)],
+                       A_eq=[[F(1), F(1), F(2)], [F(2), F(2), F(4)]],
+                       b_eq=[F(8), F(16)])
+        assert res.status == "optimal"
+        assert res.value == 4
+        assert res.x == [2, 2, 2]
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"A_ub": [[1, 1, 5]], "b_ub": [1]}, "row 0 of A_ub"),
+        ({"A_ub": [[1, 1]], "b_ub": [1, 2]}, "b_ub"),
+        ({"A_ub": [[1, 1]], "b_ub": [1], "A_eq": [[1, 1], [1]], "b_eq": [1, 1]},
+         "row 1 of A_eq"),
+    ], ids=["long-row", "extra-rhs", "short-row"])
+    def test_mismatched_lengths_refused(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            solve_lp([1, 1], **kwargs)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(rationals, rationals,
                               st.fractions(min_value=0, max_value=5,
@@ -77,6 +105,40 @@ class TestSolveLp:
             assert res.value == best
         else:
             assert res.status == "unbounded"
+
+
+@pytest.fixture
+def pivots(monkeypatch):
+    """A one-element list counting ``_Tableau.pivot`` calls."""
+    count = [0]
+    pivot = lp._Tableau.pivot
+
+    def counted(self, r, c):
+        count[0] += 1
+        pivot(self, r, c)
+
+    monkeypatch.setattr(lp._Tableau, "pivot", counted)
+    return count
+
+
+class TestPivotBudget:
+    def test_derivations(self, pivots):
+        """The 8 derivations take 7660 pivots from the slack start; with an
+        artificial on every row of the equality-form pruning LP they take
+        14979."""
+        for s in QUADRUPLE_SYSTEMS:
+            for a in AXIOM_SETS:
+                derive_region(s, a)
+        assert pivots[0] <= 7700
+
+    def test_origin_optimal_needs_no_pivot(self, pivots):
+        # b >= 0 makes the slack basis feasible and c <= 0 makes it optimal
+        res = solve_lp([F(-1), F(0), F(-2, 3)],
+                       A_ub=[[F(1), F(2), F(-1)], [F(-3), F(1, 2), F(1)],
+                             [F(0), F(1), F(1)], [F(1), F(1), F(1)]],
+                       b_ub=[F(0), F(5, 2), F(1), F(7)])
+        assert (res.status, res.value, res.x) == ("optimal", 0, [0, 0, 0])
+        assert pivots[0] == 0
 
 
 def _dot(a, x):
