@@ -6,10 +6,15 @@ area) is exact.  Cross-region comparisons that combine independently
 snapped values use a generous eps of 2**-30.
 
 ``vertices2`` finds a square around a 2-D region with one exact LP, clips
-it by each row and reads the vertices off the clipped ring.
-The numeric projection runs the Fourier-Motzkin step, S->R substitution
-and canonicaliser of ``linsys`` on rows whose right-hand sides are
-constants.
+it by each row and reads the vertices off the clipped ring.  The 2-D path
+computes in integers, not ``Fraction``s (whose every operation runs a
+``gcd`` on 2**-48-scale denominators): the clip keeps its ring in integer
+homogeneous coordinates and decides each step by the sign of an integer
+expression (Yap, "Towards exact geometric computation", 1997), and
+``contains`` tests each vertex against outer rows scaled to integers.
+Only the vertices returned are ``Fraction``s.  The numeric projection
+runs the Fourier-Motzkin step, S->R substitution and canonicaliser of
+``linsys`` on rows whose right-hand sides are constants.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import solve_lp
+from .lp import _integers, solve_lp
 from .linsys import Combo, Inequality, LinearSystem, fm_rows, substitution_rows
 
 F = Fraction
@@ -53,6 +58,9 @@ class HPoly:
     rows: tuple  # ((coeffs aligned with dims), Fraction rhs)
 
     def contains_point(self, point, eps=F(0)) -> bool:
+        if len(point) != len(self.dims):
+            raise ValueError(f"point has {len(point)} coordinates, "
+                             f"polytope has {len(self.dims)}")
         if any(x < -eps for x in point):
             return False
         return all(
@@ -95,6 +103,18 @@ def vertices2(p: HPoly):
     its vertices are the points where the ring turns left, listed from the
     lexicographically smallest one.  A point or a segment gives its sorted
     distinct ends; an empty region gives an empty list.
+
+    The ring is kept in integer homogeneous coordinates: a point is a
+    triple (X, Y, W) of integers with no common factor and W > 0, standing
+    for (X/W, Y/W).  Each row a.x <= c is scaled once to integers by the
+    least positive integer, so fp = a1*X + a2*Y - c*W is a positive multiple
+    of the rational a.p - c and has its sign.  The crossing of P and Q is
+    fp*Q - fq*P, negated if its W is negative, and a left turn at Q from O
+    to R is a positive determinant of the rows O, Q, R, a positive multiple
+    of the rational cross product.  Every keep, drop, crossing and corner
+    decision is therefore the one the same clip over ``Fraction`` points
+    makes, so the ring holds the same points in the same order, and only
+    the output is built as ``Fraction`` pairs.
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
@@ -103,29 +123,35 @@ def vertices2(p: HPoly):
         return []
     if res.status != "optimal":
         raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
-    m = res.value
-    ring = [(F(0), F(0)), (m, F(0)), (m, m), (F(0), m)]
-    for (a, b), c in p.rows:
+    m, w = res.value.numerator, res.value.denominator
+    ring = [(0, 0, 1), (m, 0, w), (m, m, w), (0, m, w)]
+    for lhs, rhs in p.rows:
+        (a, b, c), _ = _integers((*lhs, rhs))
+        fs = [a * x + b * y - c * w for x, y, w in ring]
         clipped = []
-        for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
-            fp, fq = a * px + b * py - c, a * qx + b * qy - c
+        for P, Q, fp, fq in zip(ring, ring[1:] + ring[:1], fs, fs[1:] + fs[:1]):
             if fp <= 0:
-                clipped.append((px, py))
+                clipped.append(P)
             if (fp < 0 < fq) or (fq < 0 < fp):
-                t = fp / (fp - fq)
-                clipped.append((px + t * (qx - px), py + t * (qy - py)))
+                x, y, w = (fp * qi - fq * pi for pi, qi in zip(P, Q))
+                if w < 0:
+                    x, y, w = -x, -y, -w
+                g = math.gcd(x, y, w)
+                clipped.append((x // g, y // g, w // g))
         ring = clipped
     corners = [q for o, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
-               if (q[0] - o[0]) * (r[1] - q[1]) - (q[1] - o[1]) * (r[0] - q[0]) > 0]
+               if o[0] * (q[1] * r[2] - q[2] * r[1]) - o[1] * (q[0] * r[2] - q[2] * r[0])
+               + o[2] * (q[0] * r[1] - q[1] * r[0]) > 0]
     if not corners:  # a point or a segment: at most two distinct ring points
-        return sorted(set(ring))
+        return sorted({(F(x, w), F(y, w)) for x, y, w in ring})
+    corners = [(F(x, w), F(y, w)) for x, y, w in corners]
     i = corners.index(min(corners))
     return corners[i:] + corners[:i]
 
 
 def area2(p: HPoly) -> Fraction:
     """Exact shoelace area of the 2-D region (0 for empty/degenerate)."""
-    vs = vertices2(p)
+    vs = vertices2(p)  # the module global, so a tracer or a test can wrap it
     if len(vs) < 3:
         return F(0)
     total = F(0)
@@ -137,16 +163,27 @@ def area2(p: HPoly) -> Fraction:
 def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     """True iff inner is inside outer slackened by eps (exact test).
 
-    A bounded 2-D inner uses vertex enumeration; otherwise each outer
-    constraint is maximized over inner via exact LP."""
+    A bounded 2-D inner uses vertex enumeration: each outer row, its rhs
+    raised by eps, is scaled to integers once, and a vertex (x, y) is
+    tested as a1*xn*yd + a2*yn*xd <= c*xd*yd over the numerators and
+    denominators of x and y.  Otherwise each outer constraint is
+    maximized over inner via exact LP."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     eps = F(eps)
     if len(outer.dims) == 2:
         try:
-            return all(outer.contains_point(v, eps) for v in vertices2(inner))
+            vs = vertices2(inner)  # the module global, so a tracer or a test can wrap it
         except UnboundedRegionError:
             pass  # the LP loop below decides an unbounded inner
+        else:
+            rows = [_integers((*lhs, rhs + eps))[0] for lhs, rhs in outer.rows]
+            for x, y in vs:
+                xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+                u, v, d = xn * yd, yn * xd, xd * yd
+                if any(a * u + b * v > c * d for a, b, c in rows):
+                    return False
+            return True
     for lhs, rhs in outer.rows:
         res = inner.maximize(list(lhs))
         if res.status == "infeasible":

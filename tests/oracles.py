@@ -4,7 +4,9 @@ These deliberately avoid the library's vectorized/einsum code paths:
 joints are built by explicit nested loops over flat index tuples, mutual
 informations by direct summation over dictionaries, polygon vertices
 by a from-scratch pairwise-intersection search, and redundancy pruning by
-the pruning LP written with equality rows only.
+the pruning LP written with equality rows only.  Two references keep an
+earlier form of library code: the 2-D clip over ``Fraction`` points, and
+containment decided by the exact LP alone.
 """
 
 import math
@@ -14,6 +16,7 @@ from itertools import product
 from icregions.dist import Var
 from icregions.linsys import LinearSystem
 from icregions.lp import feasible
+from icregions.polytope import UnboundedRegionError
 from icregions.terms import BASE_SYMBOLS
 
 VARS = list(Var)
@@ -185,3 +188,47 @@ def prune_redundant_eq(system, axioms):
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],
                            system.term_facts)
+
+
+def vertices2_fraction(p):
+    """``vertices2`` with the ring clipped over ``Fraction`` points: the
+    same LP square, row order, clip rule and left-turn corner test, so
+    its list, order included, is the one ``vertices2`` must return."""
+    if len(p.dims) != 2:
+        raise ValueError("vertices2 requires a 2-D polytope")
+    res = p.maximize([1, 1])
+    if res.status == "infeasible":
+        return []
+    if res.status != "optimal":
+        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
+    m = res.value
+    ring = [(Fraction(0), Fraction(0)), (m, Fraction(0)), (m, m), (Fraction(0), m)]
+    for (a, b), c in p.rows:
+        clipped = []
+        for (px, py), (qx, qy) in zip(ring, ring[1:] + ring[:1]):
+            fp, fq = a * px + b * py - c, a * qx + b * qy - c
+            if fp <= 0:
+                clipped.append((px, py))
+            if (fp < 0 < fq) or (fq < 0 < fp):
+                t = fp / (fp - fq)
+                clipped.append((px + t * (qx - px), py + t * (qy - py)))
+        ring = clipped
+    corners = [q for o, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
+               if (q[0] - o[0]) * (r[1] - q[1]) - (q[1] - o[1]) * (r[0] - q[0]) > 0]
+    if not corners:  # a point or a segment: at most two distinct ring points
+        return sorted(set(ring))
+    i = corners.index(min(corners))
+    return corners[i:] + corners[:i]
+
+
+def contains_lp(outer, inner, eps):
+    """Containment by the exact LP alone: inner lies in outer slackened by
+    eps iff inner is empty or no outer row's maximum over inner exceeds
+    its rhs + eps."""
+    for lhs, rhs in outer.rows:
+        res = inner.maximize(list(lhs))
+        if res.status == "infeasible":
+            return True
+        if res.status == "unbounded" or res.value > rhs + eps:
+            return False
+    return True

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from icregions import polytope
 from icregions.dist import Form, build_joint
 from icregions.linsys import (QUADRUPLE_SYSTEMS, fm_eliminate,
                               substitute_rate_sums)
@@ -17,7 +18,7 @@ from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly,
 from icregions.regions import REGION_IDS, build_system, region_for
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import ALL_SYMBOLS, BASE_SYMBOLS, eval_terms
-from oracles import brute_force_vertices
+from oracles import brute_force_vertices, contains_lp, vertices2_fraction
 
 F = Fraction
 
@@ -139,7 +140,51 @@ def _recedes(poly) -> bool:
                for x, y in brute_force_vertices(poly.rows) for dx, dy in dirs)
 
 
+DEGENERATE_REGIONS = (
+    HPoly(("R1", "R2"), (((F(1), F(1)), F(-1)), ((F(1), F(0)), F(1)),
+                         ((F(0), F(1)), F(1)))),  # empty
+    HPoly(("R1", "R2"), (((F(1), F(0)), F(2)),
+                         ((F(0), F(1)), F(0)))),  # segment on an axis
+    HPoly(("R1", "R2"), (*line(1, 1, 1), ((F(1), F(0)), F(1)),
+                         ((F(0), F(1)), F(1)))),  # diagonal segment
+    HPoly(("R1", "R2"), (*line(1, 0, 1), *line(1, -1, 0),
+                         ((F(1), F(0)), F(3)),
+                         ((F(0), F(1)), F(3)))),  # the point (1, 1)
+)
+
+
+def degenerate_examples(test):
+    """Hypothesis examples: each of DEGENERATE_REGIONS as the only argument."""
+    for poly in reversed(DEGENERATE_REGIONS):
+        test = example(poly)(test)
+    return test
+
+
 GOLDEN_PAIR_REGIONS = ("HK_R", "HK_R_MODIFIED", "COMPACT_R", "CMG_R", "HOD_R")
+
+
+@st.composite
+def golden_regions(draw):
+    """A golden rate-pair system bound to the snapped terms of a seeded
+    HOD16 spec, so its right-hand sides have 2**-48 denominators."""
+    seed = [draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1))]
+    binding = snap_terms(eval_terms(build_joint(
+        sample_spec(binary_alphabets(), Form.HOD16, seed))))
+    return bind(build_system(draw(st.sampled_from(GOLDEN_PAIR_REGIONS))), binding)
+
+
+def int_entries(poly):
+    """The polytope with every integral entry as an int, as rows may be."""
+    def num(v):
+        return int(v) if v.denominator == 1 else v
+    return HPoly(poly.dims, tuple((tuple(map(num, lhs)), num(rhs))
+                                  for lhs, rhs in poly.rows))
+
+
+def boxed(poly, rows=()):
+    """The polytope with extra rows and the box [0, 4] x [0, 4], so bounded."""
+    return HPoly(poly.dims, poly.rows + tuple(rows)
+                 + (((F(1), F(0)), F(4)), ((F(0), F(1)), F(4))))
 # SHA-256 of the JSON list of vertices2 over the five golden rate-pair
 # regions, each bound to the terms of 20 seeded HOD16 specs.
 GOLDEN_VERTICES_DIGEST = "cad20f0d9f8b2839ec865141d482ffcedc277f648f3c1447564bfd5e16d0cf69"
@@ -148,15 +193,7 @@ GOLDEN_VERTICES_DIGEST = "cad20f0d9f8b2839ec865141d482ffcedc277f648f3c1447564bfd
 class TestVertices2:
     @settings(max_examples=300, deadline=None)
     @given(boxed_regions())
-    @example(HPoly(("R1", "R2"), (((F(1), F(1)), F(-1)), ((F(1), F(0)), F(1)),
-                                  ((F(0), F(1)), F(1)))))  # empty
-    @example(HPoly(("R1", "R2"), (((F(1), F(0)), F(2)),
-                                  ((F(0), F(1)), F(0)))))  # segment on an axis
-    @example(HPoly(("R1", "R2"), (*line(1, 1, 1), ((F(1), F(0)), F(1)),
-                                  ((F(0), F(1)), F(1)))))  # diagonal segment
-    @example(HPoly(("R1", "R2"), (*line(1, 0, 1), *line(1, -1, 0),
-                                  ((F(1), F(0)), F(3)),
-                                  ((F(0), F(1)), F(3)))))  # the point (1, 1)
+    @degenerate_examples
     def test_degenerate_regions_match_brute_force(self, poly):
         try:
             vs = vertices2(poly)
@@ -182,6 +219,18 @@ class TestVertices2:
                               for x, y in vertices2(bind(build_system(rid), binding))])
         text = json.dumps(lists)
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_VERTICES_DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(boxed_regions(), golden_regions()))
+    @degenerate_examples
+    def test_equals_the_fraction_clip(self, poly):
+        try:
+            expected = vertices2_fraction(poly)
+        except UnboundedRegionError:
+            with pytest.raises(UnboundedRegionError):
+                vertices2(poly)
+            return
+        assert vertices2(poly) == expected
 
     def test_unit_square(self):
         assert vertices2(square()) == [(F(0), F(0)), (F(1), F(0)),
@@ -218,7 +267,69 @@ class TestVertices2:
             assert cross > 0
 
 
+class TestContainsPoint:
+    @pytest.mark.parametrize("point,n", [((), 0), ((F(0),), 1),
+                                         ((F(0), F(0), F(7)), 3)],
+                             ids=["empty", "short", "long"])
+    def test_wrong_length_refused(self, point, n):
+        with pytest.raises(ValueError,
+                           match=f"point has {n} coordinates, polytope has 2"):
+            square().contains_point(point)
+
+
+def strip(top):
+    """R2 <= top: a region with no bound on R1."""
+    return HPoly(("R1", "R2"), (((F(0), F(1)), F(top)),))
+
+
+TINY = F(1, 2**60)
+
+
 class TestContains:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_vertex_test_matches_lp_loop(self, data):
+        """The 2-D vertex test against maximizing each outer row over
+        inner.  Inner is a bounded region, or outer itself with every
+        rhs raised by 0, eps/2, eps or eps + 2**-60 and boxed, so that
+        some inner vertices lie just inside or just past rhs + eps."""
+        outer = data.draw(st.one_of(boxed_regions(), boxed_regions().map(int_entries),
+                                    golden_regions()))
+        eps = data.draw(st.sampled_from((F(0), DEFAULT_EPS)))
+        rise = data.draw(st.sampled_from((F(0), DEFAULT_EPS / 2, DEFAULT_EPS,
+                                          DEFAULT_EPS + TINY)))
+        raised = HPoly(outer.dims, tuple((lhs, rhs + rise) for lhs, rhs in outer.rows))
+        inner = data.draw(st.one_of(boxed_regions().map(boxed), golden_regions(),
+                                    st.just(boxed(raised))))
+        assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+
+    @pytest.mark.parametrize("outer,inner,eps,expected", [
+        (square(1), square(1 + DEFAULT_EPS), DEFAULT_EPS, True),
+        (square(1), square(1 + DEFAULT_EPS + TINY), DEFAULT_EPS, False),
+        (int_entries(square(1)), square(1), F(0), True),
+        (int_entries(square(1)), square(1 + TINY), F(0), False),
+        (int_entries(square(1)), square(1 + DEFAULT_EPS), DEFAULT_EPS, True),
+        (square(1), DEGENERATE_REGIONS[0], F(0), True),
+        (strip(1), strip(F(1, 2)), F(0), True),
+        (square(1), strip(F(1, 2)), DEFAULT_EPS, False),
+    ], ids=["on-eps", "past-eps", "int-on", "int-past", "int-on-eps",
+            "empty-inner", "unbounded-inside", "unbounded-outside"])
+    def test_hand_built_cases(self, outer, inner, eps, expected):
+        assert contains(outer, inner, eps) is expected
+        assert contains_lp(outer, inner, eps) is expected
+
+    def test_vertices2_looked_up_at_call_time(self, monkeypatch):
+        """perfbench's tracer and its tests wrap polytope.vertices2, so
+        contains and area2 must reach it through the module global."""
+        calls = []
+        right = polytope.vertices2
+        monkeypatch.setattr(polytope, "vertices2",
+                            lambda p: calls.append(p) or right(p))
+        assert contains(square(2), square(1), F(0))
+        assert calls == [square(1)]
+        assert area2(square(3)) == 9
+        assert calls == [square(1), square(3)]
+
     def test_reflexive(self):
         poly = bind(build_system("HK_R"), hk2_binding(8))
         assert contains(poly, poly, F(0))
