@@ -5,11 +5,12 @@ side is a formal rational combination of the information-term symbols.
 Composite symbols (B, C, F) are expanded into base + rho at construction,
 so all arithmetic happens in the 16-symbol base space.
 
-``fm_eliminate`` is exact Fourier-Motzkin projection; ``prune_redundant``
-removes an inequality only when an exact rational LP certifies it as a
-nonnegative combination of the remaining inequalities, the rate-variable
-nonnegativity facts, the term-symbol nonnegativity facts and the supplied
-axioms.
+``fm_eliminate`` is exact Fourier-Motzkin projection, which drops the rows
+Imbert's rule proves implied; ``prune_redundant`` removes an inequality
+only when an exact certificate proves it a nonnegative combination of the
+remaining inequalities, the rate-variable nonnegativity facts, the
+term-symbol nonnegativity facts and the supplied axioms: the certificate
+of its own exact rational LP, or its receiver twin's, mirrored.
 """
 
 from __future__ import annotations
@@ -140,39 +141,69 @@ class LinearSystem:
                             tuple(facts))
 
 
-def fm_rows(inequalities, v: str) -> list:
-    """One Fourier-Motzkin step, unsorted: the rows free of ``v``, then each
-    upper bound on ``v`` paired with each lower bound, of which the implicit
-    v >= 0 is the last."""
+def fm_rows(rows, v: str, most=None) -> list:
+    """One Fourier-Motzkin step, unsorted, on (inequality, history) pairs: the
+    rows free of ``v``, then each upper bound on ``v`` paired with each lower
+    bound, of which the implicit v >= 0 (history ``{v}``) is the last.  A
+    pair's history is the union of its two.  A pair that keeps a rate
+    variable and whose history has more than ``most`` members is skipped
+    before its rhs is built."""
     keep, uppers, lowers = [], [], []
-    for ineq in inequalities:
+    for ineq, hist in rows:
         c = ineq.coeff(v)
         if c == 0:
-            keep.append(ineq)
+            keep.append((ineq, hist))
         elif c > 0:
-            uppers.append(ineq)
+            uppers.append((ineq, hist))
         else:
-            lowers.append(ineq)
-    lowers.append(Inequality.of({v: F(-1)}, Combo.of()))  # -v <= 0
-    for up in uppers:
+            lowers.append((ineq, hist))
+    lowers.append((Inequality.of({v: F(-1)}, Combo.of()), frozenset([v])))  # -v <= 0
+    for up, up_hist in uppers:
         a = up.coeff(v)
-        for lo in lowers:
+        for lo, lo_hist in lowers:
+            hist = up_hist | lo_hist
             b = -lo.coeff(v)
             combined = {k: b * val for k, val in up.lhs}
             for k, val in lo.lhs:
                 combined[k] = combined.get(k, F(0)) + a * val
             combined.pop(v, None)
-            keep.append(Inequality.of(combined, up.rhs.scale(b) + lo.rhs.scale(a)))
+            if most is not None and len(hist) > most and any(combined.values()):
+                continue
+            keep.append((Inequality.of(combined, up.rhs.scale(b) + lo.rhs.scale(a)),
+                         hist))
     return keep
 
 
-def fm_eliminate(system: LinearSystem, v: str) -> LinearSystem:
-    """Project out rate variable ``v`` (its implicit v >= 0 supplies a lower
-    bound); pure term-facts generated by pairing are kept as facts."""
-    if v not in system.rate_vars:
-        raise ValueError(f"{v!r} is not a rate variable of this system")
-    rv = tuple(r for r in system.rate_vars if r != v)
-    return LinearSystem.of(rv, fm_rows(system.inequalities, v), system.term_facts)
+def fm_eliminate(system: LinearSystem, *variables) -> LinearSystem:
+    """Project out the rate variables in the given order (each one's implicit
+    v >= 0 supplies a lower bound); pure term-facts generated by pairing are
+    kept as facts, in order.
+
+    Each row carries its history, the set of input rows (and implicit
+    -v <= 0 rows) it combines.  After the k-th elimination a row whose
+    history has more than k + 1 members is implied by the others and is
+    dropped (Imbert's first acceleration theorem: J.-L. Imbert, "Fourier's
+    elimination: which to choose?", PPCP 1993), so a one-variable call
+    drops nothing.  Between eliminations the rows are canonicalised,
+    deduplicated (a duplicate keeps the smallest history) and sorted as
+    ``LinearSystem.of`` does."""
+    rate_vars, facts = system.rate_vars, list(system.term_facts)
+    rows = [(ineq, frozenset([n])) for n, ineq in enumerate(system.inequalities)]
+    for k, v in enumerate(variables, 1):
+        if v not in rate_vars:
+            raise ValueError(f"{v!r} is not a rate variable of this system")
+        rate_vars = tuple(r for r in rate_vars if r != v)
+        best = {}
+        for ineq, hist in fm_rows(rows, v, most=k + 1):
+            if ineq.is_term_fact():
+                facts.append(ineq.rhs)
+                continue
+            c = ineq.canonical()
+            key = (c.lhs, c.rhs.coeffs, c.rhs.const)
+            if key not in best or len(hist) < len(best[key][1]):
+                best[key] = (c, hist)
+        rows = [best[key] for key in sorted(best)]
+    return LinearSystem.of(rate_vars, [ineq for ineq, _ in rows], facts)
 
 
 def substitution_rows(inequalities) -> list:
@@ -257,15 +288,25 @@ def _exact(v: Fraction):
 def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     """Remove every inequality provably implied by the rest plus axioms.
 
-    An inequality goes when an exact LP certifies it as a nonnegative
+    An inequality goes when an exact certificate proves it a nonnegative
     combination of the remaining inequalities, rate nonnegativity and the
     axioms and term facts, up to a nonnegative slack in each term symbol
-    and in the constant: one LP column per usable fact, one equality row
-    per rate variable, and one ``<=`` row per term symbol and for the
-    constant, whose slacks are the multipliers of 0 <= s and of a
-    nonnegative constant.  Each of those slacks starts basic where the
-    tested row's coefficient is >= 0.  Inequalities are visited in
-    canonical order, so the result is deterministic."""
+    and in the constant.  The certificate is a point of the LP with one
+    column per usable fact, one equality row per rate variable, and one
+    ``<=`` row per term symbol and for the constant, whose slacks are the
+    multipliers of 0 <= s and of a nonnegative constant; each of those
+    slacks starts basic where the tested row's coefficient is >= 0.
+    Inequalities are visited in canonical order, so the result is
+    deterministic.
+
+    The LP is skipped where the row's receiver twin (every name with the
+    indices 1 and 2 swapped) was visited before and its answer carries
+    over exactly.  If the twin was removed by an LP, each row its
+    certificate uses has a twin still kept and each fact it uses has a
+    twin fact, the mirrored certificate removes the row.  If the twin was
+    kept by an LP, the facts are closed under the mirror and every
+    remaining row is the twin of one the twin was tested against, the row
+    is kept: a certificate for it would mirror to one for its twin."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
     index = {k: r for r, k in enumerate(keys)}
 
@@ -280,13 +321,50 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     # 0 <= ax contributes +ax to the certified rhs
     fixed += [column((), ax) for ax in (*axioms, *system.term_facts)]
     cols = [column(i.lhs, i.rhs) for i in system.inequalities]
+
+    mirror = [index.get(k if k is None else k.translate(_MIRROR)) for k in keys]
+
+    def twin(col):
+        """The column with the indices 1 and 2 swapped in every key, or None
+        when a swapped key is not in ``keys``."""
+        out = [0] * len(keys)
+        for r, v in enumerate(col):
+            if v:
+                if mirror[r] is None:
+                    return None
+                out[mirror[r]] = v
+        return tuple(out)
+
+    row_of = {tuple(c): j for j, c in enumerate(cols)}
+    twin_row = [row_of.get(twin(c)) for c in cols]
+    fixed_set = set(map(tuple, fixed))
+    fixed_twinned = [twin(f) in fixed_set for f in fixed]
+    fixed_closed = all(fixed_twinned)
+
     nr = len(system.rate_vars)
     kept = list(range(len(cols)))
+    removed_with = {}  # row removed by an LP -> (rows used, all facts used twinned)
+    kept_against = {}  # row kept by an LP -> the rows it was tested against
     for i in range(len(cols)):
         others = [j for j in kept if j != i]
+        m = twin_row[i]
+        if m in removed_with:
+            used, twinned = removed_with[m]
+            if twinned and all(twin_row[j] in others for j in used):
+                kept = others
+                continue
+        elif (m in kept_against and fixed_closed
+              and all(twin_row[j] in kept_against[m] for j in others)):
+            continue
         A, b = list(zip(*(cols[j] for j in others), *fixed)), cols[i]
-        if feasible(A_ub=A[nr:], b_ub=b[nr:], A_eq=A[:nr], b_eq=b[:nr]):
+        x = feasible(A_ub=A[nr:], b_ub=b[nr:], A_eq=A[:nr], b_eq=b[:nr])
+        if x is not None:
+            used = [j for j, w in zip(others, x) if w]
+            twinned = all(t for t, w in zip(fixed_twinned, x[len(others):]) if w)
+            removed_with[i] = (used, twinned)
             kept = others
+        else:
+            kept_against[i] = set(others)
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],
                            system.term_facts)
@@ -339,7 +417,7 @@ def derive_region(system_id: str, axioms_id: str = "chain") -> LinearSystem:
         raise ValueError(f"unknown axiom set {axioms_id!r}")
     sys0 = regions.build_system(QUADRUPLE_SYSTEMS[system_id])
     sys1 = substitute_rate_sums(sys0)
-    sys2 = fm_eliminate(fm_eliminate(sys1, "T1"), "T2")
+    sys2 = fm_eliminate(sys1, "T1", "T2")
     return prune_redundant(sys2, AXIOM_SETS[axioms_id])
 
 

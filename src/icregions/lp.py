@@ -217,11 +217,12 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     return LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc), x)
 
 
-def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> bool:
-    """Exact feasibility of {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}."""
+def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:
+    """Exact feasibility of {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}: a
+    point of it (a list of ``Fraction``s, empty when there are no columns)
+    as a certificate, or None when it is empty."""
     ncols = 0
     for rows in (A_ub or []), (A_eq or []):
         for r in rows:
             ncols = max(ncols, len(r))
-    res = solve_lp([0] * ncols, A_ub, b_ub, A_eq, b_eq)
-    return res.status == "optimal"
+    return solve_lp([0] * ncols, A_ub, b_ub, A_eq, b_eq).x

@@ -213,7 +213,7 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
         raise ValueError(f"{dim!r} is not a coordinate of this polytope")
     # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
     rows = {}
-    for ineq in fm_rows(_ineqs(p), dim):
+    for ineq, _ in fm_rows([(i, frozenset()) for i in _ineqs(p)], dim):
         if ineq.is_term_fact():
             if ineq.rhs.const < 0:
                 raise ValueError("projection produced an infeasible constant row")

@@ -183,7 +183,7 @@ def prune_redundant_eq(system, axioms):
     for i in range(len(cols)):
         others = [j for j in kept if j != i]
         if feasible(A_eq=[list(r) for r in zip(*(cols[j] for j in others), *fixed)],
-                    b_eq=cols[i]):
+                    b_eq=cols[i]) is not None:
             kept = others
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],

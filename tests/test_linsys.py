@@ -1,4 +1,5 @@
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -6,16 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icregions.dist import Form, build_joint
-from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP, Combo,
-                              Inequality, LinearSystem, derive_region,
-                              fm_eliminate, parse_bounds, prune_redundant,
+from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
+                              QUADRUPLE_SYSTEMS, Combo, Inequality,
+                              LinearSystem, derive_region, fm_eliminate,
+                              parse_bounds, prune_redundant,
                               substitute_rate_sums, substitute_zero,
                               system_equal, system_from_json, system_to_json)
+from icregions.lp import feasible
 from icregions.polytope import bind, poly_equal, snap_terms
 from icregions.regions import (HK_R_REDUNDANT, build_system,
                                hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
-from icregions.terms import eval_terms
+from icregions.terms import BASE_SYMBOLS, eval_terms
 from oracles import prune_redundant_eq
 
 F = Fraction
@@ -128,6 +131,56 @@ class TestFmEliminate:
         with pytest.raises(ValueError, match=f"{v!r} is not a rate variable"):
             fm_eliminate(sys0, v)
 
+    # rows of the chained one-variable eliminations that Imbert's rule drops
+    DROPPED = {"hk": (55, 14), "hk-mod": (47, 12), "cmg": (19, 4), "hod": (55, 14)}
+
+    @pytest.mark.parametrize("system_id", sorted(QUADRUPLE_SYSTEMS))
+    def test_imbert_rule_drops_only_implied_rows(self, system_id):
+        sys1 = substitute_rate_sums(build_system(QUADRUPLE_SYSTEMS[system_id]))
+        both = fm_eliminate(sys1, "T1", "T2")
+        chained = fm_eliminate(fm_eliminate(sys1, "T1"), "T2")
+        assert both.rate_vars == chained.rate_vars
+        assert both.term_facts == chained.term_facts
+        kept = set(both.inequalities)
+        assert [i for i in chained.inequalities if i in kept] == list(both.inequalities)
+        dropped = [i for i in chained.inequalities if i not in kept]
+        assert (len(chained.inequalities), len(dropped)) == self.DROPPED[system_id]
+        # each dropped row is exactly a nonnegative combination of the kept
+        # rows, -v <= 0 and the elimination's own term facts: no axiom and
+        # no slack
+        keys = list(both.rate_vars) + list(BASE_SYMBOLS) + [None]
+
+        def column(lhs, rhs):
+            d = {**dict(lhs), **dict(rhs.coeffs), None: rhs.const}
+            return [d.get(k, 0) for k in keys]
+
+        cols = [column(i.lhs, i.rhs) for i in both.inequalities]
+        cols += [column({v: -1}, Combo.of()) for v in both.rate_vars]
+        cols += [column((), c) for c in both.term_facts]
+        for row in dropped:
+            assert feasible(A_eq=[list(r) for r in zip(*cols)],
+                            b_eq=column(row.lhs, row.rhs)) is not None, row
+
+    def test_imbert_rule_textbook_case(self):
+        # S1 + T1 <= a1, R1 - S1 <= b1, R1 - T1 <= c1, S1 - T1 <= d1 with
+        # S1, T1 >= 0.  Pairing T1 <= a1 (rows 0 and S1 >= 0) with
+        # R1 - T1 <= b1 + d1 (rows 1 and 3) gives R1 <= a1 + b1 + d1, whose
+        # history has 4 > 3 members: half of 2R1 <= a1 + 2b1 + d1 (rows 0,
+        # 1, 3) plus half of the fact 0 <= a1 + d1 (rows 0, 3, S1 >= 0).
+        sys0 = LinearSystem.of(("S1", "T1", "R1"), [
+            Inequality.of({"S1": 1, "T1": 1}, {"a1": 1}),
+            Inequality.of({"R1": 1, "S1": -1}, {"b1": 1}),
+            Inequality.of({"R1": 1, "T1": -1}, {"c1": 1}),
+            Inequality.of({"S1": 1, "T1": -1}, {"d1": 1}),
+        ])
+        both = fm_eliminate(sys0, "S1", "T1")
+        chained = fm_eliminate(fm_eliminate(sys0, "S1"), "T1")
+        dropped = Inequality.of({"R1": 1}, {"a1": 1, "b1": 1, "d1": 1})
+        assert dropped in chained.inequalities
+        assert set(chained.inequalities) - set(both.inequalities) == {dropped}
+        assert both.term_facts == chained.term_facts
+        assert Combo.of({"a1": 1, "d1": 1}) in both.term_facts
+
     def test_order_independence_up_to_redundancy(self):
         quad = substitute_rate_sums(build_system("HK_Q"))
         ab = fm_eliminate(fm_eliminate(quad, "T1"), "T2")
@@ -221,7 +274,109 @@ class TestPruning:
                 == prune_redundant_eq(sys0, axioms).inequalities)
 
 
+_SWAP = str.maketrans("12", "21")
+
+
+def mirrored(ineq):
+    """The receiver-2 image of a row: indices 1 and 2 swapped in every name."""
+    return Inequality.of({k.translate(_SWAP): v for k, v in ineq.lhs},
+                         {k.translate(_SWAP): v for k, v in ineq.rhs.coeffs},
+                         ineq.rhs.const)
+
+
+class TestMirrorReuse:
+    R1_ROWS = [Inequality.of({"R1": 1}, {"a1": 1}),
+               Inequality.of({"R1": 1}, {"a1": 1, "b1": 1})]
+
+    def test_twin_answers_carry_over(self, lp_calls):
+        # R1 <= a1 is kept and R1 <= a1 + b1 removed by LP; their twins
+        # follow without one
+        rows = self.R1_ROWS + [mirrored(i) for i in self.R1_ROWS]
+        sys0 = LinearSystem.of(("R1", "R2"), rows)
+        out = prune_redundant(sys0, AXIOMS_CHAIN)
+        assert out.inequalities == prune_redundant_eq(sys0, AXIOMS_CHAIN).inequalities
+        assert set(out.inequalities) == {rows[0], rows[2]}
+        assert lp_calls[0] == 2
+
+    def test_certificate_row_already_removed_runs_the_lp(self, lp_calls):
+        # the LP removes R1 <= a1 + b1 with R1 <= a1, but R2 <= a2 - c2
+        # removes R2 <= a2 before R2 <= a2 + b2 is visited, so the mirrored
+        # certificate would use a row that is gone
+        rows = self.R1_ROWS + [mirrored(i) for i in self.R1_ROWS]
+        extra = Inequality.of({"R2": 1}, {"a2": 1, "c2": -1})
+        sys0 = LinearSystem.of(("R1", "R2"), rows + [extra])
+        assert sys0.inequalities == (rows[0], rows[1], rows[2], rows[3], extra)
+        out = prune_redundant(sys0, ())
+        assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
+        assert out.inequalities == (rows[0], extra)
+        assert lp_calls[0] == 5  # one per row
+
+    def test_fact_without_twin_blocks_the_kept_rule(self, lp_calls):
+        # R2 <= a2 has its twin R1 <= a1 kept, and every other row is the
+        # twin of a row R1 <= a1 was tested against, but the term fact
+        # b2 <= a2 has no twin: with it R2 <= b2 implies R2 <= a2
+        rows = [Inequality.of({"R1": 1}, {"a1": 1}),
+                Inequality.of({"R1": 1}, {"b1": 1})]
+        rows += [mirrored(i) for i in rows]
+        sys0 = LinearSystem.of(("R1", "R2"), rows, [Combo.of({"a2": 1, "b2": -1})])
+        assert sys0.inequalities == tuple(rows)
+        out = prune_redundant(sys0, AXIOMS_CHAIN)
+        assert out.inequalities == prune_redundant_eq(sys0, AXIOMS_CHAIN).inequalities
+        assert out.inequalities == (rows[0], rows[1], rows[3])
+        assert lp_calls[0] == 4  # one per row
+
+    def test_fact_without_twin_blocks_the_removed_rule(self, lp_calls):
+        # R1 <= a1 goes with R1 <= b1 and the term fact b1 <= a1, which has
+        # no twin, so nothing removes R2 <= a2
+        rows = [Inequality.of({"R1": 1}, {"a1": 1}),
+                Inequality.of({"R1": 1}, {"b1": 1})]
+        rows += [mirrored(i) for i in rows]
+        sys0 = LinearSystem.of(("R1", "R2"), rows, [Combo.of({"a1": 1, "b1": -1})])
+        assert sys0.inequalities == tuple(rows)
+        out = prune_redundant(sys0, ())
+        assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
+        assert out.inequalities == (rows[1], rows[2], rows[3])
+        assert lp_calls[0] == 4  # one per row
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                              st.dictionaries(st.sampled_from(
+                                  ["a1", "b1", "d1", "g1", "rho1", "c2", "e2"]),
+                                  st.sampled_from([-1, 1, 2]), min_size=1, max_size=3),
+                              st.sampled_from([0, 0, 1, -1])),
+                    min_size=1, max_size=5),
+           st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
+    def test_mirror_closed_systems_keep_what_the_lp_keeps(self, rows, axioms):
+        """Rows plus their receiver-2 images (term facts included), so the
+        mirror rules fire; the result must be the one an LP for every row
+        gives."""
+        ineqs = [Inequality.of({"R1": r1, "R2": r2}, rhs, const)
+                 for r1, r2, rhs, const in rows]
+        sys0 = LinearSystem.of(("R1", "R2"), ineqs + [mirrored(i) for i in ineqs])
+        assert (prune_redundant(sys0, axioms).inequalities
+                == prune_redundant_eq(sys0, axioms).inequalities)
+
+
+# SHA-256 of json.dumps(system_to_json(derive_region(s, a)), sort_keys=True):
+# row order and term-fact order included.
+DERIVE_DIGESTS = {
+    ("hk", "chain"): "33abcdd65b8add842dd635e004d4b7ddde8aaf67afc91503cf5f2f0bbb0c971c",
+    ("hk", "hk-indep"): "5ad8d3ab132c7a33776b2214cd7041d1e216f273e0815def6ff67f78c0f2bd9e",
+    ("hk-mod", "chain"): "c9032ffb3883e6ccdce913cefba5539f522d1fc33f787b4e1012e5f47cbe854a",
+    ("hk-mod", "hk-indep"): "c9032ffb3883e6ccdce913cefba5539f522d1fc33f787b4e1012e5f47cbe854a",
+    ("cmg", "chain"): "a2258246edf58aa30bc022e5d9eb7b7d86ae0f4fc05b439f1d9b6ede1262bbbb",
+    ("cmg", "hk-indep"): "a2258246edf58aa30bc022e5d9eb7b7d86ae0f4fc05b439f1d9b6ede1262bbbb",
+    ("hod", "chain"): "66f562431c57eba671c1aa8ae4504a162725658edb4c1e6135230d9a1d62f849",
+    ("hod", "hk-indep"): "eca49185edaa6906cfc7b70171d33dc945fde6f3ff958634d2fba28fcd81a124",
+}
+
+
 class TestDeriveRegion:
+    @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
+    def test_bytes_pinned(self, pair):
+        text = json.dumps(system_to_json(derive_region(*pair)), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == DERIVE_DIGESTS[pair]
+
     def test_hk_with_chain_axioms_gives_eleven(self):
         eq, diff = system_equal(derive_region("hk", "chain"),
                                 hk_r_with_redundant())
@@ -283,8 +438,6 @@ class TestSystemEqual:
 
 class TestJsonRoundTrip:
     def test_round_trip_all_regions(self):
-        import json
-
         for rid in ("HK_Q", "HOD_Q", "HK_R", "HOD_R", "CMG_R"):
             s = build_system(rid)
             back = system_from_json(json.loads(json.dumps(system_to_json(s))))
