@@ -3,14 +3,20 @@
 An ``Inequality`` is   sum_v lhs[v] * v  <=  Combo   where the right-hand
 side is a formal rational combination of the information-term symbols.
 Composite symbols (B, C, F) are expanded into base + rho at construction,
-so all arithmetic happens in the 16-symbol base space.
+so all arithmetic happens in the 16-symbol base space.  Coefficients are
+Python ``int``s where they are integral and ``Fraction``s otherwise; every
+row of a ``LinearSystem`` is canonical, with ``int`` coefficients of
+content 1, so substitution, Fourier-Motzkin and the pruning LP work in
+integers.
 
 ``fm_eliminate`` is exact Fourier-Motzkin projection, which drops the rows
 Imbert's rule proves implied; ``prune_redundant`` removes an inequality
 only when an exact certificate proves it a nonnegative combination of the
 remaining inequalities, the rate-variable nonnegativity facts, the
 term-symbol nonnegativity facts and the supplied axioms: the certificate
-of its own exact rational LP, or its receiver twin's, mirrored.
+of its own exact LP, or its receiver twin's, mirrored.  Each axiom set is
+an irredundant basis of its cone: no fact is a nonnegative combination of
+the others and term nonnegativity.
 """
 
 from __future__ import annotations
@@ -29,8 +35,13 @@ RATE_VARS = ("S1", "T1", "S2", "T2", "R1", "R2")
 F = Fraction
 
 
+def _num(v):
+    """An ``int`` as is, any other number as a ``Fraction``."""
+    return v if type(v) is int else F(v)
+
+
 def _clean(d: dict) -> dict:
-    return {k: F(v) for k, v in d.items() if F(v) != 0}
+    return {k: v for k, v in ((k, _num(v)) for k, v in d.items()) if v}
 
 
 @dataclass(frozen=True)
@@ -38,37 +49,37 @@ class Combo:
     """Formal rational combination of term symbols plus a constant."""
 
     coeffs: tuple = ()
-    const: Fraction = F(0)
+    const: int | Fraction = 0
 
     @staticmethod
     def of(d: dict | None = None, const=0) -> "Combo":
         d = dict(d or {})
-        const = F(const)
         for comp, (base, rho) in COMPOSITE_EXPANSION.items():
             if comp in d:
-                c = F(d.pop(comp))
-                d[base] = F(d.get(base, 0)) + c
-                d[rho] = F(d.get(rho, 0)) + c
+                c = _num(d.pop(comp))
+                d[base] = _num(d.get(base, 0)) + c
+                d[rho] = _num(d.get(rho, 0)) + c
         d = _clean(d)
         unknown = set(d) - set(BASE_SYMBOLS)
         if unknown:
             raise ValueError(f"unknown term symbols: {sorted(unknown)}")
-        return Combo(tuple(sorted(d.items())), const)
+        return Combo(tuple(sorted(d.items())), _num(const))
 
     def as_dict(self) -> dict:
         return dict(self.coeffs)
 
     def __add__(self, other: "Combo") -> "Combo":
-        d = self.as_dict()
+        d = dict(self.coeffs)
         for k, v in other.coeffs:
-            d[k] = d.get(k, F(0)) + v
-        return Combo(tuple(sorted(_clean(d).items())), self.const + other.const)
+            d[k] = d.get(k, 0) + v
+        return Combo(tuple(sorted((k, v) for k, v in d.items() if v)),
+                     self.const + other.const)
 
     def scale(self, s) -> "Combo":
-        s = F(s)
+        s = _num(s)
         return Combo(tuple((k, v * s) for k, v in self.coeffs), self.const * s)
 
-    def evaluate(self, binding: dict) -> Fraction:
+    def evaluate(self, binding: dict) -> int | Fraction:
         return sum((F(binding[k]) * v for k, v in self.coeffs), self.const)
 
     def is_zero(self) -> bool:
@@ -79,46 +90,68 @@ class Combo:
 class Inequality:
     """lhs . rates <= rhs (rhs a Combo).  All-zero lhs is a pure term-fact."""
 
-    lhs: tuple  # sorted ((var, Fraction), ...)
+    lhs: tuple  # sorted ((var, int or Fraction), ...)
     rhs: Combo
 
     @staticmethod
     def of(lhs: dict, rhs: Combo | dict, const=0) -> "Inequality":
+        """``const`` joins a dict ``rhs``; a ``Combo`` carries its own."""
         if not isinstance(rhs, Combo):
             rhs = Combo.of(rhs, const)
+        elif const != 0:
+            raise ValueError("Inequality.of got both a Combo rhs and a nonzero "
+                             "const; put the constant in the Combo")
         lhs = _clean(lhs)
         unknown = set(lhs) - set(RATE_VARS)
         if unknown:
             raise ValueError(f"unknown rate variables: {sorted(unknown)}")
         return Inequality(tuple(sorted(lhs.items())), rhs)
 
-    def coeff(self, v) -> Fraction:
-        return dict(self.lhs).get(v, F(0))
+    def coeff(self, v):
+        return dict(self.lhs).get(v, 0)
 
     def is_term_fact(self) -> bool:
         return not self.lhs
 
     def canonical(self) -> "Inequality":
-        """Scale by the unique positive rational giving integer content 1."""
-        nums, dens = [], []
-        for _, v in list(self.lhs) + list(self.rhs.coeffs) + [(None, self.rhs.const)]:
-            if v != 0:
-                nums.append(abs(v.numerator))
-                dens.append(v.denominator)
-        if not nums:
+        """Scale by the unique positive rational giving integer content 1,
+        with ``int`` coefficients; an all-``int`` row is only divided by its
+        gcd."""
+        lhs, rhs = self.lhs, self.rhs
+        values = [v for _, v in lhs] + [v for _, v in rhs.coeffs] + [rhs.const]
+        ints = all(type(v) is int for v in values)
+        m = 1 if ints else lcm(*(F(v).denominator for v in values))
+        g = gcd(*(int(v * m) for v in values)) or 1
+        if ints and g == 1:
             return self
-        scale = F(lcm(*dens), gcd(*nums))
-        return Inequality(tuple((k, v * scale) for k, v in self.lhs),
-                          self.rhs.scale(scale))
+
+        def scaled(v):
+            return int(v * m) // g
+
+        return Inequality(tuple((k, scaled(v)) for k, v in lhs),
+                          Combo(tuple((k, scaled(v)) for k, v in rhs.coeffs),
+                                scaled(rhs.const)))
 
     def key(self):
         c = self.canonical()
         return (c.lhs, c.rhs.coeffs, c.rhs.const)
 
 
+def _facts(facts) -> tuple:
+    """The nonzero term facts, each once, in order of first occurrence; a
+    negative constant fact is refused."""
+    facts = dict.fromkeys(c for c in facts if not c.is_zero())
+    for c in facts:
+        if not c.coeffs and c.const < 0:
+            raise ValueError(f"the constant term fact 0 <= {c.const} is infeasible")
+    return tuple(facts)
+
+
 @dataclass(frozen=True)
 class LinearSystem:
-    """Inequalities plus implicit rate nonnegativity and pure term-facts."""
+    """Inequalities plus implicit rate nonnegativity and pure term-facts.
+
+    The inequalities are canonical, distinct and sorted."""
 
     rate_vars: tuple
     inequalities: tuple
@@ -133,12 +166,8 @@ class LinearSystem:
             else:
                 c = ineq.canonical()  # once: the stored row gives its own key
                 rows.setdefault((c.lhs, c.rhs.coeffs, c.rhs.const), c)
-        facts = dict.fromkeys(c for c in facts if not c.is_zero())
-        for c in facts:
-            if not c.coeffs and c.const < 0:
-                raise ValueError(f"the constant term fact 0 <= {c.const} is infeasible")
         return LinearSystem(tuple(rate_vars), tuple(rows[k] for k in sorted(rows)),
-                            tuple(facts))
+                            _facts(facts))
 
 
 def fm_rows(rows, v: str, most=None) -> list:
@@ -154,23 +183,21 @@ def fm_rows(rows, v: str, most=None) -> list:
         if c == 0:
             keep.append((ineq, hist))
         elif c > 0:
-            uppers.append((ineq, hist))
+            uppers.append((ineq, c, hist))
         else:
-            lowers.append((ineq, hist))
-    lowers.append((Inequality.of({v: F(-1)}, Combo.of()), frozenset([v])))  # -v <= 0
-    for up, up_hist in uppers:
-        a = up.coeff(v)
-        for lo, lo_hist in lowers:
+            lowers.append((ineq, -c, hist))
+    lowers.append((Inequality(((v, -1),), Combo()), 1, frozenset([v])))  # -v <= 0
+    for up, a, up_hist in uppers:
+        for lo, b, lo_hist in lowers:
             hist = up_hist | lo_hist
-            b = -lo.coeff(v)
-            combined = {k: b * val for k, val in up.lhs}
+            combined = {k: b * val for k, val in up.lhs if k != v}
             for k, val in lo.lhs:
-                combined[k] = combined.get(k, F(0)) + a * val
-            combined.pop(v, None)
-            if most is not None and len(hist) > most and any(combined.values()):
+                if k != v:
+                    combined[k] = combined.get(k, 0) + a * val
+            lhs = tuple(sorted((k, val) for k, val in combined.items() if val))
+            if most is not None and len(hist) > most and lhs:
                 continue
-            keep.append((Inequality.of(combined, up.rhs.scale(b) + lo.rhs.scale(a)),
-                         hist))
+            keep.append((Inequality(lhs, up.rhs.scale(b) + lo.rhs.scale(a)), hist))
     return keep
 
 
@@ -184,9 +211,9 @@ def fm_eliminate(system: LinearSystem, *variables) -> LinearSystem:
     history has more than k + 1 members is implied by the others and is
     dropped (Imbert's first acceleration theorem: J.-L. Imbert, "Fourier's
     elimination: which to choose?", PPCP 1993), so a one-variable call
-    drops nothing.  Between eliminations the rows are canonicalised,
+    drops nothing.  After each elimination the rows are canonicalised,
     deduplicated (a duplicate keeps the smallest history) and sorted as
-    ``LinearSystem.of`` does."""
+    ``LinearSystem.of`` does, so the result is built from them directly."""
     rate_vars, facts = system.rate_vars, list(system.term_facts)
     rows = [(ineq, frozenset([n])) for n, ineq in enumerate(system.inequalities)]
     for k, v in enumerate(variables, 1):
@@ -203,7 +230,7 @@ def fm_eliminate(system: LinearSystem, *variables) -> LinearSystem:
             if key not in best or len(hist) < len(best[key][1]):
                 best[key] = (c, hist)
         rows = [best[key] for key in sorted(best)]
-    return LinearSystem.of(rate_vars, [ineq for ineq, _ in rows], facts)
+    return LinearSystem(rate_vars, tuple(ineq for ineq, _ in rows), _facts(facts))
 
 
 def substitution_rows(inequalities) -> list:
@@ -215,13 +242,13 @@ def substitution_rows(inequalities) -> list:
             raise ValueError("system already mentions R variables")
         lhs = dict(ineq.lhs)
         for s, r, t in (("S1", "R1", "T1"), ("S2", "R2", "T2")):
-            c = lhs.pop(s, F(0))
+            c = lhs.pop(s, 0)
             if c:
-                lhs[r] = lhs.get(r, F(0)) + c
-                lhs[t] = lhs.get(t, F(0)) - c
+                lhs[r] = lhs.get(r, 0) + c
+                lhs[t] = lhs.get(t, 0) - c
         out.append(Inequality.of(lhs, ineq.rhs))
-    out.append(Inequality.of({"T1": F(1), "R1": F(-1)}, Combo.of()))
-    out.append(Inequality.of({"T2": F(1), "R2": F(-1)}, Combo.of()))
+    out.append(Inequality.of({"T1": 1, "R1": -1}, Combo()))
+    out.append(Inequality.of({"T2": 1, "R2": -1}, Combo()))
     return out
 
 
@@ -260,30 +287,34 @@ def parse_bounds(texts) -> list:
     return [row(text, swap) for swap in ({}, _MIRROR) for text in texts]
 
 
-_CHAIN = (
+# Each axiom set is an irredundant basis of its cone, closed under the
+# receiver mirror: no fact is a nonnegative combination of the others and
+# 0 <= s for the term symbols s, so no column of the pruning LP is wasted.
+# True facts that the basis implies are left out: a1 <= d1, b1 <= d1,
+# a1 <= e1, b1 <= f1, g1 <= c1 + d1, g1 <= e1 + B1 and g1 <= a1 + F1 (a1 <= d1,
+# say, is g1 + a1 <= d1 + e1 plus e1 <= g1).
+_BASIS = (
     # chain-rule monotonicity (true for every joint)
-    "a1 <= d1", "b1 <= d1", "a1 <= e1", "c1 <= e1", "b1 <= f1", "c1 <= f1",
     "d1 <= g1", "e1 <= g1", "f1 <= g1",
     # true for every factorization with (U_i,W_i) independent of W_j
     # given Q (the correlated-input form and all its special cases)
-    "d1 <= a1 + B1", "e1 <= a1 + c1", "f1 <= b1 + c1", "g1 <= c1 + d1",
-    "g1 <= e1 + B1", "g1 <= a1 + F1", "g1 + b1 <= d1 + f1", "g1 + a1 <= d1 + e1",
+    "d1 <= a1 + B1", "e1 <= a1 + c1", "f1 <= b1 + c1", "g1 + b1 <= d1 + f1",
+    "g1 + a1 <= d1 + e1",
 )
-# Facts that additionally need U_i independent of W_i given Q.
-_INDEP = ("c1 + g1 <= e1 + f1", "C1 <= e1", "rho1 <= 0")
+# Chain-rule monotonicity of c1; under hk-indep c1 + g1 <= e1 + f1 with
+# f1 <= g1 gives c1 <= e1, and with e1 <= g1 gives c1 <= f1.
+_MONOTONE_C = ("c1 <= e1", "c1 <= f1")
+# Facts that additionally need U_i independent of W_i given Q (C1 <= e1 is
+# c1 <= e1 plus rho1 <= 0).
+_INDEP = ("c1 + g1 <= e1 + f1", "rho1 <= 0")
 
-AXIOMS_CHAIN = tuple(i.rhs for i in parse_bounds(_CHAIN))
-AXIOMS_HK_INDEP = AXIOMS_CHAIN + tuple(i.rhs for i in parse_bounds(_INDEP))
+AXIOMS_CHAIN = tuple(i.rhs for i in parse_bounds(_MONOTONE_C + _BASIS))
+AXIOMS_HK_INDEP = tuple(i.rhs for i in parse_bounds(_BASIS + _INDEP))
 
 AXIOM_SETS = {"chain": AXIOMS_CHAIN, "hk-indep": AXIOMS_HK_INDEP}
 
 
 # --- redundancy pruning -----------------------------------------------------
-
-def _exact(v: Fraction):
-    """An integral Fraction as an int (the LP's fast path), else as is."""
-    return v.numerator if v.denominator == 1 else v
-
 
 def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     """Remove every inequality provably implied by the rest plus axioms.
@@ -296,8 +327,11 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     ``<=`` row per term symbol and for the constant, whose slacks are the
     multipliers of 0 <= s and of a nonnegative constant; each of those
     slacks starts basic where the tested row's coefficient is >= 0.
-    Inequalities are visited in canonical order, so the result is
-    deterministic.
+    The columns hold the rows' ``int`` coefficients as they are (only a
+    term fact read from rational input can bring in a ``Fraction``), and
+    the shipped axiom sets are irredundant bases, so no axiom column is
+    one the others make useless.  Inequalities are visited in canonical
+    order, so the result is deterministic.
 
     The LP is skipped where the row's receiver twin (every name with the
     indices 1 and 2 swapped) was visited before and its answer carries
@@ -313,8 +347,8 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     def column(lhs, rhs: Combo) -> list:
         col = [0] * len(keys)
         for k, v in (*lhs, *rhs.coeffs):
-            col[index[k]] = _exact(v)
-        col[-1] = _exact(rhs.const)
+            col[index[k]] = v
+        col[-1] = rhs.const
         return col
 
     fixed = [column(((v, -1),), Combo.of()) for v in system.rate_vars]  # -v <= 0

@@ -84,7 +84,7 @@ def _hpoly(dims, ineqs, binding: dict) -> HPoly:
             rhs = ineq.rhs.evaluate(binding)
         except KeyError as exc:
             raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
-        rows.append((tuple(lhs.get(d, F(0)) for d in dims), rhs))
+        rows.append((tuple(F(lhs.get(d, 0)) for d in dims), F(rhs)))
     return HPoly(tuple(dims), tuple(rows))
 
 

@@ -1,9 +1,10 @@
 import hashlib
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from icregions.dist import Form, build_joint
@@ -14,14 +15,17 @@ from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               substitute_rate_sums, substitute_zero,
                               system_equal, system_from_json, system_to_json)
 from icregions.lp import feasible
-from icregions.polytope import bind, poly_equal, snap_terms
-from icregions.regions import (HK_R_REDUNDANT, build_system,
+from icregions.polytope import (bind, fm_eliminate_numeric, poly_equal,
+                                snap_terms)
+from icregions.regions import (HK_R_REDUNDANT, REGION_IDS, build_system,
                                hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import BASE_SYMBOLS, eval_terms
-from oracles import prune_redundant_eq
+from oracles import fm_step_keys, prune_redundant_eq
 
 F = Fraction
+
+_SWAP = str.maketrans("12", "21")
 
 
 def hk2_binding(index):
@@ -62,6 +66,14 @@ class TestInequality:
     def test_term_fact_detection(self):
         assert Inequality.of({}, {"a1": 1}).is_term_fact()
 
+    def test_const_beside_a_combo_rhs_refused(self):
+        # the constant would otherwise be lost
+        with pytest.raises(ValueError, match="both a Combo rhs and a nonzero const"):
+            Inequality.of({"R1": 1}, Combo.of({"a1": 1}), 5)
+        assert Inequality.of({"R1": 1}, Combo.of({"a1": 1}, 5)).rhs.const == 5
+        assert Inequality.of({"R1": 1}, {"a1": 1}, 5).rhs.const == 5
+        assert Inequality.of({"R1": 1}, Combo.of({"a1": 1}), 0).rhs.const == 0
+
 
 class TestParseBounds:
     def test_receiver_2_rows_follow_every_receiver_1_row(self):
@@ -94,9 +106,37 @@ class TestParseBounds:
 
 # SHA-256 of each axiom tuple's repr, order included.
 AXIOM_DIGESTS = {
-    "chain": "d51dd380893b51cf1b76ac91bce6d286f0602e21d8dd9c6e406f5e5e530c3167",
-    "hk-indep": "98004f7b6f5d19f2cdb9c1799d9764c1e47fc3dceaa9b9de43ccca9e1382ba9b",
+    "chain": "fcf152654755cdbf2849831bae9c4c7068dbc0a3f4763ec0b4100a4ebd661708",
+    "hk-indep": "f80788867db714545cc41fe9de9e6d29bdcacb72d58b9fd306898940e13e3fd1",
 }
+
+# The receiver-1 facts of the axiom sets before they were reduced to bases:
+# 17 chain facts, and the chain facts plus 3 for hk-indep.  Each new set
+# must span the same cone.
+OLD_CHAIN = (
+    "a1 <= d1", "b1 <= d1", "a1 <= e1", "c1 <= e1", "b1 <= f1", "c1 <= f1",
+    "d1 <= g1", "e1 <= g1", "f1 <= g1",
+    "d1 <= a1 + B1", "e1 <= a1 + c1", "f1 <= b1 + c1", "g1 <= c1 + d1",
+    "g1 <= e1 + B1", "g1 <= a1 + F1", "g1 + b1 <= d1 + f1", "g1 + a1 <= d1 + e1",
+)
+OLD_AXIOMS = {
+    "chain": OLD_CHAIN,
+    "hk-indep": OLD_CHAIN + ("c1 + g1 <= e1 + f1", "C1 <= e1", "rho1 <= 0"),
+}
+
+
+def implied_by(fact, basis):
+    """Nonnegative multipliers, one per basis fact, whose combination is at
+    most ``fact`` in every term symbol and the constant (the rest being
+    0 <= s and a nonnegative constant), or None when there are none."""
+    keys = list(BASE_SYMBOLS) + [None]
+
+    def column(c):
+        d = {**dict(c.coeffs), None: c.const}
+        return [d.get(k, 0) for k in keys]
+
+    return feasible(A_ub=[list(r) for r in zip(*map(column, basis))],
+                    b_ub=column(fact))
 
 
 class TestAxioms:
@@ -105,8 +145,91 @@ class TestAxioms:
         digest = hashlib.sha256(repr(AXIOM_SETS[name]).encode()).hexdigest()
         assert digest == AXIOM_DIGESTS[name]
 
+    @pytest.mark.parametrize("name", sorted(OLD_AXIOMS))
+    def test_basis_spans_the_old_cone(self, name):
+        """Each old fact is certified by multipliers over the basis, checked
+        by multiplying them out exactly; the basis keeps only old facts."""
+        basis = AXIOM_SETS[name]
+        old = [i.rhs for i in parse_bounds(OLD_AXIOMS[name])]
+        assert set(basis) <= set(old)
+        for fact in old:
+            lam = implied_by(fact, basis)
+            assert lam is not None, fact
+            assert all(v >= 0 for v in lam)
+            rest = fact + sum((ax.scale(-v) for ax, v in zip(basis, lam)), Combo())
+            assert all(v >= 0 for _, v in rest.coeffs) and rest.const >= 0, fact
+
+    @pytest.mark.parametrize("name", sorted(AXIOM_SETS))
+    def test_irredundant_and_mirror_closed(self, name):
+        basis = AXIOM_SETS[name]
+        assert len(set(basis)) == len(basis) == 20
+        for j, fact in enumerate(basis):
+            assert implied_by(fact, basis[:j] + basis[j + 1:]) is None, fact
+        mirror = {Combo.of({k.translate(_SWAP): v for k, v in c.coeffs}, c.const)
+                  for c in basis}
+        assert mirror == set(basis)
+
+
+def int_canonical(ineq) -> bool:
+    """Every coefficient an ``int``, with no common factor."""
+    values = [v for _, v in ineq.lhs] + [v for _, v in ineq.rhs.coeffs] + [ineq.rhs.const]
+    return all(type(v) is int for v in values) and gcd(*values) == 1
+
+
+# Numbers as a system JSON gives them: ints, {"num", "den"} objects and floats.
+json_numbers = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda n, d: {"num": n, "den": d}, st.integers(-6, 6), st.integers(1, 6)),
+    st.sampled_from([0.5, -0.25, 1.5]))
+
+
+@st.composite
+def json_systems(draw):
+    """A system JSON over (S1, T1, R1) with rational coefficients; without
+    term symbols its right-hand sides are constants, as in the rows
+    ``icregions project`` eliminates from."""
+    rate_vars = ["S1", "T1", "R1"]
+    symbols = draw(st.sampled_from([["a1", "b1", "e2"], []]))
+    row = st.fixed_dictionaries({
+        "lhs": st.dictionaries(st.sampled_from(rate_vars), json_numbers,
+                               min_size=1, max_size=3),
+        "rhs": st.dictionaries(st.sampled_from(symbols), json_numbers, max_size=2)
+        if symbols else st.just({}),
+        "const": json_numbers})
+    return {"rate_vars": rate_vars,
+            "inequalities": draw(st.lists(row, min_size=1, max_size=6))}
+
 
 class TestFmEliminate:
+    @settings(max_examples=80, deadline=None)
+    @given(json_systems(), st.sampled_from(["S1", "T1", "R1"]))
+    def test_rational_input_matches_the_fraction_oracle(self, obj, v):
+        """Rational rows enter as canonical int rows; one elimination must
+        give the canonical rows and the term facts of a ``Fraction`` FM
+        (Imbert's rule drops nothing on one variable), and the numeric
+        projection the same rows."""
+        try:
+            sys0 = system_from_json(obj)
+        except ValueError:  # a negative constant fact
+            assume(False)
+        keys, facts = fm_step_keys(sys0, v)
+        constants_only = not any(i.rhs.coeffs for i in sys0.inequalities)
+        if any(not coeffs and const < 0 for coeffs, const in facts):
+            with pytest.raises(ValueError, match="infeasible"):
+                fm_eliminate(sys0, v)
+            if constants_only:
+                with pytest.raises(ValueError, match="infeasible"):
+                    fm_eliminate_numeric(bind(sys0, {}), v)
+            return
+        out = fm_eliminate(sys0, v)
+        assert all(map(int_canonical, out.inequalities))
+        assert {i.key() for i in out.inequalities} == keys
+        assert {(c.coeffs, c.const) for c in out.term_facts} == facts
+        if constants_only:
+            shadow = fm_eliminate_numeric(bind(sys0, {}), v)
+            assert {Inequality.of(dict(zip(shadow.dims, lhs)), {}, rhs).key()
+                    for lhs, rhs in shadow.rows} == keys
+
     def test_textbook_pair(self):
         # {x <= a1, y - x <= b1} with implicit x >= 0 -> {y <= a1 + b1}
         sys0 = LinearSystem.of(("S1", "T1"), [
@@ -274,9 +397,6 @@ class TestPruning:
                 == prune_redundant_eq(sys0, axioms).inequalities)
 
 
-_SWAP = str.maketrans("12", "21")
-
-
 def mirrored(ineq):
     """The receiver-2 image of a row: indices 1 and 2 swapped in every name."""
     return Inequality.of({k.translate(_SWAP): v for k, v in ineq.lhs},
@@ -401,6 +521,16 @@ class TestDeriveRegion:
         eq, diff = system_equal(derive_region("hod", "chain"),
                                 build_system("HOD_R"))
         assert eq, diff
+
+    def test_rows_are_canonical_ints(self):
+        """``fm_eliminate`` does not canonicalise its rows a second time, so
+        every golden and derived row must already be canonical."""
+        systems = [build_system(rid) for rid in REGION_IDS]
+        systems += [derive_region(*pair) for pair in DERIVE_DIGESTS]
+        for system in systems:
+            for ineq in system.inequalities:
+                assert int_canonical(ineq), ineq
+                assert ineq.canonical() == ineq
 
     def test_unknown_ids(self):
         with pytest.raises(ValueError):
