@@ -149,9 +149,11 @@ class FactorSpec:
                         + (math.prod(n[v] for v in of),))
         if self.form is Form.HK2:
             # the stored conditional must not actually depend on W1/W2
-            if not np.allclose(self.u1_given_q_w1, self.u1_given_q_w1[:, :1, :], atol=NORM_TOL):
+            if not np.allclose(self.u1_given_q_w1, self.u1_given_q_w1[:, :1, :],
+                               rtol=0, atol=NORM_TOL):
                 raise SpecError("HK2 spec: u1_given_q_w1 depends on w1")
-            if not np.allclose(self.u2_given_q_w2, self.u2_given_q_w2[:, :1, :], atol=NORM_TOL):
+            if not np.allclose(self.u2_given_q_w2, self.u2_given_q_w2[:, :1, :],
+                               rtol=0, atol=NORM_TOL):
                 raise SpecError("HK2 spec: u2_given_q_w2 depends on w2")
 
 

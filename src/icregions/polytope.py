@@ -5,8 +5,9 @@ Term values measured in bits are snapped once to rationals with denominator
 area) is exact.  Cross-region comparisons that combine independently
 snapped values use a generous eps of 2**-30.
 
-``vertices2`` finds a square around a 2-D region with one exact LP, clips
-it by each row and reads the vertices off the clipped ring.  The 2-D path
+``vertices2`` clips the quadrant x, y >= 0 itself by each row, its two
+directions written as points at infinity, and reads the vertices, or
+emptiness or unboundedness, off the clipped ring with no LP.  The 2-D path
 computes in integers, not ``Fraction``s (whose every operation runs a
 ``gcd`` on 2**-48-scale denominators): the clip keeps its ring in integer
 homogeneous coordinates and decides each step by the sign of an integer
@@ -70,8 +71,7 @@ class HPoly:
 
     def maximize(self, objective):
         """Exact max of objective.x over the polytope (x >= 0 implicit)."""
-        return solve_lp([F(v) for v in objective],
-                        A_ub=[list(lhs) for lhs, _ in self.rows],
+        return solve_lp(objective, A_ub=[lhs for lhs, _ in self.rows],
                         b_ub=[rhs for _, rhs in self.rows])
 
 
@@ -96,35 +96,39 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
 def vertices2(p: HPoly):
     """Exact vertex list of a bounded 2-D polytope.
 
-    Maximizing x + y decides emptiness and boundedness, and its value M
-    gives the square [0, M] x [0, M] around the region (x, y <= x + y <= M).
-    Clipping the square by each row (Sutherland and Hodgman, "Reentrant
-    polygon clipping", 1974) leaves the region as a counterclockwise ring;
+    The ring starts as the quadrant x, y >= 0 in oriented projective
+    coordinates (Stolfi, "Oriented Projective Geometry", 1991): a point is
+    an integer triple (X, Y, W) with no common factor and X, Y, W >= 0,
+    standing for (X/W, Y/W) when W > 0 and for the direction (X, Y) when
+    W = 0.  The origin (0, 0, 1) and the directions (1, 0, 0) and (0, 1, 0)
+    make a counterclockwise ring.  Clipping it by each row (Sutherland and
+    Hodgman, "Reentrant polygon clipping", 1974) leaves the region's ring;
     its vertices are the points where the ring turns left, listed from the
     lexicographically smallest one.  A point or a segment gives its sorted
-    distinct ends; an empty region gives an empty list.
+    distinct ends; an empty region gives an empty list, and an unbounded
+    one raises ``UnboundedRegionError``.
 
-    The ring is kept in integer homogeneous coordinates: a point is a
-    triple (X, Y, W) of integers with no common factor and W > 0, standing
-    for (X/W, Y/W).  Each row a.x <= c is scaled once to integers by the
-    least positive integer, so fp = a1*X + a2*Y - c*W is a positive multiple
-    of the rational a.p - c and has its sign.  The crossing of P and Q is
-    fp*Q - fq*P, negated if its W is negative, and a left turn at Q from O
-    to R is a positive determinant of the rows O, Q, R, a positive multiple
-    of the rational cross product.  Every keep, drop, crossing and corner
-    decision is therefore the one the same clip over ``Fraction`` points
-    makes, so the ring holds the same points in the same order, and only
-    the output is built as ``Fraction`` pairs.
+    Each row a.x <= c is scaled once to integers by the least positive
+    integer, so fp = a1*X + a2*Y - c*W is a positive multiple of the
+    rational a.p - c when W > 0 and has its sign.  The crossing of P and Q
+    is the positive combination |fq|*P + |fp|*Q, reduced by its gcd, and a
+    left turn at Q from O to R is a positive determinant of the rows O, Q, R.
+    Every ring point is a positive combination of the start triple, so all
+    stay in X, Y, W >= 0, and the clip is an ordinary convex clip seen
+    through the projection onto the triangle X + Y + W = 1, which keeps
+    orientation.  The final ring spans the cone of the homogenised region
+    {(X, Y, W) >= 0 : a1*X + a2*Y <= c*W for each row}.  That cone has a
+    point with W > 0 exactly when the region is nonempty, and a ray with
+    W = 0 exactly when the region also recedes along it.  So no W > 0 point
+    means empty, a W = 0 point left beside one means unbounded, and
+    otherwise the ring is the region's polygon in integer coordinates:
+    every keep, drop, crossing and corner decision is the sign of a
+    positive multiple of the rational one, and only the output is built as
+    ``Fraction`` pairs.
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
-    res = p.maximize([1, 1])
-    if res.status == "infeasible":
-        return []
-    if res.status != "optimal":
-        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
-    m, w = res.value.numerator, res.value.denominator
-    ring = [(0, 0, 1), (m, 0, w), (m, m, w), (0, m, w)]
+    ring = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
     for lhs, rhs in p.rows:
         (a, b, c), _ = _integers((*lhs, rhs))
         fs = [a * x + b * y - c * w for x, y, w in ring]
@@ -133,12 +137,14 @@ def vertices2(p: HPoly):
             if fp <= 0:
                 clipped.append(P)
             if (fp < 0 < fq) or (fq < 0 < fp):
-                x, y, w = (fp * qi - fq * pi for pi, qi in zip(P, Q))
-                if w < 0:
-                    x, y, w = -x, -y, -w
+                x, y, w = (abs(fq) * pi + abs(fp) * qi for pi, qi in zip(P, Q))
                 g = math.gcd(x, y, w)
                 clipped.append((x // g, y // g, w // g))
         ring = clipped
+    if not any(w for _, _, w in ring):
+        return []
+    if not all(w for _, _, w in ring):
+        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
     corners = [q for o, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
                if o[0] * (q[1] * r[2] - q[2] * r[1]) - o[1] * (q[0] * r[2] - q[2] * r[0])
                + o[2] * (q[0] * r[1] - q[1] * r[0]) > 0]

@@ -238,9 +238,13 @@ def fm_step_keys(system, v):
 
 
 def vertices2_fraction(p):
-    """``vertices2`` with the ring clipped over ``Fraction`` points: the
-    same LP square, row order, clip rule and left-turn corner test, so
-    its list, order included, is the one ``vertices2`` must return."""
+    """The earlier ``vertices2``, kept on purpose as an independent
+    reference: one exact LP decides emptiness and boundedness and gives a
+    square [0, M]^2 around the region, and the square is clipped over
+    ``Fraction`` points.  ``vertices2`` clips the quadrant itself in
+    integer coordinates with no LP, but keeps the row order, clip rule and
+    left-turn corner test, so this list, order included, is the one
+    ``vertices2`` must return."""
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
     res = p.maximize([1, 1])

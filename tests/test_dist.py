@@ -126,6 +126,18 @@ class TestSpecValidation:
                        spec.u1_given_q_w1, spec.w2_given_q, spec.u2_given_q_w2,
                        spec.x1_given_q_u1_w1, spec.x2_given_q_u2_w2, spec.channel)
 
+    def test_hk2_w_dependence_held_to_norm_tol(self):
+        """A change of 1e-7 with w1 is far past NORM_TOL (1e-12), so it is
+        refused; a relative tolerance must not let it through."""
+        spec = sample_spec(binary_alphabets(), Form.HK2, [1, 0])
+        u1 = np.array(spec.u1_given_q_w1)
+        u1[:, 1, 0] += 1e-7
+        u1[:, 1, 1] -= 1e-7
+        with pytest.raises(SpecError, match="depends on w1"):
+            FactorSpec(Form.HK2, spec.alphabets, spec.q, spec.w1_given_q, u1,
+                       spec.w2_given_q, spec.u2_given_q_w2, spec.x1_given_q_u1_w1,
+                       spec.x2_given_q_u2_w2, spec.channel)
+
     def test_json_round_trip(self):
         for form in (Form.HK2, Form.CMG9, Form.HOD16, Form.GENERAL1):
             spec = sample_spec(binary_alphabets(), form, [11, 7])

@@ -150,6 +150,11 @@ DEGENERATE_REGIONS = (
     HPoly(("R1", "R2"), (*line(1, 0, 1), *line(1, -1, 0),
                          ((F(1), F(0)), F(3)),
                          ((F(0), F(1)), F(3)))),  # the point (1, 1)
+    HPoly(("R1", "R2"), (((F(1), F(0)), F(1)),
+                         ((F(-1), F(0)), F(-2)))),  # empty, only directions left
+    HPoly(("R1", "R2"), (((F(1), F(-1)), F(-1)),
+                         ((F(-1), F(1)), F(-1)))),  # empty, only directions left
+    HPoly(("R1", "R2"), line(1, -1, 0)),  # the diagonal ray, unbounded
 )
 
 
@@ -231,6 +236,37 @@ class TestVertices2:
                 vertices2(poly)
             return
         assert vertices2(poly) == expected
+
+    def test_no_lp(self, monkeypatch):
+        """vertices2 and area2 clip without solving an LP, and give the
+        list of the LP-square clip, computed before the LP is taken away."""
+        binding = hk2_binding(0)
+        polys = [bind(build_system(rid), binding) for rid in GOLDEN_PAIR_REGIONS]
+        polys += [*DEGENERATE_REGIONS, strip(1),
+                  HPoly(("R1", "R2"), (((F(-1), F(0)), F(-1)),
+                                       ((F(1), F(0)), F(0))))]
+        expected = []
+        for poly in polys:
+            try:
+                expected.append(vertices2_fraction(poly))
+            except UnboundedRegionError:
+                expected.append(None)
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(polytope, "solve_lp", no_lp)
+        assert None in expected and [] in expected
+        for poly, vs in zip(polys, expected):
+            if vs is None:
+                with pytest.raises(UnboundedRegionError):
+                    vertices2(poly)
+                with pytest.raises(UnboundedRegionError):
+                    area2(poly)
+                continue
+            assert vertices2(poly) == vs
+            assert area2(poly) == sum((x1 * y2 - x2 * y1 for (x1, y1), (x2, y2)
+                                       in zip(vs, vs[1:] + vs[:1])), F(0)) / 2
 
     def test_unit_square(self):
         assert vertices2(square()) == [(F(0), F(0)), (F(1), F(0)),
