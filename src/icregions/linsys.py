@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 
 from .lp import feasible
 from .terms import BASE_SYMBOLS, COMPOSITE_EXPANSION
@@ -159,6 +159,8 @@ class LinearSystem:
 
     @staticmethod
     def of(rate_vars, inequalities, term_facts=()) -> "LinearSystem":
+        """The system of these rows, checked: the rate variables are distinct
+        members of ``RATE_VARS`` and every row uses only them."""
         rows, facts = {}, list(term_facts)
         for ineq in inequalities:
             if ineq.is_term_fact():
@@ -166,8 +168,11 @@ class LinearSystem:
             else:
                 c = ineq.canonical()  # once: the stored row gives its own key
                 rows.setdefault((c.lhs, c.rhs.coeffs, c.rhs.const), c)
-        return LinearSystem(tuple(rate_vars), tuple(rows[k] for k in sorted(rows)),
-                            _facts(facts))
+        dims, facts = tuple(rate_vars), _facts(facts)
+        used = {v for c in rows.values() for v, _ in c.lhs}
+        if len(set(dims)) != len(dims) or not used <= set(dims) <= set(RATE_VARS):
+            raise ValueError(f"rate_vars {list(dims)} do not fit the rows' {sorted(used)}")
+        return LinearSystem(dims, tuple(rows[k] for k in sorted(rows)), facts)
 
 
 def fm_rows(rows, v: str, most=None) -> list:
@@ -399,9 +404,9 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
             kept = others
         else:
             kept_against[i] = set(others)
-    return LinearSystem.of(system.rate_vars,
-                           [system.inequalities[j] for j in kept],
-                           system.term_facts)
+    return LinearSystem(system.rate_vars,
+                        tuple(system.inequalities[j] for j in kept),
+                        system.term_facts)
 
 
 def substitute_zero(system: LinearSystem, symbols) -> LinearSystem:
@@ -462,10 +467,11 @@ def _frac_to_obj(v: Fraction):
 
 
 def _obj_to_frac(o) -> Fraction:
-    """A JSON number or {"num": ..., "den": ...}; booleans and strings are
-    not numbers."""
+    """A JSON number or {"num": ..., "den": ...}; booleans, strings, NaN,
+    infinities and a zero denominator are not numbers."""
     parts = (o["num"], o["den"]) if isinstance(o, dict) else (o,)
-    if not all(type(p) in (int, float) for p in parts):
+    if (not all(type(p) is int or type(p) is float and isfinite(p) for p in parts)
+            or isinstance(o, dict) and o["den"] == 0):
         raise ValueError(f"coefficient {o!r} is not a number")
     return F(*parts)
 

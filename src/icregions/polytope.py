@@ -39,9 +39,12 @@ class UnboundedRegionError(ValueError):
 
 def snap_terms(term_values: dict) -> dict:
     """Round each term (bits) to the nearest multiple of 2**-48, floored at 0;
-    a float that is not finite or too large to snap raises a ValueError."""
+    a value that is not an ``int`` or ``float`` (``bool`` included), or a
+    float that is not finite or too large to snap, raises a ValueError."""
     out = {}
     for k, v in term_values.items():
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ValueError(f"value of {k!r} must be a finite number, not {v!r}")
         if isinstance(v, float) and not math.isfinite(v * SNAP_DEN):
             why = ("is too large to snap to a multiple of 2**-48:" if math.isfinite(v)
                    else "must be a finite number, not")
@@ -216,7 +219,7 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
 
     The implicit dim >= 0 row participates as a lower bound."""
     if dim not in p.dims:
-        raise ValueError(f"{dim!r} is not a coordinate of this polytope")
+        raise ValueError(f"variable {dim!r} not in system dims {p.dims}")
     # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
     rows = {}
     for ineq, _ in fm_rows([(i, frozenset()) for i in _ineqs(p)], dim):

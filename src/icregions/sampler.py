@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import polytope
 from .dist import (FACTORS, AlphabetSpec, FactorSpec, Form, Var, from_stored,
                    independence_projection, stored_factors)
 from .polytope import area2
@@ -95,9 +96,9 @@ def _objective(spec: FactorSpec, which: str):
     hod, hk = hod_vs_projected_hk(spec)
     if which == "area":
         return area2(hod) - area2(hk), hod, hk
-    m_hod = hod.maximize([1, 1])
-    m_hk = hk.maximize([1, 1])
-    return m_hod.value - m_hk.value, hod, hk
+    # both regions hold the origin and are bounded, so a vertex is optimal
+    hod_max, hk_max = (max(x + y for x, y in polytope.vertices2(p)) for p in (hod, hk))
+    return hod_max - hk_max, hod, hk
 
 
 def _perturb(spec: FactorSpec, rng, step: float) -> FactorSpec:
@@ -130,8 +131,6 @@ def improvement_search(cfg: SearchConfig) -> SearchResult:
                 spec, val, hod, hk = cand, cval, chod, chk
             trace.append(float(val))
         if best is None or val > best.objective:
-            from .polytope import vertices2  # looked up per call so a test can patch it
-
-            best = SearchResult(spec, val, vertices2(hod), vertices2(hk),
-                                trace, r)
+            best = SearchResult(spec, val, polytope.vertices2(hod),
+                                polytope.vertices2(hk), trace, r)
     return best

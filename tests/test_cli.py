@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -9,6 +10,7 @@ from icregions.claims import ALL_CLAIMS
 from icregions.cli import UsageError, _parse_alphabets, main
 from icregions.dist import AlphabetSpec, Form, SpecError, save_spec, spec_to_json
 from icregions.linsys import system_from_json, system_equal
+from icregions.polytope import bind, fm_eliminate_numeric
 from icregions.regions import build_system
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import BASE_SYMBOLS
@@ -197,6 +199,16 @@ class TestSearch:
         assert res["objective_id"] == "sumrate"
         assert len(res["trace"]) == 3
 
+    # SHA-256 of a sum-rate search file written when the objective was two
+    # LP maximisations; the vertex maximum must give the same bytes.
+    SUMRATE_DIGEST = "04c7e3b64a27c5e3934f0e340c9ecc98c25bc99f1f32e54ac23bb8022fce6aaa"
+
+    def test_sumrate_result_pinned(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["search", "--budget", "5", "--restarts", "2", "--seed", "9",
+                     "--objective", "sumrate", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.SUMRATE_DIGEST
+
     def test_alphabet_parsing(self, tmp_path):
         out = tmp_path / "r.json"
         assert main(["search", "--alphabets", "q=1,u=2,w=1,x=2,y=2",
@@ -264,6 +276,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("usage error: variable 'Z9' not in system dims")
         assert err.count("\n") == 1
+
+    def test_unknown_variable_message_is_the_library_s(self, tmp_path, capsys):
+        doc = {"rate_vars": ["R1", "R2"],
+               "inequalities": [{"lhs": {"R1": 1, "R2": 1}, "rhs": {}, "const": 1}]}
+        sys_path = tmp_path / "sys.json"
+        sys_path.write_text(json.dumps(doc))
+        assert main(["project", "--system", str(sys_path), "--eliminate", "Z9",
+                     "--out", str(tmp_path / "p.json")]) == 2
+        with pytest.raises(ValueError) as exc:
+            fm_eliminate_numeric(bind(system_from_json(doc), {}), "Z9")
+        assert capsys.readouterr().err == f"usage error: {exc.value}\n"
 
     # The parser is fuzzed alone, not `search`, so no large alphabet is sampled.
     @settings(max_examples=300, deadline=None)
@@ -437,6 +460,20 @@ class TestBadInputFiles:
         _one_usage_line(capsys.readouterr().err, "usage error: ",
                         "--system is not a system JSON: KeyError('inequalities')")
 
+    # linsys refuses the rate variables; the CLI relays its message.
+    @pytest.mark.parametrize("rate_vars,message", [
+        (["R1"], "ValueError(\"rate_vars ['R1'] do not fit the rows' ['R1', 'R2']\")"),
+        (["R1", "R2", "R2"], "ValueError(\"rate_vars ['R1', 'R2', 'R2'] do not fit "
+                             "the rows' ['R1', 'R2']\")"),
+    ], ids=["undeclared", "repeated"])
+    def test_rate_vars_exit_2(self, rate_vars, message, tmp_path, capsys):
+        system = tmp_path / "sys.json"
+        system.write_text(json.dumps({"rate_vars": rate_vars, "inequalities": [
+            {"lhs": {"R1": 1, "R2": 1}, "rhs": {}, "const": 1}]}))
+        assert self._project(system, None, tmp_path) == 2
+        assert capsys.readouterr().err == (
+            f"usage error: --system is not a system JSON: {message}\n")
+
     # A constant row 0 <= -1 read from the file is refused on loading; one
     # that only a projection produces is refused by the projection.
     @pytest.mark.parametrize("doc,message", [
@@ -462,7 +499,9 @@ class TestBadInputFiles:
     @pytest.mark.parametrize("field,value", [
         ("lhs", {"R1": True}), ("rhs", {"a1": True}), ("const", True),
         ("const", {"num": True, "den": 2}), ("lhs", {"R1": "1/3"}),
-    ], ids=["lhs", "rhs", "const", "num", "string"])
+        ("const", float("nan")), ("lhs", {"R1": float("inf")}),
+        ("const", {"num": 1, "den": 0}),
+    ], ids=["lhs", "rhs", "const", "num", "string", "nan", "infinity", "zero-den"])
     def test_non_number_coefficient_exit_2(self, field, value, derived, tmp_path, capsys):
         doc = json.loads(derived.read_text())
         doc["inequalities"][0][field] = value

@@ -574,3 +574,33 @@ class TestJsonRoundTrip:
             eq, diff = system_equal(s, back)
             assert eq, (rid, diff)
             assert back.term_facts == s.term_facts
+
+
+class TestSystemChecks:
+    """``LinearSystem.of`` and so ``system_from_json`` refuse a system whose
+    rows use a rate variable it does not declare, or whose rate variables
+    repeat or are not rate variables; ``bind`` would give such a row's
+    coefficient 0."""
+
+    ROW = Inequality.of({"R1": 1, "R2": 1}, {"a1": 1})
+
+    @pytest.mark.parametrize("rate_vars,message", [
+        (("R1",), "rate_vars ['R1'] do not fit the rows' ['R1', 'R2']"),
+        (("R1", "R2", "R1"), "rate_vars ['R1', 'R2', 'R1'] do not fit the rows' "
+                             "['R1', 'R2']"),
+        (("R1", "R2", "x"), "rate_vars ['R1', 'R2', 'x'] do not fit the rows' "
+                            "['R1', 'R2']"),
+    ], ids=["undeclared", "repeated", "not-a-rate-variable"])
+    def test_refused(self, rate_vars, message):
+        with pytest.raises(ValueError) as exc:
+            LinearSystem.of(rate_vars, [self.ROW])
+        assert str(exc.value) == message
+        doc = dict(system_to_json(LinearSystem.of(("R1", "R2"), [self.ROW])),
+                   rate_vars=list(rate_vars))
+        with pytest.raises(ValueError) as exc:
+            system_from_json(doc)
+        assert str(exc.value) == message
+
+    def test_unused_declared_variable_accepted(self):
+        system = LinearSystem.of(("R1", "R2", "T1"), [self.ROW])
+        assert system.rate_vars == ("R1", "R2", "T1")

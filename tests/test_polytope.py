@@ -74,6 +74,16 @@ class TestSnapTerms:
     def test_big_int_snaps_exactly(self):
         assert snap_terms({"a1": 10**400})["a1"] == 10**400
 
+    # A string would be repeated 2**48 times, and a bool would snap to 0 or 1.
+    @pytest.mark.parametrize("v", ["0.1", True, None], ids=["string", "bool", "none"])
+    def test_non_number_refused(self, v):
+        with pytest.raises(ValueError) as exc:
+            snap_terms({"b1": 0.5, "a1": v})
+        assert str(exc.value) == f"value of 'a1' must be a finite number, not {v!r}"
+
+    def test_numpy_float_snaps(self):
+        assert snap_terms({"a1": np.float64(0.5)})["a1"] == F(1, 2)
+
 
 class TestBind:
     def test_all_zero_binding_gives_origin(self):
@@ -478,6 +488,11 @@ class TestNumericFm:
         for v in ("R1", "T1", "R2", "T2"):
             obj = [F(1) if d == v else F(0) for d in sym.dims]
             assert sym.maximize(obj).value == num.maximize(obj).value
+
+    def test_unknown_variable_refused(self):
+        with pytest.raises(ValueError) as exc:
+            fm_eliminate_numeric(square(), "Z9")
+        assert str(exc.value) == "variable 'Z9' not in system dims ('R1', 'R2')"
 
     def test_infeasible_constant_row_raises(self):
         bad = HPoly(("R1", "R2"), (((F(-1), F(0)), F(-2)),

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from icregions import polytope
 from icregions.dist import FactorSpec, Form, spec_to_json
 from icregions.polytope import area2
 from icregions.sampler import (SearchConfig, binary_alphabets, cmg_as_hod,
@@ -172,3 +173,20 @@ class TestImprovementSearch:
             SearchConfig(alphabets=binary_alphabets(), step=1.0)
         with pytest.raises(ValueError):
             SearchConfig(alphabets=binary_alphabets(), objective="volume")
+
+
+class TestSumRate:
+    def test_search_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("solve_lp called")
+
+        monkeypatch.setattr(polytope, "solve_lp", no_lp)
+        res = improvement_search(SearchConfig(alphabets=binary_alphabets(), budget=3,
+                                              restarts=2, seed=9, objective="sumrate"))
+        assert len(res.trace) == 3
+
+    def test_equals_the_lp_maximum(self):
+        for i in range(5):
+            spec = sample_spec(binary_alphabets(), Form.HOD16, [67, i])
+            gap, hod, hk = _objective(spec, "sumrate")
+            assert gap == hod.maximize([1, 1]).value - hk.maximize([1, 1]).value
