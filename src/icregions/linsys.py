@@ -223,7 +223,7 @@ def fm_eliminate(system: LinearSystem, *variables) -> LinearSystem:
     rows = [(ineq, frozenset([n])) for n, ineq in enumerate(system.inequalities)]
     for k, v in enumerate(variables, 1):
         if v not in rate_vars:
-            raise ValueError(f"{v!r} is not a rate variable of this system")
+            raise ValueError(f"variable {v!r} not in system dims {rate_vars}")
         rate_vars = tuple(r for r in rate_vars if r != v)
         best = {}
         for ineq, hist in fm_rows(rows, v, most=k + 1):
@@ -328,11 +328,14 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     combination of the remaining inequalities, rate nonnegativity and the
     axioms and term facts, up to a nonnegative slack in each term symbol
     and in the constant.  The certificate is a point of the LP with one
-    column per usable fact, one equality row per rate variable, and one
-    ``<=`` row per term symbol and for the constant, whose slacks are the
-    multipliers of 0 <= s and of a nonnegative constant; each of those
-    slacks starts basic where the tested row's coefficient is >= 0.
-    The columns hold the rows' ``int`` coefficients as they are (only a
+    column per usable fact and only ``<=`` rows.  The row of a rate
+    variable v, ``-sum_j lambda_j lhs_j[v] <= -lhs_i[v]``, says that the
+    combination's coefficient of v is at least the tested row's; its
+    surplus is the multiplier of 0 <= v.  The row of a term symbol s,
+    ``sum_j lambda_j rhs_j[s] <= rhs_i[s]``, and the constant's have as
+    slacks the multipliers of 0 <= s and of a nonnegative constant.  Each
+    slack starts basic where its right-hand side is >= 0.  The columns
+    hold the rows' ``int`` coefficients, the rate ones negated (only a
     term fact read from rational input can bring in a ``Fraction``), and
     the shipped axiom sets are irredundant bases, so no axiom column is
     one the others make useless.  Inequalities are visited in canonical
@@ -350,15 +353,18 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     index = {k: r for r, k in enumerate(keys)}
 
     def column(lhs, rhs: Combo) -> list:
+        """The LP column of a row: its rate coefficients negated, then its
+        term coefficients and its constant."""
         col = [0] * len(keys)
-        for k, v in (*lhs, *rhs.coeffs):
+        for k, v in lhs:
+            col[index[k]] = -v
+        for k, v in rhs.coeffs:
             col[index[k]] = v
         col[-1] = rhs.const
         return col
 
-    fixed = [column(((v, -1),), Combo.of()) for v in system.rate_vars]  # -v <= 0
     # 0 <= ax contributes +ax to the certified rhs
-    fixed += [column((), ax) for ax in (*axioms, *system.term_facts)]
+    fixed = [column((), ax) for ax in (*axioms, *system.term_facts)]
     cols = [column(i.lhs, i.rhs) for i in system.inequalities]
 
     mirror = [index.get(k if k is None else k.translate(_MIRROR)) for k in keys]
@@ -380,7 +386,6 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     fixed_twinned = [twin(f) in fixed_set for f in fixed]
     fixed_closed = all(fixed_twinned)
 
-    nr = len(system.rate_vars)
     kept = list(range(len(cols)))
     removed_with = {}  # row removed by an LP -> (rows used, all facts used twinned)
     kept_against = {}  # row kept by an LP -> the rows it was tested against
@@ -395,8 +400,9 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
         elif (m in kept_against and fixed_closed
               and all(twin_row[j] in kept_against[m] for j in others)):
             continue
-        A, b = list(zip(*(cols[j] for j in others), *fixed)), cols[i]
-        x = feasible(A_ub=A[nr:], b_ub=b[nr:], A_eq=A[:nr], b_eq=b[:nr])
+        use = [cols[j] for j in others] + fixed
+        x = feasible(A_ub=[[c[r] for c in use] for r in range(len(keys))],
+                     b_ub=cols[i])
         if x is not None:
             used = [j for j, w in zip(others, x) if w]
             twinned = all(t for t, w in zip(fixed_twinned, x[len(others):]) if w)
@@ -467,13 +473,13 @@ def _frac_to_obj(v: Fraction):
 
 
 def _obj_to_frac(o) -> Fraction:
-    """A JSON number or {"num": ..., "den": ...}; booleans, strings, NaN,
-    infinities and a zero denominator are not numbers."""
-    parts = (o["num"], o["den"]) if isinstance(o, dict) else (o,)
-    if (not all(type(p) is int or type(p) is float and isfinite(p) for p in parts)
-            or isinstance(o, dict) and o["den"] == 0):
-        raise ValueError(f"coefficient {o!r} is not a number")
-    return F(*parts)
+    """A finite JSON number or {"num": int, "den": nonzero int}; booleans,
+    strings, NaN, infinities and any other object are not numbers."""
+    parts = (o.get("num"), o.get("den")) if isinstance(o, dict) else (o,)
+    if (all(type(p) is int for p in parts) and parts[1:] != (0,)
+            or type(o) is float and isfinite(o)):
+        return F(*parts)
+    raise ValueError(f"coefficient {o!r} is not a number")
 
 
 def system_to_json(system: LinearSystem) -> dict:

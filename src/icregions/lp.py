@@ -95,6 +95,19 @@ class _Tableau:
         self.D = p
         self.basis[r] = c
 
+    def price(self, cost):
+        """Append the objective row of maximizing ``cost . x``, priced out
+        against the basis at denominator D.  ``cost`` has one integer per
+        stored column and then one per row for its artificial."""
+        obj = [self.D * v for v in cost[:len(cost) - len(self.basis)]] + [0]
+        for i, b in enumerate(self.basis):
+            coef = cost[b]
+            if coef:
+                self.lift(i)
+                obj = [o - coef * v for o, v in zip(obj, self.R[i])]
+        self.R.append(obj)
+        self.den.append(self.D)
+
     def phase(self, ncols):
         """Maximize the objective stored in the last row (Bland's rule)."""
         R, basis = self.R, self.basis
@@ -174,17 +187,13 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
 
     t = _Tableau(rows, basis)
     if weights:
-        # phase 1: maximize -(sum of artificials), priced out; the artificial
-        # of row i has cost -L / s_i, so the objective row is integral
+        # phase 1: maximize -(sum of artificials); the artificial of row i
+        # has cost -L / s_i, so the objective row is integral
         L = lcm(*(s for _, s in weights))
-        obj = [0] * (ncols + 1)
+        cost = [0] * (ncols + m)
         for i, s in weights:
-            f = L // s
-            for j, v in enumerate(rows[i]):
-                if v:
-                    obj[j] += f * v
-        t.R.append(obj)
-        t.den.append(t.D)
+            cost[ncols + i] = -(L // s)
+        t.price(cost)
         t.phase(ncols)
         if t.R[-1][-1] != 0:
             return LPResult("infeasible", None, None)
@@ -197,17 +206,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
                 if col is not None:
                     t.pivot(i, col)
 
-    # phase 2, objective scaled by kc > 0 and priced out at denominator D
+    # phase 2, objective scaled by kc > 0
     ci, kc = _integers(c)
-    obj = [t.D * v for v in ci] + [0] * (m_ub + 1)
-    for i in range(m):
-        b = t.basis[i]
-        if b < n and ci[b] != 0:
-            t.lift(i)
-            coef = ci[b]
-            obj = [o - coef * v for o, v in zip(obj, t.R[i])]
-    t.R.append(obj)
-    t.den.append(t.D)
+    t.price(ci + [0] * (m_ub + m))
     if t.phase(ncols) == "unbounded":
         return LPResult("unbounded", None, None)
     x = [Fraction(0)] * n

@@ -500,8 +500,10 @@ class TestBadInputFiles:
         ("lhs", {"R1": True}), ("rhs", {"a1": True}), ("const", True),
         ("const", {"num": True, "den": 2}), ("lhs", {"R1": "1/3"}),
         ("const", float("nan")), ("lhs", {"R1": float("inf")}),
-        ("const", {"num": 1, "den": 0}),
-    ], ids=["lhs", "rhs", "const", "num", "string", "nan", "infinity", "zero-den"])
+        ("const", {"num": 1, "den": 0}), ("const", {"num": 0.5, "den": 2}),
+        ("const", {"num": 1}),
+    ], ids=["lhs", "rhs", "const", "num", "string", "nan", "infinity", "zero-den",
+            "float-num", "no-den"])
     def test_non_number_coefficient_exit_2(self, field, value, derived, tmp_path, capsys):
         doc = json.loads(derived.read_text())
         doc["inequalities"][0][field] = value

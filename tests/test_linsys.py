@@ -4,9 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from icregions import linsys
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               QUADRUPLE_SYSTEMS, Combo, Inequality,
@@ -251,7 +252,8 @@ class TestFmEliminate:
     @pytest.mark.parametrize("v", ["T1", "R1", "a1"])
     def test_variable_not_in_system_rejected(self, v):
         sys0 = LinearSystem.of(("S1",), [Inequality.of({"S1": 1}, {"a1": 1})])
-        with pytest.raises(ValueError, match=f"{v!r} is not a rate variable"):
+        with pytest.raises(ValueError,
+                           match=rf"variable {v!r} not in system dims \('S1',\)"):
             fm_eliminate(sys0, v)
 
     # rows of the chained one-variable eliminations that Imbert's rule drops
@@ -386,10 +388,13 @@ class TestPruning:
                               st.sampled_from([0, 0, 1, -1])),
                     min_size=1, max_size=6),
            st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
+    # one row, no axiom and no term fact: the LP has no columns
+    @example(rows=[(0, 1, {"a1": -1}, 0)], axioms=())
     def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
-        """The pruning LP states the term-symbol and constant rows as
-        inequalities; it must keep exactly the rows that the LP with one
-        equality row per symbol and fixed 0 <= s columns keeps."""
+        """The pruning LP states every row as an inequality; it must keep
+        exactly the rows that the LP with one equality row per rate
+        variable, term symbol and the constant, and fixed -v <= 0 and
+        0 <= s columns, keeps."""
         sys0 = LinearSystem.of(("R1", "R2"), [
             Inequality.of({"R1": r1, "R2": r2}, rhs, const)
             for r1, r2, rhs, const in rows if r1 or r2])
@@ -539,6 +544,74 @@ class TestDeriveRegion:
             derive_region("hk", "nope")
 
 
+def _lp_row(col, rate_vars):
+    """The key of the row or fact a pruning-LP column stands for: its rate
+    entries are the row's coefficients negated, then come the term-symbol
+    coefficients and the constant."""
+    nr = len(rate_vars)
+    lhs = sorted((v, -c) for v, c in zip(rate_vars, col) if c)
+    rhs = sorted((s, c) for s, c in zip(BASE_SYMBOLS, col[nr:-1]) if c)
+    return tuple(lhs), tuple(rhs), col[-1]
+
+
+class TestPruningCertificates:
+    """Every LP of the 8 derivations has only ``<=`` rows, and the point of
+    each LP that removes a row is a certificate for it: multiplied out with
+    the system's own rows and facts, the combination's rate coefficients
+    cover the row's and its term and constant coefficients do not exceed
+    the row's."""
+
+    @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
+    def test_removals_certified(self, pair, monkeypatch):
+        system_id, axioms_id = pair
+        sys2 = fm_eliminate(substitute_rate_sums(
+            build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
+        axioms = AXIOM_SETS[axioms_id]
+        rows = {(i.lhs, i.rhs.coeffs, i.rhs.const): i for i in sys2.inequalities}
+        facts = {((), c.coeffs, c.const): c for c in (*axioms, *sys2.term_facts)}
+        lps = []
+
+        def recording(A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+            assert A_eq is None and b_eq is None
+            x = feasible(A_ub=A_ub, b_ub=b_ub)
+            lps.append((A_ub, b_ub, x))
+            return x
+
+        monkeypatch.setattr(linsys, "feasible", recording)
+        out = prune_redundant(sys2, axioms)
+        assert lps
+        removed = 0
+        for A, b, x in lps:
+            row = rows[_lp_row(b, sys2.rate_vars)]
+            if x is None:
+                assert row in out.inequalities
+                continue
+            removed += 1
+            assert row not in out.inequalities
+            assert all(w >= 0 for w in x)
+            lhs, rhs, const = {}, {}, F(0)
+            for j, w in enumerate(x):
+                if not w:
+                    continue
+                key = _lp_row([r[j] for r in A], sys2.rate_vars)
+                assert key != _lp_row(b, sys2.rate_vars)
+                if key in rows:
+                    used = rows[key]
+                    combo = used.rhs
+                    for v, c in used.lhs:
+                        lhs[v] = lhs.get(v, 0) + w * c
+                else:
+                    combo = facts[key]
+                for s, c in combo.coeffs:
+                    rhs[s] = rhs.get(s, 0) + w * c
+                const += w * combo.const
+            assert all(lhs.get(v, 0) >= row.coeff(v) for v in sys2.rate_vars)
+            assert all(rhs.get(s, 0) <= row.rhs.as_dict().get(s, 0)
+                       for s in BASE_SYMBOLS)
+            assert const <= row.rhs.const
+        assert removed
+
+
 class TestSystemEqual:
     def test_reflexive(self):
         s = build_system("HK_R")
@@ -600,6 +673,15 @@ class TestSystemChecks:
         with pytest.raises(ValueError) as exc:
             system_from_json(doc)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("value", [{"num": 0.5, "den": 2}, {"num": 1}],
+                             ids=["float-num", "no-den"])
+    def test_non_number_coefficient_refused(self, value):
+        doc = system_to_json(LinearSystem.of(("R1", "R2"), [self.ROW]))
+        doc["inequalities"][0]["const"] = value
+        with pytest.raises(ValueError) as exc:
+            system_from_json(doc)
+        assert str(exc.value) == f"coefficient {value!r} is not a number"
 
     def test_unused_declared_variable_accepted(self):
         system = LinearSystem.of(("R1", "R2", "T1"), [self.ROW])

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icregions import lp
+from icregions import lp, polytope
+from icregions.claims import run_all
 from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
 from icregions.lp import feasible, solve_lp
 
@@ -51,6 +52,11 @@ class TestSolveLp:
     def test_feasible_without_columns_or_rows(self):
         # the empty problem is feasible; its certificate is the empty point
         assert feasible() == []
+
+    def test_feasible_rows_without_columns(self):
+        # each row reads 0 <= b: the empty point when every b >= 0
+        assert feasible(A_ub=[[], []], b_ub=[0, -1]) is None
+        assert feasible(A_ub=[[], []], b_ub=[0, 1]) == []
 
     def test_degenerate_start(self):
         # max x + y  s.t.  x - y <= 0, y - z <= 0 (slacks start basic at 0),
@@ -128,20 +134,22 @@ def pivots(monkeypatch):
 
 class TestPivotBudget:
     def test_derivations(self, pivots, lp_calls):
-        """The 8 derivations solve 158 LPs with 3591 pivots and 9260
-        structural columns in all.  With the axiom sets before they were
-        reduced to bases (34 chain and 40 hk-indep facts, 20 each now) the
-        same 158 LPs had 11940 columns and took 3602 pivots; before Imbert's
-        rule in ``fm_eliminate`` and the mirror reuse in ``prune_redundant``
-        there were 352 LPs with 7660 pivots from the slack start, and 14979
+        """The 8 derivations solve 158 LPs with 2922 pivots and 8944
+        structural columns in all.  With two equality rows and two fixed
+        -v <= 0 columns for the rate variables they took 3591 pivots and
+        9260 columns; with the axiom sets before they were reduced to bases
+        (34 chain and 40 hk-indep facts, 20 each now) the same 158 LPs had
+        11940 columns and took 3602 pivots; before Imbert's rule in
+        ``fm_eliminate`` and the mirror reuse in ``prune_redundant`` there
+        were 352 LPs with 7660 pivots from the slack start, and 14979
         pivots with an artificial on every row of the equality-form pruning
         LP.  A regrown axiom set breaks the column budget."""
         for s in QUADRUPLE_SYSTEMS:
             for a in AXIOM_SETS:
                 derive_region(s, a)
         assert lp_calls[0] <= 160
-        assert lp_calls[1] <= 9300
-        assert pivots[0] <= 3620
+        assert lp_calls[1] <= 8950
+        assert pivots[0] <= 2950
 
     def test_origin_optimal_needs_no_pivot(self, pivots):
         # b >= 0 makes the slack basis feasible and c <= 0 makes it optimal
@@ -151,6 +159,26 @@ class TestPivotBudget:
                        b_ub=[F(0), F(5, 2), F(1), F(7)])
         assert (res.status, res.value, res.x) == ("optimal", 0, [0, 0, 0])
         assert pivots[0] == 0
+
+
+def test_package_lps_have_no_equality_rows(monkeypatch):
+    """Every LP the package solves, in the 8 derivations and in every
+    claim, has only ``<=`` rows; ``A_eq`` serves outside callers such as
+    the equality-form oracle."""
+    solve, calls = lp.solve_lp, [0]
+
+    def checked(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+        assert A_eq is None and b_eq is None
+        calls[0] += 1
+        return solve(c, A_ub=A_ub, b_ub=b_ub)
+
+    monkeypatch.setattr(lp, "solve_lp", checked)
+    monkeypatch.setattr(polytope, "solve_lp", checked)
+    for s in QUADRUPLE_SYSTEMS:
+        for a in AXIOM_SETS:
+            derive_region(s, a)
+    run_all(2, 7)
+    assert calls[0]
 
 
 def _dot(a, x):
