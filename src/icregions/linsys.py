@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 
@@ -38,6 +39,19 @@ F = Fraction
 def _num(v):
     """An ``int`` as is, any other number as a ``Fraction``."""
     return v if type(v) is int else F(v)
+
+
+def _ratio(v) -> tuple:
+    """(numerator, denominator) of a number: an ``int``'s or ``Fraction``'s
+    own, any other number's through ``Fraction``."""
+    if not isinstance(v, (int, F)):
+        v = F(v)
+    return v.numerator, v.denominator
+
+
+def ratios(binding: dict) -> dict:
+    """The binding with each value as its ``_ratio`` pair."""
+    return {k: _ratio(v) for k, v in binding.items()}
 
 
 def _clean(d: dict) -> dict:
@@ -79,8 +93,24 @@ class Combo:
         s = _num(s)
         return Combo(tuple((k, v * s) for k, v in self.coeffs), self.const * s)
 
-    def evaluate(self, binding: dict) -> int | Fraction:
-        return sum((F(binding[k]) * v for k, v in self.coeffs), self.const)
+    def evaluate(self, binding: dict) -> Fraction:
+        """The value at a binding of the term symbols to numbers."""
+        return self.evaluate_ratios({k: _ratio(binding[k]) for k, _ in self.coeffs})
+
+    def evaluate_ratios(self, binding: dict) -> Fraction:
+        """The value at a binding made by ``ratios``, summed in integers over
+        one common denominator; only the sum is built as a ``Fraction``."""
+        n, d = _ratio(self.const)
+        for k, c in self.coeffs:
+            cn, cd = _ratio(c)
+            vn, vd = binding[k]
+            tn, td = cn * vn, cd * vd
+            if td == d:
+                n += tn
+            else:
+                m = lcm(d, td)
+                n, d = n * (m // d) + tn * (m // td), m
+        return F(n, d)
 
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
@@ -157,6 +187,12 @@ class LinearSystem:
     inequalities: tuple
     term_facts: tuple = field(default=())  # Combos asserted >= 0
 
+    @cached_property
+    def dense_lhs(self) -> tuple:
+        """``dense_lhs`` of the rows, built on first use and kept: binding
+        the system sets only its right-hand sides."""
+        return dense_lhs(self.rate_vars, self.inequalities)
+
     @staticmethod
     def of(rate_vars, inequalities, term_facts=()) -> "LinearSystem":
         """The system of these rows, checked: the rate variables are distinct
@@ -173,6 +209,12 @@ class LinearSystem:
         if len(set(dims)) != len(dims) or not used <= set(dims) <= set(RATE_VARS):
             raise ValueError(f"rate_vars {list(dims)} do not fit the rows' {sorted(used)}")
         return LinearSystem(dims, tuple(rows[k] for k in sorted(rows)), facts)
+
+
+def dense_lhs(dims, ineqs) -> tuple:
+    """Each inequality's lhs as a tuple of ``Fraction``s over dims."""
+    return tuple(tuple(F(lhs.get(v, 0)) for v in dims)
+                 for lhs in (dict(ineq.lhs) for ineq in ineqs))
 
 
 def fm_rows(rows, v: str, most=None) -> list:

@@ -34,12 +34,21 @@ keeps its older denominator and is brought up to ``D`` only when a later
 pivot touches it.  Ratios are compared by cross-multiplication.
 Artificial columns never enter the basis, so they are not stored.
 Results are returned as ``Fraction``.
+
+One tableau serves many objectives over the same feasible set:
+``maximize_each`` builds it and runs phase 1 once, then prices each
+objective onto the last optimal basis, maximizes it and pops its row.
+So each later objective starts warm, from a feasible basis that is often
+optimal or close to it (Applegate et al. also start their exact solves
+from a known basis).  ``solve_lp`` is its one-objective case, so both
+take the same pivots on the same problem.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 
 
@@ -145,8 +154,21 @@ def _integers(values):
     return [v.numerator * (k // v.denominator) for v in values], k
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """Maximize each objective in turn over one feasible set
+    {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}, yielding an ``LPResult`` for
+    each as it is asked for.
+
+    The tableau is built, and phase 1 and the drive-out are run, once, when
+    the first result is asked for.  Each objective is then priced onto the
+    last optimal basis, maximized from it and popped again, so a later
+    objective starts warm; an unbounded one leaves a feasible basis behind.
+    An empty set yields one ``infeasible`` result and nothing more.  Every
+    objective must have one entry per column, as many as the first."""
+    objectives = iter(objectives)
+    c = next(objectives, None)
+    if c is None:
+        return
     A_ub, b_ub = A_ub or [], b_ub or []
     A_eq, b_eq = A_eq or [], b_eq or []
     n = len(c)
@@ -196,7 +218,8 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
         t.price(cost)
         t.phase(ncols)
         if t.R[-1][-1] != 0:
-            return LPResult("infeasible", None, None)
+            yield LPResult("infeasible", None, None)
+            return
         t.R.pop()
         t.den.pop()
         # drive any artificial still in the basis out (degenerate rows)
@@ -206,16 +229,29 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
                 if col is not None:
                     t.pivot(i, col)
 
-    # phase 2, objective scaled by kc > 0
-    ci, kc = _integers(c)
-    t.price(ci + [0] * (m_ub + m))
-    if t.phase(ncols) == "unbounded":
-        return LPResult("unbounded", None, None)
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if t.basis[i] < n:
-            x[t.basis[i]] = Fraction(t.R[i][-1], t.den[i] * K)
-    return LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc), x)
+    # phase 2 for each objective, scaled by kc > 0, from the last basis
+    for k, c in enumerate(chain([c], objectives)):
+        if len(c) != n:
+            raise ValueError(f"objective {k} has {len(c)} entries, "
+                             f"objective 0 has {n}")
+        ci, kc = _integers(c)
+        t.price(ci + [0] * (m_ub + m))
+        if t.phase(ncols) == "unbounded":
+            res = LPResult("unbounded", None, None)
+        else:
+            x = [Fraction(0)] * n
+            for i in range(m):
+                if t.basis[i] < n:
+                    x[t.basis[i]] = Fraction(t.R[i][-1], t.den[i] * K)
+            res = LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc), x)
+        t.R.pop()
+        t.den.pop()
+        yield res
+
+
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
+    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
+    return next(maximize_each([c], A_ub, b_ub, A_eq, b_eq))
 
 
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:

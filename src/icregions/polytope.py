@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lp import _integers, solve_lp
-from .linsys import Combo, Inequality, LinearSystem, fm_rows, substitution_rows
+from .lp import _integers, maximize_each, solve_lp
+from .linsys import (Combo, Inequality, LinearSystem, dense_lhs, fm_rows, ratios,
+                     substitution_rows)
 
 F = Fraction
 
@@ -78,22 +79,22 @@ class HPoly:
                         b_ub=[rhs for _, rhs in self.rows])
 
 
-def _hpoly(dims, ineqs, binding: dict) -> HPoly:
-    """The inequalities in order as dense rows over dims, rhs at the binding."""
-    rows = []
-    for ineq in ineqs:
-        lhs = dict(ineq.lhs)
-        try:
-            rhs = ineq.rhs.evaluate(binding)
-        except KeyError as exc:
-            raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
-        rows.append((tuple(F(lhs.get(d, 0)) for d in dims), F(rhs)))
-    return HPoly(tuple(dims), tuple(rows))
+def _hpoly(dims, lhs_rows, ineqs, binding: dict) -> HPoly:
+    """The inequalities in order as dense rows over dims: the given
+    ``dense_lhs`` rows, and each rhs at the binding, which is converted to
+    integer pairs once, so that each rhs is summed in integers and built as
+    one ``Fraction``."""
+    binding = ratios(binding)
+    try:
+        rhs = [ineq.rhs.evaluate_ratios(binding) for ineq in ineqs]
+    except KeyError as exc:
+        raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
+    return HPoly(tuple(dims), tuple(zip(lhs_rows, rhs)))
 
 
 def bind(system: LinearSystem, binding: dict) -> HPoly:
     """Evaluate every rhs combo at the binding, yielding a numeric polytope."""
-    return _hpoly(system.rate_vars, system.inequalities, binding)
+    return _hpoly(system.rate_vars, system.dense_lhs, system.inequalities, binding)
 
 
 def vertices2(p: HPoly):
@@ -176,7 +177,12 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     raised by eps, is scaled to integers once, and a vertex (x, y) is
     tested as a1*xn*yd + a2*yn*xd <= c*xd*yd over the numerators and
     denominators of x and y.  Otherwise each outer constraint is
-    maximized over inner via exact LP."""
+    maximized over inner by the exact LP, all of them on one tableau of
+    inner's rows (``lp.maximize_each``): phase 1 runs once, and each outer
+    row starts from the basis the previous one ended at.  The results are
+    taken one at a time, so the first row that fails, or an empty inner,
+    ends the test without solving the rest; an outer with no rows solves
+    no LP."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     eps = F(eps)
@@ -193,8 +199,9 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
                 if any(a * u + b * v > c * d for a, b, c in rows):
                     return False
             return True
-    for lhs, rhs in outer.rows:
-        res = inner.maximize(list(lhs))
+    results = maximize_each((list(lhs) for lhs, _ in outer.rows),
+                            [lhs for lhs, _ in inner.rows], [rhs for _, rhs in inner.rows])
+    for (_, rhs), res in zip(outer.rows, results):
         if res.status == "infeasible":
             return True  # empty inner
         if res.status == "unbounded":
@@ -228,11 +235,13 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
                 raise ValueError("projection produced an infeasible constant row")
             continue
         rows.setdefault(ineq.canonical())
-    return _hpoly(tuple(d for d in p.dims if d != dim), rows, {})
+    dims = tuple(d for d in p.dims if d != dim)
+    return _hpoly(dims, dense_lhs(dims, rows), rows, {})
 
 
 def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
     """Numeric analogue of the symbolic S_i := R_i - T_i substitution."""
     if p.dims != ("S1", "T1", "S2", "T2"):
         raise ValueError("expected a quadruple polytope over (S1, T1, S2, T2)")
-    return _hpoly(("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p)), {})
+    dims, rows = ("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p))
+    return _hpoly(dims, dense_lhs(dims, rows), rows, {})

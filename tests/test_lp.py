@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icregions import lp, polytope
-from icregions.claims import run_all
+from icregions.claims import run_all, run_claim
 from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
-from icregions.lp import feasible, solve_lp
+from icregions.lp import feasible, maximize_each, solve_lp
 
 F = Fraction
 
@@ -132,6 +132,20 @@ def pivots(monkeypatch):
     return count
 
 
+@pytest.fixture
+def tableaus(monkeypatch):
+    """A one-element list counting the tableaus ``lp`` builds."""
+    count = [0]
+    init = lp._Tableau.__init__
+
+    def counted(self, rows, basis):
+        count[0] += 1
+        init(self, rows, basis)
+
+    monkeypatch.setattr(lp._Tableau, "__init__", counted)
+    return count
+
+
 class TestPivotBudget:
     def test_derivations(self, pivots, lp_calls):
         """The 8 derivations solve 158 LPs with 2922 pivots and 8944
@@ -151,6 +165,15 @@ class TestPivotBudget:
         assert lp_calls[1] <= 8950
         assert pivots[0] <= 2950
 
+    def test_containment(self, pivots, tableaus):
+        """cmg-subset-hod's 50 containments CMG_Q in HOD_Q build one
+        tableau each, over CMG_Q's 8 rows, and maximize HOD_Q's 14 rows on
+        it from warm bases in 640 pivots.  With a fresh tableau for every
+        outer row they built 675 and took 1114."""
+        run_claim("cmg-subset-hod", 50, 7)
+        assert tableaus[0] <= 50
+        assert pivots[0] <= 650
+
     def test_origin_optimal_needs_no_pivot(self, pivots):
         # b >= 0 makes the slack basis feasible and c <= 0 makes it optimal
         res = solve_lp([F(-1), F(0), F(-2, 3)],
@@ -164,21 +187,23 @@ class TestPivotBudget:
 def test_package_lps_have_no_equality_rows(monkeypatch):
     """Every LP the package solves, in the 8 derivations and in every
     claim, has only ``<=`` rows; ``A_eq`` serves outside callers such as
-    the equality-form oracle."""
-    solve, calls = lp.solve_lp, [0]
+    the equality-form oracle.  ``solve_lp`` and ``contains`` both reach
+    the tableau through ``maximize_each``, so the check sits there."""
+    each, calls = lp.maximize_each, [0]
 
-    def checked(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    def checked(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         assert A_eq is None and b_eq is None
         calls[0] += 1
-        return solve(c, A_ub=A_ub, b_ub=b_ub)
+        return each(objectives, A_ub=A_ub, b_ub=b_ub)
 
-    monkeypatch.setattr(lp, "solve_lp", checked)
-    monkeypatch.setattr(polytope, "solve_lp", checked)
+    monkeypatch.setattr(lp, "maximize_each", checked)
+    monkeypatch.setattr(polytope, "maximize_each", checked)
     for s in QUADRUPLE_SYSTEMS:
         for a in AXIOM_SETS:
             derive_region(s, a)
+    derived = calls[0]
     run_all(2, 7)
-    assert calls[0]
+    assert derived and calls[0] > derived
 
 
 def _dot(a, x):
@@ -241,3 +266,54 @@ class TestCertificates:
         else:
             assert res.status == "infeasible"
             assert dual.status in ("infeasible", "unbounded")
+
+
+@st.composite
+def multi_objective_lps(draw):
+    """A ``mixed_lps`` problem with 1 to 5 objectives over its rows."""
+    c, A_ub, b_ub, A_eq, b_eq = draw(mixed_lps())
+    row = st.lists(rationals, min_size=len(c), max_size=len(c))
+    return [c, *draw(st.lists(row, max_size=4))], A_ub, b_ub, A_eq, b_eq
+
+
+class TestMaximizeEach:
+    @settings(max_examples=100, deadline=None)
+    @given(multi_objective_lps())
+    # an unbounded objective, then bounded ones from the basis it leaves
+    @example(([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
+              [[F(0), F(1)]], [F(1)], [], []))
+    # x + y >= 1 as a negative rhs, so phase 1 runs before every objective
+    @example(([[F(1), F(1)], [F(-1), F(-1)], [F(1), F(-2)], [F(0), F(0)]],
+              [[F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]],
+              [F(-1), F(2), F(3)], [], []))
+    # an empty set: one infeasible result for three objectives
+    @example(([[F(1)], [F(-1)], [F(0)]], [[F(1)]], [F(-1)], [], []))
+    def test_warm_equals_cold(self, problem):
+        """Each objective maximized on the shared tableau has the status
+        and value of a cold ``solve_lp`` of it; each optimal point is
+        feasible and attains the value.  An empty set yields one result."""
+        objectives, A_ub, b_ub, A_eq, b_eq = problem
+        results = list(maximize_each(objectives, A_ub, b_ub, A_eq, b_eq))
+        cold = [solve_lp(c, A_ub, b_ub, A_eq, b_eq) for c in objectives]
+        if cold[0].status == "infeasible":
+            assert [r.status for r in results] == ["infeasible"]
+            return
+        assert len(results) == len(objectives)
+        for c, warm, ref in zip(objectives, results, cold):
+            assert (warm.status, warm.value) == (ref.status, ref.value)
+            if warm.status == "optimal":
+                x = warm.x
+                assert all(v >= 0 for v in x)
+                assert all(_dot(a, x) <= b for a, b in zip(A_ub, b_ub))
+                assert all(_dot(a, x) == b for a, b in zip(A_eq, b_eq))
+                assert _dot(c, x) == warm.value
+
+    def test_later_objective_of_wrong_length_refused(self):
+        results = maximize_each([[1, 1], [1]], A_ub=[[1, 1]], b_ub=[1])
+        assert next(results).value == 1
+        with pytest.raises(ValueError, match="objective 1 has 1 entries, objective 0 has 2"):
+            next(results)
+
+    def test_no_objective_builds_no_tableau(self, tableaus):
+        assert list(maximize_each([], A_ub=[[1]], b_ub=[-1])) == []
+        assert tableaus[0] == 0

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 from fractions import Fraction
@@ -9,8 +10,8 @@ from hypothesis import strategies as st
 
 from icregions import polytope
 from icregions.dist import Form, build_joint
-from icregions.linsys import (QUADRUPLE_SYSTEMS, fm_eliminate,
-                              substitute_rate_sums)
+from icregions.linsys import (QUADRUPLE_SYSTEMS, Inequality, LinearSystem,
+                              fm_eliminate, substitute_rate_sums)
 from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly,
                                 UnboundedRegionError, area2, bind, contains,
                                 fm_eliminate_numeric, poly_equal, snap_terms,
@@ -98,9 +99,32 @@ class TestBind:
         assert vertices2(poly) == [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)),
                                    (F(0), F(1))]
 
+    ODD = LinearSystem(("R1", "R2"), (  # not canonical: Fraction coefficients
+        Inequality.of({"R1": F(1, 2)}, {"a1": F(2, 3), "g2": -1}, const=F(1, 4)),))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.fixed_dictionaries({s: st.one_of(
+        st.integers(-9, 9), st.integers(0, 2**50).map(lambda k: F(k, 2**48)),
+        st.floats(-9, 9)) for s in BASE_SYMBOLS}))
+    def test_rows_are_the_per_term_fraction_sums(self, binding):
+        """Each bound row, built once per system and summed in integers,
+        is the row ``F(lhs)``s and ``F(binding[k]) * coefficient`` sums
+        give, repr included, for int, Fraction and float values."""
+        for system in [*map(build_system, REGION_IDS), self.ODD]:
+            poly = bind(system, binding)
+            expected = tuple(
+                (tuple(F(dict(i.lhs).get(v, 0)) for v in system.rate_vars),
+                 F(sum((F(binding[k]) * c for k, c in i.rhs.coeffs), i.rhs.const)))
+                for i in system.inequalities)
+            assert repr(poly.rows) == repr(expected)
+            assert bind(system, binding).rows[0][0] is poly.rows[0][0]
+
     def test_missing_symbol_reported(self):
         with pytest.raises(ValueError, match="missing term symbol"):
             bind(build_system("HK_R"), {"a1": F(0)})
+        with pytest.raises(ValueError) as exc:
+            bind(self.ODD, {"a1": 1})
+        assert str(exc.value) == "binding is missing term symbol 'g2'"
 
     def test_feasibility_matches_direct_evaluation(self):
         binding = hk2_binding(0)
@@ -330,6 +354,43 @@ def strip(top):
 
 TINY = F(1, 2**60)
 
+QUAD_DIMS = ("S1", "T1", "S2", "T2")
+QUAD_EMPTY = HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(-1)),))  # S1 <= -1
+QUAD_SLAB = HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(1)),))  # S1 <= 1
+
+
+QUARTERS = st.integers(-12, 12).map(lambda k: F(k, 4))
+quad_polys = st.lists(st.tuples(st.tuples(*[QUARTERS] * 4), QUARTERS), max_size=6).map(
+    lambda rows: HPoly(QUAD_DIMS, tuple(rows)))  # maybe empty, unbounded or rowless
+
+
+@functools.cache
+def hod16_binding(index):
+    spec = sample_spec(binary_alphabets(), Form.HOD16, [43, index])
+    return snap_terms(eval_terms(build_joint(spec)))
+
+
+@st.composite
+def golden_quads(draw):
+    """A golden quadruple system bound to the snapped terms of one of 16
+    seeded HOD16 specs, each built once."""
+    binding = hod16_binding(draw(st.integers(0, 15)))
+    return bind(build_system(draw(st.sampled_from(
+        ("HK_Q", "HK_Q_MODIFIED", "CMG_Q", "HOD_Q")))), binding)
+
+
+@st.composite
+def quad_pairs(draw):
+    """(outer, inner): inner is random, golden, or outer with every rhs
+    raised by 0, eps/2, eps or eps + 2**-60, with random rows added or not,
+    so that inner's maxima lie just inside or just past rhs + eps."""
+    outer = draw(st.one_of(quad_polys, golden_quads()))
+    rise = draw(st.sampled_from((F(0), DEFAULT_EPS / 2, DEFAULT_EPS, DEFAULT_EPS + TINY)))
+    raised = tuple((lhs, rhs + rise) for lhs, rhs in outer.rows)
+    inner = draw(st.one_of(quad_polys, golden_quads(), st.just(HPoly(QUAD_DIMS, raised)),
+                           quad_polys.map(lambda p: HPoly(QUAD_DIMS, raised + p.rows))))
+    return outer, inner
+
 
 class TestContains:
     @settings(max_examples=200, deadline=None)
@@ -403,6 +464,20 @@ class TestContains:
         swapped = HPoly(("R2", "R1"), square().rows)
         with pytest.raises(ValueError, match="different rate variables"):
             contains(square(), swapped, F(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(quad_pairs(), st.sampled_from((F(0), DEFAULT_EPS)))
+    @example((QUAD_SLAB, QUAD_EMPTY), F(0))
+    @example((HPoly(QUAD_DIMS, ()), QUAD_SLAB), F(0))
+    @example((QUAD_SLAB, HPoly(QUAD_DIMS, ())), DEFAULT_EPS)
+    @example((HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(2)),)), QUAD_SLAB), F(0))
+    @example((HPoly(QUAD_DIMS, (((F(0), F(1), F(0), F(0)), F(2)),)), QUAD_SLAB), F(0))
+    def test_4d_warm_lp_matches_cold_lp_loop(self, pair, eps):
+        """4-D containment, decided on one warm-started tableau, against
+        the oracle's cold LP per outer row: an empty inner, an unbounded
+        inner inside and outside, and an outer with no rows among them."""
+        outer, inner = pair
+        assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
 
     def test_quadruple_containment_via_lp(self):
         binding = hk2_binding(10)
