@@ -28,10 +28,12 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 
-from .lp import feasible
+from . import lp
 from .terms import BASE_SYMBOLS, COMPOSITE_EXPANSION
 
 RATE_VARS = ("S1", "T1", "S2", "T2", "R1", "R2")
+
+feasible = lp.feasible  # not called here; perfbench's tracer test needs this binding
 
 F = Fraction
 
@@ -380,8 +382,13 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     hold the rows' ``int`` coefficients, the rate ones negated (only a
     term fact read from rational input can bring in a ``Fraction``), and
     the shipped axiom sets are irredundant bases, so no axiom column is
-    one the others make useless.  Inequalities are visited in canonical
-    order, so the result is deterministic.
+    one the others make useless.  All the LPs of one call share these rows
+    and one ``lp.Feasibility`` tableau with a column for every inequality
+    and fact: each sets its right-hand side to the tested row and may not
+    use that row or the rows already removed, and starts from the basis
+    the one before it left.  A removal depends only on whether the LP is
+    feasible, not on which point it returns.  Inequalities are visited in
+    canonical order, so the result is deterministic.
 
     The LP is skipped where the row's receiver twin (every name with the
     indices 1 and 2 swapped) was visited before and its answer carries
@@ -428,6 +435,7 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
     fixed_twinned = [twin(f) in fixed_set for f in fixed]
     fixed_closed = all(fixed_twinned)
 
+    lps = lp.Feasibility([[c[r] for c in (*cols, *fixed)] for r in range(len(keys))])
     kept = list(range(len(cols)))
     removed_with = {}  # row removed by an LP -> (rows used, all facts used twinned)
     kept_against = {}  # row kept by an LP -> the rows it was tested against
@@ -442,12 +450,10 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
         elif (m in kept_against and fixed_closed
               and all(twin_row[j] in kept_against[m] for j in others)):
             continue
-        use = [cols[j] for j in others] + fixed
-        x = feasible(A_ub=[[c[r] for c in use] for r in range(len(keys))],
-                     b_ub=cols[i])
+        x = lps.point(cols[i], without=set(range(len(cols))) - set(others))
         if x is not None:
-            used = [j for j, w in zip(others, x) if w]
-            twinned = all(t for t, w in zip(fixed_twinned, x[len(others):]) if w)
+            used = [j for j in others if x[j]]
+            twinned = all(t for t, w in zip(fixed_twinned, x[len(cols):]) if w)
             removed_with[i] = (used, twinned)
             kept = others
         else:

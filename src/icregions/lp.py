@@ -1,4 +1,5 @@
-"""Small dense two-phase simplex over exact integers.
+"""Small dense simplex over exact integers: two-phase primal for
+objectives, least-index dual for feasibility.
 
 Solves   maximize c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 exactly, so feasibility and optimality answers are proofs, not tolerance
@@ -42,6 +43,26 @@ So each later objective starts warm, from a feasible basis that is often
 optimal or close to it (Applegate et al. also start their exact solves
 from a known basis).  ``solve_lp`` is its one-objective case, so both
 take the same pivots on the same problem.
+
+One tableau also serves many feasibility problems over the same matrix:
+``Feasibility(A_ub).point(b, without)`` decides {x >= 0 : A_ub x <= b,
+x_j = 0 for j in without} for one right-hand side after another.  The
+tableau is built once from the slack basis, and each problem starts from
+the basis the previous one left.  Its right-hand side column is set to
+B^-1 b, which the slack columns already hold as D * B^-1, so this is one
+integer dot product per row.  A basic column of ``without`` is pivoted
+out first, on the least-index allowed column with a nonzero entry in its
+row.  One always exists: the row's slack entries are a row of the
+nonsingular B^-1, so one is nonzero, and a basic slack is 0 there.
+Feasibility is then repaired by the least-index dual rule: the negative
+row whose basic variable has the least index leaves, and the allowed
+column of least index with a negative entry in that row enters; when
+there is none, the row proves the set empty.  With no objective every
+reduced cost is 0, so this is Terlaky's least-index criss-cross rule
+(T. Terlaky, "A convergent criss-cross method", Optimization 16, 1985),
+which is finite.  ``feasible`` is its one-problem case, with each
+equality row as two ``<=`` rows; the primal phase 1 serves only
+``maximize_each``, where objectives need it.
 """
 
 from __future__ import annotations
@@ -154,6 +175,18 @@ def _integers(values):
     return [v.numerator * (k // v.denominator) for v in values], k
 
 
+def _checked(A_ub, b_ub, A_eq, b_eq) -> tuple:
+    """The four arguments, None as empty, once each b has one entry per row
+    of its A."""
+    A_ub, b_ub = A_ub or [], b_ub or []
+    A_eq, b_eq = A_eq or [], b_eq or []
+    for name, A, b in (("A_ub", A_ub, b_ub), ("A_eq", A_eq, b_eq)):
+        if len(b) != len(A):
+            raise ValueError(f"b_{name[2:]} has {len(b)} entries for the "
+                             f"{len(A)} rows of {name}")
+    return A_ub, b_ub, A_eq, b_eq
+
+
 def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     """Maximize each objective in turn over one feasible set
     {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}, yielding an ``LPResult`` for
@@ -169,13 +202,9 @@ def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     c = next(objectives, None)
     if c is None:
         return
-    A_ub, b_ub = A_ub or [], b_ub or []
-    A_eq, b_eq = A_eq or [], b_eq or []
+    A_ub, b_ub, A_eq, b_eq = _checked(A_ub, b_ub, A_eq, b_eq)
     n = len(c)
-    for name, A, b in (("A_ub", A_ub, b_ub), ("A_eq", A_eq, b_eq)):
-        if len(b) != len(A):
-            raise ValueError(f"b_{name[2:]} has {len(b)} entries for the "
-                             f"{len(A)} rows of {name}")
+    for name, A in (("A_ub", A_ub), ("A_eq", A_eq)):
         for i, a in enumerate(A):
             if len(a) != n:
                 raise ValueError(f"row {i} of {name} has {len(a)} entries, "
@@ -254,12 +283,84 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     return next(maximize_each([c], A_ub, b_ub, A_eq, b_eq))
 
 
+class Feasibility:
+    """The sets {x >= 0 : A_ub x <= b, x_j = 0 for j in without} of one
+    matrix, decided one right-hand side at a time on one tableau, which is
+    built when the first point is asked for (see the module docstring)."""
+
+    def __init__(self, A_ub):
+        self.A_ub = A_ub
+        self.n = len(A_ub[0]) if A_ub else 0
+        for i, a in enumerate(A_ub):
+            if len(a) != self.n:
+                raise ValueError(f"row {i} of A_ub has {len(a)} entries, "
+                                 f"row 0 has {self.n}")
+        self._t = self._scale = None
+
+    def _tableau(self):
+        """The tableau of row i times s_i > 0 (integer lhs), its slack in
+        units of 1/s_i basic, and the scales s_i; the right-hand side
+        column is set by each problem."""
+        n, m = self.n, len(self.A_ub)
+        rows, scale = [], []
+        for i, a in enumerate(self.A_ub):
+            row, s = _integers(a)
+            row += [0] * (m + 1)
+            row[n + i] = 1
+            rows.append(row)
+            scale.append(s)
+        return _Tableau(rows, [n + i for i in range(m)]), scale
+
+    def point(self, b_ub, without=()) -> list | None:
+        """A point of the set for ``b_ub`` (a list of ``Fraction``s, empty
+        when there are no columns), 0 on every column in ``without``, or
+        None when the set is empty."""
+        m = len(self.A_ub)
+        if len(b_ub) != m:
+            raise ValueError(f"b_ub has {len(b_ub)} entries for the {m} rows of A_ub")
+        if self._t is None:
+            self._t, self._scale = self._tableau()
+        t, n = self._t, self.n
+        R, basis, without = t.R, t.basis, set(without)
+        # b times the row scales and one K > 0 (a change of unit for x); the
+        # slack columns hold D * B^-1, so each row's rhs is one dot product
+        b = [v * s if type(v) is int else Fraction(v) * s
+             for v, s in zip(b_ub, self._scale)]
+        K = lcm(*(v.denominator for v in b))
+        b = [v.numerator * (K // v.denominator) for v in b]
+        for row in R:
+            row[-1] = sum(w * v for w, v in zip(row[n:-1], b) if w)
+        # a basic column of ``without`` leaves for the least-index allowed
+        # column with a nonzero entry: its row's slack entries are a row of
+        # B^-1, and the basic slacks are 0 there
+        for r in range(m):
+            if basis[r] in without:
+                t.pivot(r, next(j for j, w in enumerate(R[r][:-1])
+                                if w and j not in without))
+        # least-index dual rule: the negative row with the least basic index
+        # leaves, the least allowed column with a negative entry enters
+        while True:
+            r = min((i for i in range(m) if R[i][-1] < 0),
+                    key=basis.__getitem__, default=None)
+            if r is None:
+                break
+            col = next((j for j, w in enumerate(R[r][:-1])
+                        if w < 0 and j not in without), None)
+            if col is None:
+                return None
+            t.pivot(r, col)
+        x = [Fraction(0)] * n
+        for i, j in enumerate(basis):
+            if j < n:
+                x[j] = Fraction(R[i][-1], t.den[i] * K)
+        return x
+
+
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:
     """Exact feasibility of {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}: a
     point of it (a list of ``Fraction``s, empty when there are no columns)
-    as a certificate, or None when it is empty."""
-    ncols = 0
-    for rows in (A_ub or []), (A_eq or []):
-        for r in rows:
-            ncols = max(ncols, len(r))
-    return solve_lp([0] * ncols, A_ub, b_ub, A_eq, b_eq).x
+    as a certificate, or None when it is empty.  The one-problem case of
+    ``Feasibility``, with each equality row as two ``<=`` rows."""
+    A_ub, b_ub, A_eq, b_eq = _checked(A_ub, b_ub, A_eq, b_eq)
+    return Feasibility([*A_ub, *A_eq, *([-v for v in a] for a in A_eq)]).point(
+        [*b_ub, *b_eq, *(-v for v in b_eq)])

@@ -1,20 +1,20 @@
 import pytest
 
-from icregions import linsys
+from icregions import lp
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """A two-element list: the number of LPs ``prune_redundant`` solves, that
-    is the calls of ``linsys.feasible``, and their total number of
-    structural columns."""
+    """A two-element list: the number of feasibility problems decided, that
+    is the calls of ``lp.Feasibility.point`` (one per pruning LP), and their
+    total number of usable structural columns."""
     count = [0, 0]
-    solve = linsys.feasible
+    point = lp.Feasibility.point
 
-    def counted(A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    def counted(self, b_ub, without=()):
         count[0] += 1
-        count[1] += max(map(len, [*(A_ub or ()), *(A_eq or ())]), default=0)
-        return solve(A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+        count[1] += self.n - len(set(without))
+        return point(self, b_ub, without)
 
-    monkeypatch.setattr(linsys, "feasible", counted)
+    monkeypatch.setattr(lp.Feasibility, "point", counted)
     return count

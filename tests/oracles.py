@@ -17,7 +17,7 @@ from math import gcd, lcm
 
 from icregions.dist import Var
 from icregions.linsys import LinearSystem
-from icregions.lp import feasible
+from icregions.lp import solve_lp
 from icregions.polytope import UnboundedRegionError
 from icregions.terms import BASE_SYMBOLS
 
@@ -166,7 +166,9 @@ def prune_redundant_eq(system, axioms):
     when it equals a nonnegative combination of the remaining ones, -v <= 0
     for each rate variable, the axioms and term facts, 0 <= s for each term
     symbol and a nonnegative constant, one equality row per rate variable,
-    term symbol and the constant.  Rows are visited in order."""
+    term symbol and the constant.  Rows are visited in order, and each LP
+    is decided by the primal phase 1 of ``solve_lp`` with a zero objective,
+    not by the dual simplex of ``lp.Feasibility`` that the library uses."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]
 
     def column(lhs, coeffs, const):
@@ -184,8 +186,9 @@ def prune_redundant_eq(system, axioms):
     kept = list(range(len(cols)))
     for i in range(len(cols)):
         others = [j for j in kept if j != i]
-        if feasible(A_eq=[list(r) for r in zip(*(cols[j] for j in others), *fixed)],
-                    b_eq=cols[i]) is not None:
+        use = [*(cols[j] for j in others), *fixed]
+        if solve_lp([0] * len(use), A_eq=[list(r) for r in zip(*use)],
+                    b_eq=cols[i]).status != "infeasible":
             kept = others
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from icregions import linsys
+from icregions import lp
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               QUADRUPLE_SYSTEMS, Combo, Inequality,
@@ -392,6 +392,8 @@ class TestPruning:
            st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
     # one row, no axiom and no term fact: the LP has no columns
     @example(rows=[(0, 1, {"a1": -1}, 0)], axioms=())
+    # no rate coefficient: the system has no rows, so no LP is decided
+    @example(rows=[(0, 0, {"a1": -1}, 0)], axioms=())
     def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
         """The pruning LP states every row as an inequality; it must keep
         exactly the rows that the LP with one equality row per rate
@@ -558,10 +560,11 @@ def _lp_row(col, rate_vars):
 
 class TestPruningCertificates:
     """Every LP of the 8 derivations has only ``<=`` rows, and the point of
-    each LP that removes a row is a certificate for it: multiplied out with
-    the system's own rows and facts, the combination's rate coefficients
-    cover the row's and its term and constant coefficients do not exceed
-    the row's."""
+    each LP that removes a row is a certificate for it: it is 0 on the
+    columns the LP may not use (the tested row and the rows already
+    removed), and multiplied out with the system's own rows and facts, the
+    combination's rate coefficients cover the row's and its term and
+    constant coefficients do not exceed the row's."""
 
     @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
     def test_removals_certified(self, pair, monkeypatch):
@@ -572,18 +575,18 @@ class TestPruningCertificates:
         rows = {(i.lhs, i.rhs.coeffs, i.rhs.const): i for i in sys2.inequalities}
         facts = {((), c.coeffs, c.const): c for c in (*axioms, *sys2.term_facts)}
         lps = []
+        point = lp.Feasibility.point
 
-        def recording(A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-            assert A_eq is None and b_eq is None
-            x = feasible(A_ub=A_ub, b_ub=b_ub)
-            lps.append((A_ub, b_ub, x))
+        def recording(self, b_ub, without=()):
+            x = point(self, b_ub, without)
+            lps.append((self.A_ub, b_ub, set(without), x))
             return x
 
-        monkeypatch.setattr(linsys, "feasible", recording)
+        monkeypatch.setattr(lp.Feasibility, "point", recording)
         out = prune_redundant(sys2, axioms)
         assert lps
         removed = 0
-        for A, b, x in lps:
+        for A, b, without, x in lps:
             row = rows[_lp_row(b, sys2.rate_vars)]
             if x is None:
                 assert row in out.inequalities
@@ -591,6 +594,7 @@ class TestPruningCertificates:
             removed += 1
             assert row not in out.inequalities
             assert all(w >= 0 for w in x)
+            assert all(x[j] == 0 for j in without)
             lhs, rhs, const = {}, {}, F(0)
             for j, w in enumerate(x):
                 if not w:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from icregions import lp, polytope
 from icregions.claims import run_all, run_claim
 from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
-from icregions.lp import feasible, maximize_each, solve_lp
+from icregions.lp import Feasibility, feasible, maximize_each, solve_lp
 
 F = Fraction
 
@@ -148,9 +148,11 @@ def tableaus(monkeypatch):
 
 class TestPivotBudget:
     def test_derivations(self, pivots, lp_calls):
-        """The 8 derivations solve 158 LPs with 2922 pivots and 8944
-        structural columns in all.  With two equality rows and two fixed
-        -v <= 0 columns for the rate variables they took 3591 pivots and
+        """The 8 derivations decide 158 LPs with 996 pivots and 8944 usable
+        structural columns in all, on one ``Feasibility`` tableau per
+        ``prune_redundant`` call.  With a fresh tableau and primal phase 1
+        for each LP they took 2922 pivots.  With two equality rows and two
+        fixed -v <= 0 columns for the rate variables they took 3591 pivots and
         9260 columns; with the axiom sets before they were reduced to bases
         (34 chain and 40 hk-indep facts, 20 each now) the same 158 LPs had
         11940 columns and took 3602 pivots; before Imbert's rule in
@@ -163,7 +165,7 @@ class TestPivotBudget:
                 derive_region(s, a)
         assert lp_calls[0] <= 160
         assert lp_calls[1] <= 8950
-        assert pivots[0] <= 2950
+        assert pivots[0] <= 1000
 
     def test_containment(self, pivots, tableaus):
         """cmg-subset-hod's 50 containments CMG_Q in HOD_Q build one
@@ -184,11 +186,13 @@ class TestPivotBudget:
         assert pivots[0] == 0
 
 
-def test_package_lps_have_no_equality_rows(monkeypatch):
+def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
     """Every LP the package solves, in the 8 derivations and in every
     claim, has only ``<=`` rows; ``A_eq`` serves outside callers such as
-    the equality-form oracle.  ``solve_lp`` and ``contains`` both reach
-    the tableau through ``maximize_each``, so the check sits there."""
+    the equality-form oracle.  The derivations decide their pruning LPs on
+    ``Feasibility``, which has only ``<=`` rows, and never reach
+    ``maximize_each``; ``solve_lp`` and ``contains`` both reach the tableau
+    through ``maximize_each``, so the check on the claims sits there."""
     each, calls = lp.maximize_each, [0]
 
     def checked(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -201,9 +205,9 @@ def test_package_lps_have_no_equality_rows(monkeypatch):
     for s in QUADRUPLE_SYSTEMS:
         for a in AXIOM_SETS:
             derive_region(s, a)
-    derived = calls[0]
+    assert lp_calls[0] and calls[0] == 0
     run_all(2, 7)
-    assert derived and calls[0] > derived
+    assert calls[0]
 
 
 def _dot(a, x):
@@ -317,3 +321,83 @@ class TestMaximizeEach:
     def test_no_objective_builds_no_tableau(self, tableaus):
         assert list(maximize_each([], A_ub=[[1]], b_ub=[-1])) == []
         assert tableaus[0] == 0
+
+
+@st.composite
+def feasibility_problems(draw):
+    """One matrix of small integers, at times with a ``Fraction`` entry, a
+    zero column or a repeated (degenerate) row, and 1 to 5 problems
+    (b, without) over it.  The matrix has a row, so that it has n columns."""
+    n, m = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.sampled_from([F(1, 2), F(-3, 2)]))
+    A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    if n and draw(st.booleans()):
+        zero = draw(st.integers(0, n - 1))
+        for row in A:
+            row[zero] = 0
+    if A and draw(st.booleans()):
+        k = draw(st.sampled_from([1, 2, -1]))
+        A.append([k * v for v in A[0]])
+    rhs = st.one_of(st.integers(-3, 3), st.just(F(-1, 3)))
+    problems = draw(st.lists(
+        st.tuples(st.lists(rhs, min_size=len(A), max_size=len(A)),
+                  st.sets(st.integers(0, n - 1)) if n else st.just(set())),
+        min_size=1, max_size=5))
+    return A, problems
+
+
+class TestFeasibility:
+    @settings(max_examples=150, deadline=None)
+    @given(feasibility_problems())
+    # x0 + x1 >= 1 with 2x0 + x1 <= 2: x0 enters for the first problem and
+    # is basic when the second one forbids it
+    @example(([[-1, -1], [2, 1]], [([-1, 2], set()), ([-1, 2], {0}),
+                                   ([-1, 0], {1}), ([-1, 2], {0, 1})]))
+    # a Fraction entry, a zero column and a repeated row: x2 is basic when
+    # the second problem forbids it, the third set is empty, the last not
+    @example(([[F(1, 2), 0, -1], [F(1, 2), 0, -1], [-1, 0, 1]],
+              [([-1, -1, 1], set()), ([1, 1, 0], {2}), ([-1, 0, 0], {0, 2}),
+               ([0, 0, 0], {0, 2})]))
+    def test_warm_equals_cold(self, problem):
+        """Each problem decided on the shared tableau has the verdict of a
+        cold ``solve_lp`` with a zero objective (primal phase 1) over the
+        columns it may use; each point satisfies every row exactly, is
+        >= 0 and is 0 on ``without``."""
+        A, problems = problem
+        lps = Feasibility(A)
+        n = len(A[0])
+        for b, without in problems:
+            x = lps.point(b, without)
+            keep = [j for j in range(n) if j not in without]
+            cold = solve_lp([0] * len(keep), A_ub=[[a[j] for j in keep] for a in A],
+                            b_ub=b)
+            assert (x is None) == (cold.status == "infeasible")
+            if x is not None:
+                assert len(x) == n
+                assert all(v >= 0 for v in x)
+                assert all(x[j] == 0 for j in without)
+                assert all(_dot(a, x) <= v for a, v in zip(A, b))
+
+    def test_basic_column_of_without_is_pivoted_out(self):
+        lps = Feasibility([[-1, -1], [2, 1]])
+        assert lps.point([-1, 2]) == [1, 0]
+        assert 0 in lps._t.basis
+        assert lps.point([-1, 2], without={0}) == [0, 1]
+        assert lps.point([-1, 0], without={1}) is None
+        assert lps.point([-1, 2], without={1}) == [1, 0]
+
+    def test_no_rows(self):
+        assert Feasibility([]).point([]) == []
+
+    def test_asked_nothing_builds_no_tableau(self, tableaus):
+        Feasibility([[1, 2], [3, 4]])
+        Feasibility([])
+        assert tableaus[0] == 0
+
+    @pytest.mark.parametrize("A, b, message", [
+        ([[1, 2], [1]], None, "row 1 of A_ub has 1 entries, row 0 has 2"),
+        ([[1, 2]], [1, 2], "b_ub has 2 entries for the 1 rows of A_ub"),
+    ], ids=["ragged-rows", "extra-rhs"])
+    def test_mismatched_lengths_refused(self, A, b, message):
+        with pytest.raises(ValueError, match=message):
+            Feasibility(A).point(b)
