@@ -5,6 +5,11 @@ Every report is reproducible bit-for-bit from (claim id, seed, n): sample
 verify exit code; exploratory reports never do (they cover statements that
 are only meaningful for unions over all input distributions, which a
 per-distribution harness cannot decide).
+
+Samples are shared per seed: the spec drawn in a form for ``[seed, i]`` and
+its joint are made once and read by every claim that asks for them at that
+seed (``_sample``), so ``run_all(n, seed)`` draws 3n specs, not 7n.  Only
+the latest seed's draws are kept.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ F = Fraction
 CLAIMS = {}
 
 
-@dataclass
+# slots: a caller that keeps many one-sample reports keeps each one small
+@dataclass(slots=True)
 class ClaimReport:
     claim_id: str
     seed: int
@@ -83,28 +89,61 @@ def _claim(claim_id: str, hard: bool):
     return register
 
 
+# (form, seed, i) -> (spec, joint) drawn for ``[seed, i]``, for the latest
+# seed only; see ``_sample``.
+_drawn = {}
+
+
+# Witness key of each composite's growth over its base term ("B1-b1", ...),
+# made once so that every report shares the key strings.
+_GROWTH = {f"{comp}-{base}": (comp, base)
+           for comp, (base, _) in COMPOSITE_EXPANSION.items()}
+
+
+def _growth(tv) -> dict:
+    return {key: tv[comp] - tv[base] for key, (comp, base) in _GROWTH.items()}
+
+
 def _sample(form: Form, seed, i):
-    return sample_spec(binary_alphabets(), form, [seed, i])
+    """The spec drawn in ``form`` for ``[seed, i]`` on binary alphabets, and
+    its joint, made once and shared by every claim at ``seed``.
+
+    The draw depends on (form, seed, i) alone and the joint is read-only, so
+    sharing it changes no output.  Asking for another seed forgets the
+    draws of the last one, so the memo holds at most 3n entries (three
+    forms, n samples).  Term values are not kept: each claim evaluates them
+    on the shared joint, whose entropy memo makes that cheap."""
+    key = (form, seed, i)
+    if key not in _drawn:
+        if _drawn and next(iter(_drawn))[1] != seed:
+            _drawn.clear()
+        spec = sample_spec(binary_alphabets(), form, [seed, i])
+        _drawn[key] = spec, build_joint(spec)
+    return _drawn[key]
 
 
 def _per_sample(form: Form, tolerance: str, *, strict=False, note=None):
     """Make a claim's report function from its per-sample check.
 
     Sample ``i`` is ``specs[i]`` when specs are given, else the spec drawn in
-    ``form`` for ``[seed, i]``.  A ``strict`` claim records a spec of another
-    form as a failure without checking it.  Otherwise the joint and its
-    terms are built once and ``check(rep, i, spec, joint, terms)`` returns
-    (ok, witness); a failed sample carries its spec.  ``note`` is appended
-    once when any sample failed."""
+    ``form`` for ``[seed, i]``, shared with the other claims at ``seed``
+    (``_sample``).  A given spec gets its own joint, and a ``strict`` claim
+    records a given spec of another form as a failure without checking it.
+    Then ``check(rep, i, spec, joint, terms)`` returns (ok, witness); a
+    failed sample carries its spec.  ``note`` is appended once when any
+    sample failed."""
     def wrap(check):
         def report(n: int, seed: int, specs=None, *, claim_id: str) -> ClaimReport:
             rep = ClaimReport(claim_id, seed, n, tolerance)
             for i in range(n):
-                spec = specs[i] if specs is not None else _sample(form, seed, i)
-                if strict and spec.form is not form:
-                    rep.add(i, False, {"form_violation": spec.form.value})
-                    continue
-                joint = build_joint(spec)
+                if specs is None:
+                    spec, joint = _sample(form, seed, i)
+                else:
+                    spec = specs[i]
+                    if strict and spec.form is not form:
+                        rep.add(i, False, {"form_violation": spec.form.value})
+                        continue
+                    joint = build_joint(spec)
                 ok, witness = check(rep, i, spec, joint, eval_terms(joint))
                 rep.add(i, ok, witness, spec)
             if note and rep.failed:
@@ -122,9 +161,7 @@ def _per_sample(form: Form, tolerance: str, *, strict=False, note=None):
 def claim_reduction_independence(rep, i, spec, joint, tv):
     """Independent U_i, W_i: the composite bounds collapse (B=b, C=c, F=f)
     and the correlated-form region equals the HK region."""
-    gaps = {"rho1": tv["rho1"], "rho2": tv["rho2"]}
-    for comp, (base, _) in COMPOSITE_EXPANSION.items():
-        gaps[f"{comp}-{base}"] = tv[comp] - tv[base]
+    gaps = {"rho1": tv["rho1"], "rho2": tv["rho2"], **_growth(tv)}
     terms_ok = (tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12
                 and all(abs(v) <= 1e-9 for v in gaps.values()))
     binding = snap_terms(tv)
@@ -141,13 +178,14 @@ def claim_redundancy_relations(rep, i, spec, joint, tv):
     extra sum-rate inequalities, plus the polytope-level redundancy."""
     # relation (I(Y;U|Q) <= I(Y;U|QW)) per receiver
     slack6 = {
-        f"side{s}": cond_mutual_info(joint, {y}, {u}, {Var.Q, w})
+        side: cond_mutual_info(joint, {y}, {u}, {Var.Q, w})
         - cond_mutual_info(joint, {y}, {u}, {Var.Q})
-        for s, y, u, w in ((1, Var.Y1, Var.U1, Var.W1), (2, Var.Y2, Var.U2, Var.W2))
+        for side, y, u, w in (("side1", Var.Y1, Var.U1, Var.W1),
+                              ("side2", Var.Y2, Var.U2, Var.W2))
     }
     slack7 = {
-        f"side{s}": tv[f"e{s}"] + tv[f"f{s}"] - tv[f"c{s}"] - tv[f"g{s}"]
-        for s in (1, 2)
+        side: tv[f"e{s}"] + tv[f"f{s}"] - tv[f"c{s}"] - tv[f"g{s}"]
+        for s, side in ((1, "side1"), (2, "side2"))
     }
     if spec.form is not Form.HK2:
         rep.notes.append(
@@ -209,9 +247,7 @@ def claim_hod_extra_terms(rep, i, spec, joint, tv):
             f"g{s}": d_form + I({Y}, {Wo}, {Q}),
         }
         ok &= all(abs(tv[k] - v) <= 1e-9 for k, v in want.items())
-    growth = {f"{comp}-{base}": tv[comp] - tv[base]
-              for comp, (base, _) in COMPOSITE_EXPANSION.items()}
-    return ok, {"rho1": tv["rho1"], "rho2": tv["rho2"], **growth}
+    return ok, {"rho1": tv["rho1"], "rho2": tv["rho2"], **_growth(tv)}
 
 
 @_claim("fm-reproduction", hard=True)
@@ -260,14 +296,17 @@ def compact_equivalence_report(rep, i, spec, joint, tv):
     The forced directions (dropping constraints only enlarges) are checked;
     the reverse direction is recorded as data because the equivalence is a
     statement about unions over distributions.  Each sample pairs its HK2
-    spec with the CMG9 spec drawn for the same ``[seed, i]``."""
+    spec with the CMG9 spec drawn for the same ``[seed, i]``, the draw that
+    ``cmg-subset-hod`` shares, also when the HK2 specs are given."""
     compact, witness = build_system("COMPACT_R"), {}
-    cmg_tv = eval_terms(build_joint(_sample(Form.CMG9, rep.seed, i)))
-    for name, region_id, terms in (("hk", "HK_R", tv), ("cmg", "CMG_R", cmg_tv)):
+    cmg_tv = eval_terms(_sample(Form.CMG9, rep.seed, i)[1])
+    for region_id, terms, inside, outside in (
+            ("HK_R", tv, "hk_in_compact", "compact_in_hk"),
+            ("CMG_R", cmg_tv, "cmg_in_compact", "compact_in_cmg")):
         binding = snap_terms(terms)
         region, comp = bind(build_system(region_id), binding), bind(compact, binding)
-        witness[f"{name}_in_compact"] = contains(comp, region, F(0))
-        witness[f"compact_in_{name}"] = contains(region, comp, F(0))
+        witness[inside] = contains(comp, region, F(0))
+        witness[outside] = contains(region, comp, F(0))
     return witness["hk_in_compact"] and witness["cmg_in_compact"], witness
 
 
@@ -291,12 +330,17 @@ HARD_CLAIMS = tuple(c for c, (_, hard) in CLAIMS.items() if hard)
 
 
 def run_claim(claim_id: str, n: int, seed: int) -> ClaimReport:
+    """The report of ``claim_id`` on ``n`` samples drawn at ``seed``."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
     return CLAIMS[claim_id][0](n, seed)
 
 
 def run_all(n: int, seed: int) -> dict:
+    """Every claim's report at one seed; the claims share their samples."""
     reports = [run_claim(c, n, seed) for c in ALL_CLAIMS]
     hard_ok = all(r.ok for r in reports if r.hard)
     return {"ok": hard_ok, "reports": [r.to_json() for r in reports]}

@@ -189,7 +189,8 @@ class JointDist:
     """Dense joint probability tensor over the nine variables.
 
     ``entropy`` memoises each marginal entropy on the joint, so the tensor
-    must not be mutated once the joint is built.
+    must not be mutated once the joint is built; ``build_joint`` makes it
+    read-only, since one joint may be shared by several readers.
     """
 
     alphabets: AlphabetSpec
@@ -217,6 +218,7 @@ def build_joint(spec: FactorSpec) -> JointDist:
     spec.alphabets.check_joint_size()
     t = np.einsum(_JOINT_SUBSCRIPTS, *(getattr(spec, name) for name, _, _ in FACTORS),
                   optimize=True)
+    t.flags.writeable = False
     return JointDist(spec.alphabets, t)
 
 

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from icregions import claims
 from icregions.claims import (ALL_CLAIMS, HARD_CLAIMS, claim_cmg_subset_hod,
                               claim_fm_reproduction, claim_hod_extra_terms,
                               claim_reduction_independence,
@@ -132,7 +135,74 @@ class TestHarness:
         assert out["ok"] == hard_ok
 
     def test_unknown_claim_rejected(self):
-        import pytest
-
         with pytest.raises(ValueError):
             run_claim("nope", 1, 0)
+
+    @pytest.mark.parametrize("claim,n,seed,message", [
+        ("remark2-data", -1, 7, "n must be a nonnegative int, got -1"),
+        ("remark2-data", True, True, "n must be a nonnegative int, got True"),
+        ("fm-reproduction", 1.0, 0, "n must be a nonnegative int, got 1.0"),
+        ("hod-extra-terms", 1, -1, "seed must be a nonnegative int, got -1"),
+        ("cmg-subset-hod", 1, False, "seed must be a nonnegative int, got False"),
+        ("cmg-subset-hod", 1, "7", "seed must be a nonnegative int, got '7'"),
+    ], ids=["n-negative", "n-bool", "n-float", "seed-negative", "seed-bool",
+            "seed-str"])
+    def test_bad_count_or_seed_rejected(self, claim, n, seed, message):
+        with pytest.raises(ValueError) as exc:
+            run_claim(claim, n, seed)
+        assert str(exc.value) == message
+
+
+class TestSharedSamples:
+    """Every claim at one seed reads the same drawn (spec, joint) per form
+    and index; only the latest seed's draws are kept."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(claims, "_drawn", {})
+
+    def test_run_all_draws_each_spec_once(self, monkeypatch):
+        drawn = []
+
+        def counting(alphabets, form, seed):
+            drawn.append((form, *seed))
+            return sample_spec(alphabets, form, seed)
+
+        monkeypatch.setattr(claims, "sample_spec", counting)
+        run_all(3, 7)
+        assert len(drawn) == 9 and set(drawn) == {
+            (form, 7, i) for form in (Form.HK2, Form.CMG9, Form.HOD16)
+            for i in range(3)}
+        assert len(claims._drawn) == 9
+
+    def test_run_all_reports_equal_claims_run_alone(self, monkeypatch):
+        together = run_all(3, 7)["reports"]
+        for cid, rep in zip(ALL_CLAIMS, together):
+            monkeypatch.setattr(claims, "_drawn", {})
+            alone = run_claim(cid, 3, 7).to_json()
+            assert json.dumps(rep, sort_keys=True) == \
+                json.dumps(alone, sort_keys=True), cid
+
+    def test_another_seed_forgets_the_last(self):
+        run_claim("remark2-data", 2, 7)
+        assert {key[1] for key in claims._drawn} == {7}
+        run_claim("hod-extra-terms", 1, 8)
+        assert list(claims._drawn) == [(Form.HOD16, 8, 0)]
+
+    def test_given_specs_neither_read_nor_fill_the_memo(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a report with given specs drew a sample")
+
+        monkeypatch.setattr(claims, "_sample", refuse)
+        hod = sample_spec(binary_alphabets(), Form.HOD16, [74, 0])
+        assert claim_hod_extra_terms(1, 74, specs=[hod]).ok
+        assert not claim_reduction_independence(1, 74, specs=[hod]).ok
+        assert claims._drawn == {}
+
+    def test_terms_are_evaluated_again_on_a_shared_joint(self, monkeypatch):
+        # the memo keeps joints, not term values, so a changed TERMS shows
+        # even when the joints and their entropies were made before it
+        assert claim_hod_extra_terms(2, 7).ok
+        u1, w1, _ = terms.TERMS["rho1"]
+        monkeypatch.setitem(terms.TERMS, "rho1", (u1, w1, frozenset()))
+        assert claim_hod_extra_terms(2, 7).failed == 2

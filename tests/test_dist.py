@@ -419,6 +419,14 @@ class TestEntropyMemo:
         eval_terms(joint)
         assert joint == same and repr(joint) == repr(same)
 
+    def test_built_tensor_is_read_only(self):
+        # a write would leave the memo stale for every reader of the joint
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HK2, [11, 24]))
+        with pytest.raises(ValueError):
+            joint.tensor[(0,) * 9] = 0.5
+        with pytest.raises(ValueError):
+            joint.tensor *= 1.0
+
 
 class TestIndependenceProjection:
     def test_fixed_point(self):
