@@ -15,6 +15,7 @@ the latest seed's draws are kept.
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -81,11 +82,23 @@ class ClaimReport:
 
 
 def _claim(claim_id: str, hard: bool):
-    """Enter the decorated report function in ``CLAIMS``, its ``claim_id`` bound."""
+    """Enter the decorated report function in ``CLAIMS``, its ``claim_id``
+    bound; it refuses an ``n`` or ``seed`` that is not a nonnegative ``int``
+    (``bool`` included) with a ``ValueError``."""
     def register(report_fn):
-        report = functools.partial(report_fn, claim_id=claim_id)
+        signature = inspect.signature(report_fn)
+
+        @functools.wraps(report_fn)
+        def report(*args, **kwargs):
+            call = signature.bind(*args, claim_id=claim_id, **kwargs)
+            call.apply_defaults()
+            for name in ("n", "seed"):
+                value = call.arguments[name]
+                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+                    raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+            return report_fn(*call.args, **call.kwargs)
         CLAIMS[claim_id] = (report, hard)
-        return functools.update_wrapper(report, report_fn)
+        return report
     return register
 
 
@@ -333,9 +346,6 @@ def run_claim(claim_id: str, n: int, seed: int) -> ClaimReport:
     """The report of ``claim_id`` on ``n`` samples drawn at ``seed``."""
     if claim_id not in CLAIMS:
         raise ValueError(f"unknown claim {claim_id!r}")
-    for name, value in (("n", n), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
     return CLAIMS[claim_id][0](n, seed)
 
 

@@ -1,28 +1,19 @@
-"""Small dense simplex over exact integers: two-phase primal for
-objectives, least-index dual for feasibility.
+"""Small dense simplex over exact integers: the least-index dual rule
+finds a feasible basis, Bland's primal rule maximizes objectives from it.
 
 Solves   maximize c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
 exactly, so feasibility and optimality answers are proofs, not tolerance
-judgments.  Bland's rule guarantees termination.  Problem sizes here are
-tiny (tens of rows).
+judgments.  Each equality row is written as two ``<=`` rows, so every
+problem has ``<=`` rows only.  Both rules are finite.  Problem sizes here
+are tiny (tens of rows).
 
 The tableau is fraction-free (Bareiss 1968; see also Applegate, Cook,
 Dash and Espinoza, "Exact solutions to linear programming problems",
-2007).  Each constraint row is scaled by a positive integer ``s_i`` to
-integer coefficients and negated if its right-hand side is negative; one
-common factor scales the right-hand sides to integers.  The simplex
-starts from the basis the problem already has (the slack, or crash,
-start): an ``A_ub`` row whose right-hand side is >= 0 starts with its
-slack basic, its slack column scaled to 1 (a change of unit for a slack
-the caller never sees), so the starting basis is the identity.  Only
-equality rows and ``A_ub`` rows with a negative right-hand side get a
-unit artificial column, and phase 1 minimizes the sum of those
-artificials, each weighted by ``1 / s_i`` so that it is the sum of the
-unscaled ones; with no artificial there is no phase 1.  Scaling a row
-or a slack column or all right-hand sides by a positive number changes
-neither the sign of any reduced cost nor the order of any ratio, and
-ties are broken by basis index, so the pivot sequence is the one a
-``Fraction`` tableau of the unscaled problem takes from the same basis.
+2007).  Each row is scaled by a positive integer ``s_i`` to integer
+coefficients, and its slack column is scaled to 1 (a change of unit for
+a slack the caller never sees); one common factor ``K`` scales the
+right-hand sides to integers.  The simplex starts from the basis the
+problem already has (the slack, or crash, start), which is the identity.
 Every row, the objective row included, is then stored as an integer
 vector ``R`` over a positive denominator ``d``, and stands for the
 rational row ``R / d``.  The invariant is that ``D * tableau`` is
@@ -32,37 +23,41 @@ denominator ``D``) updates a row exactly as ``(p*R - R[c]*R_pivot) / D``
 over the new denominator ``|p|``, with an exact integer division.  A row
 whose pivot-column entry is zero does not change as a rational row; it
 keeps its older denominator and is brought up to ``D`` only when a later
-pivot touches it.  Ratios are compared by cross-multiplication.
-Artificial columns never enter the basis, so they are not stored.
+pivot touches it.  Ratios are compared by cross-multiplication.  Scaling
+a row or a slack column or all right-hand sides by a positive number
+changes neither the sign of any entry nor the order of any ratio, and
+ties are broken by basis index, so the pivot sequence is the one a
+``Fraction`` tableau of the unscaled problem takes from the same basis.
 Results are returned as ``Fraction``.
+
+Phase 1 (``_repair``) sets the right-hand side column to B^-1 b, which
+the slack columns already hold as D * B^-1, so this is one integer dot
+product per row.  A basic column that must be 0 is pivoted out first, on
+the least-index allowed column with a nonzero entry in its row.  One
+always exists: the row's slack entries are a row of the nonsingular
+B^-1, so one is nonzero, and a basic slack is 0 there.  Feasibility is
+then repaired by the least-index dual rule: the negative row whose basic
+variable has the least index leaves, and the allowed column of least
+index with a negative entry in that row enters; when there is none, the
+row proves the set empty.  With no objective every reduced cost is 0, so
+this is Terlaky's least-index criss-cross rule (T. Terlaky, "A
+convergent criss-cross method", Optimization 16, 1985), which is finite.
+When every right-hand side is >= 0 the slack basis is feasible and
+phase 1 makes no pivot.
 
 One tableau serves many objectives over the same feasible set:
 ``maximize_each`` builds it and runs phase 1 once, then prices each
-objective onto the last optimal basis, maximizes it and pops its row.
-So each later objective starts warm, from a feasible basis that is often
-optimal or close to it (Applegate et al. also start their exact solves
-from a known basis).  ``solve_lp`` is its one-objective case, so both
-take the same pivots on the same problem.
+objective onto the last feasible basis, maximizes it by Bland's rule and
+pops its row.  So each later objective starts warm, from a basis that is
+often optimal or close to it (Applegate et al. also start their exact
+solves from a known basis).  ``solve_lp`` is its one-objective case, so
+both take the same pivots on the same problem.
 
 One tableau also serves many feasibility problems over the same matrix:
 ``Feasibility(A_ub).point(b, without)`` decides {x >= 0 : A_ub x <= b,
-x_j = 0 for j in without} for one right-hand side after another.  The
-tableau is built once from the slack basis, and each problem starts from
-the basis the previous one left.  Its right-hand side column is set to
-B^-1 b, which the slack columns already hold as D * B^-1, so this is one
-integer dot product per row.  A basic column of ``without`` is pivoted
-out first, on the least-index allowed column with a nonzero entry in its
-row.  One always exists: the row's slack entries are a row of the
-nonsingular B^-1, so one is nonzero, and a basic slack is 0 there.
-Feasibility is then repaired by the least-index dual rule: the negative
-row whose basic variable has the least index leaves, and the allowed
-column of least index with a negative entry in that row enters; when
-there is none, the row proves the set empty.  With no objective every
-reduced cost is 0, so this is Terlaky's least-index criss-cross rule
-(T. Terlaky, "A convergent criss-cross method", Optimization 16, 1985),
-which is finite.  ``feasible`` is its one-problem case, with each
-equality row as two ``<=`` rows; the primal phase 1 serves only
-``maximize_each``, where objectives need it.
+x_j = 0 for j in without} for one right-hand side after another, each
+by phase 1 from the basis the previous one left.  ``feasible`` is its
+one-problem case.
 """
 
 from __future__ import annotations
@@ -127,9 +122,9 @@ class _Tableau:
 
     def price(self, cost):
         """Append the objective row of maximizing ``cost . x``, priced out
-        against the basis at denominator D.  ``cost`` has one integer per
-        stored column and then one per row for its artificial."""
-        obj = [self.D * v for v in cost[:len(cost) - len(self.basis)]] + [0]
+        against the basis at denominator D; ``cost`` has one integer per
+        column."""
+        obj = [self.D * v for v in cost] + [0]
         for i, b in enumerate(self.basis):
             coef = cost[b]
             if coef:
@@ -175,16 +170,77 @@ def _integers(values):
     return [v.numerator * (k // v.denominator) for v in values], k
 
 
-def _checked(A_ub, b_ub, A_eq, b_eq) -> tuple:
-    """The four arguments, None as empty, once each b has one entry per row
-    of its A."""
+def _slack_tableau(A_ub, n):
+    """The tableau of row i of ``A_ub`` (``n`` entries) times s_i > 0
+    (integer lhs), its slack in units of 1/s_i basic, and the scales s_i;
+    the right-hand side column is set by ``_repair``."""
+    m = len(A_ub)
+    rows, scale = [], []
+    for i, a in enumerate(A_ub):
+        row, s = _integers(a)
+        row += [0] * (m + 1)
+        row[n + i] = 1
+        rows.append(row)
+        scale.append(s)
+    return _Tableau(rows, [n + i for i in range(m)]), scale
+
+
+def _repair(t, scale, b_ub, without=()):
+    """Phase 1 on a tableau of ``_slack_tableau`` with row scales ``scale``:
+    set its right-hand side column for ``b_ub``, pivot the basic columns of
+    ``without`` out and repair feasibility by the least-index dual rule, no
+    column of ``without`` entering (see the module docstring).  Returns the
+    factor K > 0 of the right-hand sides, or None when the set is empty."""
+    R, basis, m = t.R, t.basis, len(scale)
+    # b times the row scales and one K > 0 (a change of unit for x); the
+    # slack columns hold D * B^-1, so each row's rhs is one dot product
+    b = [v * s if type(v) is int else Fraction(v) * s for v, s in zip(b_ub, scale)]
+    K = lcm(*(v.denominator for v in b))
+    b = [v.numerator * (K // v.denominator) for v in b]
+    for row in R:
+        row[-1] = sum(w * v for w, v in zip(row[-1 - m:-1], b) if w)
+    # a basic column of ``without`` leaves for the least-index allowed
+    # column with a nonzero entry: its row's slack entries are a row of
+    # B^-1, and the basic slacks are 0 there
+    for r in range(m):
+        if basis[r] in without:
+            t.pivot(r, next(j for j, w in enumerate(R[r][:-1])
+                            if w and j not in without))
+    # least-index dual rule: the negative row with the least basic index
+    # leaves, the least allowed column with a negative entry enters
+    while True:
+        r = min((i for i in range(m) if R[i][-1] < 0),
+                key=basis.__getitem__, default=None)
+        if r is None:
+            return K
+        col = next((j for j, w in enumerate(R[r][:-1])
+                    if w < 0 and j not in without), None)
+        if col is None:
+            return None
+        t.pivot(r, col)
+
+
+def _point(t, n, K):
+    """The basic solution's first ``n`` coordinates, in the unit of x."""
+    x = [Fraction(0)] * n
+    for i, j in enumerate(t.basis):
+        if j < n:
+            x[j] = Fraction(t.R[i][-1], t.den[i] * K)
+    return x
+
+
+def _as_ub(A_ub, b_ub, A_eq, b_eq) -> tuple:
+    """The rows and right-hand sides of {A_ub x <= b_ub, A_eq x = b_eq},
+    None read as empty, with each equality row as two ``<=`` rows, once
+    each b has one entry per row of its A."""
     A_ub, b_ub = A_ub or [], b_ub or []
     A_eq, b_eq = A_eq or [], b_eq or []
     for name, A, b in (("A_ub", A_ub, b_ub), ("A_eq", A_eq, b_eq)):
         if len(b) != len(A):
             raise ValueError(f"b_{name[2:]} has {len(b)} entries for the "
                              f"{len(A)} rows of {name}")
-    return A_ub, b_ub, A_eq, b_eq
+    return ([*A_ub, *A_eq, *([-v for v in a] for a in A_eq)],
+            [*b_ub, *b_eq, *(-v for v in b_eq)])
 
 
 def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -192,87 +248,41 @@ def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
     {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}, yielding an ``LPResult`` for
     each as it is asked for.
 
-    The tableau is built, and phase 1 and the drive-out are run, once, when
-    the first result is asked for.  Each objective is then priced onto the
-    last optimal basis, maximized from it and popped again, so a later
-    objective starts warm; an unbounded one leaves a feasible basis behind.
-    An empty set yields one ``infeasible`` result and nothing more.  Every
-    objective must have one entry per column, as many as the first."""
+    The tableau is built, and phase 1 is run, once, when the first result
+    is asked for.  Each objective is then priced onto the last feasible
+    basis, maximized from it and popped again, so a later objective starts
+    warm; an unbounded one leaves a feasible basis behind.  An empty set
+    yields one ``infeasible`` result and nothing more.  Every objective
+    must have one entry per column, as many as the first."""
     objectives = iter(objectives)
     c = next(objectives, None)
     if c is None:
         return
-    A_ub, b_ub, A_eq, b_eq = _checked(A_ub, b_ub, A_eq, b_eq)
+    A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
     n = len(c)
-    for name, A in (("A_ub", A_ub), ("A_eq", A_eq)):
-        for i, a in enumerate(A):
+    for name, rows in (("A_ub", A_ub), ("A_eq", A_eq)):
+        for i, a in enumerate(rows or ()):
             if len(a) != n:
                 raise ValueError(f"row {i} of {name} has {len(a)} entries, "
                                  f"c has {n}")
-    m_ub = len(A_ub)
-    m = m_ub + len(A_eq)
-    ncols = n + m_ub  # structural | slacks; artificial i would be ncols + i
-
-    # row i times s_i > 0 (integer lhs), sign-normalised to rhs >= 0; an
-    # A_ub row with rhs >= 0 starts with its slack basic, any other row with
-    # its artificial
-    rows, rhs, basis, weights = [], [], [], []
-    for i, (a, b) in enumerate([*zip(A_ub, b_ub), *zip(A_eq, b_eq)]):
-        row, s = _integers(a)
-        row += [0] * m_ub
-        b = b * s if type(b) is int else Fraction(b) * s
-        slack_basic = i < m_ub and b >= 0
-        if i < m_ub:
-            row[n + i] = 1  # the slack in units of 1/s_i
-        if b < 0:
-            row, b = [-v for v in row], -b
-        rows.append(row)
-        rhs.append(b)
-        basis.append(n + i if slack_basic else ncols + i)
-        if not slack_basic:
-            weights.append((i, s))
-    # all right-hand sides times one K > 0 (a change of unit for x)
-    K = lcm(*(b.denominator for b in rhs))
-    for row, b in zip(rows, rhs):
-        row.append(b.numerator * (K // b.denominator))
-
-    t = _Tableau(rows, basis)
-    if weights:
-        # phase 1: maximize -(sum of artificials); the artificial of row i
-        # has cost -L / s_i, so the objective row is integral
-        L = lcm(*(s for _, s in weights))
-        cost = [0] * (ncols + m)
-        for i, s in weights:
-            cost[ncols + i] = -(L // s)
-        t.price(cost)
-        t.phase(ncols)
-        if t.R[-1][-1] != 0:
-            yield LPResult("infeasible", None, None)
-            return
-        t.R.pop()
-        t.den.pop()
-        # drive any artificial still in the basis out (degenerate rows)
-        for i, _ in weights:
-            if t.basis[i] >= ncols:
-                col = next((j for j in range(ncols) if t.R[i][j] != 0), None)
-                if col is not None:
-                    t.pivot(i, col)
-
+    t, scale = _slack_tableau(A, n)
+    K = _repair(t, scale, b)
+    if K is None:
+        yield LPResult("infeasible", None, None)
+        return
     # phase 2 for each objective, scaled by kc > 0, from the last basis
+    ncols = n + len(A)  # structural | slacks
     for k, c in enumerate(chain([c], objectives)):
         if len(c) != n:
             raise ValueError(f"objective {k} has {len(c)} entries, "
                              f"objective 0 has {n}")
         ci, kc = _integers(c)
-        t.price(ci + [0] * (m_ub + m))
+        t.price(ci + [0] * len(A))
         if t.phase(ncols) == "unbounded":
             res = LPResult("unbounded", None, None)
         else:
-            x = [Fraction(0)] * n
-            for i in range(m):
-                if t.basis[i] < n:
-                    x[t.basis[i]] = Fraction(t.R[i][-1], t.den[i] * K)
-            res = LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc), x)
+            res = LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc),
+                           _point(t, n, K))
         t.R.pop()
         t.den.pop()
         yield res
@@ -297,20 +307,6 @@ class Feasibility:
                                  f"row 0 has {self.n}")
         self._t = self._scale = None
 
-    def _tableau(self):
-        """The tableau of row i times s_i > 0 (integer lhs), its slack in
-        units of 1/s_i basic, and the scales s_i; the right-hand side
-        column is set by each problem."""
-        n, m = self.n, len(self.A_ub)
-        rows, scale = [], []
-        for i, a in enumerate(self.A_ub):
-            row, s = _integers(a)
-            row += [0] * (m + 1)
-            row[n + i] = 1
-            rows.append(row)
-            scale.append(s)
-        return _Tableau(rows, [n + i for i in range(m)]), scale
-
     def point(self, b_ub, without=()) -> list | None:
         """A point of the set for ``b_ub`` (a list of ``Fraction``s, empty
         when there are no columns), 0 on every column in ``without``, or
@@ -319,48 +315,15 @@ class Feasibility:
         if len(b_ub) != m:
             raise ValueError(f"b_ub has {len(b_ub)} entries for the {m} rows of A_ub")
         if self._t is None:
-            self._t, self._scale = self._tableau()
-        t, n = self._t, self.n
-        R, basis, without = t.R, t.basis, set(without)
-        # b times the row scales and one K > 0 (a change of unit for x); the
-        # slack columns hold D * B^-1, so each row's rhs is one dot product
-        b = [v * s if type(v) is int else Fraction(v) * s
-             for v, s in zip(b_ub, self._scale)]
-        K = lcm(*(v.denominator for v in b))
-        b = [v.numerator * (K // v.denominator) for v in b]
-        for row in R:
-            row[-1] = sum(w * v for w, v in zip(row[n:-1], b) if w)
-        # a basic column of ``without`` leaves for the least-index allowed
-        # column with a nonzero entry: its row's slack entries are a row of
-        # B^-1, and the basic slacks are 0 there
-        for r in range(m):
-            if basis[r] in without:
-                t.pivot(r, next(j for j, w in enumerate(R[r][:-1])
-                                if w and j not in without))
-        # least-index dual rule: the negative row with the least basic index
-        # leaves, the least allowed column with a negative entry enters
-        while True:
-            r = min((i for i in range(m) if R[i][-1] < 0),
-                    key=basis.__getitem__, default=None)
-            if r is None:
-                break
-            col = next((j for j, w in enumerate(R[r][:-1])
-                        if w < 0 and j not in without), None)
-            if col is None:
-                return None
-            t.pivot(r, col)
-        x = [Fraction(0)] * n
-        for i, j in enumerate(basis):
-            if j < n:
-                x[j] = Fraction(R[i][-1], t.den[i] * K)
-        return x
+            self._t, self._scale = _slack_tableau(self.A_ub, self.n)
+        K = _repair(self._t, self._scale, b_ub, set(without))
+        return None if K is None else _point(self._t, self.n, K)
 
 
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:
     """Exact feasibility of {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}: a
     point of it (a list of ``Fraction``s, empty when there are no columns)
     as a certificate, or None when it is empty.  The one-problem case of
-    ``Feasibility``, with each equality row as two ``<=`` rows."""
-    A_ub, b_ub, A_eq, b_eq = _checked(A_ub, b_ub, A_eq, b_eq)
-    return Feasibility([*A_ub, *A_eq, *([-v for v in a] for a in A_eq)]).point(
-        [*b_ub, *b_eq, *(-v for v in b_eq)])
+    ``Feasibility``."""
+    A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
+    return Feasibility(A).point(b)

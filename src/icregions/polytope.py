@@ -178,11 +178,11 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     tested as a1*xn*yd + a2*yn*xd <= c*xd*yd over the numerators and
     denominators of x and y.  Otherwise each outer constraint is
     maximized over inner by the exact LP, all of them on one tableau of
-    inner's rows (``lp.maximize_each``): phase 1 runs once, and each outer
-    row starts from the basis the previous one ended at.  The results are
-    taken one at a time, so the first row that fails, or an empty inner,
-    ends the test without solving the rest; an outer with no rows solves
-    no LP."""
+    inner's rows (``lp.maximize_each``): the dual-rule phase 1 repairs the
+    slack basis once, and each outer row starts from the basis the previous
+    one ended at.  The results are taken one at a time, so the first row
+    that fails, or an empty inner, ends the test without solving the rest;
+    an outer with no rows solves no LP."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     eps = F(eps)

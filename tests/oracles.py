@@ -167,8 +167,11 @@ def prune_redundant_eq(system, axioms):
     for each rate variable, the axioms and term facts, 0 <= s for each term
     symbol and a nonnegative constant, one equality row per rate variable,
     term symbol and the constant.  Rows are visited in order, and each LP
-    is decided by the primal phase 1 of ``solve_lp`` with a zero objective,
-    not by the dual simplex of ``lp.Feasibility`` that the library uses."""
+    is decided by ``solve_lp`` with a zero objective.  Its phase 1 is the
+    dual rule the library's ``lp.Feasibility`` runs, so this oracle differs
+    from the library in the statement of the LP only: equality rows (each
+    as two ``<=`` rows) with fixed columns for -v <= 0, 0 <= s and the
+    constant."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]
 
     def column(lhs, coeffs, const):

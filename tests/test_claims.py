@@ -145,11 +145,21 @@ class TestHarness:
         ("hod-extra-terms", 1, -1, "seed must be a nonnegative int, got -1"),
         ("cmg-subset-hod", 1, False, "seed must be a nonnegative int, got False"),
         ("cmg-subset-hod", 1, "7", "seed must be a nonnegative int, got '7'"),
+        (claim_hod_extra_terms, -1, 7, "n must be a nonnegative int, got -1"),
+        (claim_hod_extra_terms, True, 7, "n must be a nonnegative int, got True"),
+        (compact_equivalence_report, 1, -3,
+         "seed must be a nonnegative int, got -3"),
     ], ids=["n-negative", "n-bool", "n-float", "seed-negative", "seed-bool",
-            "seed-str"])
+            "seed-str", "report-n-negative", "report-n-bool",
+            "report-seed-negative"])
     def test_bad_count_or_seed_rejected(self, claim, n, seed, message):
+        """Through ``run_claim`` by claim id, or an exported report
+        function called directly."""
         with pytest.raises(ValueError) as exc:
-            run_claim(claim, n, seed)
+            if callable(claim):
+                claim(n, seed)
+            else:
+                run_claim(claim, n, seed)
         assert str(exc.value) == message
 
 

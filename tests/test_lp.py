@@ -192,11 +192,15 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
     the equality-form oracle.  The derivations decide their pruning LPs on
     ``Feasibility``, which has only ``<=`` rows, and never reach
     ``maximize_each``; ``solve_lp`` and ``contains`` both reach the tableau
-    through ``maximize_each``, so the check on the claims sits there."""
+    through ``maximize_each``, so the check on the claims sits there.
+    Every right-hand side ``maximize_each`` gets is >= 0 as well, so phase 1
+    makes no pivot there and each containment's phase 2 starts from the
+    slack basis."""
     each, calls = lp.maximize_each, [0]
 
     def checked(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         assert A_eq is None and b_eq is None
+        assert all(v >= 0 for v in b_ub)
         calls[0] += 1
         return each(objectives, A_ub=A_ub, b_ub=b_ub)
 
@@ -212,6 +216,20 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
 
 def _dot(a, x):
     return sum((u * v for u, v in zip(a, x)), F(0))
+
+
+def _assert_empty_certified(lps, b, without):
+    """After ``lps.point(b, without)`` returned None: a tableau row with a
+    negative rhs and no negative entry on an allowed column gives, as its
+    slack entries times the row scales, a y with y >= 0, y.A_j >= 0 on every
+    allowed column j and y.b < 0 (Farkas), checked on the unscaled rows."""
+    n, A = lps.n, lps.A_ub
+    row = next(r for r in lps._t.R if r[-1] < 0 and all(
+        w >= 0 for j, w in enumerate(r[:-1]) if j not in without))
+    y = [w * s for w, s in zip(row[n:-1], lps._scale)]
+    assert all(v >= 0 for v in y)
+    assert all(_dot(y, [a[j] for a in A]) >= 0 for j in range(n) if j not in without)
+    assert _dot(y, b) < 0
 
 
 def _dual(c, A_ub, b_ub, A_eq, b_eq):
@@ -246,7 +264,8 @@ class TestCertificates:
     @given(mixed_lps())
     def test_mixed_problems_certified_by_duality(self, lp):
         """Mixed equality/inequality LPs with right-hand sides of either sign
-        (phase 1, artificials left basic at zero, negative pivots).  An
+        (equality rows as two ``<=`` rows, negative right-hand sides repaired
+        by the dual rule, negative pivots).  An
         optimum is checked by exact primal and dual feasibility and equal
         objective values; infeasible and unbounded answers by the status
         of the dual, solved with the same solver."""
@@ -286,7 +305,8 @@ class TestMaximizeEach:
     # an unbounded objective, then bounded ones from the basis it leaves
     @example(([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
               [[F(0), F(1)]], [F(1)], [], []))
-    # x + y >= 1 as a negative rhs, so phase 1 runs before every objective
+    # x + y >= 1 as a negative rhs, so phase 1 pivots before the first
+    # objective
     @example(([[F(1), F(1)], [F(-1), F(-1)], [F(1), F(-2)], [F(0), F(0)]],
               [[F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]],
               [F(-1), F(2), F(3)], [], []))
@@ -360,9 +380,10 @@ class TestFeasibility:
                ([0, 0, 0], {0, 2})]))
     def test_warm_equals_cold(self, problem):
         """Each problem decided on the shared tableau has the verdict of a
-        cold ``solve_lp`` with a zero objective (primal phase 1) over the
-        columns it may use; each point satisfies every row exactly, is
-        >= 0 and is 0 on ``without``."""
+        cold ``solve_lp`` with a zero objective over the columns it may use,
+        which runs the same dual rule from the slack basis, so each empty
+        verdict is also checked by its Farkas certificate; each point
+        satisfies every row exactly, is >= 0 and is 0 on ``without``."""
         A, problems = problem
         lps = Feasibility(A)
         n = len(A[0])
@@ -372,7 +393,9 @@ class TestFeasibility:
             cold = solve_lp([0] * len(keep), A_ub=[[a[j] for j in keep] for a in A],
                             b_ub=b)
             assert (x is None) == (cold.status == "infeasible")
-            if x is not None:
+            if x is None:
+                _assert_empty_certified(lps, b, without)
+            else:
                 assert len(x) == n
                 assert all(v >= 0 for v in x)
                 assert all(x[j] == 0 for j in without)
