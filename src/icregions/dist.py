@@ -13,6 +13,7 @@ conditional mutual informations are computed (all in bits).
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
 import json
@@ -78,6 +79,18 @@ class AlphabetSpec:
         before any table over them is drawn or multiplied."""
         if math.prod(self.shape) > MAX_JOINT_ENTRIES:
             raise SpecError("joint tensor would exceed the 1e8 entry limit")
+
+
+def _first_nonfinite(t: np.ndarray):
+    """The index of ``t``'s first non-finite entry in C order, or None;
+    searched 2**16 entries at a time, so no temporary is as large as a
+    joint tensor."""
+    flat, block = t.reshape(-1), 1 << 16
+    for start in range(0, flat.size, block):
+        bad = np.flatnonzero(~np.isfinite(flat[start:start + block]))
+        if bad.size:
+            return tuple(int(i) for i in np.unravel_index(start + int(bad[0]), t.shape))
+    return None
 
 
 def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
@@ -190,20 +203,29 @@ class JointDist:
 
     ``entropy`` memoises each marginal entropy on the joint, so the tensor
     must not be mutated once the joint is built; ``build_joint`` makes it
-    read-only, since one joint may be shared by several readers.
+    read-only, since one joint may be shared by several readers.  Inside
+    ``shared_partial_sums`` the joint also holds the partial sums that
+    ``marginal_tensor`` shares between marginals; outside it holds none.
     """
 
     alphabets: AlphabetSpec
     tensor: np.ndarray
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _partials: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.tensor.shape != self.alphabets.shape:
+        t = self.tensor
+        if t.shape != self.alphabets.shape:
             raise SpecError("joint tensor shape does not match alphabets")
-        if np.any(self.tensor < 0):
+        # finite nonnegative entries that sum to about 1 give a finite sum, so
+        # the one sum pass detects NaN and infinities
+        total = float(t.sum())
+        if not math.isfinite(total) and (idx := _first_nonfinite(t)) is not None:
+            raise SpecError(f"joint tensor: non-finite entry at {idx}")
+        if t.min() < 0:
             raise SpecError("joint tensor has a negative entry")
-        if abs(float(self.tensor.sum()) - 1.0) > JOINT_TOL:
-            raise SpecError(f"joint tensor sums to {self.tensor.sum():.15g}")
+        if abs(total - 1.0) > JOINT_TOL:
+            raise SpecError(f"joint tensor sums to {total:.15g}")
 
 
 # einsum subscripts of the factor product, one letter per variable in VARS
@@ -223,12 +245,45 @@ def build_joint(spec: FactorSpec) -> JointDist:
 
 
 def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
-    """Sum out all axes not in ``keep``; result keeps canonical axis order."""
-    keep = set(keep)
+    """Sum out all axes not in ``keep``; result keeps canonical axis order.
+
+    The result has the bits of ``joint.tensor.sum(axis=drop)``, with less
+    work.  NumPy reduces a C-contiguous tensor in C order: it sums the
+    innermost coalesced block of reduced axes pairwise and adds each block
+    sum to the accumulator in turn, and its iterator squeezes out axes of
+    size 1.  So the trailing block, the dropped axes of the maximal suffix
+    of axes that are dropped or have size 1, can be summed first (keeping
+    dims) and the rest reduced from that partial sum in the same order.
+    Within ``shared_partial_sums`` each partial is made once and shared by
+    every marginal with the same trailing block.  When that suffix is empty
+    or holds every dropped axis, the tensor is reduced once.
+    """
+    keep = {v.value for v in keep}
     if not keep:
         raise ValueError("keep set must be nonempty")
-    drop = tuple(v.value for v in VARS if v not in keep)
-    return joint.tensor.sum(axis=drop)
+    t = joint.tensor
+    drop = tuple(a for a in range(t.ndim) if a not in keep)
+    start = t.ndim
+    while start and (start - 1 not in keep or t.shape[start - 1] == 1):
+        start -= 1
+    tail = tuple(a for a in drop if a >= start)
+    if not tail or tail == drop:
+        return t.sum(axis=drop)
+    partials = {} if joint._partials is None else joint._partials
+    if tail not in partials:
+        partials[tail] = t.sum(axis=tail, keepdims=True)
+    return partials[tail].sum(axis=drop)
+
+
+@contextlib.contextmanager
+def shared_partial_sums(joint: JointDist):
+    """Let ``marginal_tensor`` share its partial sums of ``joint`` for the
+    duration of the block; they are dropped when it ends."""
+    object.__setattr__(joint, "_partials", {})
+    try:
+        yield
+    finally:
+        object.__setattr__(joint, "_partials", None)
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:

@@ -195,6 +195,12 @@ class LinearSystem:
         the system sets only its right-hand sides."""
         return dense_lhs(self.rate_vars, self.inequalities)
 
+    @cached_property
+    def rhs_symbols(self) -> frozenset:
+        """The base term symbols the rows' right-hand sides read: all that
+        binding the system needs."""
+        return frozenset(k for ineq in self.inequalities for k, _ in ineq.rhs.coeffs)
+
     @staticmethod
     def of(rate_vars, inequalities, term_facts=()) -> "LinearSystem":
         """The system of these rows, checked: the rate variables are distinct

@@ -85,12 +85,13 @@ class FormMismatchError(ValueError):
 
 
 def region_for(spec: FactorSpec, region_id: str) -> HPoly:
-    """build_joint -> eval_terms -> snap -> bind for a named region."""
+    """build_joint -> eval_terms -> snap -> bind for a named region; only
+    the terms the system's right-hand sides read are evaluated."""
     system = build_system(region_id)
     *_, accepted = _CATALOGUE[region_id]
     if spec.form not in accepted:
         hint = " (apply independence_projection first)" if spec.form is Form.HOD16 else ""
         raise FormMismatchError(
             f"region {region_id} does not accept form {spec.form.value}{hint}")
-    binding = snap_terms(eval_terms(build_joint(spec)))
+    binding = snap_terms(eval_terms(build_joint(spec), system.rhs_symbols))
     return bind(system, binding)

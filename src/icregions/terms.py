@@ -18,7 +18,7 @@ written (Chong, Motani, Garg and El Gamal, IEEE Trans. IT 54(7), 2008).
 
 from __future__ import annotations
 
-from .dist import JointDist, Var, cond_mutual_info
+from .dist import JointDist, Var, cond_mutual_info, shared_partial_sums
 
 # The seven shapes above as (B, C) of I(Y_i; B | C Q), spelled in u = U_i,
 # w = W_i and v = W_j.
@@ -51,12 +51,30 @@ COMPOSITE_SYMBOLS = tuple(COMPOSITE_EXPANSION)
 ALL_SYMBOLS = BASE_SYMBOLS + COMPOSITE_SYMBOLS
 
 
-def eval_terms(joint: JointDist) -> dict[str, float]:
-    """Evaluate all 22 term symbols (in bits) from the full joint."""
-    t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()}
+# base symbol -> the symbols whose value reads it: itself and the
+# composites it is part of.
+_READ_BY = {base: {base} | {comp for comp, pair in COMPOSITE_EXPANSION.items()
+                            if base in pair} for base in BASE_SYMBOLS}
+
+
+def eval_terms(joint: JointDist, symbols=ALL_SYMBOLS) -> dict[str, float]:
+    """Evaluate the named term symbols (by default all 22), in bits, from
+    the full joint, in ``ALL_SYMBOLS`` order.
+
+    Only the base terms the symbols read are evaluated (a composite reads
+    its base and rho), and their marginals share partial sums for the
+    duration of the call (``dist.shared_partial_sums``).
+    """
+    symbols = set(symbols)
+    if unknown := symbols.difference(_READ_BY, COMPOSITE_EXPANSION):
+        raise ValueError(f"unknown term symbols: {sorted(unknown)}")
+    with shared_partial_sums(joint):
+        t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()
+             if not symbols.isdisjoint(_READ_BY[sym])}
     for comp, (base, rho) in COMPOSITE_EXPANSION.items():
-        t[comp] = t[base] + t[rho]
-    return t
+        if comp in symbols:
+            t[comp] = t[base] + t[rho]
+    return t if len(t) == len(symbols) else {s: v for s, v in t.items() if s in symbols}
 
 
 def _x_form(sym: str):

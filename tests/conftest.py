@@ -1,6 +1,6 @@
 import pytest
 
-from icregions import lp
+from icregions import dist, lp
 
 
 @pytest.fixture
@@ -18,3 +18,17 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(lp.Feasibility, "point", counted)
     return count
+
+
+@pytest.fixture
+def marginals(monkeypatch):
+    """The variable sets of the marginals computed while the test runs."""
+    calls = []
+    real = dist.marginal_tensor
+
+    def counting(joint, keep):
+        calls.append(frozenset(keep))
+        return real(joint, keep)
+
+    monkeypatch.setattr(dist, "marginal_tensor", counting)
+    return calls

@@ -1,24 +1,32 @@
 import functools
+import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icregions import dist
 from icregions.dist import (AlphabetSpec, FactorSpec, Form, JointDist, SpecError,
                             Var, build_joint, check_markov_chains, cmg9_spec,
                             cond_mutual_info, entropy, hk2_spec,
                             independence_projection, marginal_tensor,
-                            save_spec, spec_from_json, spec_to_json)
+                            save_spec, shared_partial_sums, spec_from_json,
+                            spec_to_json)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import COMPOSITE_EXPANSION, TERMS, eval_terms
 from oracles import cmi_vars, dict_from_tensor, naive_entropy, naive_joint, \
     naive_marginal
 
 VARS = list(Var)
+
+WIDE = dict(Q=2, **{f"{v}{i}": 4 for v in "UWXY" for i in (1, 2)})
+
+# one-symbol alphabets between three-symbol ones: NumPy's reduction
+# iterator squeezes the size-1 axes out, so they join the trailing block
+ONES_AMONG_THREES = {**{v.name: 3 for v in Var}, "Q": 1, "U1": 1, "W2": 1}
 
 
 def degenerate_spec(form=Form.HOD16):
@@ -83,6 +91,34 @@ class TestBuildJoint:
         px = pxy.sum(axis=(2, 3))
         cond = pxy / px[:, :, None, None]
         assert np.allclose(cond, spec.channel, atol=1e-10)
+
+
+class TestJointValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_named(self, bad):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 27]))
+        t, first = joint.tensor.copy(), (0, 1, 0, 1, 0, 0, 1, 1, 0)
+        t[first] = bad
+        t[1, 0, 0, 0, 0, 0, 0, 0, 1] = np.nan
+        with pytest.raises(SpecError, match=re.escape(f"non-finite entry at {first}")):
+            JointDist(joint.alphabets, t)
+
+    def test_non_finite_entry_found_past_the_first_block(self):
+        # the search scans 2**16 entries at a time; this joint has 2**17
+        joint = build_joint(sample_spec(binary_alphabets(**WIDE), Form.HOD16, [11, 28]))
+        t, first = joint.tensor.copy(), (1, 3, 3, 3, 3, 3, 3, 3, 2)
+        t[first] = np.nan
+        with pytest.raises(SpecError, match=re.escape(f"non-finite entry at {first}")):
+            JointDist(joint.alphabets, t)
+
+    def test_negative_entry_and_bad_sum(self):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 29]))
+        t = joint.tensor.copy()
+        t[0, 0, 0, 0, 0, 0, 0, 0, 0] *= -1
+        with pytest.raises(SpecError, match="negative entry"):
+            JointDist(joint.alphabets, t)
+        with pytest.raises(SpecError, match="sums to 2"):
+            JointDist(joint.alphabets, 2 * joint.tensor)
 
 
 class TestSpecValidation:
@@ -270,6 +306,35 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal_tensor(joint, [])
 
+    @pytest.mark.parametrize("sizes", [{}, WIDE, ONES_AMONG_THREES],
+                             ids=["binary", "wide", "ones-among-threes"])
+    @pytest.mark.parametrize("form", [Form.HOD16, Form.GENERAL1, Form.HK2],
+                             ids=lambda f: f.value)
+    def test_partial_sums_keep_the_bits_of_one_reduction(self, sizes, form):
+        # Every one of the 511 keep sets, shared partial sums and not; on
+        # ones-among-threes a rule that ignores size-1 axes changes the bits
+        # of some sets.
+        joint = build_joint(sample_spec(binary_alphabets(**sizes), form, [11, 25]))
+        assert joint.tensor.flags.c_contiguous
+        keeps = [keep for r in range(1, 10) for keep in itertools.combinations(VARS, r)]
+        refs = [joint.tensor.sum(axis=tuple(v.value for v in VARS if v not in keep))
+                for keep in keeps]
+        with shared_partial_sums(joint):
+            shared = [marginal_tensor(joint, keep) for keep in keeps]
+            assert joint._partials
+        assert joint._partials is None
+        for keep, ref, got in zip(keeps, refs, shared):
+            alone = marginal_tensor(joint, keep)
+            for m in (got, alone):
+                assert (m.shape, m.tobytes()) == (ref.shape, ref.tobytes()), keep
+
+    def test_partial_sums_dropped_when_the_block_raises(self):
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 26]))
+        with pytest.raises(KeyError), shared_partial_sums(joint):
+            marginal_tensor(joint, [Var.Y1])
+            raise KeyError
+        assert joint._partials is None
+
 
 class TestCondMutualInfo:
     def test_builtin_conditional_independence(self):
@@ -373,23 +438,7 @@ def _four_entropy_terms(joint):
                     for comp, (base, rho) in COMPOSITE_EXPANSION.items()}}
 
 
-WIDE = dict(Q=2, **{f"{v}{i}": 4 for v in "UWXY" for i in (1, 2)})
-
-
 class TestEntropyMemo:
-    @pytest.fixture()
-    def marginals(self, monkeypatch):
-        """The variable sets of the marginals computed while the test runs."""
-        calls = []
-        real = dist.marginal_tensor
-
-        def counting(joint, keep):
-            calls.append(frozenset(keep))
-            return real(joint, keep)
-
-        monkeypatch.setattr(dist, "marginal_tensor", counting)
-        return calls
-
     @pytest.mark.parametrize("alphabets,form", [
         *((binary_alphabets(), form) for form in Form),
         (binary_alphabets(**WIDE), Form.HOD16),

@@ -8,10 +8,12 @@ import pytest
 from icregions.dist import Form, build_joint, independence_projection
 from icregions.linsys import (AXIOM_SETS, Combo, Inequality, LinearSystem,
                               system_equal, system_to_json)
-from icregions.polytope import DEFAULT_EPS, contains, poly_equal, vertices2
-from icregions.regions import (REGION_IDS, FormMismatchError, build_system,
-                               hk_r_with_redundant, region_for)
+from icregions.polytope import (DEFAULT_EPS, bind, contains, poly_equal,
+                                snap_terms, vertices2)
+from icregions.regions import (_CATALOGUE, REGION_IDS, FormMismatchError,
+                               build_system, hk_r_with_redundant, region_for)
 from icregions.sampler import binary_alphabets, sample_spec
+from icregions.terms import ALL_SYMBOLS, TERMS, eval_terms
 from oracles import brute_force_vertices
 from test_dist import degenerate_spec
 
@@ -158,6 +160,26 @@ class TestRegionFor:
             region_for(hod, "HK_R")
         with pytest.raises(FormMismatchError):
             region_for(hod, "CMG_R")
+
+    @pytest.mark.parametrize("rid,marginals_read", [("HK_R", 20), ("HOD_R", 24),
+                                                    ("CMG_R", 16), ("COMPACT_R", 16)])
+    def test_reads_only_the_marginals_it_binds(self, rid, marginals_read, marginals):
+        spec = sample_spec(binary_alphabets(), _CATALOGUE[rid][-1][0], [51, 3])
+        region_for(spec, rid)
+        read = set()  # the four entropies of each term the rows read
+        for sym in build_system(rid).rhs_symbols:
+            a, b, c = TERMS[sym]
+            read |= {a | c, b | c, a | b | c, c}
+        assert len(marginals) == len(set(marginals)) == marginals_read
+        assert set(marginals) == read
+
+    @pytest.mark.parametrize("rid", REGION_IDS)
+    def test_equals_binding_every_term(self, rid):
+        for k, form in enumerate(_CATALOGUE[rid][-1]):
+            spec = sample_spec(binary_alphabets(), form, [51, 4 + k])
+            every = eval_terms(build_joint(spec))
+            assert list(every) == list(ALL_SYMBOLS)
+            assert region_for(spec, rid) == bind(build_system(rid), snap_terms(every))
 
     def test_projection_then_hk_allowed(self):
         hod = sample_spec(binary_alphabets(), Form.HOD16, [51, 2])

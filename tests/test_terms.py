@@ -17,6 +17,18 @@ class TestEvalTerms:
         assert len(BASE_SYMBOLS) == 16
         assert len(tv) == 22
 
+    def test_named_symbols_only(self):
+        spec = sample_spec(binary_alphabets(), Form.HOD16, [21, 3])
+        full, joint = eval_terms(build_joint(spec)), build_joint(spec)
+        assert list(full) == list(ALL_SYMBOLS)
+        # a composite is its base plus rho; the dict keeps ALL_SYMBOLS order
+        part = eval_terms(joint, ["rho1", "B2", "a1"])
+        assert list(part.items()) == [(s, full[s]) for s in ("a1", "rho1", "B2")]
+        assert eval_terms(joint, []) == {}
+        assert joint._partials is None  # the shared partial sums are gone
+        with pytest.raises(ValueError, match="unknown term symbols"):
+            eval_terms(joint, ["a1", "h1"])
+
     def test_base_symbol_order(self):
         # the column order of the symbolic pruning LP, so derive's pivots
         assert BASE_SYMBOLS == ("a1", "b1", "c1", "d1", "e1", "f1", "g1",
