@@ -60,7 +60,7 @@ def _clean(d: dict) -> dict:
     return {k: v for k, v in ((k, _num(v)) for k, v in d.items()) if v}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Combo:
     """Formal rational combination of term symbols plus a constant."""
 
@@ -118,7 +118,7 @@ class Combo:
         return not self.coeffs and self.const == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Inequality:
     """lhs . rates <= rhs (rhs a Combo).  All-zero lhs is a pure term-fact."""
 

@@ -14,32 +14,47 @@ coefficients, and its slack column is scaled to 1 (a change of unit for
 a slack the caller never sees); one common factor ``K`` scales the
 right-hand sides to integers.  The simplex starts from the basis the
 problem already has (the slack, or crash, start), which is the identity.
-Every row, the objective row included, is then stored as an integer
-vector ``R`` over a positive denominator ``d``, and stands for the
-rational row ``R / d``.  The invariant is that ``D * tableau`` is
-integral, where ``D = |det B|`` is the determinant of the current basis
-in the scaled integer matrix.  So a pivot on entry ``p`` (taken at
-denominator ``D``) updates a row exactly as ``(p*R - R[c]*R_pivot) / D``
-over the new denominator ``|p|``, with an exact integer division.  A row
-whose pivot-column entry is zero does not change as a rational row; it
-keeps its older denominator and is brought up to ``D`` only when a later
-pivot touches it.  Ratios are compared by cross-multiplication.  Scaling
+The stored tableau is the rational one times ``D = |det B|``, the
+determinant of the current basis in the scaled integer matrix, and it is
+integral: by Cramer's rule each entry is, up to sign, an m-by-m minor of
+the starting matrix.  So a pivot on entry ``p`` updates every row
+exactly as ``(p*R - R[c]*R_pivot) / D``, with an exact integer division,
+and ``|p|`` is the new ``D``.  Ratios are compared by
+cross-multiplication.  Scaling
 a row or a slack column or all right-hand sides by a positive number
 changes neither the sign of any entry nor the order of any ratio, and
 ties are broken by basis index, so the pivot sequence is the one a
 ``Fraction`` tableau of the unscaled problem takes from the same basis.
 Results are returned as ``Fraction``.
 
-Phase 1 (``_repair``) sets the right-hand side column to B^-1 b, which
-the slack columns already hold as D * B^-1, so this is one integer dot
-product per row.  A basic column that must be 0 is pivoted out first, on
-the least-index allowed column with a nonzero entry in its row.  One
-always exists: the row's slack entries are a row of the nonsingular
-B^-1, so one is nonzero, and a basic slack is 0 there.  Feasibility is
-then repaired by the least-index dual rule: the negative row whose basic
-variable has the least index leaves, and the allowed column of least
-index with a negative entry in that row enters; when there is none, the
-row proves the set empty.  With no objective every reduced cost is 0, so
+The coefficient rows are one NumPy ``int64`` array, updated in one
+vectorised step per pivot, and every row sits at the one denominator
+``D``.  A row whose pivot-column entry is 0 is still scaled by p / D:
+leaving it out saves nothing in a vectorised step and would need a
+denominator per row.  The right-hand sides and the objective row are
+Python ints beside the array, since right-hand sides on the 2**-48 grid
+are far wider than 64 bits.  An exact guard keeps ``int64`` safe.  While
+every entry is below 2**31, each product ``p*v`` and ``R[c]*w`` of a
+pivot is below 2**62 and their difference below 2**63.  A bound ``M`` on
+the entries is kept: a pivot on ``p`` makes them at most
+``(p + M) * M / D``, and none ever exceeds Hadamard's bound on the
+minors, the product of the starting rows' 1-norms.  Before a pivot with
+``M >= 2**31`` the largest entry is measured, and once it is >= 2**31
+the array turns into ``dtype=object`` (Python ints, the same code) for
+good.  No pruning LP of the package gets there: their entries stay below
+16.
+
+Phase 1 (``_repair``) sets the right-hand sides to B^-1 b, which the
+slack columns S already hold as D * B^-1, so this is one product
+``S @ b``, in ``int64`` while ``M * sum |b|`` is below 2**63 and over
+Python ints otherwise.  A basic column that must be 0 is pivoted out
+first, on the least-index allowed column with a nonzero entry in its
+row.  One always exists: the row's slack entries are a row of the
+nonsingular B^-1, so one is nonzero, and a basic slack is 0 there.
+Feasibility is then repaired by the least-index dual rule: the negative
+row whose basic variable has the least index leaves, and the allowed
+column of least index with a negative entry in that row enters; when
+there is none, the row proves the set empty.  With no objective every reduced cost is 0, so
 this is Terlaky's least-index criss-cross rule (T. Terlaky, "A
 convergent criss-cross method", Optimization 16, 1985), which is finite.
 When every right-hand side is >= 0 the slack basis is feasible and
@@ -48,7 +63,7 @@ phase 1 makes no pivot.
 One tableau serves many objectives over the same feasible set:
 ``maximize_each`` builds it and runs phase 1 once, then prices each
 objective onto the last feasible basis, maximizes it by Bland's rule and
-pops its row.  So each later objective starts warm, from a basis that is
+drops its row.  So each later objective starts warm, from a basis that is
 often optimal or close to it (Applegate et al. also start their exact
 solves from a known basis).  ``solve_lp`` is its one-objective case, so
 both take the same pivots on the same problem.
@@ -65,7 +80,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import lcm, prod
+
+import numpy as np
+
+# While every int64 tableau entry is below 2**31, a pivot's products stay
+# below 2**62 and their differences below 2**63
+_WIDE = 2**31
+
+
+def _bound(A) -> int:
+    """The largest |entry| of the integer array ``A`` (0 when empty)."""
+    return max(int(A.max()), -int(A.min())) if A.size else 0
 
 
 @dataclass
@@ -76,77 +102,96 @@ class LPResult:
 
 
 class _Tableau:
-    """Integer rows ``R[i]`` over positive denominators ``den[i]``; the
-    last column is the right-hand side."""
+    """The tableau over the common denominator ``D``: the coefficient rows
+    ``A``, an ``int64`` array while its entries stay below ``_WIDE`` (``M``
+    bounds them) and an ``object`` array after; the right-hand sides ``b``
+    and, while an objective is priced, its row ``obj`` with its right-hand
+    side last, both lists of Python ints."""
 
     def __init__(self, rows, basis):
-        self.R = rows
-        self.den = [1] * len(rows)
+        """``rows`` is the 2-D integer array of the coefficient rows."""
+        self.M = _bound(rows)
+        if self.M < _WIDE:
+            # every entry, now and after any pivot, is up to sign an m-by-m
+            # minor of these rows (Cramer's rule), so at most the product
+            # of their 1-norms (Hadamard's bound)
+            self.cap = prod(np.abs(rows).sum(axis=1).tolist())
+        else:
+            rows = rows.astype(object)
+        self.A = rows
+        self.b = [0] * len(rows)
+        self.obj = None
         self.basis = basis
         self.D = 1  # |det| of the current basis
 
-    def lift(self, i):
-        """Bring row i up to the common denominator D (exact by the
-        invariant)."""
-        d, D = self.den[i], self.D
-        if d != D:
-            self.R[i] = [v * D // d for v in self.R[i]]
-            self.den[i] = D
-
     def pivot(self, r, c):
-        R, D = self.R, self.D
-        self.lift(r)
-        pr = R[r]
-        p = pr[c]
+        A, D, b, obj = self.A, self.D, self.b, self.obj
+        if self.M >= _WIDE and A.dtype != object:
+            self.M = _bound(A)
+            if self.M >= _WIDE:
+                A = self.A = A.astype(object)
+        p = A.item(r, c)
         if p < 0:
-            pr = R[r] = [-v for v in pr]
+            A[r] *= -1
+            b[r] *= -1
             p = -p
-        # with p == D the denominator stays and only the pivot row's
-        # nonzero columns change: (p*v - a*w) / D == v - a*w/D
-        nz = [(j, w) for j, w in enumerate(pr) if w] if p == D else None
-        for i, row in enumerate(R):
-            if i == r or row[c] == 0:
-                continue
-            self.lift(i)
-            row = R[i]
-            a = row[c]
-            if nz is not None:
-                for j, w in nz:
-                    row[j] -= a * w // D
-            else:
-                R[i] = [(p * v - a * w) // D for v, w in zip(row, pr)]
-            self.den[i] = p
-        self.den[r] = p
+        # row i becomes (p*A[i] - col[i]*A[r]) / D; col[r] = p - D keeps
+        # the pivot row, since (p - (p - D)) * A[r] / D == A[r]
+        col = A[:, c].copy()
+        col[r] = p - D
+        update = np.multiply.outer(col, A[r])
+        if p != 1:
+            A *= p
+        A -= update
+        if D != 1:
+            A //= D
+        # the same on the Python ints; when p == D, v - a*w/D changes only
+        # the entries with a*w != 0
+        br = b[r]
+        if p == D:
+            for i, s in enumerate(col.tolist()):
+                if s:
+                    b[i] -= s * br // D
+        else:
+            self.b = [(p * v - s * br) // D for v, s in zip(b, col.tolist())]
+        if obj is not None:
+            a, row = obj[c], [*A[r].tolist(), br]
+            if p != D:
+                self.obj = [(p * v - a * w) // D for v, w in zip(obj, row)]
+            elif a:
+                for j, w in enumerate(row):
+                    if w:
+                        obj[j] -= a * w // D
+        if A.dtype != object:
+            self.M = min(self.cap, max(self.M, (p + self.M) * self.M // D))
         self.D = p
         self.basis[r] = c
 
     def price(self, cost):
-        """Append the objective row of maximizing ``cost . x``, priced out
-        against the basis at denominator D; ``cost`` has one integer per
-        column."""
+        """Set ``obj`` to the objective row of maximizing ``cost . x``,
+        priced out against the basis at denominator D; ``cost`` has one
+        integer per column."""
         obj = [self.D * v for v in cost] + [0]
-        for i, b in enumerate(self.basis):
-            coef = cost[b]
+        for i, j in enumerate(self.basis):
+            coef = cost[j]
             if coef:
-                self.lift(i)
-                obj = [o - coef * v for o, v in zip(obj, self.R[i])]
-        self.R.append(obj)
-        self.den.append(self.D)
+                row = [*self.A[i].tolist(), self.b[i]]
+                obj = [o - coef * v for o, v in zip(obj, row)]
+        self.obj = obj
 
-    def phase(self, ncols):
-        """Maximize the objective stored in the last row (Bland's rule)."""
-        R, basis = self.R, self.basis
+    def phase(self):
+        """Maximize the objective ``obj`` (Bland's rule)."""
+        basis = self.basis
         while True:
-            obj = R[-1]
-            col = next((j for j in range(ncols) if obj[j] > 0), None)
+            obj = self.obj
+            col = next((j for j, v in enumerate(obj[:-1]) if v > 0), None)
             if col is None:
                 return "optimal"
-            # ratio R[i][-1] / R[i][col] does not depend on den[i]
+            # ratio b[i] / A[i, col], all over the one denominator D
             best_r = best_num = best_den = None
-            for i in range(len(R) - 1):
-                f = R[i][col]
+            for i, f in enumerate(self.A[:, col].tolist()):
                 if f > 0:
-                    e = R[i][-1]
+                    e = self.b[i]
                     if best_r is None:
                         better = True
                     else:
@@ -165,24 +210,29 @@ def _integers(values):
     values = list(values)
     if set(map(type, values)) <= {int}:
         return values, 1
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    k = lcm(*(v.denominator for v in values))
-    return [v.numerator * (k // v.denominator) for v in values], k
+    ratios = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio()
+              for v in values]
+    k = lcm(*(d for _, d in ratios))
+    return [n * (k // d) for n, d in ratios], k
 
 
 def _slack_tableau(A_ub, n):
     """The tableau of row i of ``A_ub`` (``n`` entries) times s_i > 0
     (integer lhs), its slack in units of 1/s_i basic, and the scales s_i;
-    the right-hand side column is set by ``_repair``."""
+    the right-hand sides are set by ``_repair``."""
     m = len(A_ub)
     rows, scale = [], []
     for i, a in enumerate(A_ub):
         row, s = _integers(a)
-        row += [0] * (m + 1)
+        row += [0] * m
         row[n + i] = 1
         rows.append(row)
         scale.append(s)
-    return _Tableau(rows, [n + i for i in range(m)]), scale
+    try:
+        A = np.array(rows, dtype=np.int64).reshape(m, n + m)
+    except OverflowError:  # an entry beyond int64
+        A = np.array(rows, dtype=object).reshape(m, n + m)
+    return _Tableau(A, [n + i for i in range(m)]), scale
 
 
 def _repair(t, scale, b_ub, without=()):
@@ -191,29 +241,31 @@ def _repair(t, scale, b_ub, without=()):
     ``without`` out and repair feasibility by the least-index dual rule, no
     column of ``without`` entering (see the module docstring).  Returns the
     factor K > 0 of the right-hand sides, or None when the set is empty."""
-    R, basis, m = t.R, t.basis, len(scale)
+    basis, m = t.basis, len(scale)
     # b times the row scales and one K > 0 (a change of unit for x); the
-    # slack columns hold D * B^-1, so each row's rhs is one dot product
+    # slack columns S hold D * B^-1, so the right-hand sides are S @ b, in
+    # int64 when no partial sum can reach 2**63 (|S| <= M)
     b = [v * s if type(v) is int else Fraction(v) * s for v, s in zip(b_ub, scale)]
     K = lcm(*(v.denominator for v in b))
     b = [v.numerator * (K // v.denominator) for v in b]
-    for row in R:
-        row[-1] = sum(w * v for w, v in zip(row[-1 - m:-1], b) if w)
+    wide = t.A.dtype == object or t.M * sum(map(abs, b)) >= 2**63
+    S = t.A[:, t.A.shape[1] - m:]
+    t.b = (S @ np.array(b, dtype=object if wide else np.int64)).tolist()
     # a basic column of ``without`` leaves for the least-index allowed
     # column with a nonzero entry: its row's slack entries are a row of
     # B^-1, and the basic slacks are 0 there
     for r in range(m):
         if basis[r] in without:
-            t.pivot(r, next(j for j, w in enumerate(R[r][:-1])
+            t.pivot(r, next(j for j, w in enumerate(t.A[r].tolist())
                             if w and j not in without))
     # least-index dual rule: the negative row with the least basic index
     # leaves, the least allowed column with a negative entry enters
     while True:
-        r = min((i for i in range(m) if R[i][-1] < 0),
+        r = min((i for i, v in enumerate(t.b) if v < 0),
                 key=basis.__getitem__, default=None)
         if r is None:
             return K
-        col = next((j for j, w in enumerate(R[r][:-1])
+        col = next((j for j, w in enumerate(t.A[r].tolist())
                     if w < 0 and j not in without), None)
         if col is None:
             return None
@@ -225,7 +277,7 @@ def _point(t, n, K):
     x = [Fraction(0)] * n
     for i, j in enumerate(t.basis):
         if j < n:
-            x[j] = Fraction(t.R[i][-1], t.den[i] * K)
+            x[j] = Fraction(t.b[i], t.D * K)
     return x
 
 
@@ -250,7 +302,7 @@ def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
 
     The tableau is built, and phase 1 is run, once, when the first result
     is asked for.  Each objective is then priced onto the last feasible
-    basis, maximized from it and popped again, so a later objective starts
+    basis, maximized from it and dropped again, so a later objective starts
     warm; an unbounded one leaves a feasible basis behind.  An empty set
     yields one ``infeasible`` result and nothing more.  Every objective
     must have one entry per column, as many as the first."""
@@ -271,20 +323,18 @@ def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
         yield LPResult("infeasible", None, None)
         return
     # phase 2 for each objective, scaled by kc > 0, from the last basis
-    ncols = n + len(A)  # structural | slacks
     for k, c in enumerate(chain([c], objectives)):
         if len(c) != n:
             raise ValueError(f"objective {k} has {len(c)} entries, "
                              f"objective 0 has {n}")
         ci, kc = _integers(c)
         t.price(ci + [0] * len(A))
-        if t.phase(ncols) == "unbounded":
+        if t.phase() == "unbounded":
             res = LPResult("unbounded", None, None)
         else:
-            res = LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc),
+            res = LPResult("optimal", -Fraction(t.obj[-1], t.D * K * kc),
                            _point(t, n, K))
-        t.R.pop()
-        t.den.pop()
+        t.obj = None
         yield res
 
 
@@ -310,10 +360,15 @@ class Feasibility:
     def point(self, b_ub, without=()) -> list | None:
         """A point of the set for ``b_ub`` (a list of ``Fraction``s, empty
         when there are no columns), 0 on every column in ``without``, or
-        None when the set is empty."""
+        None when the set is empty.  Each entry of ``without`` must be an
+        ``int`` in ``range(n)``."""
         m = len(self.A_ub)
         if len(b_ub) != m:
             raise ValueError(f"b_ub has {len(b_ub)} entries for the {m} rows of A_ub")
+        for j in without:
+            if type(j) is not int or not 0 <= j < self.n:
+                raise ValueError(f"without holds {j!r}, not a column index "
+                                 f"in range({self.n})")
         if self._t is None:
             self._t, self._scale = _slack_tableau(self.A_ub, self.n)
         K = _repair(self._t, self._scale, b_ub, set(without))

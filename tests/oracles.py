@@ -5,9 +5,10 @@ joints are built by explicit nested loops over flat index tuples, mutual
 informations by direct summation over dictionaries, polygon vertices
 by a from-scratch pairwise-intersection search, redundancy pruning by
 the pruning LP written with equality rows only, and one Fourier-Motzkin
-step over ``Fraction`` dictionaries.  Two references keep an
-earlier form of library code: the 2-D clip over ``Fraction`` points, and
-containment decided by the exact LP alone.
+step over ``Fraction`` dictionaries.  Three references keep an
+earlier form of library code: the 2-D clip over ``Fraction`` points,
+containment decided by the exact LP alone, and the exact LP's tableau
+as lists of Python ints.
 """
 
 import math
@@ -17,7 +18,7 @@ from math import gcd, lcm
 
 from icregions.dist import Var
 from icregions.linsys import LinearSystem
-from icregions.lp import solve_lp
+from icregions.lp import LPResult, _as_ub, solve_lp
 from icregions.polytope import UnboundedRegionError
 from icregions.terms import BASE_SYMBOLS
 
@@ -289,3 +290,187 @@ def contains_lp(outer, inner, eps):
         if res.status == "unbounded" or res.value > rhs + eps:
             return False
     return True
+
+
+class ReferenceTableau:
+    """The exact LP's tableau as it was before its coefficients moved to
+    one NumPy array, kept as the reference for ``lp._Tableau``'s pivots:
+    integer rows ``R[i]`` (the right-hand side last, the objective row
+    appended last) over positive denominators ``den[i]``, each lifted to
+    the common denominator D only when a pivot touches it.  ``pivots``
+    lists every (row, column) pivot taken."""
+
+    def __init__(self, rows, basis):
+        self.R = rows
+        self.den = [1] * len(rows)
+        self.basis = basis
+        self.D = 1  # |det| of the current basis
+        self.pivots = []
+
+    def lift(self, i):
+        """Bring row i up to the common denominator D (exact by the
+        invariant)."""
+        d, D = self.den[i], self.D
+        if d != D:
+            self.R[i] = [v * D // d for v in self.R[i]]
+            self.den[i] = D
+
+    def pivot(self, r, c):
+        self.pivots.append((r, c))
+        R, D = self.R, self.D
+        self.lift(r)
+        pr = R[r]
+        p = pr[c]
+        if p < 0:
+            pr = R[r] = [-v for v in pr]
+            p = -p
+        # with p == D the denominator stays and only the pivot row's
+        # nonzero columns change: (p*v - a*w) / D == v - a*w/D
+        nz = [(j, w) for j, w in enumerate(pr) if w] if p == D else None
+        for i, row in enumerate(R):
+            if i == r or row[c] == 0:
+                continue
+            self.lift(i)
+            row = R[i]
+            a = row[c]
+            if nz is not None:
+                for j, w in nz:
+                    row[j] -= a * w // D
+            else:
+                R[i] = [(p * v - a * w) // D for v, w in zip(row, pr)]
+            self.den[i] = p
+        self.den[r] = p
+        self.D = p
+        self.basis[r] = c
+
+    def price(self, cost):
+        """Append the objective row of maximizing ``cost . x``, priced out
+        against the basis at denominator D."""
+        obj = [self.D * v for v in cost] + [0]
+        for i, b in enumerate(self.basis):
+            coef = cost[b]
+            if coef:
+                self.lift(i)
+                obj = [o - coef * v for o, v in zip(obj, self.R[i])]
+        self.R.append(obj)
+        self.den.append(self.D)
+
+    def phase(self, ncols):
+        """Maximize the objective stored in the last row (Bland's rule)."""
+        R, basis = self.R, self.basis
+        while True:
+            obj = R[-1]
+            col = next((j for j in range(ncols) if obj[j] > 0), None)
+            if col is None:
+                return "optimal"
+            # ratio R[i][-1] / R[i][col] does not depend on den[i]
+            best_r = best_num = best_den = None
+            for i in range(len(R) - 1):
+                f = R[i][col]
+                if f > 0:
+                    e = R[i][-1]
+                    if best_r is None:
+                        better = True
+                    else:
+                        lhs, rhs = e * best_den, best_num * f
+                        better = lhs < rhs or (lhs == rhs and basis[i] < basis[best_r])
+                    if better:
+                        best_r, best_num, best_den = i, e, f
+            if best_r is None:
+                return "unbounded"
+            self.pivot(best_r, col)
+
+
+def _reference_integers(values):
+    """Integer vector ``k * values`` for the least positive integer ``k``,
+    and ``k``."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    k = lcm(*(v.denominator for v in values))
+    return [v.numerator * (k // v.denominator) for v in values], k
+
+
+def _reference_slack_tableau(A_ub, n):
+    """Row i of ``A_ub`` times s_i > 0 to integers, its slack basic and
+    scaled to 1, a right-hand side column left 0; and the scales s_i."""
+    m = len(A_ub)
+    rows, scale = [], []
+    for i, a in enumerate(A_ub):
+        row, s = _reference_integers(a)
+        row += [0] * (m + 1)
+        row[n + i] = 1
+        rows.append(row)
+        scale.append(s)
+    return ReferenceTableau(rows, [n + i for i in range(m)]), scale
+
+
+def _reference_repair(t, scale, b_ub, without=()):
+    """Phase 1 by the least-index dual rule, as ``lp._repair``: the factor
+    K > 0 of the right-hand sides, or None when the set is empty."""
+    R, basis, m = t.R, t.basis, len(scale)
+    b = [Fraction(v) * s for v, s in zip(b_ub, scale)]
+    K = lcm(*(v.denominator for v in b))
+    b = [v.numerator * (K // v.denominator) for v in b]
+    for row in R:  # the slack columns hold D * B^-1
+        row[-1] = sum(w * v for w, v in zip(row[-1 - m:-1], b) if w)
+    for r in range(m):
+        if basis[r] in without:
+            t.pivot(r, next(j for j, w in enumerate(R[r][:-1])
+                            if w and j not in without))
+    while True:
+        r = min((i for i in range(m) if R[i][-1] < 0),
+                key=basis.__getitem__, default=None)
+        if r is None:
+            return K
+        col = next((j for j, w in enumerate(R[r][:-1])
+                    if w < 0 and j not in without), None)
+        if col is None:
+            return None
+        t.pivot(r, col)
+
+
+def _reference_point(t, n, K):
+    x = [Fraction(0)] * n
+    for i, j in enumerate(t.basis):
+        if j < n:
+            x[j] = Fraction(t.R[i][-1], t.den[i] * K)
+    return x
+
+
+class ReferenceFeasibility:
+    """``lp.Feasibility`` on a ``ReferenceTableau``: ``point`` returns the
+    point (or None) and the pivots that problem took."""
+
+    def __init__(self, A_ub):
+        self.A_ub = A_ub
+        self.n = len(A_ub[0]) if A_ub else 0
+        self.t, self.scale = _reference_slack_tableau(A_ub, self.n)
+
+    def point(self, b_ub, without=()):
+        start = len(self.t.pivots)
+        K = _reference_repair(self.t, self.scale, b_ub, set(without))
+        x = None if K is None else _reference_point(self.t, self.n, K)
+        return x, self.t.pivots[start:]
+
+
+def reference_maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
+    """``lp.maximize_each`` on a ``ReferenceTableau``: the list of every
+    objective's ``LPResult`` (one ``infeasible`` result for an empty set)
+    and the pivots taken."""
+    A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
+    n = len(objectives[0])
+    t, scale = _reference_slack_tableau(A, n)
+    K = _reference_repair(t, scale, b)
+    if K is None:
+        return [LPResult("infeasible", None, None)], t.pivots
+    results = []
+    for c in objectives:
+        ci, kc = _reference_integers(c)
+        t.price(ci + [0] * len(A))
+        if t.phase(n + len(A)) == "unbounded":
+            results.append(LPResult("unbounded", None, None))
+        else:
+            results.append(LPResult("optimal", -Fraction(t.R[-1][-1], t.den[-1] * K * kc),
+                                    _reference_point(t, n, K)))
+        t.R.pop()
+        t.den.pop()
+    return results, t.pivots

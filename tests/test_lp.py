@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,16 @@ from icregions import lp, polytope
 from icregions.claims import run_all, run_claim
 from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
 from icregions.lp import Feasibility, feasible, maximize_each, solve_lp
+from oracles import ReferenceFeasibility, reference_maximize_each
 
 F = Fraction
 
 rationals = st.fractions(min_value=-5, max_value=5,
                          max_denominator=8)
+# entries whose scaled integers straddle 2**31, where the tableau leaves int64
+wide_rationals = st.one_of(st.integers(-2**33, 2**33).map(F),
+                           st.fractions(min_value=-5, max_value=5,
+                                        max_denominator=2**40))
 
 
 class TestSolveLp:
@@ -223,10 +229,10 @@ def _assert_empty_certified(lps, b, without):
     negative rhs and no negative entry on an allowed column gives, as its
     slack entries times the row scales, a y with y >= 0, y.A_j >= 0 on every
     allowed column j and y.b < 0 (Farkas), checked on the unscaled rows."""
-    n, A = lps.n, lps.A_ub
-    row = next(r for r in lps._t.R if r[-1] < 0 and all(
-        w >= 0 for j, w in enumerate(r[:-1]) if j not in without))
-    y = [w * s for w, s in zip(row[n:-1], lps._scale)]
+    n, A, t = lps.n, lps.A_ub, lps._t
+    row = next(r for r, v in zip(t.A.tolist(), t.b) if v < 0 and all(
+        w >= 0 for j, w in enumerate(r) if j not in without))
+    y = [w * s for w, s in zip(row[n:], lps._scale)]
     assert all(v >= 0 for v in y)
     assert all(_dot(y, [a[j] for a in A]) >= 0 for j in range(n) if j not in without)
     assert _dot(y, b) < 0
@@ -244,19 +250,45 @@ def _dual(c, A_ub, b_ub, A_eq, b_eq):
 
 
 @st.composite
-def mixed_lps(draw):
+def mixed_lps(draw, entries=rationals):
     n = draw(st.integers(1, 4))
-    row = st.lists(rationals, min_size=n, max_size=n)
+    row = st.lists(entries, min_size=n, max_size=n)
     A_ub = draw(st.lists(row, max_size=3))
     A_eq = draw(st.lists(row, max_size=3))
-    b_ub = draw(st.lists(rationals, min_size=len(A_ub), max_size=len(A_ub)))
-    b_eq = draw(st.lists(rationals, min_size=len(A_eq), max_size=len(A_eq)))
+    b_ub = draw(st.lists(entries, min_size=len(A_ub), max_size=len(A_ub)))
+    b_eq = draw(st.lists(entries, min_size=len(A_eq), max_size=len(A_eq)))
     if A_eq and draw(st.booleans()):  # a redundant equality row
         k = draw(st.sampled_from([F(1), F(-2), F(1, 3)]))
         A_eq.append([k * v for v in A_eq[0]])
         b_eq.append(k * b_eq[0])
-    c = draw(st.lists(rationals, min_size=n, max_size=n))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
     return c, A_ub, b_ub, A_eq, b_eq
+
+
+def _assert_certified_by_duality(lp):
+    """An optimum of ``lp`` is checked by exact primal and dual feasibility
+    and equal objective values; infeasible and unbounded answers by the
+    status of the dual, solved with the same solver."""
+    c, A_ub, b_ub, A_eq, b_eq = lp
+    res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
+    d_obj, d_A, d_b = _dual(c, A_ub, b_ub, A_eq, b_eq)
+    dual = solve_lp(d_obj, A_ub=d_A, b_ub=d_b)
+    if res.status == "optimal":
+        x = res.x
+        assert all(v >= 0 for v in x)
+        assert all(_dot(a, x) <= b for a, b in zip(A_ub, b_ub))
+        assert all(_dot(a, x) == b for a, b in zip(A_eq, b_eq))
+        assert _dot(c, x) == res.value
+        assert dual.status == "optimal"
+        assert -dual.value == res.value
+        y = dual.x
+        assert all(v >= 0 for v in y)
+        assert all(_dot(a, y) <= b for a, b in zip(d_A, d_b))
+    elif res.status == "unbounded":
+        assert dual.status == "infeasible"
+    else:
+        assert res.status == "infeasible"
+        assert dual.status in ("infeasible", "unbounded")
 
 
 class TestCertificates:
@@ -265,30 +297,19 @@ class TestCertificates:
     def test_mixed_problems_certified_by_duality(self, lp):
         """Mixed equality/inequality LPs with right-hand sides of either sign
         (equality rows as two ``<=`` rows, negative right-hand sides repaired
-        by the dual rule, negative pivots).  An
-        optimum is checked by exact primal and dual feasibility and equal
-        objective values; infeasible and unbounded answers by the status
-        of the dual, solved with the same solver."""
-        c, A_ub, b_ub, A_eq, b_eq = lp
-        res = solve_lp(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-        d_obj, d_A, d_b = _dual(c, A_ub, b_ub, A_eq, b_eq)
-        dual = solve_lp(d_obj, A_ub=d_A, b_ub=d_b)
-        if res.status == "optimal":
-            x = res.x
-            assert all(v >= 0 for v in x)
-            assert all(_dot(a, x) <= b for a, b in zip(A_ub, b_ub))
-            assert all(_dot(a, x) == b for a, b in zip(A_eq, b_eq))
-            assert _dot(c, x) == res.value
-            assert dual.status == "optimal"
-            assert -dual.value == res.value
-            y = dual.x
-            assert all(v >= 0 for v in y)
-            assert all(_dot(a, y) <= b for a, b in zip(d_A, d_b))
-        elif res.status == "unbounded":
-            assert dual.status == "infeasible"
-        else:
-            assert res.status == "infeasible"
-            assert dual.status in ("infeasible", "unbounded")
+        by the dual rule, negative pivots), certified by duality."""
+        _assert_certified_by_duality(lp)
+
+    @settings(max_examples=100, deadline=None)
+    @given(mixed_lps(wide_rationals))
+    # entries below 2**17 whose first pivot makes one above 2**31
+    @example(([F(3), F(3)], [[F(-3768), F(-73742)], [F(49488), F(10727)]],
+              [F(-1), F(2)], [], []))
+    def test_wide_problems_certified_by_duality(self, lp):
+        """The same with integers up to 2**33 and denominators up to 2**40:
+        scaled entries on both sides of 2**31, so that tableaus start as, or
+        turn into, ``object`` arrays, and right-hand sides leave int64."""
+        _assert_certified_by_duality(lp)
 
 
 @st.composite
@@ -343,13 +364,16 @@ class TestMaximizeEach:
         assert tableaus[0] == 0
 
 
+small_entries = st.one_of(st.integers(-3, 3), st.sampled_from([F(1, 2), F(-3, 2)]))
+small_rhs = st.one_of(st.integers(-3, 3), st.just(F(-1, 3)))
+
+
 @st.composite
-def feasibility_problems(draw):
+def feasibility_problems(draw, entry=small_entries, rhs=small_rhs):
     """One matrix of small integers, at times with a ``Fraction`` entry, a
     zero column or a repeated (degenerate) row, and 1 to 5 problems
     (b, without) over it.  The matrix has a row, so that it has n columns."""
     n, m = draw(st.integers(0, 4)), draw(st.integers(1, 4))
-    entry = st.one_of(st.integers(-3, 3), st.sampled_from([F(1, 2), F(-3, 2)]))
     A = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
     if n and draw(st.booleans()):
         zero = draw(st.integers(0, n - 1))
@@ -358,12 +382,30 @@ def feasibility_problems(draw):
     if A and draw(st.booleans()):
         k = draw(st.sampled_from([1, 2, -1]))
         A.append([k * v for v in A[0]])
-    rhs = st.one_of(st.integers(-3, 3), st.just(F(-1, 3)))
     problems = draw(st.lists(
         st.tuples(st.lists(rhs, min_size=len(A), max_size=len(A)),
                   st.sets(st.integers(0, n - 1)) if n else st.just(set())),
         min_size=1, max_size=5))
     return A, problems
+
+
+def _assert_warm_equals_cold(problem):
+    A, problems = problem
+    lps = Feasibility(A)
+    n = len(A[0])
+    for b, without in problems:
+        x = lps.point(b, without)
+        keep = [j for j in range(n) if j not in without]
+        cold = solve_lp([0] * len(keep), A_ub=[[a[j] for j in keep] for a in A],
+                        b_ub=b)
+        assert (x is None) == (cold.status == "infeasible")
+        if x is None:
+            _assert_empty_certified(lps, b, without)
+        else:
+            assert len(x) == n
+            assert all(v >= 0 for v in x)
+            assert all(x[j] == 0 for j in without)
+            assert all(_dot(a, x) <= v for a, v in zip(A, b))
 
 
 class TestFeasibility:
@@ -384,22 +426,17 @@ class TestFeasibility:
         which runs the same dual rule from the slack basis, so each empty
         verdict is also checked by its Farkas certificate; each point
         satisfies every row exactly, is >= 0 and is 0 on ``without``."""
-        A, problems = problem
-        lps = Feasibility(A)
-        n = len(A[0])
-        for b, without in problems:
-            x = lps.point(b, without)
-            keep = [j for j in range(n) if j not in without]
-            cold = solve_lp([0] * len(keep), A_ub=[[a[j] for j in keep] for a in A],
-                            b_ub=b)
-            assert (x is None) == (cold.status == "infeasible")
-            if x is None:
-                _assert_empty_certified(lps, b, without)
-            else:
-                assert len(x) == n
-                assert all(v >= 0 for v in x)
-                assert all(x[j] == 0 for j in without)
-                assert all(_dot(a, x) <= v for a, v in zip(A, b))
+        _assert_warm_equals_cold(problem)
+
+    @settings(max_examples=100, deadline=None)
+    @given(feasibility_problems(wide_rationals, wide_rationals))
+    # entries below 2**17 whose pivots go past 2**31, and past 2**63 in int64
+    @example(([[85331, -32103], [-13909, -66757], [38937, 75683]],
+              [([1, -3, -3], set()), ([1, -3, -3], {0})]))
+    def test_wide_warm_equals_cold(self, problem):
+        """The same with integers up to 2**33 and denominators up to 2**40,
+        scaled entries on both sides of 2**31."""
+        _assert_warm_equals_cold(problem)
 
     def test_basic_column_of_without_is_pivoted_out(self):
         lps = Feasibility([[-1, -1], [2, 1]])
@@ -424,3 +461,97 @@ class TestFeasibility:
     def test_mismatched_lengths_refused(self, A, b, message):
         with pytest.raises(ValueError, match=message):
             Feasibility(A).point(b)
+
+    @pytest.mark.parametrize("without", [{1}, {5}, {-1}, {"0"}],
+                             ids=["slack-column", "past-the-end", "negative", "not-an-int"])
+    def test_without_outside_the_columns_refused(self, without):
+        # {1} once forced the slack of row 0 to 0, and the others were ignored
+        with pytest.raises(ValueError, match=r"not a column index in range\(1\)"):
+            Feasibility([[1]]).point([1], without=without)
+
+
+@contextmanager
+def _logged_pivots():
+    """The (row, column) of every ``_Tableau.pivot`` call in the block."""
+    log, pivot = [], lp._Tableau.pivot
+
+    def logged(self, r, c):
+        log.append((r, c))
+        pivot(self, r, c)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp._Tableau, "pivot", logged)
+        yield log
+
+
+class TestReferenceTableau:
+    """The tableau takes the pivots of ``oracles.ReferenceTableau``, the
+    list-of-ints tableau it replaced, and returns the same points and
+    values: its pivot choices read only signs and cross-multiplied ratios,
+    which the common denominator does not change."""
+
+    def test_pruning_lps(self, monkeypatch):
+        calls = []  # (Feasibility, b, without, point, pivots)
+        point = lp.Feasibility.point
+
+        def recorded(self, b_ub, without=()):
+            with _logged_pivots() as log:
+                x = point(self, b_ub, without)
+            calls.append((self, b_ub, set(without), x, log))
+            return x
+
+        monkeypatch.setattr(lp.Feasibility, "point", recorded)
+        for s in QUADRUPLE_SYSTEMS:
+            for a in AXIOM_SETS:
+                derive_region(s, a)
+        refs = {}
+        for lps, b, without, x, pivots in calls:
+            if lps not in refs:
+                refs[lps] = ReferenceFeasibility(lps.A_ub)
+            assert refs[lps].point(b, without) == (x, pivots)
+        assert len(refs) == 8 and len(calls) >= 150
+
+    def test_containments(self, monkeypatch):
+        """cmg-subset-hod's containments at seed 7, each over the
+        objectives ``contains`` asked for before it stopped."""
+        calls = []  # [objectives, A_ub, b_ub, results, pivots]
+        each = lp.maximize_each
+
+        def recorded(objectives, A_ub=None, b_ub=None):
+            call = [list(objectives), A_ub, b_ub, [], []]
+            calls.append(call)
+            results = each(call[0], A_ub, b_ub)
+            while True:
+                with _logged_pivots() as log:
+                    res = next(results, None)
+                call[4] += log
+                if res is None:
+                    return
+                call[3].append(res)
+                yield res
+
+        monkeypatch.setattr(polytope, "maximize_each", recorded)
+        run_claim("cmg-subset-hod", 50, 7)
+        assert len(calls) == 50
+        for objectives, A_ub, b_ub, results, pivots in calls:
+            assert reference_maximize_each(objectives[:len(results)], A_ub, b_ub) == (
+                results, pivots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(multi_objective_lps())
+    def test_mixed_problems(self, problem):
+        objectives, A_ub, b_ub, A_eq, b_eq = problem
+        with _logged_pivots() as pivots:
+            results = list(maximize_each(objectives, A_ub, b_ub, A_eq, b_eq))
+        assert reference_maximize_each(objectives, A_ub, b_ub, A_eq, b_eq) == (
+            results, pivots)
+
+    @settings(max_examples=100, deadline=None)
+    @given(feasibility_problems())
+    def test_feasibility_problems(self, problem):
+        A, problems = problem
+        lps, ref = Feasibility(A), ReferenceFeasibility(A)
+        for b, without in problems:
+            with _logged_pivots() as pivots:
+                x = lps.point(b, without)
+            assert ref.point(b, without) == (x, pivots)
