@@ -6,18 +6,19 @@ verify exit code; exploratory reports never do (they cover statements that
 are only meaningful for unions over all input distributions, which a
 per-distribution harness cannot decide).
 
-Samples are shared per seed: the spec drawn in a form for ``[seed, i]`` and
-its joint are made once and read by every claim that asks for them at that
-seed (``_sample``), so ``run_all(n, seed)`` draws 3n specs, not 7n.  Only
-the latest seed's draws are kept.
+The harness runs sample-major: every requested claim checks sample ``i``
+before any claim checks sample ``i + 1``.  So the spec drawn in a form for
+``[seed, i]`` and its joint are made once and read by every claim that
+asks for them (``_sample``, which keeps the last three draws), and
+``run_all(n, seed)`` draws 3n specs, not 7n, and holds at most three.
 """
 
 from __future__ import annotations
 
 import functools
-import inspect
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from .dist import Form, Var, build_joint, cond_mutual_info, spec_to_json
 from .linsys import AXIOMS_HK_INDEP, derive_region, prune_redundant, \
@@ -29,8 +30,25 @@ from .terms import COMPOSITE_EXPANSION, eval_terms
 
 F = Fraction
 
-# claim id -> (report function of (n, seed), hard), filled by ``_claim`` in
-# the order the report functions are defined below: hard claims first.
+
+@dataclass(frozen=True)
+class Claim:
+    """A registered claim.  ``form`` is the form its samples are drawn in,
+    None for a claim that takes no samples; ``check`` is then called once
+    as ``check(rep)`` and adds the report's records itself.  A ``strict``
+    claim records a given spec of another form as a failure without
+    checking it, and ``note`` is appended once when any sample failed."""
+
+    hard: bool
+    form: Form | None
+    tolerance: str
+    check: Callable
+    strict: bool = False
+    note: str | None = None
+
+
+# claim id -> Claim, filled by ``_claim`` in the order the checks are
+# defined below: hard claims first.
 CLAIMS = {}
 
 
@@ -46,7 +64,7 @@ class ClaimReport:
 
     @property
     def hard(self) -> bool:
-        return CLAIMS[self.claim_id][1]
+        return CLAIMS[self.claim_id].hard
 
     def add(self, index: int, ok: bool | None, witness: dict, spec=None):
         rec = {"index": index, "ok": ok, **witness}
@@ -81,30 +99,87 @@ class ClaimReport:
         }
 
 
-def _claim(claim_id: str, hard: bool):
-    """Enter the decorated report function in ``CLAIMS``, its ``claim_id``
-    bound; it refuses an ``n`` or ``seed`` that is not a nonnegative ``int``
-    (``bool`` included) with a ``ValueError``."""
-    def register(report_fn):
-        signature = inspect.signature(report_fn)
-
-        @functools.wraps(report_fn)
-        def report(*args, **kwargs):
-            call = signature.bind(*args, claim_id=claim_id, **kwargs)
-            call.apply_defaults()
-            for name in ("n", "seed"):
-                value = call.arguments[name]
-                if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                    raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
-            return report_fn(*call.args, **call.kwargs)
-        CLAIMS[claim_id] = (report, hard)
-        return report
+def _claim(claim_id: str, hard: bool, form: Form | None = None,
+           tolerance: str = "exact", **options):
+    """Enter the decorated check in ``CLAIMS`` as ``claim_id``'s ``Claim``;
+    the name it is defined under becomes the claim's report function,
+    ``run_claim`` with ``claim_id`` bound."""
+    def register(check):
+        CLAIMS[claim_id] = Claim(hard, form, tolerance, check, **options)
+        return functools.partial(run_claim, claim_id)
     return register
 
 
-# (form, seed, i) -> (spec, joint) drawn for ``[seed, i]``, for the latest
-# seed only; see ``_sample``.
-_drawn = {}
+def run_claim(claim_id: str, n: int = 0, seed: int = 0, specs=None) -> ClaimReport:
+    """The report of ``claim_id`` on ``n`` samples drawn at ``seed``, or on
+    ``specs[:n]`` when specs are given.  A claim that takes no samples
+    ignores n and seed and reports both as 0."""
+    if claim_id not in CLAIMS:
+        raise ValueError(f"unknown claim {claim_id!r}")
+    return _run((claim_id,), n, seed, specs)[0]
+
+
+def run_all(n: int, seed: int) -> dict:
+    """Every claim's report at one seed; the claims share their samples."""
+    reports = _run(ALL_CLAIMS, n, seed)
+    hard_ok = all(r.ok for r in reports if r.hard)
+    return {"ok": hard_ok, "reports": [r.to_json() for r in reports]}
+
+
+def _run(claim_ids, n, seed, specs=None) -> list:
+    """The reports of ``claim_ids``, in order, checked sample-major.
+
+    Sample ``i`` is ``specs[i]`` when specs are given, else the spec drawn
+    in the claim's form for ``[seed, i]`` (``_sample``).  A given spec gets
+    its own joint.  ``check(rep, i, spec, joint, terms)`` returns (ok,
+    witness), and a failed sample carries its spec.  An ``n`` or ``seed``
+    that is not a nonnegative ``int`` (``bool`` included) is refused with
+    a ``ValueError``."""
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(f"{name} must be a nonnegative int, got {value!r}")
+    reports, sampled = [], []
+    for claim_id in claim_ids:
+        claim = CLAIMS[claim_id]
+        if claim.form is None:
+            rep = ClaimReport(claim_id, 0, 0, claim.tolerance)
+            claim.check(rep)
+        else:
+            rep = ClaimReport(claim_id, seed, n, claim.tolerance)
+            sampled.append((rep, claim))
+        reports.append(rep)
+    for i in range(n if sampled else 0):
+        for rep, claim in sampled:
+            if specs is None:
+                spec, joint = _sample(claim.form, seed, i)
+            else:
+                spec = specs[i]
+                if claim.strict and spec.form is not claim.form:
+                    rep.add(i, False, {"form_violation": spec.form.value})
+                    continue
+                joint = build_joint(spec)
+            ok, witness = claim.check(rep, i, spec, joint, eval_terms(joint))
+            rep.add(i, ok, witness, spec)
+    for rep, claim in sampled:
+        if claim.note and rep.failed:
+            rep.notes.append(claim.note)
+    return reports
+
+
+@functools.lru_cache(maxsize=3)
+def _sample(form: Form, seed: int, i: int):
+    """The spec drawn in ``form`` for ``[seed, i]`` on binary alphabets, and
+    its joint, shared by every claim that checks that sample.
+
+    The draw depends on (form, seed, i) alone and the joint is read-only, so
+    sharing it changes no output.  The claims draw in three forms, and the
+    harness runs sample-major, so the last three draws are all that sample
+    ``i`` needs: ``run_all`` makes each draw once, and so does a caller that
+    runs the claims one at a time on one sample, as ``run_claim(c, 1, s)``.
+    Term values are not kept: each claim evaluates them on the shared joint,
+    whose entropy memo makes that cheap."""
+    spec = sample_spec(binary_alphabets(), form, [seed, i])
+    return spec, build_joint(spec)
 
 
 # Witness key of each composite's growth over its base term ("B1-b1", ...),
@@ -117,60 +192,8 @@ def _growth(tv) -> dict:
     return {key: tv[comp] - tv[base] for key, (comp, base) in _GROWTH.items()}
 
 
-def _sample(form: Form, seed, i):
-    """The spec drawn in ``form`` for ``[seed, i]`` on binary alphabets, and
-    its joint, made once and shared by every claim at ``seed``.
-
-    The draw depends on (form, seed, i) alone and the joint is read-only, so
-    sharing it changes no output.  Asking for another seed forgets the
-    draws of the last one, so the memo holds at most 3n entries (three
-    forms, n samples).  Term values are not kept: each claim evaluates them
-    on the shared joint, whose entropy memo makes that cheap."""
-    key = (form, seed, i)
-    if key not in _drawn:
-        if _drawn and next(iter(_drawn))[1] != seed:
-            _drawn.clear()
-        spec = sample_spec(binary_alphabets(), form, [seed, i])
-        _drawn[key] = spec, build_joint(spec)
-    return _drawn[key]
-
-
-def _per_sample(form: Form, tolerance: str, *, strict=False, note=None):
-    """Make a claim's report function from its per-sample check.
-
-    Sample ``i`` is ``specs[i]`` when specs are given, else the spec drawn in
-    ``form`` for ``[seed, i]``, shared with the other claims at ``seed``
-    (``_sample``).  A given spec gets its own joint, and a ``strict`` claim
-    records a given spec of another form as a failure without checking it.
-    Then ``check(rep, i, spec, joint, terms)`` returns (ok, witness); a
-    failed sample carries its spec.  ``note`` is appended once when any
-    sample failed."""
-    def wrap(check):
-        def report(n: int, seed: int, specs=None, *, claim_id: str) -> ClaimReport:
-            rep = ClaimReport(claim_id, seed, n, tolerance)
-            for i in range(n):
-                if specs is None:
-                    spec, joint = _sample(form, seed, i)
-                else:
-                    spec = specs[i]
-                    if strict and spec.form is not form:
-                        rep.add(i, False, {"form_violation": spec.form.value})
-                        continue
-                    joint = build_joint(spec)
-                ok, witness = check(rep, i, spec, joint, eval_terms(joint))
-                rep.add(i, ok, witness, spec)
-            if note and rep.failed:
-                rep.notes.append(note)
-            return rep
-        functools.update_wrapper(report, check)
-        del report.__wrapped__  # the signature is report's, not the check's
-        return report
-    return wrap
-
-
-@_claim("reduction-independence", hard=True)
-@_per_sample(Form.HK2, "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30",
-             strict=True)
+@_claim("reduction-independence", True, Form.HK2,
+        "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30", strict=True)
 def claim_reduction_independence(rep, i, spec, joint, tv):
     """Independent U_i, W_i: the composite bounds collapse (B=b, C=c, F=f)
     and the correlated-form region equals the HK region."""
@@ -184,8 +207,7 @@ def claim_reduction_independence(rep, i, spec, joint, tv):
             {"terms_ok": terms_ok, "polytopes_equal": poly_ok, **gaps})
 
 
-@_claim("redundancy-relations", hard=True)
-@_per_sample(Form.HK2, "slack>=-1e-9, polytopes at eps=0")
+@_claim("redundancy-relations", True, Form.HK2, "slack>=-1e-9, polytopes at eps=0")
 def claim_redundancy_relations(rep, i, spec, joint, tv):
     """The two conditioning relations behind the redundancy of the two
     extra sum-rate inequalities, plus the polytope-level redundancy."""
@@ -213,9 +235,8 @@ def claim_redundancy_relations(rep, i, spec, joint, tv):
             {"slack6": slack6, "slack7": slack7, "polytopes_equal": poly_ok})
 
 
-@_claim("cmg-subset-hod", hard=True)
-@_per_sample(
-    Form.CMG9, "eps=2^-30", strict=True,
+@_claim(
+    "cmg-subset-hod", True, Form.CMG9, "eps=2^-30", strict=True,
     note="the containment is a statement about unions over all input "
     "distributions; per-distribution counterexamples occur when the "
     "re-expressed common-rate bound I(X_i;W_i|Q) is smaller than the "
@@ -236,8 +257,7 @@ def claim_cmg_subset_hod(rep, i, spec, joint, tv):
     return ok, witness
 
 
-@_claim("hod-extra-terms", hard=True)
-@_per_sample(Form.HOD16, "1e-9")
+@_claim("hod-extra-terms", True, Form.HOD16, "1e-9")
 def claim_hod_extra_terms(rep, i, spec, joint, tv):
     """Every T-rate bound grows by exactly the correlation penalty while the
     S-involving bounds are unchanged relative to the independent formulas.
@@ -263,13 +283,11 @@ def claim_hod_extra_terms(rep, i, spec, joint, tv):
     return ok, {"rho1": tv["rho1"], "rho2": tv["rho2"], **_growth(tv)}
 
 
-@_claim("fm-reproduction", hard=True)
-def claim_fm_reproduction(n: int = 0, seed: int = 0, *, claim_id: str) -> ClaimReport:
+@_claim("fm-reproduction", True)
+def claim_fm_reproduction(rep):
     """Purely symbolic: the elimination pipeline reproduces the golden
     systems, and the superposition/HK rate-pair systems differ exactly in
-    the two cross bounds.  Takes no samples, so it ignores n and seed and
-    reports both as 0."""
-    rep = ClaimReport(claim_id, 0, 0, "exact")
+    the two cross bounds.  Takes no samples."""
     cases = [
         ("hk->11", derive_region("hk", "chain"), hk_r_with_redundant()),
         ("hk->9", derive_region("hk", "hk-indep"), build_system("HK_R")),
@@ -298,11 +316,9 @@ def claim_fm_reproduction(n: int = 0, seed: int = 0, *, claim_id: str) -> ClaimR
                             build_system("HK_R"))
     rep.add(len(cases) + 1, bool(eq),
             {"case": "hod-rho0->hk", "diff": _diff_json(diff)})
-    return rep
 
 
-@_claim("compact-equivalence", hard=False)
-@_per_sample(Form.HK2, "eps=0")
+@_claim("compact-equivalence", False, Form.HK2, "eps=0")
 def compact_equivalence_report(rep, i, spec, joint, tv):
     """Exploratory: containments around the seven-inequality description.
 
@@ -323,8 +339,7 @@ def compact_equivalence_report(rep, i, spec, joint, tv):
     return witness["hk_in_compact"] and witness["cmg_in_compact"], witness
 
 
-@_claim("remark2-data", hard=False)
-@_per_sample(Form.HK2, "data only")
+@_claim("remark2-data", False, Form.HK2, "data only")
 def remark2_report(rep, i, spec, joint, tv):
     """Exploratory: per-sample term relations used informally in the
     equivalence argument for the seven-inequality description."""
@@ -339,21 +354,7 @@ def remark2_report(rep, i, spec, joint, tv):
 
 
 ALL_CLAIMS = tuple(CLAIMS)
-HARD_CLAIMS = tuple(c for c, (_, hard) in CLAIMS.items() if hard)
-
-
-def run_claim(claim_id: str, n: int, seed: int) -> ClaimReport:
-    """The report of ``claim_id`` on ``n`` samples drawn at ``seed``."""
-    if claim_id not in CLAIMS:
-        raise ValueError(f"unknown claim {claim_id!r}")
-    return CLAIMS[claim_id][0](n, seed)
-
-
-def run_all(n: int, seed: int) -> dict:
-    """Every claim's report at one seed; the claims share their samples."""
-    reports = [run_claim(c, n, seed) for c in ALL_CLAIMS]
-    hard_ok = all(r.ok for r in reports if r.hard)
-    return {"ok": hard_ok, "reports": [r.to_json() for r in reports]}
+HARD_CLAIMS = tuple(c for c, claim in CLAIMS.items() if claim.hard)
 
 
 def _ineq_str(ineq) -> str:

@@ -13,7 +13,6 @@ conditional mutual informations are computed (all in bits).
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import json
@@ -201,17 +200,17 @@ def cmg9_spec(alphabets, q, w1_given_q, x1_given_q_w1, w2_given_q, x2_given_q_w2
 class JointDist:
     """Dense joint probability tensor over the nine variables.
 
-    ``entropy`` memoises each marginal entropy on the joint, so the tensor
-    must not be mutated once the joint is built; ``build_joint`` makes it
-    read-only, since one joint may be shared by several readers.  Inside
-    ``shared_partial_sums`` the joint also holds the partial sums that
-    ``marginal_tensor`` shares between marginals; outside it holds none.
+    ``entropy`` memoises each marginal entropy on the joint, and
+    ``marginal_tensor`` keeps on it the partial sums it shares between
+    marginals, both for the joint's lifetime.  So the tensor must not be
+    mutated once the joint is built; ``build_joint`` makes it read-only,
+    since one joint may be shared by several readers.
     """
 
     alphabets: AlphabetSpec
     tensor: np.ndarray
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _partials: dict | None = field(default=None, init=False, repr=False, compare=False)
+    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = self.tensor
@@ -254,9 +253,9 @@ def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
     size 1.  So the trailing block, the dropped axes of the maximal suffix
     of axes that are dropped or have size 1, can be summed first (keeping
     dims) and the rest reduced from that partial sum in the same order.
-    Within ``shared_partial_sums`` each partial is made once and shared by
-    every marginal with the same trailing block.  When that suffix is empty
-    or holds every dropped axis, the tensor is reduced once.
+    Each partial is made once per joint, kept on it, and shared by every
+    marginal with the same trailing block.  When that suffix is empty or
+    holds every dropped axis, the tensor is reduced once.
     """
     keep = {v.value for v in keep}
     if not keep:
@@ -269,21 +268,10 @@ def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
     tail = tuple(a for a in drop if a >= start)
     if not tail or tail == drop:
         return t.sum(axis=drop)
-    partials = {} if joint._partials is None else joint._partials
+    partials = joint._partials
     if tail not in partials:
         partials[tail] = t.sum(axis=tail, keepdims=True)
     return partials[tail].sum(axis=drop)
-
-
-@contextlib.contextmanager
-def shared_partial_sums(joint: JointDist):
-    """Let ``marginal_tensor`` share its partial sums of ``joint`` for the
-    duration of the block; they are dropped when it ends."""
-    object.__setattr__(joint, "_partials", {})
-    try:
-        yield
-    finally:
-        object.__setattr__(joint, "_partials", None)
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:

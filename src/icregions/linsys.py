@@ -220,8 +220,9 @@ class LinearSystem:
 
 
 def dense_lhs(dims, ineqs) -> tuple:
-    """Each inequality's lhs as a tuple of ``Fraction``s over dims."""
-    return tuple(tuple(F(lhs.get(v, 0)) for v in dims)
+    """Each inequality's lhs as a tuple over dims, of its own coefficients
+    (``int`` for a canonical row) and 0 where it has none."""
+    return tuple(tuple(lhs.get(v, 0) for v in dims)
                  for lhs in (dict(ineq.lhs) for ineq in ineqs))
 
 

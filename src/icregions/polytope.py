@@ -60,7 +60,7 @@ class HPoly:
     """Intersection of half-spaces a.x <= b with implicit x >= 0."""
 
     dims: tuple  # rate-variable names, fixing coordinate order
-    rows: tuple  # ((coeffs aligned with dims), Fraction rhs)
+    rows: tuple  # ((coeffs aligned with dims, ints when bound), Fraction rhs)
 
     def contains_point(self, point, eps=F(0)) -> bool:
         if len(point) != len(self.dims):

@@ -18,7 +18,7 @@ written (Chong, Motani, Garg and El Gamal, IEEE Trans. IT 54(7), 2008).
 
 from __future__ import annotations
 
-from .dist import JointDist, Var, cond_mutual_info, shared_partial_sums
+from .dist import JointDist, Var, cond_mutual_info
 
 # The seven shapes above as (B, C) of I(Y_i; B | C Q), spelled in u = U_i,
 # w = W_i and v = W_j.
@@ -62,15 +62,14 @@ def eval_terms(joint: JointDist, symbols=ALL_SYMBOLS) -> dict[str, float]:
     the full joint, in ``ALL_SYMBOLS`` order.
 
     Only the base terms the symbols read are evaluated (a composite reads
-    its base and rho), and their marginals share partial sums for the
-    duration of the call (``dist.shared_partial_sums``).
+    its base and rho); their marginals share the partial sums that the
+    joint keeps (``dist.marginal_tensor``).
     """
     symbols = set(symbols)
     if unknown := symbols.difference(_READ_BY, COMPOSITE_EXPANSION):
         raise ValueError(f"unknown term symbols: {sorted(unknown)}")
-    with shared_partial_sums(joint):
-        t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()
-             if not symbols.isdisjoint(_READ_BY[sym])}
+    t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()
+         if not symbols.isdisjoint(_READ_BY[sym])}
     for comp, (base, rho) in COMPOSITE_EXPANSION.items():
         if comp in symbols:
             t[comp] = t[base] + t[rho]

@@ -1,4 +1,6 @@
+import gc
 import json
+import tracemalloc
 
 import pytest
 
@@ -164,12 +166,15 @@ class TestHarness:
 
 
 class TestSharedSamples:
-    """Every claim at one seed reads the same drawn (spec, joint) per form
-    and index; only the latest seed's draws are kept."""
+    """The claims check each sample in turn, and every claim that checks
+    sample ``i`` reads the same drawn (spec, joint) of a form; the memo
+    keeps the last three draws."""
 
     @pytest.fixture(autouse=True)
-    def empty_memo(self, monkeypatch):
-        monkeypatch.setattr(claims, "_drawn", {})
+    def empty_memo(self):
+        claims._sample.cache_clear()
+        yield
+        claims._sample.cache_clear()
 
     def test_run_all_draws_each_spec_once(self, monkeypatch):
         drawn = []
@@ -183,23 +188,50 @@ class TestSharedSamples:
         assert len(drawn) == 9 and set(drawn) == {
             (form, 7, i) for form in (Form.HK2, Form.CMG9, Form.HOD16)
             for i in range(3)}
-        assert len(claims._drawn) == 9
 
-    def test_run_all_reports_equal_claims_run_alone(self, monkeypatch):
+    def test_run_all_reports_equal_claims_run_alone(self):
         together = run_all(3, 7)["reports"]
         for cid, rep in zip(ALL_CLAIMS, together):
-            monkeypatch.setattr(claims, "_drawn", {})
+            claims._sample.cache_clear()
             alone = run_claim(cid, 3, 7).to_json()
             assert json.dumps(rep, sort_keys=True) == \
                 json.dumps(alone, sort_keys=True), cid
 
-    def test_another_seed_forgets_the_last(self):
-        run_claim("remark2-data", 2, 7)
-        assert {key[1] for key in claims._drawn} == {7}
-        run_claim("hod-extra-terms", 1, 8)
-        assert list(claims._drawn) == [(Form.HOD16, 8, 0)]
+    def test_the_memo_holds_at_most_three_draws(self):
+        run_all(4, 7)
+        info = claims._sample.cache_info()
+        assert info.maxsize == 3 and info.currsize == 3 and info.misses == 12
+        run_claim("hod-extra-terms", 2, 8)
+        assert claims._sample.cache_info().currsize == 3
+
+    def test_held_memory_does_not_grow_with_the_sample_count(self):
+        # sample-major, the draws of earlier samples are let go: what a run
+        # leaves in the memo is the last sample's three draws (about 54 KB),
+        # whatever n is.  Measured as what clearing the memo frees, since
+        # NumPy's own small blocks, left by its reductions and flag
+        # setting, grow slowly with n too; one of those blocks (about 50
+        # bytes) may be freed with the draws or not, hence the 1 KB slack,
+        # far below one draw.
+        def held_after(n):
+            claims._sample.cache_clear()
+            gc.collect()
+            tracemalloc.start()
+            try:
+                run_all(n, 7)
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                claims._sample.cache_clear()
+                gc.collect()
+                return held - tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        held_after(1)  # the first run in a process makes one-time allocations
+        assert 0 < held_after(60) <= held_after(20) + 1024
 
     def test_given_specs_neither_read_nor_fill_the_memo(self, monkeypatch):
+        sample = claims._sample
+
         def refuse(*args):
             raise AssertionError("a report with given specs drew a sample")
 
@@ -207,7 +239,7 @@ class TestSharedSamples:
         hod = sample_spec(binary_alphabets(), Form.HOD16, [74, 0])
         assert claim_hod_extra_terms(1, 74, specs=[hod]).ok
         assert not claim_reduction_independence(1, 74, specs=[hod]).ok
-        assert claims._drawn == {}
+        assert sample.cache_info().currsize == 0
 
     def test_terms_are_evaluated_again_on_a_shared_joint(self, monkeypatch):
         # the memo keeps joints, not term values, so a changed TERMS shows

@@ -13,8 +13,7 @@ from icregions.dist import (AlphabetSpec, FactorSpec, Form, JointDist, SpecError
                             Var, build_joint, check_markov_chains, cmg9_spec,
                             cond_mutual_info, entropy, hk2_spec,
                             independence_projection, marginal_tensor,
-                            save_spec, shared_partial_sums, spec_from_json,
-                            spec_to_json)
+                            save_spec, spec_from_json, spec_to_json)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import COMPOSITE_EXPANSION, TERMS, eval_terms
 from oracles import cmi_vars, dict_from_tensor, naive_entropy, naive_joint, \
@@ -311,29 +310,34 @@ class TestMarginal:
     @pytest.mark.parametrize("form", [Form.HOD16, Form.GENERAL1, Form.HK2],
                              ids=lambda f: f.value)
     def test_partial_sums_keep_the_bits_of_one_reduction(self, sizes, form):
-        # Every one of the 511 keep sets, shared partial sums and not; on
-        # ones-among-threes a rule that ignores size-1 axes changes the bits
-        # of some sets.
+        # Every one of the 511 keep sets, on a joint that holds the partial
+        # sums of all of them and on a fresh joint of the same tensor, which
+        # holds none; on ones-among-threes a rule that ignores size-1 axes
+        # changes the bits of some sets.
         joint = build_joint(sample_spec(binary_alphabets(**sizes), form, [11, 25]))
         assert joint.tensor.flags.c_contiguous
         keeps = [keep for r in range(1, 10) for keep in itertools.combinations(VARS, r)]
         refs = [joint.tensor.sum(axis=tuple(v.value for v in VARS if v not in keep))
                 for keep in keeps]
-        with shared_partial_sums(joint):
-            shared = [marginal_tensor(joint, keep) for keep in keeps]
-            assert joint._partials
-        assert joint._partials is None
-        for keep, ref, got in zip(keeps, refs, shared):
-            alone = marginal_tensor(joint, keep)
-            for m in (got, alone):
+        for keep in keeps:
+            marginal_tensor(joint, keep)
+        assert joint._partials
+        for keep, ref in zip(keeps, refs):
+            shared = marginal_tensor(joint, keep)
+            alone = marginal_tensor(JointDist(joint.alphabets, joint.tensor), keep)
+            for m in (shared, alone):
                 assert (m.shape, m.tobytes()) == (ref.shape, ref.tobytes()), keep
 
-    def test_partial_sums_dropped_when_the_block_raises(self):
+    def test_partial_sums_persist_on_the_joint(self):
+        # the marginals of Y1 and of (X1, Y1) share the Y2-summed partial,
+        # made by the first and kept for the joint's lifetime
         joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 26]))
-        with pytest.raises(KeyError), shared_partial_sums(joint):
-            marginal_tensor(joint, [Var.Y1])
-            raise KeyError
-        assert joint._partials is None
+        assert joint._partials == {}
+        marginal_tensor(joint, [Var.Y1])
+        partial = joint._partials[(Var.Y2.value,)]
+        marginal_tensor(joint, [Var.X1, Var.Y1])
+        assert list(joint._partials) == [(Var.Y2.value,)]
+        assert joint._partials[(Var.Y2.value,)] is partial
 
 
 class TestCondMutualInfo:

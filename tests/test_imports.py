@@ -5,14 +5,18 @@ An unused import is dead code, and here it also makes a dead binding site
 for anything that wraps a function by the names it is bound to.
 ``__init__`` re-exports its imports, so it is left out of the import scan.
 A private name (``_x``, not a dunder) that no module reads is a leftover.
+The benchmark's tracer wraps package functions by name, so every name it
+traces must still exist.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "icregions"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "icregions"
 SOURCES = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -77,3 +81,20 @@ def test_scan_finds_an_unused_private_name():
 
 def test_no_unused_private_names():
     assert unused_private_names(SOURCES) == []
+
+
+def test_the_benchmark_tracer_finds_every_traced_name():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    modules = {m: importlib.import_module(f"icregions.{m}") for m, _, _ in tracer.TARGETS}
+    run_claim = modules["claims"].run_claim
+    tr = tracer.Tracer()
+    tr.install()
+    try:
+        assert all(tr.sites[name] for name in tracer.span_names())
+        assert modules["claims"].run_claim is not run_claim
+    finally:
+        tr.uninstall()
+    assert modules["claims"].run_claim is run_claim

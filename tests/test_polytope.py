@@ -108,16 +108,23 @@ class TestBind:
         st.floats(-9, 9)) for s in BASE_SYMBOLS}))
     def test_rows_are_the_per_term_fraction_sums(self, binding):
         """Each bound row, built once per system and summed in integers,
-        is the row ``F(lhs)``s and ``F(binding[k]) * coefficient`` sums
-        give, repr included, for int, Fraction and float values."""
+        is the row's own lhs coefficients and the ``F(binding[k]) *
+        coefficient`` sum, repr included, for int, Fraction and float
+        values."""
         for system in [*map(build_system, REGION_IDS), self.ODD]:
             poly = bind(system, binding)
             expected = tuple(
-                (tuple(F(dict(i.lhs).get(v, 0)) for v in system.rate_vars),
+                (tuple(dict(i.lhs).get(v, 0) for v in system.rate_vars),
                  F(sum((F(binding[k]) * c for k, c in i.rhs.coeffs), i.rhs.const)))
                 for i in system.inequalities)
             assert repr(poly.rows) == repr(expected)
             assert bind(system, binding).rows[0][0] is poly.rows[0][0]
+
+    @pytest.mark.parametrize("rid", REGION_IDS)
+    def test_bound_coefficients_are_ints(self, rid):
+        # so the exact LP scales a containment's rows without an lcm
+        poly = bind(build_system(rid), hk2_binding(0))
+        assert all(type(c) is int for lhs, _ in poly.rows for c in lhs)
 
     def test_missing_symbol_reported(self):
         with pytest.raises(ValueError, match="missing term symbol"):
@@ -578,25 +585,31 @@ class TestNumericFm:
     # SHA-256 of the reprs of the numeric rows, in order: the nine golden
     # systems bound to each of acceptance criterion 7's bindings, then each
     # quadruple system of the binding's form substituted and projected on
-    # T1 and then on T2.
+    # T1 and then on T2.  Each coefficient is written as a Fraction, so an
+    # int coefficient and the equal Fraction give one digest.
     NUMERIC_ROWS_DIGEST = "1726d8a22c8853ef0fa636ee4555fcfb278e1027dc0b735069bd81598c1d99fb"
     QUADS = {Form.HK2: ("HK_Q", "HK_Q_MODIFIED"), Form.CMG9: ("CMG_Q",),
              Form.HOD16: ("HOD_Q",)}
 
     def test_numeric_rows_pinned(self):
         digest = hashlib.sha256()
+
+        def update(poly):
+            rows = tuple((tuple(map(F, lhs)), rhs) for lhs, rhs in poly.rows)
+            digest.update(repr(rows).encode())
+
         for i in range(20):
             for form, quads in self.QUADS.items():
                 binding = snap_terms(eval_terms(build_joint(
                     sample_spec(binary_alphabets(), form, [91, i]))))
                 for rid in REGION_IDS:
-                    digest.update(repr(bind(build_system(rid), binding).rows).encode())
+                    update(bind(build_system(rid), binding))
                 for quad_id in quads:
                     poly = substitute_rate_sums_numeric(bind(build_system(quad_id), binding))
-                    digest.update(repr(poly.rows).encode())
+                    update(poly)
                     for v in ("T1", "T2"):
                         poly = fm_eliminate_numeric(poly, v)
-                        digest.update(repr(poly.rows).encode())
+                        update(poly)
         assert digest.hexdigest() == self.NUMERIC_ROWS_DIGEST
 
     # Few distinct values, zeros among them, make projections with

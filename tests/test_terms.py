@@ -25,7 +25,7 @@ class TestEvalTerms:
         part = eval_terms(joint, ["rho1", "B2", "a1"])
         assert list(part.items()) == [(s, full[s]) for s in ("a1", "rho1", "B2")]
         assert eval_terms(joint, []) == {}
-        assert joint._partials is None  # the shared partial sums are gone
+        assert joint._partials  # kept on the joint for later marginals
         with pytest.raises(ValueError, match="unknown term symbols"):
             eval_terms(joint, ["a1", "h1"])
 
