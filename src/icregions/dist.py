@@ -239,7 +239,7 @@ def build_joint(spec: FactorSpec) -> JointDist:
     spec.alphabets.check_joint_size()
     t = np.einsum(_JOINT_SUBSCRIPTS, *(getattr(spec, name) for name, _, _ in FACTORS),
                   optimize=True)
-    t.flags.writeable = False
+    t.setflags(write=False)
     return JointDist(spec.alphabets, t)
 
 

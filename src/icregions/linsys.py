@@ -43,19 +43,6 @@ def _num(v):
     return v if type(v) is int else F(v)
 
 
-def _ratio(v) -> tuple:
-    """(numerator, denominator) of a number: an ``int``'s or ``Fraction``'s
-    own, any other number's through ``Fraction``."""
-    if not isinstance(v, (int, F)):
-        v = F(v)
-    return v.numerator, v.denominator
-
-
-def ratios(binding: dict) -> dict:
-    """The binding with each value as its ``_ratio`` pair."""
-    return {k: _ratio(v) for k, v in binding.items()}
-
-
 def _clean(d: dict) -> dict:
     return {k: v for k, v in ((k, _num(v)) for k, v in d.items()) if v}
 
@@ -97,22 +84,7 @@ class Combo:
 
     def evaluate(self, binding: dict) -> Fraction:
         """The value at a binding of the term symbols to numbers."""
-        return self.evaluate_ratios({k: _ratio(binding[k]) for k, _ in self.coeffs})
-
-    def evaluate_ratios(self, binding: dict) -> Fraction:
-        """The value at a binding made by ``ratios``, summed in integers over
-        one common denominator; only the sum is built as a ``Fraction``."""
-        n, d = _ratio(self.const)
-        for k, c in self.coeffs:
-            cn, cd = _ratio(c)
-            vn, vd = binding[k]
-            tn, td = cn * vn, cd * vd
-            if td == d:
-                n += tn
-            else:
-                m = lcm(d, td)
-                n, d = n * (m // d) + tn * (m // td), m
-        return F(n, d)
+        return sum((F(binding[k]) * c for k, c in self.coeffs), F(self.const))
 
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0

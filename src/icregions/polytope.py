@@ -1,21 +1,26 @@
 """Exact-rational half-space polyhedra over the rate variables.
 
-Term values measured in bits are snapped once to rationals with denominator
-2**48; everything downstream (binding, vertex enumeration, containment,
-area) is exact.  Cross-region comparisons that combine independently
-snapped values use a generous eps of 2**-30.
+Term values measured in bits are snapped once to the integer k of
+k * 2**-48; everything downstream (binding, vertex enumeration,
+containment, area) is exact.  Cross-region comparisons that combine
+independently snapped values use a generous eps of 2**-30.
 
-``vertices2`` clips the quadrant x, y >= 0 itself by each row, its two
-directions written as points at infinity, and reads the vertices, or
-emptiness or unboundedness, off the clipped ring with no LP.  The 2-D path
-computes in integers, not ``Fraction``s (whose every operation runs a
-``gcd`` on 2**-48-scale denominators): the clip keeps its ring in integer
-homogeneous coordinates and decides each step by the sign of an integer
-expression (Yap, "Towards exact geometric computation", 1997), and
-``contains`` tests each vertex against outer rows scaled to integers.
-Only the vertices returned are ``Fraction``s.  The numeric projection
-runs the Fourier-Motzkin step, S->R substitution and canonicaliser of
-``linsys`` on rows whose right-hand sides are constants.
+A polytope has two views of its rows: ``rows``, rational, for its readers
+(JSON output, ``contains_point``, the projections), and ``grid``, the same
+rows over integers, for the computation.  ``bind`` fills both in one loop:
+its rows have ``int`` coefficients and each rhs is summed in integers as
+const * 2**48 + sum(c * k), so the grid is those rows over the one
+denominator 2**48.  Any other polytope derives its grid on first use.
+Integers, not ``Fraction``s (whose every operation runs a ``gcd`` on
+2**-48-scale denominators), carry every decision: ``vertices2`` clips the
+quadrant x, y >= 0 itself by each grid row, its two directions written as
+points at infinity, keeps its ring in integer homogeneous coordinates and
+decides each step by the sign of an integer expression (Yap, "Towards
+exact geometric computation", 1997); ``contains`` tests each vertex
+against outer's grid rows, eps folded in as an integer, and hands the
+exact LP integer rows.  Only the vertices returned are ``Fraction``s.  The
+numeric projection runs the Fourier-Motzkin step, S->R substitution and
+canonicaliser of ``linsys`` on rows whose right-hand sides are constants.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .lp import _integers, maximize_each, solve_lp
-from .linsys import (Combo, Inequality, LinearSystem, dense_lhs, fm_rows, ratios,
-                     substitution_rows)
+from .linsys import Combo, Inequality, LinearSystem, dense_lhs, fm_rows, substitution_rows
 
 F = Fraction
 
@@ -39,9 +44,10 @@ class UnboundedRegionError(ValueError):
 
 
 def snap_terms(term_values: dict) -> dict:
-    """Round each term (bits) to the nearest multiple of 2**-48, floored at 0;
-    a value that is not an ``int`` or ``float`` (``bool`` included), or a
-    float that is not finite or too large to snap, raises a ValueError."""
+    """Round each term (bits) to the nearest multiple k * 2**-48, floored at
+    0, and give it as the integer k; a value that is not an ``int`` or
+    ``float`` (``bool`` included), or a float that is not finite or too large
+    to snap, raises a ValueError."""
     out = {}
     for k, v in term_values.items():
         if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -50,8 +56,8 @@ def snap_terms(term_values: dict) -> dict:
             why = ("is too large to snap to a multiple of 2**-48:" if math.isfinite(v)
                    else "must be a finite number, not")
             raise ValueError(f"value of {k!r} {why} {v!r}")
-        r = F(round(v * SNAP_DEN), SNAP_DEN)
-        out[k] = r if r > 0 else F(0)
+        n = round(v * SNAP_DEN)
+        out[k] = n if n > 0 else 0
     return out
 
 
@@ -60,7 +66,19 @@ class HPoly:
     """Intersection of half-spaces a.x <= b with implicit x >= 0."""
 
     dims: tuple  # rate-variable names, fixing coordinate order
-    rows: tuple  # ((coeffs aligned with dims, ints when bound), Fraction rhs)
+    # ((coeffs aligned with dims, ints when bound), Fraction rhs): the
+    # rational view, which every reader uses; ``grid`` serves the computation
+    rows: tuple
+
+    @cached_property
+    def grid(self) -> tuple:
+        """The rows over integers, (den, ((a, k, n), ...)): row i times the
+        least positive integer k that makes its coefficients integers a, its
+        rhs k * b as n / den over one common den.  ``bind`` sets it (k = 1,
+        den = 2**48); any other polytope derives it here on first use."""
+        rows = [(*_integers(lhs), F(rhs)) for lhs, rhs in self.rows]
+        den = math.lcm(*((k * b).denominator for _, k, b in rows))
+        return den, tuple((tuple(a), k, int(k * b * den)) for a, k, b in rows)
 
     def contains_point(self, point, eps=F(0)) -> bool:
         if len(point) != len(self.dims):
@@ -79,22 +97,30 @@ class HPoly:
                         b_ub=[rhs for _, rhs in self.rows])
 
 
-def _hpoly(dims, lhs_rows, ineqs, binding: dict) -> HPoly:
-    """The inequalities in order as dense rows over dims: the given
-    ``dense_lhs`` rows, and each rhs at the binding, which is converted to
-    integer pairs once, so that each rhs is summed in integers and built as
-    one ``Fraction``."""
-    binding = ratios(binding)
-    try:
-        rhs = [ineq.rhs.evaluate_ratios(binding) for ineq in ineqs]
-    except KeyError as exc:
-        raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
-    return HPoly(tuple(dims), tuple(zip(lhs_rows, rhs)))
-
-
 def bind(system: LinearSystem, binding: dict) -> HPoly:
-    """Evaluate every rhs combo at the binding, yielding a numeric polytope."""
-    return _hpoly(system.rate_vars, system.dense_lhs, system.inequalities, binding)
+    """The numeric polytope of the system at a binding made by
+    ``snap_terms``, each term symbol to the integer k of k * 2**-48.
+
+    Each rhs is summed in integers as const * 2**48 + sum(c * k), with no
+    lcm or gcd, and the grid is filled in the same loop.  A row with a
+    coefficient that is not an ``int`` (no ``LinearSystem.of`` row has
+    one), or a term value that is not, raises a ValueError."""
+    rows, grid = [], []
+    for i, (lhs, ineq) in enumerate(zip(system.dense_lhs, system.inequalities)):
+        n = ineq.rhs.const * SNAP_DEN
+        try:
+            for k, c in ineq.rhs.coeffs:
+                n += c * binding[k]
+        except KeyError as exc:
+            raise ValueError(f"binding is missing term symbol {exc.args[0]!r}") from None
+        if type(n) is not int or type(sum(lhs)) is not int:
+            raise ValueError(f"row {i} has a coefficient or term value that is not "
+                             "an int; bind takes the integers snap_terms gives")
+        rows.append((lhs, F(n, SNAP_DEN)))
+        grid.append((lhs, 1, n))
+    poly = HPoly(tuple(system.rate_vars), tuple(rows))
+    poly.__dict__["grid"] = SNAP_DEN, tuple(grid)  # what the cached_property holds
+    return poly
 
 
 def vertices2(p: HPoly):
@@ -112,9 +138,9 @@ def vertices2(p: HPoly):
     distinct ends; an empty region gives an empty list, and an unbounded
     one raises ``UnboundedRegionError``.
 
-    Each row a.x <= c is scaled once to integers by the least positive
-    integer, so fp = a1*X + a2*Y - c*W is a positive multiple of the
-    rational a.p - c when W > 0 and has its sign.  The crossing of P and Q
+    Each grid row a.x <= n / den, its row lhs.x <= rhs times k, is read
+    as den*a.x <= n, so fp = den*a1*X + den*a2*Y - n*W is a positive
+    multiple of the rational lhs.p - rhs when W > 0 and has its sign.  The crossing of P and Q
     is the positive combination |fq|*P + |fp|*Q, reduced by its gcd, and a
     left turn at Q from O to R is a positive determinant of the rows O, Q, R.
     Every ring point is a positive combination of the start triple, so all
@@ -132,9 +158,10 @@ def vertices2(p: HPoly):
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
+    den, rows = p.grid
     ring = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    for lhs, rhs in p.rows:
-        (a, b, c), _ = _integers((*lhs, rhs))
+    for (a, b), _, c in rows:
+        a, b = a * den, b * den
         fs = [a * x + b * y - c * w for x, y, w in ring]
         clipped = []
         for P, Q, fp, fq in zip(ring, ring[1:] + ring[:1], fs, fs[1:] + fs[:1]):
@@ -173,40 +200,46 @@ def area2(p: HPoly) -> Fraction:
 def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     """True iff inner is inside outer slackened by eps (exact test).
 
-    A bounded 2-D inner uses vertex enumeration: each outer row, its rhs
-    raised by eps, is scaled to integers once, and a vertex (x, y) is
-    tested as a1*xn*yd + a2*yn*xd <= c*xd*yd over the numerators and
-    denominators of x and y.  Otherwise each outer constraint is
-    maximized over inner by the exact LP, all of them on one tableau of
-    inner's rows (``lp.maximize_each``): the dual-rule phase 1 repairs the
-    slack basis once, and each outer row starts from the basis the previous
-    one ended at.  The results are taken one at a time, so the first row
-    that fails, or an empty inner, ends the test without solving the rest;
-    an outer with no rows solves no LP."""
+    Both read the grids.  Each outer grid row a.x <= n / den, raised by
+    k * eps = k * en / ed, is a.x <= c / m over m = lcm(den, ed), so eps on
+    the 2**-48 grid keeps m = den.  A bounded 2-D inner uses vertex
+    enumeration: a vertex (x, y) is tested as
+    m*(a1*xn*yd + a2*yn*xd) <= c*xd*yd over the numerators and denominators
+    of x and y.  Otherwise each outer a is maximized over inner's grid rows
+    by the exact LP, whose x is inner's den times the rational one, all of
+    them on one tableau (``lp.maximize_each``): the dual-rule phase 1
+    repairs the slack basis once, and each outer row starts from the basis
+    the previous one ended at.  The results are taken one at a time, so the
+    first row that fails, or an empty inner, ends the test without solving
+    the rest; an outer with no rows solves no LP."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
-    eps = F(eps)
+    den, rows = outer.grid
+    en, ed = eps.as_integer_ratio()
+    m = math.lcm(den, ed)
+    bounds = [n * (m // den) + k * en * (m // ed) for _, k, n in rows]
     if len(outer.dims) == 2:
         try:
             vs = vertices2(inner)  # the module global, so a tracer or a test can wrap it
         except UnboundedRegionError:
             pass  # the LP loop below decides an unbounded inner
         else:
-            rows = [_integers((*lhs, rhs + eps))[0] for lhs, rhs in outer.rows]
             for x, y in vs:
                 xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-                u, v, d = xn * yd, yn * xd, xd * yd
-                if any(a * u + b * v > c * d for a, b, c in rows):
+                u, v, d = m * xn * yd, m * yn * xd, xd * yd
+                if any(a * u + b * v > c * d for ((a, b), _, _), c in zip(rows, bounds)):
                     return False
             return True
-    results = maximize_each((list(lhs) for lhs, _ in outer.rows),
-                            [lhs for lhs, _ in inner.rows], [rhs for _, rhs in inner.rows])
-    for (_, rhs), res in zip(outer.rows, results):
+    den, inner_rows = inner.grid
+    results = maximize_each((a for a, _, _ in rows), [a for a, _, _ in inner_rows],
+                            [n for _, _, n in inner_rows])
+    for c, res in zip(bounds, results):
         if res.status == "infeasible":
             return True  # empty inner
         if res.status == "unbounded":
             return False
-        if res.value > rhs + eps:
+        # res.value is den times the rational max: it must be <= den * c / m
+        if res.value.numerator * m > den * c * res.value.denominator:
             return False
     return True
 
@@ -219,6 +252,12 @@ def _ineqs(p: HPoly) -> list:
     """The rows as inequalities whose right-hand sides are constants."""
     return [Inequality.of(dict(zip(p.dims, lhs)), Combo(const=rhs))
             for lhs, rhs in p.rows]
+
+
+def _hpoly(dims, ineqs) -> HPoly:
+    """The inequalities, whose right-hand sides are constants, in order as
+    dense rows over dims with ``Fraction`` right-hand sides."""
+    return HPoly(dims, tuple(zip(dense_lhs(dims, ineqs), (F(i.rhs.const) for i in ineqs))))
 
 
 def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
@@ -235,13 +274,11 @@ def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
                 raise ValueError("projection produced an infeasible constant row")
             continue
         rows.setdefault(ineq.canonical())
-    dims = tuple(d for d in p.dims if d != dim)
-    return _hpoly(dims, dense_lhs(dims, rows), rows, {})
+    return _hpoly(tuple(d for d in p.dims if d != dim), list(rows))
 
 
 def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
     """Numeric analogue of the symbolic S_i := R_i - T_i substitution."""
     if p.dims != ("S1", "T1", "S2", "T2"):
         raise ValueError("expected a quadruple polytope over (S1, T1, S2, T2)")
-    dims, rows = ("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p))
-    return _hpoly(dims, dense_lhs(dims, rows), rows, {})
+    return _hpoly(("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p)))

@@ -56,6 +56,12 @@ class TestBuildJoint:
         joint = build_joint(uniform_hk2())
         assert np.allclose(joint.tensor, 2.0**-9)
 
+    def test_tensor_is_read_only(self):
+        joint = build_joint(uniform_hk2())
+        assert not joint.tensor.flags.writeable
+        with pytest.raises(ValueError):
+            joint.tensor[(0,) * 9] = 1.0
+
     def test_matches_naive_factor_product(self):
         spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 0])
         joint = build_joint(spec)

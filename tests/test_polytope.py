@@ -31,6 +31,16 @@ def square(side=1):
     ))
 
 
+# R1/2 <= 1 and R2 <= 1: its grid scales the first row by k = 2, so eps
+# raises that row's rhs by 2 * eps on the grid
+HALF_ROW = HPoly(("R1", "R2"), (((F(1, 2), F(0)), F(1)), ((F(0), F(1)), F(1))))
+
+
+def rect(width):
+    """[0, width] x [0, 1]."""
+    return HPoly(("R1", "R2"), (((F(1), F(0)), F(width)), ((F(0), F(1)), F(1))))
+
+
 def hk2_binding(index):
     spec = sample_spec(binary_alphabets(), Form.HK2, [41, index])
     return snap_terms(eval_terms(build_joint(spec)))
@@ -39,12 +49,13 @@ def hk2_binding(index):
 class TestSnapTerms:
     def test_denominator_and_rounding(self):
         out = snap_terms({"a1": 0.5, "b1": 1.0 / 3.0})
-        assert out["a1"] == F(1, 2)
-        assert abs(out["b1"] - F(1, 3)) <= F(1, 2 * SNAP_DEN)
-        assert out["b1"].denominator <= SNAP_DEN
+        assert out["a1"] == SNAP_DEN // 2
+        assert abs(F(out["b1"], SNAP_DEN) - F(1, 3)) <= F(1, 2 * SNAP_DEN)
+        assert all(type(k) is int for k in out.values())
 
     def test_negative_roundoff_floors_to_zero(self):
         assert snap_terms({"a1": -1e-15})["a1"] == 0
+        assert type(snap_terms({"a1": -1e-15})["a1"]) is int
 
     # 2**900 * 2**48 is still a finite float; a tie rounds to even.
     @given(st.floats(min_value=-2.0**900, max_value=2.0**900))
@@ -55,10 +66,11 @@ class TestSnapTerms:
     @example(-5e-324)
     def test_within_half_a_step_of_its_float(self, v):
         snapped = snap_terms({"a1": v})["a1"]
+        assert type(snapped) is int
         if v < 0:
             assert snapped == 0
         else:
-            assert abs(snapped - F(v)) <= F(1, 2 * SNAP_DEN)
+            assert abs(F(snapped, SNAP_DEN) - F(v)) <= F(1, 2 * SNAP_DEN)
 
     @pytest.mark.parametrize("v,message", [
         (float("nan"), "value of 'a1' must be a finite number, not nan"),
@@ -73,7 +85,7 @@ class TestSnapTerms:
         assert str(exc.value) == message
 
     def test_big_int_snaps_exactly(self):
-        assert snap_terms({"a1": 10**400})["a1"] == 10**400
+        assert snap_terms({"a1": 10**400})["a1"] == 10**400 * SNAP_DEN
 
     # A string would be repeated 2**48 times, and a bool would snap to 0 or 1.
     @pytest.mark.parametrize("v", ["0.1", True, None], ids=["string", "bool", "none"])
@@ -83,18 +95,19 @@ class TestSnapTerms:
         assert str(exc.value) == f"value of 'a1' must be a finite number, not {v!r}"
 
     def test_numpy_float_snaps(self):
-        assert snap_terms({"a1": np.float64(0.5)})["a1"] == F(1, 2)
+        snapped = snap_terms({"a1": np.float64(0.5)})["a1"]
+        assert snapped == SNAP_DEN // 2 and type(snapped) is int
 
 
 class TestBind:
     def test_all_zero_binding_gives_origin(self):
-        binding = {s: F(0) for s in ALL_SYMBOLS}
+        binding = {s: 0 for s in ALL_SYMBOLS}
         poly = bind(build_system("HK_R"), binding)
         assert vertices2(poly) == [(F(0), F(0))]
 
     def test_box_constraints_only(self):
-        binding = {s: F(1000) for s in ALL_SYMBOLS}
-        binding["d1"] = binding["d2"] = F(1)
+        binding = {s: 1000 * SNAP_DEN for s in ALL_SYMBOLS}
+        binding["d1"] = binding["d2"] = SNAP_DEN
         poly = bind(build_system("COMPACT_R"), binding)
         assert vertices2(poly) == [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)),
                                    (F(0), F(1))]
@@ -104,21 +117,34 @@ class TestBind:
 
     @settings(max_examples=40, deadline=None)
     @given(st.fixed_dictionaries({s: st.one_of(
-        st.integers(-9, 9), st.integers(0, 2**50).map(lambda k: F(k, 2**48)),
-        st.floats(-9, 9)) for s in BASE_SYMBOLS}))
+        st.integers(-9, 9), st.integers(0, 2**50), st.integers(-2**70, 2**70))
+        for s in BASE_SYMBOLS}))
     def test_rows_are_the_per_term_fraction_sums(self, binding):
         """Each bound row, built once per system and summed in integers,
-        is the row's own lhs coefficients and the ``F(binding[k]) *
-        coefficient`` sum, repr included, for int, Fraction and float
-        values."""
-        for system in [*map(build_system, REGION_IDS), self.ODD]:
+        is the row's own lhs coefficients and the ``F(binding[k], 2**48) *
+        coefficient`` sum, repr included."""
+        for system in map(build_system, REGION_IDS):
             poly = bind(system, binding)
             expected = tuple(
                 (tuple(dict(i.lhs).get(v, 0) for v in system.rate_vars),
-                 F(sum((F(binding[k]) * c for k, c in i.rhs.coeffs), i.rhs.const)))
+                 F(sum((F(binding[k], SNAP_DEN) * c for k, c in i.rhs.coeffs),
+                       i.rhs.const)))
                 for i in system.inequalities)
             assert repr(poly.rows) == repr(expected)
             assert bind(system, binding).rows[0][0] is poly.rows[0][0]
+
+    @pytest.mark.parametrize("system,value", [
+        (ODD, 1), (build_system("HK_R"), F(0)), (build_system("HK_R"), 0.5),
+        (build_system("HK_R"), np.int64(1))],
+        ids=["fraction-row", "fraction-value", "float-value", "numpy-value"])
+    def test_non_int_row_or_value_refused(self, system, value):
+        """The grid holds integers only: a row with a Fraction coefficient,
+        which no ``LinearSystem.of`` row has, or a term value that is not
+        the int snap_terms gives, is refused."""
+        with pytest.raises(ValueError) as exc:
+            bind(system, {s: value for s in ALL_SYMBOLS})
+        assert str(exc.value) == ("row 0 has a coefficient or term value that is "
+                                  "not an int; bind takes the integers snap_terms gives")
 
     @pytest.mark.parametrize("rid", REGION_IDS)
     def test_bound_coefficients_are_ints(self, rid):
@@ -128,7 +154,7 @@ class TestBind:
 
     def test_missing_symbol_reported(self):
         with pytest.raises(ValueError, match="missing term symbol"):
-            bind(build_system("HK_R"), {"a1": F(0)})
+            bind(build_system("HK_R"), {"a1": 0})
         with pytest.raises(ValueError) as exc:
             bind(self.ODD, {"a1": 1})
         assert str(exc.value) == "binding is missing term symbol 'g2'"
@@ -138,7 +164,7 @@ class TestBind:
         poly = bind(build_system("HK_R"), binding)
         rows = poly.rows
         rng = np.random.default_rng(0)
-        scale = float(binding["d1"]) + float(binding["d2"]) + 1e-6
+        scale = (binding["d1"] + binding["d2"]) / SNAP_DEN + 1e-6
         pts = rng.random((10**4, 2)) * scale
         for x, y in pts:
             px, py = F(x).limit_denominator(10**6), F(y).limit_denominator(10**6)
@@ -360,6 +386,7 @@ def strip(top):
 
 
 TINY = F(1, 2**60)
+THIRD = F(1, 3)  # an eps off the 2**-48 grid
 
 QUAD_DIMS = ("S1", "T1", "S2", "T2")
 QUAD_EMPTY = HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(-1)),))  # S1 <= -1
@@ -389,10 +416,12 @@ def golden_quads(draw):
 @st.composite
 def quad_pairs(draw):
     """(outer, inner): inner is random, golden, or outer with every rhs
-    raised by 0, eps/2, eps or eps + 2**-60, with random rows added or not,
-    so that inner's maxima lie just inside or just past rhs + eps."""
+    raised by 0, eps/2, eps or eps + 2**-60 (for eps 2**-30 or 1/3), with
+    random rows added or not, so that inner's maxima lie just inside or
+    just past rhs + eps."""
     outer = draw(st.one_of(quad_polys, golden_quads()))
-    rise = draw(st.sampled_from((F(0), DEFAULT_EPS / 2, DEFAULT_EPS, DEFAULT_EPS + TINY)))
+    rise = draw(st.sampled_from((F(0), DEFAULT_EPS / 2, DEFAULT_EPS, DEFAULT_EPS + TINY,
+                                 THIRD, THIRD + TINY)))
     raised = tuple((lhs, rhs + rise) for lhs, rhs in outer.rows)
     inner = draw(st.one_of(quad_polys, golden_quads(), st.just(HPoly(QUAD_DIMS, raised)),
                            quad_polys.map(lambda p: HPoly(QUAD_DIMS, raised + p.rows))))
@@ -406,12 +435,13 @@ class TestContains:
         """The 2-D vertex test against maximizing each outer row over
         inner.  Inner is a bounded region, or outer itself with every
         rhs raised by 0, eps/2, eps or eps + 2**-60 and boxed, so that
-        some inner vertices lie just inside or just past rhs + eps."""
+        some inner vertices lie just inside or just past rhs + eps; eps
+        1/3, off the 2**-48 grid, checks the cross-multiplied bounds."""
         outer = data.draw(st.one_of(boxed_regions(), boxed_regions().map(int_entries),
                                     golden_regions()))
-        eps = data.draw(st.sampled_from((F(0), DEFAULT_EPS)))
+        eps = data.draw(st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
         rise = data.draw(st.sampled_from((F(0), DEFAULT_EPS / 2, DEFAULT_EPS,
-                                          DEFAULT_EPS + TINY)))
+                                          DEFAULT_EPS + TINY, THIRD, THIRD + TINY)))
         raised = HPoly(outer.dims, tuple((lhs, rhs + rise) for lhs, rhs in outer.rows))
         inner = data.draw(st.one_of(boxed_regions().map(boxed), golden_regions(),
                                     st.just(boxed(raised))))
@@ -426,8 +456,13 @@ class TestContains:
         (square(1), DEGENERATE_REGIONS[0], F(0), True),
         (strip(1), strip(F(1, 2)), F(0), True),
         (square(1), strip(F(1, 2)), DEFAULT_EPS, False),
+        (square(1), square(1 + THIRD), THIRD, True),
+        (square(1), square(1 + THIRD + TINY), THIRD, False),
+        (HALF_ROW, rect(2 + 2 * THIRD), THIRD, True),
+        (HALF_ROW, rect(2 + 2 * THIRD + TINY), THIRD, False),
     ], ids=["on-eps", "past-eps", "int-on", "int-past", "int-on-eps",
-            "empty-inner", "unbounded-inside", "unbounded-outside"])
+            "empty-inner", "unbounded-inside", "unbounded-outside",
+            "on-third", "past-third", "half-row-on-third", "half-row-past-third"])
     def test_hand_built_cases(self, outer, inner, eps, expected):
         assert contains(outer, inner, eps) is expected
         assert contains_lp(outer, inner, eps) is expected
@@ -473,18 +508,43 @@ class TestContains:
             contains(square(), swapped, F(0))
 
     @settings(max_examples=150, deadline=None)
-    @given(quad_pairs(), st.sampled_from((F(0), DEFAULT_EPS)))
+    @given(quad_pairs(), st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
     @example((QUAD_SLAB, QUAD_EMPTY), F(0))
     @example((HPoly(QUAD_DIMS, ()), QUAD_SLAB), F(0))
     @example((QUAD_SLAB, HPoly(QUAD_DIMS, ())), DEFAULT_EPS)
     @example((HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(2)),)), QUAD_SLAB), F(0))
     @example((HPoly(QUAD_DIMS, (((F(0), F(1), F(0), F(0)), F(2)),)), QUAD_SLAB), F(0))
+    @example((HPoly(QUAD_DIMS, (((F(1, 2), F(0), F(0), F(0)), F(1)),)),
+              HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), 2 + 2 * THIRD),))), THIRD)
     def test_4d_warm_lp_matches_cold_lp_loop(self, pair, eps):
         """4-D containment, decided on one warm-started tableau, against
         the oracle's cold LP per outer row: an empty inner, an unbounded
         inner inside and outside, and an outer with no rows among them."""
         outer, inner = pair
         assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+
+    @pytest.mark.parametrize("index", [0, 5])
+    def test_4d_lp_gets_only_ints(self, monkeypatch, index):
+        """On golden 4-D pairs, contains hands ``maximize_each`` integer
+        objectives, rows and right-hand sides only: the grids, with no
+        ``Fraction`` for the exact LP to scale."""
+        each, calls = polytope.maximize_each, []
+
+        def checked(objectives, A_ub=None, b_ub=None):
+            objectives = list(objectives)
+            calls.append(objectives)
+            assert all(type(v) is int for row in (*objectives, *A_ub) for v in row)
+            assert all(type(v) is int for v in b_ub)
+            return each(objectives, A_ub, b_ub)
+
+        monkeypatch.setattr(polytope, "maximize_each", checked)
+        binding = hod16_binding(index)
+        for outer_id, inner_id in (("HOD_Q", "CMG_Q"), ("CMG_Q", "HOD_Q"),
+                                   ("HK_Q", "HOD_Q")):
+            outer, inner = (bind(build_system(rid), binding) for rid in (outer_id, inner_id))
+            for eps in (F(0), DEFAULT_EPS, THIRD):
+                assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+        assert len(calls) == 9 and all(calls)
 
     def test_quadruple_containment_via_lp(self):
         binding = hk2_binding(10)
@@ -521,6 +581,54 @@ class TestContains:
             assert contains(p, r, F(0))
         if contains(p, q, F(0)):
             assert area2(p) >= area2(q)
+
+
+def assert_views_agree(poly):
+    """The rational rows are the integer grid divided back out: row i is
+    (a / k, n / (k * den)) for its grid entry (a, k, n), and all of it ints."""
+    den, grid = poly.grid
+    assert type(den) is int and den > 0 and len(grid) == len(poly.rows)
+    for (lhs, rhs), (a, k, n) in zip(poly.rows, grid):
+        assert type(k) is int and k > 0 and type(n) is int
+        assert all(type(v) is int for v in a)
+        assert tuple(F(v, k) for v in a) == tuple(lhs)
+        assert F(n, k * den) == rhs
+
+
+class TestGrid:
+    @pytest.mark.parametrize("form", [Form.HK2, Form.HOD16])
+    def test_bound_and_projected_views_agree(self, form):
+        """Every golden system bound to seeded specs, whose grid bind fills
+        over 2**48, and the numeric substitution and projections of the
+        quadruples, whose grids are derived on first use."""
+        for i in range(4):
+            binding = snap_terms(eval_terms(build_joint(
+                sample_spec(binary_alphabets(), form, [47, i]))))
+            for rid in REGION_IDS:
+                poly = bind(build_system(rid), binding)
+                assert poly.grid[0] == SNAP_DEN
+                assert all(k == 1 for _, k, _ in poly.grid[1])
+                assert_views_agree(poly)
+                assert_views_agree(HPoly(poly.dims, poly.rows))  # derived
+            for quad_id in QUADRUPLE_SYSTEMS.values():
+                poly = substitute_rate_sums_numeric(bind(build_system(quad_id), binding))
+                assert_views_agree(poly)
+                for v in ("T1", "T2"):
+                    poly = fm_eliminate_numeric(poly, v)
+                    assert_views_agree(poly)
+                    assert all(k == 1 for _, k, _ in poly.grid[1])
+
+    @settings(max_examples=100, deadline=None)
+    @given(quad_polys)
+    def test_quarter_coefficient_views_agree(self, poly):
+        assert_views_agree(poly)
+
+    def test_grid_is_not_part_of_equality(self):
+        binding = hod16_binding(1)
+        poly = bind(build_system("HOD_R"), binding)
+        derived = HPoly(poly.dims, poly.rows)
+        assert derived == poly and hash(derived) == hash(poly)
+        assert "grid" not in repr(poly)
 
 
 class TestArea2:
@@ -616,7 +724,7 @@ class TestNumericFm:
     # duplicate rows and 0 <= c rows.
     @settings(max_examples=20, deadline=None)
     @given(st.fixed_dictionaries({s: st.sampled_from(
-        (F(0), F(1, 8), F(1, 4), F(1, 2), F(1))) for s in BASE_SYMBOLS}))
+        (0, SNAP_DEN // 8, SNAP_DEN // 4, SNAP_DEN // 2, SNAP_DEN)) for s in BASE_SYMBOLS}))
     def test_projection_drops_duplicate_and_constant_rows(self, binding):
         for quad_id in QUADRUPLE_SYSTEMS.values():
             quad = build_system(quad_id)
