@@ -93,14 +93,27 @@ def _first_nonfinite(t: np.ndarray):
 
 
 def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
-    """Every slice along the last axis must be a probability vector."""
+    """Every slice along the last axis must be a probability vector.
+
+    One pass decides whether the table is fine: its entries lie in [0, 1]
+    and every row sums to 1 within ``NORM_TOL``.  A NaN fails every
+    comparison, so it fails the pass; only a table that fails it is
+    searched for the fault to name (``_row_fault``)."""
     if table.shape != shape:
         raise SpecError(f"factor {name}: expected shape {shape}, got {table.shape}")
+    if not (table.min() >= 0 and table.max() <= 1
+            and np.abs(table.sum(axis=-1) - 1.0).max() <= NORM_TOL):
+        _row_fault(name, table)
+
+
+def _row_fault(name: str, table: np.ndarray):
+    """Raise a SpecError naming the first fault of the table: a non-finite
+    entry, then a negative entry, then a row whose sum is not 1."""
     if not np.all(np.isfinite(table)):
         idx = tuple(int(i) for i in np.argwhere(~np.isfinite(table))[0])
         raise SpecError(f"factor {name}: non-finite entry at {idx}")
     if np.any(table < 0):
-        idx = np.unravel_index(int(np.argmin(table)), table.shape)
+        idx = tuple(int(i) for i in np.unravel_index(int(np.argmin(table)), table.shape))
         raise SpecError(f"factor {name}: negative entry at {idx}")
     sums = np.atleast_1d(table.sum(axis=-1))
     bad = np.argwhere(np.abs(sums - 1.0) > NORM_TOL)
@@ -232,13 +245,17 @@ class JointDist:
 _AXES = "quwmvxzab"
 _JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v.value] for v in given + of)
                              for _, given, of in FACTORS) + "->" + _AXES
+# The one contraction that np.einsum(_JOINT_SUBSCRIPTS, ..., optimize=True)
+# makes: every index is in the output, so its path search keeps all eight
+# operands in one step, which it passes in reverse order.  Calling that
+# step directly gives the same bits without searching.
+_JOINT_STEP = ",".join(reversed(_JOINT_SUBSCRIPTS.split("->")[0].split(","))) + "->" + _AXES
 
 
 def build_joint(spec: FactorSpec) -> JointDist:
     """Multiply the declared factors into the full nine-variable joint."""
     spec.alphabets.check_joint_size()
-    t = np.einsum(_JOINT_SUBSCRIPTS, *(getattr(spec, name) for name, _, _ in FACTORS),
-                  optimize=True)
+    t = np.einsum(_JOINT_STEP, *(getattr(spec, name) for name, _, _ in reversed(FACTORS)))
     t.setflags(write=False)
     return JointDist(spec.alphabets, t)
 
@@ -255,23 +272,35 @@ def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
     dims) and the rest reduced from that partial sum in the same order.
     Each partial is made once per joint, kept on it, and shared by every
     marginal with the same trailing block.  When that suffix is empty or
-    holds every dropped axis, the tensor is reduced once.
+    holds every dropped axis, the tensor is reduced once.  The plan, which
+    axes to drop and which to sum first, depends only on the keep set and
+    the shape, so it is made once for each pair (``_marginal_plan``).
     """
-    keep = {v.value for v in keep}
+    keep = frozenset(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     t = joint.tensor
-    drop = tuple(a for a in range(t.ndim) if a not in keep)
-    start = t.ndim
-    while start and (start - 1 not in keep or t.shape[start - 1] == 1):
-        start -= 1
-    tail = tuple(a for a in drop if a >= start)
-    if not tail or tail == drop:
+    drop, tail = _marginal_plan(keep, t.shape)
+    if not tail:
         return t.sum(axis=drop)
     partials = joint._partials
     if tail not in partials:
         partials[tail] = t.sum(axis=tail, keepdims=True)
     return partials[tail].sum(axis=drop)
+
+
+@functools.cache
+def _marginal_plan(keep: frozenset, shape: tuple[int, ...]):
+    """(drop, tail) of ``marginal_tensor``: the dropped axes, and the
+    trailing block summed first, or () when the tensor is reduced once.
+    Made once per keep set and shape, so at most 511 per shape."""
+    keep = {v.value for v in keep}
+    drop = tuple(a for a in range(len(shape)) if a not in keep)
+    start = len(shape)
+    while start and (start - 1 not in keep or shape[start - 1] == 1):
+        start -= 1
+    tail = tuple(a for a in drop if a >= start)
+    return drop, () if tail == drop else tail
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:
@@ -292,22 +321,24 @@ def entropy(joint: JointDist, A: Iterable[Var]) -> float:
 
 def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
     """I(A;B|C) in bits; tiny negative round-off is clamped to 0."""
-    A, B, C = frozenset(A), frozenset(B), frozenset(C)
-    if not A or not B:
-        raise ValueError("A and B must be nonempty")
-    if A & B or A & C or B & C:
-        raise ValueError("A, B, C must be pairwise disjoint")
-    val = (
-        entropy(joint, A | C)
-        + entropy(joint, B | C)
-        - entropy(joint, A | B | C)
-        - entropy(joint, C)
-    )
+    ac, bc, abc, c = _entropy_keys(frozenset(A), frozenset(B), frozenset(C))
+    val = entropy(joint, ac) + entropy(joint, bc) - entropy(joint, abc) - entropy(joint, c)
     if val < 0:
         if val < -1e-12:
             raise ArithmeticError(f"conditional MI evaluated to {val}")
         val = 0.0
     return val
+
+
+@functools.cache
+def _entropy_keys(A: frozenset, B: frozenset, C: frozenset):
+    """The four entropy keys of I(A;B|C), made once per (A, B, C); a bad
+    triple raises on every call, since an exception is never cached."""
+    if not A or not B:
+        raise ValueError("A and B must be nonempty")
+    if A & B or A & C or B & C:
+        raise ValueError("A, B, C must be pairwise disjoint")
+    return A | C, B | C, A | B | C, C
 
 
 def independence_projection(spec: FactorSpec) -> FactorSpec:

@@ -82,10 +82,6 @@ class Combo:
         s = _num(s)
         return Combo(tuple((k, v * s) for k, v in self.coeffs), self.const * s)
 
-    def evaluate(self, binding: dict) -> Fraction:
-        """The value at a binding of the term symbols to numbers."""
-        return sum((F(binding[k]) * c for k, c in self.coeffs), F(self.const))
-
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
 

@@ -54,6 +54,12 @@ class TestTerms:
         assert self._terms_exit(data, tmp_path) == 2
         assert "factor q: non-finite entry at (0,)" in capsys.readouterr().err
 
+    def test_negative_entry_named_by_plain_ints(self, hk2_path, tmp_path, capsys):
+        data = json.loads(hk2_path.read_text())
+        data["factors"]["q"] = [1e308, -1e308]
+        assert self._terms_exit(data, tmp_path) == 2
+        assert "factor q: negative entry at (1,)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("drop,message", [
         (lambda d: d["factors"].pop("w1_given_q"), "factor w1_given_q is missing"),
         (lambda d: d.pop("alphabets"), "alphabet size missing for Q"),

@@ -1,17 +1,20 @@
 import functools
+import inspect
 import itertools
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icregions.dist import (AlphabetSpec, FactorSpec, Form, JointDist, SpecError,
-                            Var, build_joint, check_markov_chains, cmg9_spec,
-                            cond_mutual_info, entropy, hk2_spec,
+from icregions import dist
+from icregions.dist import (FACTORS, AlphabetSpec, FactorSpec, Form, JointDist,
+                            SpecError, Var, build_joint, check_markov_chains,
+                            cmg9_spec, cond_mutual_info, entropy, hk2_spec,
                             independence_projection, marginal_tensor,
                             save_spec, spec_from_json, spec_to_json)
 from icregions.sampler import binary_alphabets, sample_spec
@@ -97,6 +100,32 @@ class TestBuildJoint:
         cond = pxy / px[:, :, None, None]
         assert np.allclose(cond, spec.channel, atol=1e-10)
 
+    @pytest.mark.parametrize("sizes", [{}, WIDE, {v.name: 3 for v in Var},
+                                       ONES_AMONG_THREES],
+                             ids=["binary", "wide", "ternary", "ones-among-threes"])
+    @pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
+    def test_fixed_contraction_has_the_bits_of_the_searched_path(self, sizes, form,
+                                                                 monkeypatch):
+        if form is Form.CMG9:  # its U axes are copies of the X axes
+            sizes = {**sizes, **{f"X{i}": sizes.get(f"U{i}", 2) for i in (1, 2)}}
+        spec = sample_spec(binary_alphabets(**sizes), form, [11, 30])
+        # a spy on the path search, where np.einsum(optimize=True) reads it
+        einsumfunc = sys.modules[inspect.unwrap(np.einsum).__module__]
+        searched, search = [], einsumfunc.einsum_path
+
+        def spy(*args, **kwargs):
+            searched.append(args[0])
+            return search(*args, **kwargs)
+
+        for owner in (np, einsumfunc):
+            monkeypatch.setattr(owner, "einsum_path", spy)
+        ref = np.einsum(dist._JOINT_SUBSCRIPTS,
+                        *(getattr(spec, name) for name, _, _ in FACTORS), optimize=True)
+        assert searched == [dist._JOINT_SUBSCRIPTS]
+        t = build_joint(spec).tensor
+        assert searched == [dist._JOINT_SUBSCRIPTS]
+        assert (t.shape, t.dtype, t.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
+
 
 class TestJointValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -152,6 +181,32 @@ class TestSpecValidation:
             FactorSpec(Form.HOD16, spec.alphabets, bad, spec.w1_given_q,
                        spec.u1_given_q_w1, spec.w2_given_q, spec.u2_given_q_w2,
                        spec.x1_given_q_u1_w1, spec.x2_given_q_u2_w2, spec.channel)
+
+    @pytest.mark.parametrize("table,fault", [
+        ([[0.5, 0.5], [0.5, np.nan]], "non-finite entry at (1, 1)"),
+        ([[0.5, 0.5], [np.inf, 0.0]], "non-finite entry at (1, 0)"),
+        ([[-np.inf, 1.0], [0.5, 0.5]], "non-finite entry at (0, 0)"),
+        ([[0.5, 0.5], [1.5, -0.5]], "negative entry at (1, 1)"),
+        ([[1.0, -0.0], [0.5, 0.5]], None),
+        ([[0.5, 0.5 + 2e-12], [0.5, 0.5]], "row (0,) sums to 1.000000000002, not 1"),
+        ([[1 + 1e-13, 0.0], [0.5, 0.5]], None),
+        ([[np.nan, 0.5], [1.5, -0.5]], "non-finite entry at (0, 0)"),
+        ([[0.25, 0.75], [0.5, 0.5]], None),
+    ], ids=["nan", "+inf", "-inf", "negative", "minus-zero", "sum-off-2e-12",
+            "entry-above-one", "nan-before-negative", "fine"])
+    def test_one_pass_check_agrees_with_the_full_checks(self, table, fault):
+        table = np.array(table)
+
+        def verdict(check, *args):
+            try:
+                check("t", table, *args)
+            except SpecError as exc:
+                return str(exc)
+            return None
+
+        expected = None if fault is None else f"factor t: {fault}"
+        assert verdict(dist._row_fault) == expected
+        assert verdict(dist._check_rows, table.shape) == expected
 
     def test_shape_mismatch(self):
         spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 5])
@@ -400,6 +455,15 @@ class TestCondMutualInfo:
         joint = build_joint(degenerate_spec())
         with pytest.raises(ValueError):
             cond_mutual_info(joint, {Var.Q}, {Var.Q}, set())
+
+    def test_bad_triples_raise_on_every_call(self):
+        # the entropy keys are cached per triple, but an exception is not
+        joint = build_joint(degenerate_spec())
+        for _ in range(2):
+            with pytest.raises(ValueError, match="nonempty"):
+                cond_mutual_info(joint, set(), {Var.Q})
+            with pytest.raises(ValueError, match="disjoint"):
+                cond_mutual_info(joint, {Var.Q}, {Var.U1}, {Var.Q})
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10**6), st.data())

@@ -49,12 +49,6 @@ class TestCombo:
         assert c.scale(-1).as_dict() == {"b1": F(-2)}
         assert c.scale(F(1, 2)).as_dict() == {"b1": F(1)}
 
-    def test_evaluate(self):
-        c = Combo.of({"a1": 2, "g2": -1}, const=F(1, 4))
-        assert c.evaluate({"a1": F(1, 2), "g2": F(1)}) == F(1, 4)
-        third = Combo.of({"a1": F(2, 3), "g2": -1})
-        assert third.evaluate({"a1": 0.75, "g2": 3}) == F(-5, 2)
-
 
 class TestInequality:
     def test_canonical_scaling(self):
