@@ -173,13 +173,12 @@ class FactorSpec:
             _check_rows(name, table, tuple(n[v] for v in given)
                         + (math.prod(n[v] for v in of),))
         if self.form is Form.HK2:
-            # the stored conditional must not actually depend on W1/W2
-            if not np.allclose(self.u1_given_q_w1, self.u1_given_q_w1[:, :1, :],
-                               rtol=0, atol=NORM_TOL):
-                raise SpecError("HK2 spec: u1_given_q_w1 depends on w1")
-            if not np.allclose(self.u2_given_q_w2, self.u2_given_q_w2[:, :1, :],
-                               rtol=0, atol=NORM_TOL):
-                raise SpecError("HK2 spec: u2_given_q_w2 depends on w2")
+            # the stored conditional must not actually depend on W1/W2; every
+            # entry is finite here, so one reduction decides it
+            for name, w in (("u1_given_q_w1", "w1"), ("u2_given_q_w2", "w2")):
+                u = getattr(self, name)
+                if np.abs(u - u[:, :1, :]).max() > NORM_TOL:
+                    raise SpecError(f"HK2 spec: {name} depends on {w}")
 
 
 def hk2_spec(alphabets, q, w1_given_q, u1_given_q, w2_given_q, u2_given_q,
@@ -217,7 +216,8 @@ class JointDist:
     ``marginal_tensor`` keeps on it the partial sums it shares between
     marginals, both for the joint's lifetime.  So the tensor must not be
     mutated once the joint is built; ``build_joint`` makes it read-only,
-    since one joint may be shared by several readers.
+    since one joint may be shared by several readers.  A tensor that is not
+    C-contiguous is replaced by a read-only C-ordered copy.
     """
 
     alphabets: AlphabetSpec
@@ -229,6 +229,12 @@ class JointDist:
         t = self.tensor
         if t.shape != self.alphabets.shape:
             raise SpecError("joint tensor shape does not match alphabets")
+        if not t.flags.c_contiguous:
+            # a marginal's bits follow the memory order NumPy reduces in, so
+            # the joint keeps a C-ordered tensor (see marginal_tensor)
+            t = np.ascontiguousarray(t)
+            t.setflags(write=False)
+            object.__setattr__(self, "tensor", t)
         # finite nonnegative entries that sum to about 1 give a finite sum, so
         # the one sum pass detects NaN and infinities
         total = float(t.sum())
@@ -250,57 +256,132 @@ _JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v.value] for v in given + of)
 # operands in one step, which it passes in reverse order.  Calling that
 # step directly gives the same bits without searching.
 _JOINT_STEP = ",".join(reversed(_JOINT_SUBSCRIPTS.split("->")[0].split(","))) + "->" + _AXES
+# That step multiplies each cell's factors left to right and adds the
+# product to a zeroed output.  Its first three operands (channel, x2, x1)
+# span all nine axes, so ``build_joint`` contracts them alone, multiplies the
+# other five into the result in place, in the same order, and adds 0,
+# which turns a -0.0 product into +0.0 as the one step does: each cell gets
+# the same bits.
+_STEP_FACTORS = FACTORS[::-1]
+_JOINT_HEAD = ",".join(_JOINT_STEP.split(",")[:3]) + "->" + _AXES
+
+
+@functools.cache
+def _factor_views(shape: tuple[int, ...]):
+    """(transpose, shape) of each factor after the first three of
+    ``_JOINT_STEP``, in its order: the transpose puts the table's axes in
+    canonical order and the shape broadcasts it over the joint."""
+    views = []
+    for _, given, of in _STEP_FACTORS[3:]:
+        axes = [v.value for v in given + of]
+        views.append((tuple(sorted(range(len(axes)), key=axes.__getitem__)),
+                      tuple(n if a in axes else 1 for a, n in enumerate(shape))))
+    return tuple(views)
 
 
 def build_joint(spec: FactorSpec) -> JointDist:
     """Multiply the declared factors into the full nine-variable joint."""
     spec.alphabets.check_joint_size()
-    t = np.einsum(_JOINT_STEP, *(getattr(spec, name) for name, _, _ in reversed(FACTORS)))
+    tables = [getattr(spec, name) for name, _, _ in _STEP_FACTORS]
+    # the one-step contraction casts every table to their common type
+    t = np.einsum(_JOINT_HEAD, *tables[:3], dtype=np.result_type(*tables))
+    for table, (axes, shape) in zip(tables[3:], _factor_views(t.shape)):
+        t *= table.transpose(axes).reshape(shape)
+    t += 0
     t.setflags(write=False)
     return JointDist(spec.alphabets, t)
+
+
+# The key of the Q-inner copy in ``JointDist._partials`` (``marginal_tensor``).
+_Q_INNER = "q-inner"
 
 
 def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
     """Sum out all axes not in ``keep``; result keeps canonical axis order.
 
-    The result has the bits of ``joint.tensor.sum(axis=drop)``, with less
-    work.  NumPy reduces a C-contiguous tensor in C order: it sums the
-    innermost coalesced block of reduced axes pairwise and adds each block
-    sum to the accumulator in turn, and its iterator squeezes out axes of
-    size 1.  So the trailing block, the dropped axes of the maximal suffix
-    of axes that are dropped or have size 1, can be summed first (keeping
-    dims) and the rest reduced from that partial sum in the same order.
-    Each partial is made once per joint, kept on it, and shared by every
-    marginal with the same trailing block.  When that suffix is empty or
-    holds every dropped axis, the tensor is reduced once.  The plan, which
-    axes to drop and which to sum first, depends only on the keep set and
-    the shape, so it is made once for each pair (``_marginal_plan``).
+    The result is C-contiguous and has the bits of
+    ``joint.tensor.sum(axis=drop)``, with less work.  NumPy reduces a
+    C-contiguous tensor in C order: it sums the innermost coalesced block
+    of reduced axes pairwise and adds each block sum to the accumulator in
+    turn, and its iterator squeezes out axes of size 1.  So the trailing
+    block, the dropped axes of the maximal suffix of axes that are dropped
+    or have size 1, can be summed first (keeping dims) and the rest reduced
+    from that partial sum in the same order.  Each partial is made once per
+    joint, kept on it, and shared by every marginal with the same trailing
+    block.  When that suffix is empty or holds every dropped axis, the
+    tensor is reduced once.
+
+    When the trailing block is empty or only the last axis, every cell of
+    the remaining reduction is a sequential sum over the dropped axes in C
+    order, and moving a kept axis in memory changes no cell's sequence.
+    So when Q is kept and has more than one entry, the marginal is reduced
+    from a read-only copy with Q moved just before the last axis, where the
+    kept axes coalesce into longer inner loops; the copy is made once per
+    joint and kept with the partials.  The plan, which axes to drop, which
+    to sum first and whether to read the copy, depends only on the keep set
+    and the shape, so it is made once for each pair (``_marginal_plan``).
     """
     keep = frozenset(keep)
     if not keep:
         raise ValueError("keep set must be nonempty")
     t = joint.tensor
-    drop, tail = _marginal_plan(keep, t.shape)
-    if not tail:
-        return t.sum(axis=drop)
+    drop, tail, q_inner = _marginal_plan(keep, t.shape)
     partials = joint._partials
-    if tail not in partials:
-        partials[tail] = t.sum(axis=tail, keepdims=True)
-    return partials[tail].sum(axis=drop)
+    if q_inner:
+        if _Q_INNER not in partials:
+            partials[_Q_INNER] = _q_inner_copy(t)
+        t = partials[_Q_INNER]
+    if tail:
+        key = (_Q_INNER, tail) if q_inner else tail
+        if key not in partials:
+            partials[key] = _partial_sum(t, tail)
+        t = partials[key]
+    return np.ascontiguousarray(t.sum(axis=drop))
 
 
 @functools.cache
 def _marginal_plan(keep: frozenset, shape: tuple[int, ...]):
-    """(drop, tail) of ``marginal_tensor``: the dropped axes, and the
-    trailing block summed first, or () when the tensor is reduced once.
-    Made once per keep set and shape, so at most 511 per shape."""
+    """(drop, tail, q_inner) of ``marginal_tensor``: the dropped axes, the
+    trailing block summed first, or () when the tensor is reduced once, and
+    whether to reduce from the Q-inner copy.  Made once per keep set and
+    shape, so at most 511 per shape."""
     keep = {v.value for v in keep}
     drop = tuple(a for a in range(len(shape)) if a not in keep)
     start = len(shape)
     while start and (start - 1 not in keep or shape[start - 1] == 1):
         start -= 1
     tail = tuple(a for a in drop if a >= start)
-    return drop, () if tail == drop else tail
+    q = Var.Q.value
+    q_inner = q in keep and shape[q] > 1 and tail in ((), (len(shape) - 1,))
+    return drop, () if tail == drop else tail, q_inner
+
+
+def _q_inner_copy(t: np.ndarray) -> np.ndarray:
+    """A read-only C-ordered copy of ``t`` with the Q axis moved just
+    before the last one, viewed back in canonical axis order."""
+    q = Var.Q.value
+    copy = np.ascontiguousarray(np.moveaxis(t, q, -2))
+    copy.setflags(write=False)
+    return np.moveaxis(copy, -2, q)
+
+
+def _partial_sum(t: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+    """``t.sum(axis=tail, keepdims=True)`` as ``marginal_tensor`` reads it.
+
+    A sum over the last axis alone with fewer than 8 entries is the in-order
+    sum of its slices, ((a0 + a1) + a2) + a3: NumPy's pairwise summation adds
+    fewer than 8 entries one by one, so every cell has the same bits, while
+    each slice is added in one long inner loop.  A cell whose entries are
+    all -0.0 sums to -0.0 here and to +0.0 in NumPy; the reduction that
+    reads the partial starts from +0.0, so no marginal sees the sign.
+    """
+    n = t.shape[-1]
+    if tail != (t.ndim - 1,) or not 2 <= n < 8:
+        return t.sum(axis=tail, keepdims=True)
+    s = t[..., 0] + t[..., 1]
+    for i in range(2, n):
+        s += t[..., i]
+    return s[..., np.newaxis]
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import inspect
 import itertools
@@ -29,6 +30,18 @@ WIDE = dict(Q=2, **{f"{v}{i}": 4 for v in "UWXY" for i in (1, 2)})
 # one-symbol alphabets between three-symbol ones: NumPy's reduction
 # iterator squeezes the size-1 axes out, so they join the trailing block
 ONES_AMONG_THREES = {**{v.name: 3 for v in Var}, "Q": 1, "U1": 1, "W2": 1}
+
+# alphabets at the edges of marginal_tensor's rules, each with a name
+MARGINAL_EDGES = {
+    "binary": {},
+    "wide": WIDE,
+    "ones-among-threes": ONES_AMONG_THREES,
+    "q-one": {**WIDE, "Q": 1},            # no Q-inner copy
+    "y2-one": {"Q": 3, "Y1": 3, "Y2": 1},  # a last axis of one entry
+    "y1-one": {"Q": 3, "X2": 3, "Y1": 1, "Y2": 3},  # size 1 just before the last
+    "y2-eight": {"Q": 3, "Y2": 8},         # NumPy's pairwise sum unrolls 8 ...
+    "y2-nine": {"Q": 3, "Y2": 9},          # ... and adds the ninth after
+}
 
 
 def degenerate_spec(form=Form.HOD16):
@@ -126,6 +139,56 @@ class TestBuildJoint:
         assert searched == [dist._JOINT_SUBSCRIPTS]
         assert (t.shape, t.dtype, t.tobytes()) == (ref.shape, ref.dtype, ref.tobytes())
 
+    def test_two_step_build_has_the_bits_of_the_searched_path(self):
+        # 200 seeded shapes with sizes 1-5, the forms in turn; build_joint
+        # contracts three factors and multiplies in the other five
+        rng = np.random.default_rng(28)
+        for i in range(200):
+            form = list(Form)[i % len(Form)]
+            sizes = {v.name: int(n) for v, n in zip(VARS, rng.integers(1, 6, size=9))}
+            if form is Form.CMG9:
+                sizes.update(X1=sizes["U1"], X2=sizes["U2"])
+            spec = sample_spec(binary_alphabets(**sizes), form, [28, i])
+            ref = np.einsum(dist._JOINT_SUBSCRIPTS,
+                            *(getattr(spec, name) for name, _, _ in FACTORS), optimize=True)
+            t = build_joint(spec).tensor
+            assert t.flags.c_contiguous and not t.flags.writeable
+            assert (t.shape, t.dtype, t.tobytes()) == (ref.shape, ref.dtype, ref.tobytes()), \
+                (form, sizes)
+
+    def test_minus_zero_factors_give_the_bits_of_the_searched_path(self):
+        # the one-step contraction adds each product to +0.0, so a -0.0 in a
+        # factor multiplied in after the first three gives a +0.0 cell
+        spec = sample_spec(binary_alphabets(**WIDE), Form.HOD16, [11, 33])
+        u2 = np.array(spec.u2_given_q_w2)
+        u2[:, :, 0] = -0.0
+        u2 /= u2.sum(axis=-1, keepdims=True)
+        spec = dataclasses.replace(spec, u2_given_q_w2=u2)
+        ref = np.einsum(dist._JOINT_SUBSCRIPTS,
+                        *(getattr(spec, name) for name, _, _ in FACTORS), optimize=True)
+        t = build_joint(spec).tensor
+        assert (t == 0).any() and not np.signbit(t).any()
+        assert t.tobytes() == ref.tobytes()
+
+    def test_integer_tables_take_the_common_type(self):
+        # deterministic encoders and channel given as ints: the one-step
+        # contraction casts every table to float64 before it multiplies
+        spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 35])
+        ints = {name: (getattr(spec, name) > 0.5).astype(int) for name in
+                ("x1_given_q_u1_w1", "x2_given_q_u2_w2")}
+        ints["x1_given_q_u1_w1"][..., 0] = 1 - ints["x1_given_q_u1_w1"][..., 1]
+        ints["x2_given_q_u2_w2"][..., 0] = 1 - ints["x2_given_q_u2_w2"][..., 1]
+        ints["channel"] = np.eye(4, dtype=int).reshape(2, 2, 2, 2)
+        spec = dataclasses.replace(spec, **ints)
+        ref = np.einsum(dist._JOINT_SUBSCRIPTS,
+                        *(getattr(spec, name) for name, _, _ in FACTORS), optimize=True)
+        t = build_joint(spec).tensor
+        assert (t.dtype, t.tobytes()) == (np.float64, ref.tobytes())
+        # all tables ints: the joint stays int, as the one step leaves it
+        ones = [np.ones((1,) * (len(given) + len(of)), dtype=int) for _, given, of in FACTORS]
+        t = build_joint(FactorSpec(Form.HOD16, AlphabetSpec({v: 1 for v in Var}), *ones)).tensor
+        assert (t.dtype, t.tobytes()) == (np.int64, np.ones((1,) * 9, dtype=np.int64).tobytes())
+
 
 class TestJointValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -144,6 +207,18 @@ class TestJointValidation:
         t[first] = np.nan
         with pytest.raises(SpecError, match=re.escape(f"non-finite entry at {first}")):
             JointDist(joint.alphabets, t)
+
+    def test_tensor_kept_in_c_order(self):
+        # a marginal's bits follow the order NumPy reduces memory in, so a
+        # Fortran-ordered tensor is copied to C order and gives the same terms
+        joint = build_joint(sample_spec(binary_alphabets(**WIDE), Form.HOD16, [11, 31]))
+        assert JointDist(joint.alphabets, joint.tensor).tensor is joint.tensor
+        fortran = JointDist(joint.alphabets, np.asfortranarray(joint.tensor))
+        assert fortran.tensor.flags.c_contiguous and not fortran.tensor.flags.writeable
+        terms, fortran_terms = eval_terms(joint), eval_terms(fortran)
+        assert list(fortran_terms) == list(terms)
+        assert np.array(list(fortran_terms.values())).tobytes() == \
+            np.array(list(terms.values())).tobytes()
 
     def test_negative_entry_and_bad_sum(self):
         joint = build_joint(sample_spec(binary_alphabets(), Form.HOD16, [11, 29]))
@@ -233,6 +308,24 @@ class TestSpecValidation:
             FactorSpec(Form.HK2, spec.alphabets, spec.q, spec.w1_given_q, u1,
                        spec.w2_given_q, spec.u2_given_q_w2, spec.x1_given_q_u1_w1,
                        spec.x2_given_q_u2_w2, spec.channel)
+
+    @pytest.mark.parametrize("field,w", [("u1_given_q_w1", "w1"), ("u2_given_q_w2", "w2")])
+    def test_hk2_w_dependence_boundary(self, field, w):
+        """Rows (0, 1) and (d, 1 - d): the first entry changes by exactly d
+        with w and the second by 1 - fl(1 - d) <= d.  A change of exactly
+        NORM_TOL is accepted and one of 2 * NORM_TOL refused."""
+        spec = sample_spec(binary_alphabets(), Form.HK2, [1, 0])
+
+        def with_change(d):
+            u = np.empty((2, 2, 2))
+            u[:, 0], u[:, 1] = [0.0, 1.0], [d, 1.0 - d]
+            assert np.abs(u - u[:, :1, :]).max() == d
+            tables = {name: getattr(spec, name) for name, _, _ in FACTORS}
+            return FactorSpec(Form.HK2, spec.alphabets, **{**tables, field: u})
+
+        with_change(dist.NORM_TOL)
+        with pytest.raises(SpecError, match=f"{field} depends on {w}"):
+            with_change(2 * dist.NORM_TOL)
 
     def test_json_round_trip(self):
         for form in (Form.HK2, Form.CMG9, Form.HOD16, Form.GENERAL1):
@@ -366,15 +459,14 @@ class TestMarginal:
         with pytest.raises(ValueError):
             marginal_tensor(joint, [])
 
-    @pytest.mark.parametrize("sizes", [{}, WIDE, ONES_AMONG_THREES],
-                             ids=["binary", "wide", "ones-among-threes"])
+    @pytest.mark.parametrize("sizes", MARGINAL_EDGES.values(), ids=MARGINAL_EDGES)
     @pytest.mark.parametrize("form", [Form.HOD16, Form.GENERAL1, Form.HK2],
                              ids=lambda f: f.value)
     def test_partial_sums_keep_the_bits_of_one_reduction(self, sizes, form):
         # Every one of the 511 keep sets, on a joint that holds the partial
-        # sums of all of them and on a fresh joint of the same tensor, which
-        # holds none; on ones-among-threes a rule that ignores size-1 axes
-        # changes the bits of some sets.
+        # sums (and Q-inner copy) of all of them and on a fresh joint of the
+        # same tensor, which holds none; on ones-among-threes a rule that
+        # ignores size-1 axes changes the bits of some sets.
         joint = build_joint(sample_spec(binary_alphabets(**sizes), form, [11, 25]))
         assert joint.tensor.flags.c_contiguous
         keeps = [keep for r in range(1, 10) for keep in itertools.combinations(VARS, r)]
@@ -383,11 +475,28 @@ class TestMarginal:
         for keep in keeps:
             marginal_tensor(joint, keep)
         assert joint._partials
+        assert (dist._Q_INNER in joint._partials) == (joint.tensor.shape[0] > 1)
         for keep, ref in zip(keeps, refs):
             shared = marginal_tensor(joint, keep)
             alone = marginal_tensor(JointDist(joint.alphabets, joint.tensor), keep)
             for m in (shared, alone):
                 assert (m.shape, m.tobytes()) == (ref.shape, ref.tobytes()), keep
+
+    def test_minus_zero_cells_keep_the_bits_of_one_reduction(self):
+        # a Y2 row of -0.0 cells sums to -0.0 by slices and to +0.0 in NumPy;
+        # the reduction from the partial starts from +0.0, as NumPy's does
+        spec = sample_spec(binary_alphabets(Q=2, Y2=4), Form.HOD16, [11, 34])
+        channel = np.array(spec.channel)
+        channel[:, :, 0, :] = 0.0
+        channel /= channel.sum(axis=(2, 3), keepdims=True)
+        t = build_joint(dataclasses.replace(spec, channel=channel)).tensor
+        t = np.where(t == 0, -0.0, t)
+        assert np.signbit(t).any()
+        joint = JointDist(spec.alphabets, t)
+        for r in range(1, 10):
+            for keep in itertools.combinations(VARS, r):
+                ref = t.sum(axis=tuple(v.value for v in VARS if v not in keep))
+                assert marginal_tensor(joint, keep).tobytes() == ref.tobytes(), keep
 
     def test_partial_sums_persist_on_the_joint(self):
         # the marginals of Y1 and of (X1, Y1) share the Y2-summed partial,
@@ -399,6 +508,29 @@ class TestMarginal:
         marginal_tensor(joint, [Var.X1, Var.Y1])
         assert list(joint._partials) == [(Var.Y2.value,)]
         assert joint._partials[(Var.Y2.value,)] is partial
+
+    def test_y2_kept_marginals_read_a_read_only_q_inner_copy(self):
+        joint = build_joint(sample_spec(binary_alphabets(**WIDE), Form.HOD16, [11, 32]))
+        t = joint.tensor
+        y2_kept = [frozenset(a | b | c) for a, b, c in TERMS.values()
+                   if Var.Y2 in a | b | c]
+        for keep in y2_kept:
+            marginal_tensor(joint, keep)
+        assert list(joint._partials) == [dist._Q_INNER]
+        copy = joint._partials[dist._Q_INNER]
+        assert np.array_equal(copy, t) and not np.shares_memory(copy, t)
+        assert not copy.flags.writeable
+        # C order with axes (U1, W1, U2, W2, X1, X2, Y1, Q, Y2)
+        assert copy.base.flags.c_contiguous
+        assert copy.base.shape == t.shape[1:-1] + (t.shape[0], t.shape[-1])
+        # the marginals read the copy: one that is not the tensor shows
+        joint._partials[dist._Q_INNER] = 2 * copy
+        for keep in y2_kept:
+            drop = tuple(v.value for v in VARS if v not in keep)
+            assert np.array_equal(marginal_tensor(joint, keep), 2 * t.sum(axis=drop))
+        # the Y1-kept marginals of the terms share the copy's Y2-summed partial
+        marginal_tensor(joint, {Var.Q, Var.Y1})
+        assert list(joint._partials) == [dist._Q_INNER, (dist._Q_INNER, (Var.Y2.value,))]
 
 
 class TestCondMutualInfo:
