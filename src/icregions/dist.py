@@ -138,7 +138,7 @@ FACTORS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorSpec:
     """A factored input distribution plus encoders and channel.
 
@@ -146,7 +146,8 @@ class FactorSpec:
     ``u1_given_q_w1`` with the W1 axis constant (built from a (nQ, nU1)
     table).  CMG9 reuses the U axes as copies of the X axes:
     ``u1_given_q_w1`` is the spec's ``x1_given_q_w1`` table and the encoder
-    is the identity indicator.
+    is the identity indicator.  Specs compare by identity, since their
+    tables are arrays.
     """
 
     form: Form
@@ -208,7 +209,7 @@ def cmg9_spec(alphabets, q, w1_given_q, x1_given_q_w1, w2_given_q, x2_given_q_w2
                       np.asarray(x2_given_q_w2), eye1, eye2, np.asarray(channel))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDist:
     """Dense joint probability tensor over the nine variables.
 
@@ -217,13 +218,14 @@ class JointDist:
     marginals, both for the joint's lifetime.  So the tensor must not be
     mutated once the joint is built; ``build_joint`` makes it read-only,
     since one joint may be shared by several readers.  A tensor that is not
-    C-contiguous is replaced by a read-only C-ordered copy.
+    C-contiguous is replaced by a read-only C-ordered copy.  Joints compare
+    by identity, as specs do.
     """
 
     alphabets: AlphabetSpec
     tensor: np.ndarray
-    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _partials: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False)
+    _partials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         t = self.tensor

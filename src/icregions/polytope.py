@@ -16,9 +16,10 @@ Integers, not ``Fraction``s (whose every operation runs a ``gcd`` on
 quadrant x, y >= 0 itself by each grid row, its two directions written as
 points at infinity, keeps its ring in integer homogeneous coordinates and
 decides each step by the sign of an integer expression (Yap, "Towards
-exact geometric computation", 1997); ``contains`` tests each vertex
-against outer's grid rows, eps folded in as an integer, and hands the
-exact LP integer rows.  Only the vertices returned are ``Fraction``s.  The
+exact geometric computation", 1997); ``contains`` tests each point of
+that ring, vertex or direction, against outer's grid rows, eps folded in
+as an integer, so a 2-D verdict solves no LP, and hands the exact LP
+integer rows in 4-D.  Only the vertices returned are ``Fraction``s.  The
 numeric projection runs the Fourier-Motzkin step, S->R substitution and
 canonicaliser of ``linsys`` on rows whose right-hand sides are constants.
 """
@@ -123,6 +124,26 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
     return poly
 
 
+def _ring(p: HPoly) -> list:
+    """The quadrant x, y >= 0 clipped by each grid row of the 2-D polytope:
+    its ring of integer triples (X, Y, W), as ``vertices2`` describes."""
+    den, rows = p.grid
+    ring = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
+    for (a, b), _, c in rows:
+        a, b = a * den, b * den
+        fs = [a * x + b * y - c * w for x, y, w in ring]
+        clipped = []
+        for P, Q, fp, fq in zip(ring, ring[1:] + ring[:1], fs, fs[1:] + fs[:1]):
+            if fp <= 0:
+                clipped.append(P)
+            if (fp < 0 < fq) or (fq < 0 < fp):
+                x, y, w = (abs(fq) * pi + abs(fp) * qi for pi, qi in zip(P, Q))
+                g = math.gcd(x, y, w)
+                clipped.append((x // g, y // g, w // g))
+        ring = clipped
+    return ring
+
+
 def vertices2(p: HPoly):
     """Exact vertex list of a bounded 2-D polytope.
 
@@ -158,20 +179,7 @@ def vertices2(p: HPoly):
     """
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
-    den, rows = p.grid
-    ring = [(0, 0, 1), (1, 0, 0), (0, 1, 0)]
-    for (a, b), _, c in rows:
-        a, b = a * den, b * den
-        fs = [a * x + b * y - c * w for x, y, w in ring]
-        clipped = []
-        for P, Q, fp, fq in zip(ring, ring[1:] + ring[:1], fs, fs[1:] + fs[:1]):
-            if fp <= 0:
-                clipped.append(P)
-            if (fp < 0 < fq) or (fq < 0 < fp):
-                x, y, w = (abs(fq) * pi + abs(fp) * qi for pi, qi in zip(P, Q))
-                g = math.gcd(x, y, w)
-                clipped.append((x // g, y // g, w // g))
-        ring = clipped
+    ring = _ring(p)
     if not any(w for _, _, w in ring):
         return []
     if not all(w for _, _, w in ring):
@@ -202,12 +210,18 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
 
     Both read the grids.  Each outer grid row a.x <= n / den, raised by
     k * eps = k * en / ed, is a.x <= c / m over m = lcm(den, ed), so eps on
-    the 2**-48 grid keeps m = den.  A bounded 2-D inner uses vertex
-    enumeration: a vertex (x, y) is tested as
-    m*(a1*xn*yd + a2*yn*xd) <= c*xd*yd over the numerators and denominators
-    of x and y.  Otherwise each outer a is maximized over inner's grid rows
-    by the exact LP, whose x is inner's den times the rational one, all of
-    them on one tableau (``lp.maximize_each``): the dual-rule phase 1
+    the 2**-48 grid keeps m = den.  In 2-D, inner's ring (the clip that
+    ``vertices2`` reads) spans the cone of inner homogenised,
+    {(X, Y, W) >= 0 : lhs.(X, Y) <= rhs*W for each inner row}.  A ring
+    with no W > 0 point is an empty inner, inside anything.  Otherwise its
+    W > 0 points hold inner's vertices and its W = 0 points the directions
+    inner recedes along, and a nonempty polyhedron lies in a half-space iff
+    every one of them satisfies the homogenised row: each ring point is
+    tested against each outer row as m*(a1*X + a2*Y) <= c*W.  So bounded,
+    unbounded and empty inners are decided alike, in integers and with no
+    LP.  In any other dimension each outer a is maximized over inner's grid
+    rows by the exact LP, whose x is inner's den times the rational one,
+    all of them on one tableau (``lp.maximize_each``): the dual-rule phase 1
     repairs the slack basis once, and each outer row starts from the basis
     the previous one ended at.  The results are taken one at a time, so the
     first row that fails, or an empty inner, ends the test without solving
@@ -219,17 +233,10 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     m = math.lcm(den, ed)
     bounds = [n * (m // den) + k * en * (m // ed) for _, k, n in rows]
     if len(outer.dims) == 2:
-        try:
-            vs = vertices2(inner)  # the module global, so a tracer or a test can wrap it
-        except UnboundedRegionError:
-            pass  # the LP loop below decides an unbounded inner
-        else:
-            for x, y in vs:
-                xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-                u, v, d = m * xn * yd, m * yn * xd, xd * yd
-                if any(a * u + b * v > c * d for ((a, b), _, _), c in zip(rows, bounds)):
-                    return False
-            return True
+        ring = _ring(inner)
+        return not any(w for _, _, w in ring) or all(
+            m * (a * x + b * y) <= c * w
+            for x, y, w in ring for ((a, b), _, _), c in zip(rows, bounds))
     den, inner_rows = inner.grid
     results = maximize_each((a for a, _, _ in rows), [a for a, _, _ in inner_rows],
                             [n for _, _, n in inner_rows])

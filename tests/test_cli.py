@@ -192,6 +192,17 @@ class TestVerify:
                   "3", "--seed", "7", "--out", str(out)])
         assert a.read_bytes() == b.read_bytes()
 
+    # SHA-256 of the full claim report at 20 samples, seed 7, written when a
+    # 2-D containment of an unbounded inner was still decided by the LP;
+    # exit 1 is criterion 6's standing per-distribution failures.
+    VERIFY_ALL_DIGEST = "a3b36066878cf48219f26e66b0834f035a0ad4d996ece0f15ec9884fc5c7f2bd"
+
+    def test_all_claims_report_pinned(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["verify", "--claim", "all", "--samples", "20", "--seed", "7",
+                     "--out", str(out)]) == 1
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.VERIFY_ALL_DIGEST
+
 
 class TestSearch:
     def test_deterministic_result_file(self, tmp_path):

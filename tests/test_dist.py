@@ -669,10 +669,25 @@ class TestEntropyMemo:
         assert marginals == []
 
     def test_memo_is_not_part_of_equality_or_repr(self):
+        # joints compare by identity, so filling the memo changes neither
         joint = build_joint(sample_spec(binary_alphabets(), Form.HK2, [11, 23]))
         same = JointDist(joint.alphabets, joint.tensor)
         eval_terms(joint)
-        assert joint == same and repr(joint) == repr(same)
+        assert joint == joint and joint != same and repr(joint) == repr(same)
+
+    def test_equality_is_a_bool_on_equal_arrays(self):
+        """Joints and specs compare by identity: two over equal but distinct
+        arrays give False, not NumPy's ambiguous-truth ValueError."""
+        joint = build_joint(sample_spec(binary_alphabets(), Form.HK2, [11, 25]))
+        copy = JointDist(joint.alphabets, joint.tensor.copy())
+        assert (copy == joint) is False and (copy != joint) is True
+        fortran = np.asfortranarray(joint.tensor)
+        assert (JointDist(joint.alphabets, fortran)
+                == JointDist(joint.alphabets, fortran)) is False
+        a, b = (sample_spec(binary_alphabets(), Form.HOD16, [11, 26]) for _ in range(2))
+        assert all(np.array_equal(getattr(a, name), getattr(b, name))
+                   for name, _, _ in FACTORS)
+        assert (a == b) is False and (a != b) is True and (a == a) is True
 
     def test_built_tensor_is_read_only(self):
         # a write would leave the memo stale for every reader of the joint

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icregions import polytope
+from icregions import polytope, sampler
 from icregions.dist import Form, build_joint
 from icregions.linsys import (QUADRUPLE_SYSTEMS, Inequality, LinearSystem,
                               fm_eliminate, substitute_rate_sums)
@@ -387,6 +387,13 @@ def strip(top):
 
 TINY = F(1, 2**60)
 THIRD = F(1, 3)  # an eps off the 2**-48 grid
+NO_ROWS = HPoly(("R1", "R2"), ())  # the whole quadrant
+
+
+def up_to_diagonal(top):
+    """R2 - R1 <= top: unbounded along (1, 0) and (1, 1)."""
+    return HPoly(("R1", "R2"), (((F(-1), F(1)), F(top)),))
+
 
 QUAD_DIMS = ("S1", "T1", "S2", "T2")
 QUAD_EMPTY = HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(-1)),))  # S1 <= -1
@@ -432,11 +439,12 @@ class TestContains:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_vertex_test_matches_lp_loop(self, data):
-        """The 2-D vertex test against maximizing each outer row over
-        inner.  Inner is a bounded region, or outer itself with every
-        rhs raised by 0, eps/2, eps or eps + 2**-60 and boxed, so that
-        some inner vertices lie just inside or just past rhs + eps; eps
-        1/3, off the 2**-48 grid, checks the cross-multiplied bounds."""
+        """The 2-D ring test against maximizing each outer row over inner.
+        Inner is a bounded region, a region that may be unbounded or empty,
+        one with no rows, or outer itself with every rhs raised by 0,
+        eps/2, eps or eps + 2**-60 and boxed, so that some inner vertices
+        lie just inside or just past rhs + eps; eps 1/3, off the 2**-48
+        grid, checks the cross-multiplied bounds."""
         outer = data.draw(st.one_of(boxed_regions(), boxed_regions().map(int_entries),
                                     golden_regions()))
         eps = data.draw(st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
@@ -444,7 +452,8 @@ class TestContains:
                                           DEFAULT_EPS + TINY, THIRD, THIRD + TINY)))
         raised = HPoly(outer.dims, tuple((lhs, rhs + rise) for lhs, rhs in outer.rows))
         inner = data.draw(st.one_of(boxed_regions().map(boxed), golden_regions(),
-                                    st.just(boxed(raised))))
+                                    st.just(boxed(raised)), boxed_regions(),
+                                    st.just(NO_ROWS)))
         assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
 
     @pytest.mark.parametrize("outer,inner,eps,expected", [
@@ -460,24 +469,51 @@ class TestContains:
         (square(1), square(1 + THIRD + TINY), THIRD, False),
         (HALF_ROW, rect(2 + 2 * THIRD), THIRD, True),
         (HALF_ROW, rect(2 + 2 * THIRD + TINY), THIRD, False),
+        (NO_ROWS, NO_ROWS, F(0), True),
+        (square(1), NO_ROWS, F(0), False),
+        (up_to_diagonal(2 * THIRD), strip(1), THIRD, True),
+        (up_to_diagonal(2 * THIRD - TINY), strip(1), THIRD, False),
+        (HPoly(("R1", "R2"), (((F(1), F(-1)), F(5)),)), strip(1), THIRD, False),
     ], ids=["on-eps", "past-eps", "int-on", "int-past", "int-on-eps",
             "empty-inner", "unbounded-inside", "unbounded-outside",
-            "on-third", "past-third", "half-row-on-third", "half-row-past-third"])
+            "on-third", "past-third", "half-row-on-third", "half-row-past-third",
+            "no-rows-in-no-rows", "no-rows-in-square", "ray-on-third",
+            "ray-past-third", "ray-outside"])
     def test_hand_built_cases(self, outer, inner, eps, expected):
         assert contains(outer, inner, eps) is expected
         assert contains_lp(outer, inner, eps) is expected
 
     def test_vertices2_looked_up_at_call_time(self, monkeypatch):
         """perfbench's tracer and its tests wrap polytope.vertices2, so
-        contains and area2 must reach it through the module global."""
+        area2 and the search's sum-rate objective must reach it through
+        the module global."""
         calls = []
         right = polytope.vertices2
         monkeypatch.setattr(polytope, "vertices2",
                             lambda p: calls.append(p) or right(p))
-        assert contains(square(2), square(1), F(0))
-        assert calls == [square(1)]
         assert area2(square(3)) == 9
-        assert calls == [square(1), square(3)]
+        assert calls == [square(3)]
+        spec = sample_spec(binary_alphabets(), Form.HOD16, [43, 0])
+        _, hod, hk = sampler._objective(spec, "sumrate")
+        assert calls == [square(3), hod, hk]
+
+    def test_2d_solves_no_lp(self, monkeypatch):
+        """Every 2-D verdict is read from inner's ring, whether inner is
+        bounded, unbounded, empty or has no rows: no LP is solved.  The
+        pairs include the hand-built unbounded-inside and
+        unbounded-outside cases."""
+        binding = hod16_binding(0)
+        polys = [*(bind(build_system(rid), binding) for rid in GOLDEN_PAIR_REGIONS),
+                 *DEGENERATE_REGIONS, strip(1), strip(F(1, 2)), square(1), NO_ROWS]
+        cases = [(outer, inner, eps) for outer in polys for inner in polys
+                 for eps in (F(0), DEFAULT_EPS, THIRD)]
+        expected = [contains_lp(*case) for case in cases]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("maximize_each called")
+
+        monkeypatch.setattr(polytope, "maximize_each", no_lp)
+        assert [contains(*case) for case in cases] == expected
 
     def test_reflexive(self):
         poly = bind(build_system("HK_R"), hk2_binding(8))
