@@ -243,7 +243,8 @@ def claim_redundancy_relations(rep, i, spec, joint, tv):
     "T-rate range the superposition region leaves unbounded")
 def claim_cmg_subset_hod(rep, i, spec, joint, tv):
     """Containment of the superposition quadruple region in the correlated
-    quadruple region of the re-expressed spec (exact LP per constraint).
+    quadruple region of the re-expressed spec (a one-row dual bound per
+    constraint, and the exact LP for the constraints it leaves).
 
     ``cmg_as_hod`` keeps every table, so the re-expressed spec has the same
     joint tensor and both regions bind the same terms."""

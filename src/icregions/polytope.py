@@ -16,10 +16,13 @@ Integers, not ``Fraction``s (whose every operation runs a ``gcd`` on
 quadrant x, y >= 0 itself by each grid row, its two directions written as
 points at infinity, keeps its ring in integer homogeneous coordinates and
 decides each step by the sign of an integer expression (Yap, "Towards
-exact geometric computation", 1997); ``contains`` tests each point of
-that ring, vertex or direction, against outer's grid rows, eps folded in
-as an integer, so a 2-D verdict solves no LP, and hands the exact LP
-integer rows in 4-D.  Only the vertices returned are ``Fraction``s.  The
+exact geometric computation", 1997).  ``contains`` folds eps into
+outer's grid rows as an integer and first proves what rows it can from a
+single inner row by weak LP duality (``one_row_bound``, whose (j, t) is
+the one-multiplier containment certificate); it tests each point of
+inner's ring, vertex or direction, against the rows left, so a 2-D
+verdict solves no LP, and hands the exact LP the integer rows left in
+4-D.  Only the vertices and multipliers returned are ``Fraction``s.  The
 numeric projection runs the Fourier-Motzkin step, S->R substitution and
 canonicaliser of ``linsys`` on rows whose right-hand sides are constants.
 """
@@ -205,42 +208,95 @@ def area2(p: HPoly) -> Fraction:
     return total / 2
 
 
+def one_row_bound(a, c, m, inner_grid):
+    """A one-multiplier certificate that the polytope whose grid is
+    inner_grid satisfies a.x <= c / m, or None.
+
+    Weak LP duality with y = t*e_j: if inner's grid row j, a'.x <= n' / den',
+    and some t >= 0 have t*a' >= a componentwise, then every x >= 0 of
+    inner has a.x <= t*a'.x <= t*n' / den', which proves the row when
+    t*n' / den' <= c / m.  The t allowed by a' form an interval: each
+    a'_i > 0 gives t >= a_i / a'_i, each a'_i < 0 gives t <= a_i / a'_i,
+    and each a'_i = 0 needs a_i <= 0.  The t in it that minimises t*n' is
+    its low end when n' >= 0 and its high end when n' < 0; a row with
+    n' < 0 and no a'_i < 0 proves inner empty, and its t is the least t in
+    the interval that meets c / m.  When a <= 0 and c >= 0, x >= 0 alone
+    proves the row, with j None and t = 0.  Every comparison is
+    cross-multiplied in integers; the certificate is (j, t), t a
+    ``Fraction``, and rows are tried in order."""
+    if c >= 0 and max(a, default=0) <= 0:
+        return None, F(0)
+    den, rows = inner_grid
+    for j, (aj, _, n) in enumerate(rows):
+        lo, lo_d, hi, hi_d = 0, 1, None, 1  # t in [lo / lo_d, hi / hi_d]
+        for ai, bi in zip(a, aj):
+            if bi > 0:
+                if ai * lo_d > lo * bi:
+                    lo, lo_d = ai, bi
+            elif bi < 0:
+                if hi is None or -ai * hi_d < hi * -bi:
+                    hi, hi_d = -ai, -bi
+            elif ai > 0:
+                break
+        else:
+            if hi is not None and lo * hi_d > hi * lo_d:
+                continue
+            if n < 0 and hi is not None:
+                t, t_d = hi, hi_d
+            elif n < 0 and -c * den * lo_d > lo * -m * n:  # t*n' / den' = c / m
+                t, t_d = -c * den, -m * n
+            else:
+                t, t_d = lo, lo_d
+            if t * n * m <= c * den * t_d:
+                return j, F(t, t_d)
+    return None
+
+
 def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     """True iff inner is inside outer slackened by eps (exact test).
 
     Both read the grids.  Each outer grid row a.x <= n / den, raised by
     k * eps = k * en / ed, is a.x <= c / m over m = lcm(den, ed), so eps on
-    the 2**-48 grid keeps m = den.  In 2-D, inner's ring (the clip that
+    the 2**-48 grid keeps m = den.  A row that ``one_row_bound`` proves
+    from a single inner row, or from x >= 0 alone, is decided; only the
+    rows left go on, in their order, and when none is left no ring and no
+    tableau is built.  In 2-D, inner's ring (the clip that
     ``vertices2`` reads) spans the cone of inner homogenised,
     {(X, Y, W) >= 0 : lhs.(X, Y) <= rhs*W for each inner row}.  A ring
     with no W > 0 point is an empty inner, inside anything.  Otherwise its
     W > 0 points hold inner's vertices and its W = 0 points the directions
     inner recedes along, and a nonempty polyhedron lies in a half-space iff
     every one of them satisfies the homogenised row: each ring point is
-    tested against each outer row as m*(a1*X + a2*Y) <= c*W.  So bounded,
+    tested against each row left as m*(a1*X + a2*Y) <= c*W.  So bounded,
     unbounded and empty inners are decided alike, in integers and with no
-    LP.  In any other dimension each outer a is maximized over inner's grid
+    LP.  In any other dimension each row left is maximized over inner's grid
     rows by the exact LP, whose x is inner's den times the rational one,
     all of them on one tableau (``lp.maximize_each``): the dual-rule phase 1
-    repairs the slack basis once, and each outer row starts from the basis
+    repairs the slack basis once, and each row starts from the basis
     the previous one ended at.  The results are taken one at a time, so the
     first row that fails, or an empty inner, ends the test without solving
-    the rest; an outer with no rows solves no LP."""
+    the rest."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     den, rows = outer.grid
     en, ed = eps.as_integer_ratio()
     m = math.lcm(den, ed)
-    bounds = [n * (m // den) + k * en * (m // ed) for _, k, n in rows]
+    grid = inner.grid
+    left = []  # the rows no single inner row proves, (a, c)
+    for a, k, n in rows:
+        c = n * (m // den) + k * en * (m // ed)
+        if one_row_bound(a, c, m, grid) is None:
+            left.append((a, c))
+    if not left:
+        return True
     if len(outer.dims) == 2:
         ring = _ring(inner)
         return not any(w for _, _, w in ring) or all(
-            m * (a * x + b * y) <= c * w
-            for x, y, w in ring for ((a, b), _, _), c in zip(rows, bounds))
-    den, inner_rows = inner.grid
-    results = maximize_each((a for a, _, _ in rows), [a for a, _, _ in inner_rows],
+            m * (a * x + b * y) <= c * w for x, y, w in ring for (a, b), c in left)
+    den, inner_rows = grid
+    results = maximize_each((a for a, _ in left), [a for a, _, _ in inner_rows],
                             [n for _, _, n in inner_rows])
-    for c, res in zip(bounds, results):
+    for (_, c), res in zip(left, results):
         if res.status == "infeasible":
             return True  # empty inner
         if res.status == "unbounded":

@@ -173,14 +173,24 @@ class TestPivotBudget:
         assert lp_calls[1] <= 8950
         assert pivots[0] <= 1000
 
-    def test_containment(self, pivots, tableaus):
-        """cmg-subset-hod's 50 containments CMG_Q in HOD_Q build one
-        tableau each, over CMG_Q's 8 rows, and maximize HOD_Q's 14 rows on
-        it from warm bases in 640 pivots.  With a fresh tableau for every
-        outer row they built 675 and took 1114."""
-        run_claim("cmg-subset-hod", 50, 7)
-        assert tableaus[0] <= 50
-        assert pivots[0] <= 650
+    def test_containment(self, monkeypatch, pivots, tableaus):
+        """cmg-subset-hod's 50 containments CMG_Q in HOD_Q: a one-row dual
+        bound proves 678 of the 700 HOD_Q rows, so only the 6 failing
+        samples build a tableau, over CMG_Q's 8 rows, each pricing one
+        objective, the first row no single CMG_Q row proves, which fails;
+        they take 6 pivots in all.  Maximizing all 14 rows on one warm
+        tableau per sample built 50, priced 675 and took 640; with a fresh
+        tableau for every outer row they built 675 and took 1114."""
+        priced, price = [0], lp._Tableau.price
+
+        def counted(self, cost):
+            priced[0] += 1
+            price(self, cost)
+
+        monkeypatch.setattr(lp._Tableau, "price", counted)
+        assert run_claim("cmg-subset-hod", 50, 7).failed == 6
+        assert (tableaus[0], priced[0]) == (6, 6)
+        assert pivots[0] <= 6
 
     def test_origin_optimal_needs_no_pivot(self, pivots):
         # b >= 0 makes the slack basis feasible and c <= 0 makes it optimal
@@ -201,7 +211,9 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
     through ``maximize_each``, so the check on the claims sits there.
     Every right-hand side ``maximize_each`` gets is >= 0 as well, so phase 1
     makes no pivot there and each containment's phase 2 starts from the
-    slack basis."""
+    slack basis.  Six samples at seed 7 include index 5, whose
+    cmg-subset-hod containment is the first that one-row bounds leave to
+    the LP."""
     each, calls = lp.maximize_each, [0]
 
     def checked(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
@@ -216,7 +228,7 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
         for a in AXIOM_SETS:
             derive_region(s, a)
     assert lp_calls[0] and calls[0] == 0
-    run_all(2, 7)
+    run_all(6, 7)
     assert calls[0]
 
 
@@ -512,8 +524,9 @@ class TestReferenceTableau:
         assert len(refs) == 8 and len(calls) >= 150
 
     def test_containments(self, monkeypatch):
-        """cmg-subset-hod's containments at seed 7, each over the
-        objectives ``contains`` asked for before it stopped."""
+        """cmg-subset-hod's containments at seed 7 that reach the LP, the 6
+        that fail, each over the objectives ``contains`` asked for before
+        it stopped."""
         calls = []  # [objectives, A_ub, b_ub, results, pivots]
         each = lp.maximize_each
 
@@ -532,7 +545,7 @@ class TestReferenceTableau:
 
         monkeypatch.setattr(polytope, "maximize_each", recorded)
         run_claim("cmg-subset-hod", 50, 7)
-        assert len(calls) == 50
+        assert len(calls) == 6
         for objectives, A_ub, b_ub, results, pivots in calls:
             assert reference_maximize_each(objectives[:len(results)], A_ub, b_ub) == (
                 results, pivots)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icregions import polytope, sampler
+from icregions import claims, polytope, sampler
+from icregions.claims import run_claim
 from icregions.dist import Form, build_joint
 from icregions.linsys import (QUADRUPLE_SYSTEMS, Inequality, LinearSystem,
                               fm_eliminate, substitute_rate_sums)
 from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly,
                                 UnboundedRegionError, area2, bind, contains,
-                                fm_eliminate_numeric, poly_equal, snap_terms,
-                                substitute_rate_sums_numeric, vertices2)
+                                fm_eliminate_numeric, one_row_bound, poly_equal,
+                                snap_terms, substitute_rate_sums_numeric, vertices2)
 from icregions.regions import REGION_IDS, build_system, region_for
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import ALL_SYMBOLS, BASE_SYMBOLS, eval_terms
@@ -563,7 +565,9 @@ class TestContains:
     def test_4d_lp_gets_only_ints(self, monkeypatch, index):
         """On golden 4-D pairs, contains hands ``maximize_each`` integer
         objectives, rows and right-hand sides only: the grids, with no
-        ``Fraction`` for the exact LP to scale."""
+        ``Fraction`` for the exact LP to scale.  HK_Q's rows over CMG_Q and
+        HOD_Q at eps 0 and 2**-30 leave rows no single inner row proves, as
+        does the `two-rows` case at eps 1/3, an eps off the grid."""
         each, calls = polytope.maximize_each, []
 
         def checked(objectives, A_ub=None, b_ub=None):
@@ -575,12 +579,16 @@ class TestContains:
 
         monkeypatch.setattr(polytope, "maximize_each", checked)
         binding = hod16_binding(index)
-        for outer_id, inner_id in (("HOD_Q", "CMG_Q"), ("CMG_Q", "HOD_Q"),
-                                   ("HK_Q", "HOD_Q")):
-            outer, inner = (bind(build_system(rid), binding) for rid in (outer_id, inner_id))
-            for eps in (F(0), DEFAULT_EPS, THIRD):
-                assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
-        assert len(calls) == 9 and all(calls)
+        pairs = [(bind(build_system(outer_id), binding), bind(build_system(inner_id), binding),
+                  eps)
+                 for outer_id, inner_id in (("HK_Q", "CMG_Q"), ("HK_Q", "HOD_Q"),
+                                            ("HK_Q_MODIFIED", "HOD_Q"))
+                 for eps in (F(0), DEFAULT_EPS)]
+        pairs.append((lifted(outer_rows((2, -1, 7)), QUAD_DIMS), lifted(CAPPED, QUAD_DIMS),
+                      THIRD))
+        for outer, inner, eps in pairs:
+            assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+        assert len(calls) == 7 and all(calls)
 
     def test_quadruple_containment_via_lp(self):
         binding = hk2_binding(10)
@@ -617,6 +625,163 @@ class TestContains:
             assert contains(p, r, F(0))
         if contains(p, q, F(0)):
             assert area2(p) >= area2(q)
+
+
+def lifted(poly, dims):
+    """The 2-D polytope over dims, each row padded with zero coefficients."""
+    pad = (F(0),) * (len(dims) - 2)
+    return HPoly(dims, tuple((tuple(lhs) + pad, rhs) for lhs, rhs in poly.rows))
+
+
+def certificates(outer, inner, eps):
+    """``one_row_bound`` for each outer row raised by eps, folded as
+    ``contains`` folds it."""
+    den, rows = outer.grid
+    en, ed = eps.as_integer_ratio()
+    m = math.lcm(den, ed)
+    return [one_row_bound(a, n * (m // den) + k * en * (m // ed), m, inner.grid)
+            for a, k, n in rows]
+
+
+def assert_certified(outer, inner, eps, certs):
+    """Multiply each certificate out on the rational rows: (j, t) makes
+    y = t * k'_j / k_i, with k the grid's row scales, a nonnegative
+    multiplier of inner row j with y * lhs_j >= lhs_i componentwise and
+    y * rhs_j <= rhs_i + eps; (None, 0) needs lhs_i <= 0 and rhs_i + eps >= 0."""
+    for (lhs, rhs), (_, k, _), cert in zip(outer.rows, outer.grid[1], certs):
+        if cert is None:
+            continue
+        j, t = cert
+        assert type(t) is F and t >= 0
+        if j is None:
+            assert t == 0 and all(v <= 0 for v in lhs) and rhs + eps >= 0
+            continue
+        inner_lhs, inner_rhs = inner.rows[j]
+        y = t * inner.grid[1][j][1] / k
+        assert all(y * u >= v for u, v in zip(inner_lhs, lhs))
+        assert y * inner_rhs <= rhs + eps
+
+
+SIGNED = st.integers(-8, 8).map(lambda k: F(k, 4))
+
+
+def signed_polys(dims):
+    """Up to five rows with negative, zero and positive quarter entries."""
+    return st.lists(st.tuples(st.tuples(*[SIGNED] * len(dims)), SIGNED),
+                    max_size=5).map(lambda rows: HPoly(dims, tuple(rows)))
+
+
+@st.composite
+def signed_pairs(draw):
+    """(outer, inner) over 2 or 4 dims, either of them maybe rowless, empty or
+    unbounded.  Inner may carry copies of outer rows scaled by 1/2, 1 or 3,
+    their rhs moved by 0 or +-2**-60 and an entry raised or lowered by 1/4,
+    so that one-row certificates hold, just fail, or just hold past eps."""
+    dims = draw(st.sampled_from((("R1", "R2"), QUAD_DIMS)))
+    outer = draw(signed_polys(dims))
+    rows = list(draw(signed_polys(dims)).rows)
+    for lhs, rhs in outer.rows:
+        if draw(st.booleans()):
+            t = draw(st.sampled_from((F(1, 2), F(1), F(3))))
+            lhs = [v / t for v in lhs]
+            i = draw(st.integers(0, len(dims) - 1))
+            lhs[i] += draw(st.sampled_from((F(0), F(1, 4), F(-1, 4))))
+            rows.append((tuple(lhs), (rhs + draw(st.sampled_from((F(0), TINY, -TINY)))) / t))
+    rows = draw(st.permutations(rows))
+    return outer, HPoly(dims, tuple(rows))
+
+
+# Triangles and strips whose rows need each branch of the bound; `two-rows`
+# holds by 1 * (R1 - 2 R2 <= 1) + 1 * (R1 <= 4) only.
+CAPPED = HPoly(("R1", "R2"), (((F(1), F(-2)), F(1)), ((F(1), F(0)), F(4)),
+                              ((F(0), F(1)), F(4))))
+BELOW = HPoly(("R1", "R2"), (((F(-1), F(1)), F(-1)), ((F(1), F(0)), F(4)),
+                             ((F(0), F(1)), F(4))))  # R1 >= R2 + 1, boxed
+EMPTY = HPoly(("R1", "R2"), (((F(1), F(1)), F(-1)),))
+
+
+def outer_rows(*rows):
+    return HPoly(("R1", "R2"), tuple(((F(a), F(b)), F(c)) for a, b, c in rows))
+
+
+BOUND_CASES = [
+    # t in [1, 3/2] from R1 - 2 R2 <= 1 (capped by its -2), n' >= 0: t = 1
+    (outer_rows((1, -3, 1)), CAPPED, F(0), [(0, F(1))], True),
+    # 2 R1 - R2: row 0 needs t >= 2 but its -2 caps t at 1/2, row 1 gives 8 > 7,
+    # row 2 has no R1 entry; the max over inner is 13/2 (two rows)
+    (outer_rows((2, -1, 7)), CAPPED, F(0), [None], True),
+    (outer_rows((2, -1, 6)), CAPPED, F(0), [None], False),
+    # n' = -1 < 0: t in [1, 2] and only the high end gives -2 <= -2
+    (outer_rows((-2, 1, -2)), BELOW, F(0), [(0, F(2))], True),
+    (outer_rows((-2, 1, -2)), BELOW, TINY, [(0, F(2))], True),
+    # a <= 0: decided by x >= 0 alone when c >= 0, eps folded in
+    (outer_rows((-1, 0, 0)), NO_ROWS, F(0), [(None, F(0))], True),
+    (outer_rows((-1, 0, -1)), NO_ROWS, F(0), [None], False),
+    (HPoly(("R1", "R2"), (((F(-1), F(0)), -DEFAULT_EPS),)), NO_ROWS, DEFAULT_EPS,
+     [(None, F(0))], True),
+    # an empty inner shown by a row with n' < 0 and no negative entry: the
+    # least t >= 1 with -t <= -5
+    (outer_rows((1, 0, -5)), EMPTY, F(0), [(0, F(5))], True),
+    (outer_rows((1, 0, -5)), EMPTY, THIRD, [(0, F(14, 3))], True),
+]
+BOUND_IDS = ["capped-low-end", "two-rows", "two-rows-past", "negative-rhs-high-end",
+             "negative-rhs-tiny-eps", "quadrant-only", "quadrant-refused",
+             "quadrant-eps", "empty-inner", "empty-inner-third"]
+
+
+class TestOneRowBound:
+    @settings(max_examples=300, deadline=None)
+    @given(signed_pairs(), st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
+    @example((NO_ROWS, EMPTY), F(0))
+    @example((HPoly(QUAD_DIMS, ()), QUAD_EMPTY), THIRD)
+    def test_matches_lp(self, pair, eps):
+        """contains against the oracle's cold LP per outer row, and every
+        certificate the bound gives multiplied out."""
+        outer, inner = pair
+        assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+        assert_certified(outer, inner, eps, certificates(outer, inner, eps))
+
+    @pytest.mark.parametrize("dims", [("R1", "R2"), QUAD_DIMS], ids=["2d", "4d"])
+    @pytest.mark.parametrize("outer,inner,eps,certs,expected", BOUND_CASES, ids=BOUND_IDS)
+    def test_hand_built_cases(self, monkeypatch, dims, outer, inner, eps, certs, expected):
+        """Each branch of the bound; a row it leaves undecided, and only
+        such a row, reaches the ring (2-D) or the exact LP (4-D)."""
+        outer, inner = lifted(outer, dims), lifted(inner, dims)
+        assert certificates(outer, inner, eps) == certs
+        assert_certified(outer, inner, eps, certs)
+        reached = []
+        ring, each = polytope._ring, polytope.maximize_each
+        monkeypatch.setattr(polytope, "_ring", lambda p: reached.append(p) or ring(p))
+        monkeypatch.setattr(polytope, "maximize_each",
+                            lambda *args: reached.append(args) or each(*args))
+        assert contains(outer, inner, eps) is expected
+        assert contains_lp(outer, inner, eps) is expected
+        assert len(reached) == (None in certs)
+
+    def test_golden_certificates_multiply_out(self, monkeypatch):
+        """Every certificate for the containments of cmg-subset-hod (50
+        samples) and compact-equivalence (20 samples) at seed 7, and for
+        every ordered pair of golden quadruple regions on 4 HOD16 specs at
+        three eps, passes the exact check.  678 of the 700 HOD_Q rows of
+        cmg-subset-hod have one."""
+        asked, right = [], claims.contains
+        monkeypatch.setattr(claims, "contains", lambda *args: asked.append(args) or right(*args))
+        run_claim("cmg-subset-hod", 50, 7)
+        cmg = len(asked)
+        run_claim("compact-equivalence", 20, 7)
+        assert (cmg, len(asked)) == (50, 130)
+        for index in range(4):
+            polys = [bind(build_system(rid), hod16_binding(index))
+                     for rid in ("HK_Q", "HK_Q_MODIFIED", "CMG_Q", "HOD_Q")]
+            asked += [(p, q, eps) for p in polys for q in polys
+                      for eps in (F(0), DEFAULT_EPS, THIRD)]
+        found = []
+        for outer, inner, eps in asked:
+            certs = certificates(outer, inner, eps)
+            assert_certified(outer, inner, eps, certs)
+            found.append(sum(c is not None for c in certs))
+        assert sum(found[:cmg]) == 678
+        assert sum(found) > len(asked)
 
 
 def assert_views_agree(poly):
