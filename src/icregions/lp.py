@@ -1,28 +1,27 @@
-"""Small dense simplex over exact integers: the least-index dual rule
-finds a feasible basis, Bland's primal rule maximizes objectives from it.
+"""Exact linear programming by one algorithm: the least-index dual rule
+on a fraction-free integer tableau.
 
-Solves   maximize c.x   s.t.   A_eq x = b_eq,  A_ub x <= b_ub,  x >= 0
-exactly, so feasibility and optimality answers are proofs, not tolerance
-judgments.  Each equality row is written as two ``<=`` rows, so every
-problem has ``<=`` rows only.  Both rules are finite.  Problem sizes here
-are tiny (tens of rows).
+``Feasibility(A_ub).point(b, without)`` decides the set
+{x >= 0 : A_ub x <= b, x_j = 0 for j in without} exactly: it returns a
+point of it, as ``Fraction``s, or None when it is empty, so each answer
+is a proof, not a tolerance judgment.  One tableau serves many
+right-hand sides over the same matrix, each decided from the basis the
+previous one left.  Problem sizes here are tiny (tens of rows).
 
 The tableau is fraction-free (Bareiss 1968; see also Applegate, Cook,
 Dash and Espinoza, "Exact solutions to linear programming problems",
 2007).  Each row is scaled by a positive integer ``s_i`` to integer
 coefficients, and its slack column is scaled to 1 (a change of unit for
 a slack the caller never sees); one common factor ``K`` scales the
-right-hand sides to integers.  The simplex starts from the basis the
+right-hand sides to integers.  The tableau starts from the basis the
 problem already has (the slack, or crash, start), which is the identity.
 The stored tableau is the rational one times ``D = |det B|``, the
 determinant of the current basis in the scaled integer matrix, and it is
 integral: by Cramer's rule each entry is, up to sign, an m-by-m minor of
 the starting matrix.  So a pivot on entry ``p`` updates every row
 exactly as ``(p*R - R[c]*R_pivot) / D``, with an exact integer division,
-and ``|p|`` is the new ``D``.  Ratios are compared by
-cross-multiplication.  Scaling
-a row or a slack column or all right-hand sides by a positive number
-changes neither the sign of any entry nor the order of any ratio, and
+and ``|p|`` is the new ``D``.  Scaling a row or a slack column or all
+right-hand sides by a positive number changes the sign of no entry, and
 ties are broken by basis index, so the pivot sequence is the one a
 ``Fraction`` tableau of the unscaled problem takes from the same basis.
 Results are returned as ``Fraction``.
@@ -31,55 +30,57 @@ The coefficient rows are one NumPy ``int64`` array, updated in one
 vectorised step per pivot, and every row sits at the one denominator
 ``D``.  A row whose pivot-column entry is 0 is still scaled by p / D:
 leaving it out saves nothing in a vectorised step and would need a
-denominator per row.  The right-hand sides and the objective row are
-Python ints beside the array, since right-hand sides on the 2**-48 grid
-are far wider than 64 bits.  An exact guard keeps ``int64`` safe.  While
-every entry is below 2**31, each product ``p*v`` and ``R[c]*w`` of a
-pivot is below 2**62 and their difference below 2**63.  A bound ``M`` on
-the entries is kept: a pivot on ``p`` makes them at most
-``(p + M) * M / D``, and none ever exceeds Hadamard's bound on the
-minors, the product of the starting rows' 1-norms.  Before a pivot with
-``M >= 2**31`` the largest entry is measured, and once it is >= 2**31
-the array turns into ``dtype=object`` (Python ints, the same code) for
-good.  No pruning LP of the package gets there: their entries stay below
-16.
+denominator per row.  The right-hand sides are Python ints beside the
+array, since right-hand sides on the 2**-48 grid are far wider than 64
+bits.  An exact guard keeps ``int64`` safe.  While every entry is below
+2**31, each product ``p*v`` and ``R[c]*w`` of a pivot is below 2**62 and
+their difference below 2**63.  A bound ``M`` on the entries is kept: a
+pivot on ``p`` makes them at most ``(p + M) * M / D``, and none ever
+exceeds Hadamard's bound on the minors, the product of the starting
+rows' 1-norms.  Before a pivot with ``M >= 2**31`` the largest entry is
+measured, and once it is >= 2**31 the array turns into ``dtype=object``
+(Python ints, the same code) for good.  No pruning LP of the package
+gets there: their entries stay below 16.  A containment tableau of
+``polytope.contains`` starts there, since its budget row holds
+right-hand sides on the 2**-48 grid.
 
-Phase 1 (``_repair``) sets the right-hand sides to B^-1 b, which the
-slack columns S already hold as D * B^-1, so this is one product
-``S @ b``, in ``int64`` while ``M * sum |b|`` is below 2**63 and over
-Python ints otherwise.  A basic column that must be 0 is pivoted out
-first, on the least-index allowed column with a nonzero entry in its
-row.  One always exists: the row's slack entries are a row of the
-nonsingular B^-1, so one is nonzero, and a basic slack is 0 there.
-Feasibility is then repaired by the least-index dual rule: the negative
-row whose basic variable has the least index leaves, and the allowed
-column of least index with a negative entry in that row enters; when
-there is none, the row proves the set empty.  With no objective every reduced cost is 0, so
-this is Terlaky's least-index criss-cross rule (T. Terlaky, "A
-convergent criss-cross method", Optimization 16, 1985), which is finite.
-When every right-hand side is >= 0 the slack basis is feasible and
-phase 1 makes no pivot.
+Each problem is decided by ``_repair``.  It sets the right-hand sides
+to B^-1 b, which the slack columns S already hold as D * B^-1, so this
+is one product ``S @ b``, in ``int64`` while ``M * sum |b|`` is below
+2**63 and over Python ints otherwise.  A basic column that must be 0 is
+pivoted out first, on the least-index allowed column with a nonzero
+entry in its row.  One always exists: the row's slack entries are a row
+of the nonsingular B^-1, so one is nonzero, and a basic slack is 0
+there.  Feasibility is then repaired by the least-index dual rule: the
+negative row whose basic variable has the least index leaves, and the
+allowed column of least index with a negative entry in that row enters;
+when there is none, the row proves the set empty.  With no objective
+every reduced cost is 0, so this is Terlaky's least-index criss-cross
+rule (T. Terlaky, "A convergent criss-cross method", Optimization 16,
+1985), which is finite.  On the slack basis with every right-hand side
+>= 0 it makes no pivot.
 
-One tableau serves many objectives over the same feasible set:
-``maximize_each`` builds it and runs phase 1 once, then prices each
-objective onto the last feasible basis, maximizes it by Bland's rule and
-drops its row.  So each later objective starts warm, from a basis that is
-often optimal or close to it (Applegate et al. also start their exact
-solves from a known basis).  ``solve_lp`` is its one-objective case, so
-both take the same pivots on the same problem.
+Optimization is a feasibility question too, by LP duality.
+``solve_lp`` maximizes c.x over {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}
+with each equality row written as two ``<=`` rows, A x <= b in all, by
+asking for one point (x, y) >= 0 of
 
-One tableau also serves many feasibility problems over the same matrix:
-``Feasibility(A_ub).point(b, without)`` decides {x >= 0 : A_ub x <= b,
-x_j = 0 for j in without} for one right-hand side after another, each
-by phase 1 from the basis the previous one left.  ``feasible`` is its
-one-problem case.
+    A x <= b,   -A^T y <= -c,   -c.x + b.y <= 0.
+
+x and y of such a point are primal and dual feasible, and weak duality
+(c.x <= b.y) makes the last row an equality, so c.x is the maximum.
+When the system is empty, the primal or the dual is (strong duality
+would give a point otherwise), and one more ``Feasibility`` on
+A x <= b alone tells ``infeasible`` (no x) from ``unbounded`` (an x,
+and no dual y).  ``feasible`` is the one-problem case of
+``Feasibility``, with equality rows as well.  ``polytope.contains``
+asks containment rows as dual feasibility questions in the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm, prod
 
 import numpy as np
@@ -104,9 +105,8 @@ class LPResult:
 class _Tableau:
     """The tableau over the common denominator ``D``: the coefficient rows
     ``A``, an ``int64`` array while its entries stay below ``_WIDE`` (``M``
-    bounds them) and an ``object`` array after; the right-hand sides ``b``
-    and, while an objective is priced, its row ``obj`` with its right-hand
-    side last, both lists of Python ints."""
+    bounds them) and an ``object`` array after, and the right-hand sides
+    ``b``, a list of Python ints."""
 
     def __init__(self, rows, basis):
         """``rows`` is the 2-D integer array of the coefficient rows."""
@@ -120,12 +120,11 @@ class _Tableau:
             rows = rows.astype(object)
         self.A = rows
         self.b = [0] * len(rows)
-        self.obj = None
         self.basis = basis
         self.D = 1  # |det| of the current basis
 
     def pivot(self, r, c):
-        A, D, b, obj = self.A, self.D, self.b, self.obj
+        A, D, b = self.A, self.D, self.b
         if self.M >= _WIDE and A.dtype != object:
             self.M = _bound(A)
             if self.M >= _WIDE:
@@ -154,54 +153,10 @@ class _Tableau:
                     b[i] -= s * br // D
         else:
             self.b = [(p * v - s * br) // D for v, s in zip(b, col.tolist())]
-        if obj is not None:
-            a, row = obj[c], [*A[r].tolist(), br]
-            if p != D:
-                self.obj = [(p * v - a * w) // D for v, w in zip(obj, row)]
-            elif a:
-                for j, w in enumerate(row):
-                    if w:
-                        obj[j] -= a * w // D
         if A.dtype != object:
             self.M = min(self.cap, max(self.M, (p + self.M) * self.M // D))
         self.D = p
         self.basis[r] = c
-
-    def price(self, cost):
-        """Set ``obj`` to the objective row of maximizing ``cost . x``,
-        priced out against the basis at denominator D; ``cost`` has one
-        integer per column."""
-        obj = [self.D * v for v in cost] + [0]
-        for i, j in enumerate(self.basis):
-            coef = cost[j]
-            if coef:
-                row = [*self.A[i].tolist(), self.b[i]]
-                obj = [o - coef * v for o, v in zip(obj, row)]
-        self.obj = obj
-
-    def phase(self):
-        """Maximize the objective ``obj`` (Bland's rule)."""
-        basis = self.basis
-        while True:
-            obj = self.obj
-            col = next((j for j, v in enumerate(obj[:-1]) if v > 0), None)
-            if col is None:
-                return "optimal"
-            # ratio b[i] / A[i, col], all over the one denominator D
-            best_r = best_num = best_den = None
-            for i, f in enumerate(self.A[:, col].tolist()):
-                if f > 0:
-                    e = self.b[i]
-                    if best_r is None:
-                        better = True
-                    else:
-                        lhs, rhs = e * best_den, best_num * f
-                        better = lhs < rhs or (lhs == rhs and basis[i] < basis[best_r])
-                    if better:
-                        best_r, best_num, best_den = i, e, f
-            if best_r is None:
-                return "unbounded"
-            self.pivot(best_r, col)
 
 
 def _integers(values):
@@ -236,8 +191,8 @@ def _slack_tableau(A_ub, n):
 
 
 def _repair(t, scale, b_ub, without=()):
-    """Phase 1 on a tableau of ``_slack_tableau`` with row scales ``scale``:
-    set its right-hand side column for ``b_ub``, pivot the basic columns of
+    """Decide a set on a tableau of ``_slack_tableau`` with row scales
+    ``scale``: set its right-hand side column for ``b_ub``, pivot the basic columns of
     ``without`` out and repair feasibility by the least-index dual rule, no
     column of ``without`` entering (see the module docstring).  Returns the
     factor K > 0 of the right-hand sides, or None when the set is empty."""
@@ -295,54 +250,6 @@ def _as_ub(A_ub, b_ub, A_eq, b_eq) -> tuple:
             [*b_ub, *b_eq, *(-v for v in b_eq)])
 
 
-def maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """Maximize each objective in turn over one feasible set
-    {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}, yielding an ``LPResult`` for
-    each as it is asked for.
-
-    The tableau is built, and phase 1 is run, once, when the first result
-    is asked for.  Each objective is then priced onto the last feasible
-    basis, maximized from it and dropped again, so a later objective starts
-    warm; an unbounded one leaves a feasible basis behind.  An empty set
-    yields one ``infeasible`` result and nothing more.  Every objective
-    must have one entry per column, as many as the first."""
-    objectives = iter(objectives)
-    c = next(objectives, None)
-    if c is None:
-        return
-    A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
-    n = len(c)
-    for name, rows in (("A_ub", A_ub), ("A_eq", A_eq)):
-        for i, a in enumerate(rows or ()):
-            if len(a) != n:
-                raise ValueError(f"row {i} of {name} has {len(a)} entries, "
-                                 f"c has {n}")
-    t, scale = _slack_tableau(A, n)
-    K = _repair(t, scale, b)
-    if K is None:
-        yield LPResult("infeasible", None, None)
-        return
-    # phase 2 for each objective, scaled by kc > 0, from the last basis
-    for k, c in enumerate(chain([c], objectives)):
-        if len(c) != n:
-            raise ValueError(f"objective {k} has {len(c)} entries, "
-                             f"objective 0 has {n}")
-        ci, kc = _integers(c)
-        t.price(ci + [0] * len(A))
-        if t.phase() == "unbounded":
-            res = LPResult("unbounded", None, None)
-        else:
-            res = LPResult("optimal", -Fraction(t.obj[-1], t.D * K * kc),
-                           _point(t, n, K))
-        t.obj = None
-        yield res
-
-
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
-    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0."""
-    return next(maximize_each([c], A_ub, b_ub, A_eq, b_eq))
-
-
 class Feasibility:
     """The sets {x >= 0 : A_ub x <= b, x_j = 0 for j in without} of one
     matrix, decided one right-hand side at a time on one tableau, which is
@@ -382,3 +289,25 @@ def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:
     ``Feasibility``."""
     A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
     return Feasibility(A).point(b)
+
+
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
+    """Maximize c.x subject to A_ub x <= b_ub, A_eq x = b_eq, x >= 0, as
+    one point of the primal-dual system (see the module docstring)."""
+    A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
+    n, m = len(c), len(A)
+    for name, rows in (("A_ub", A_ub), ("A_eq", A_eq)):
+        for i, a in enumerate(rows or ()):
+            if len(a) != n:
+                raise ValueError(f"row {i} of {name} has {len(a)} entries, "
+                                 f"c has {n}")
+    # columns (x, y): A x <= b, -A^T y <= -c, -c.x + b.y <= 0
+    rows = [[*a] + [0] * m for a in A]
+    rows += ([0] * n + [-a[j] for a in A] for j in range(n))
+    rows.append([*(-v for v in c), *b])
+    xy = Feasibility(rows).point([*b, *(-v for v in c), 0])
+    if xy is None:
+        status = "infeasible" if Feasibility(A).point(b) is None else "unbounded"
+        return LPResult(status, None, None)
+    x = xy[:n]
+    return LPResult("optimal", sum((Fraction(v) * w for v, w in zip(c, x)), Fraction(0)), x)

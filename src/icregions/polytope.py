@@ -18,11 +18,12 @@ points at infinity, keeps its ring in integer homogeneous coordinates and
 decides each step by the sign of an integer expression (Yap, "Towards
 exact geometric computation", 1997).  ``contains`` folds eps into
 outer's grid rows as an integer and first proves what rows it can from a
-single inner row by weak LP duality (``one_row_bound``, whose (j, t) is
-the one-multiplier containment certificate); it tests each point of
-inner's ring, vertex or direction, against the rows left, so a 2-D
-verdict solves no LP, and hands the exact LP the integer rows left in
-4-D.  Only the vertices and multipliers returned are ``Fraction``s.  The
+single inner row by weak LP duality (``one_row_bound``, whose integer
+(j, t) is the one-multiplier containment certificate); it tests each
+point of inner's ring, vertex or direction, against the rows left, so a
+2-D verdict solves no LP, and in 4-D asks the exact LP, in integers,
+for each row left's dual multipliers.  Only the vertices returned are
+``Fraction``s.  The
 numeric projection runs the Fourier-Motzkin step, S->R substitution and
 canonicaliser of ``linsys`` on rows whose right-hand sides are constants.
 """
@@ -34,17 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .lp import _integers, maximize_each, solve_lp
+from .lp import Feasibility, _integers, solve_lp
 from .linsys import Combo, Inequality, LinearSystem, dense_lhs, fm_rows, substitution_rows
 
 F = Fraction
 
 SNAP_DEN = 2**48
 DEFAULT_EPS = F(1, 2**30)
-
-
-class UnboundedRegionError(ValueError):
-    pass
 
 
 def snap_terms(term_values: dict) -> dict:
@@ -160,7 +157,7 @@ def vertices2(p: HPoly):
     its vertices are the points where the ring turns left, listed from the
     lexicographically smallest one.  A point or a segment gives its sorted
     distinct ends; an empty region gives an empty list, and an unbounded
-    one raises ``UnboundedRegionError``.
+    one raises a ``ValueError``.
 
     Each grid row a.x <= n / den, its row lhs.x <= rhs times k, is read
     as den*a.x <= n, so fp = den*a1*X + den*a2*Y - n*W is a positive
@@ -186,7 +183,7 @@ def vertices2(p: HPoly):
     if not any(w for _, _, w in ring):
         return []
     if not all(w for _, _, w in ring):
-        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
+        raise ValueError("2-D region is unbounded; missing a box constraint")
     corners = [q for o, q, r in zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1])
                if o[0] * (q[1] * r[2] - q[2] * r[1]) - o[1] * (q[0] * r[2] - q[2] * r[0])
                + o[2] * (q[0] * r[1] - q[1] * r[0]) > 0]
@@ -222,10 +219,10 @@ def one_row_bound(a, c, m, inner_grid):
     n' < 0 and no a'_i < 0 proves inner empty, and its t is the least t in
     the interval that meets c / m.  When a <= 0 and c >= 0, x >= 0 alone
     proves the row, with j None and t = 0.  Every comparison is
-    cross-multiplied in integers; the certificate is (j, t), t a
-    ``Fraction``, and rows are tried in order."""
+    cross-multiplied in integers; the certificate is (j, t_n, t_d), the
+    integers of t = t_n / t_d with t_d > 0, and rows are tried in order."""
     if c >= 0 and max(a, default=0) <= 0:
-        return None, F(0)
+        return None, 0, 1
     den, rows = inner_grid
     for j, (aj, _, n) in enumerate(rows):
         lo, lo_d, hi, hi_d = 0, 1, None, 1  # t in [lo / lo_d, hi / hi_d]
@@ -248,7 +245,7 @@ def one_row_bound(a, c, m, inner_grid):
             else:
                 t, t_d = lo, lo_d
             if t * n * m <= c * den * t_d:
-                return j, F(t, t_d)
+                return j, t, t_d
     return None
 
 
@@ -269,13 +266,20 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     every one of them satisfies the homogenised row: each ring point is
     tested against each row left as m*(a1*X + a2*Y) <= c*W.  So bounded,
     unbounded and empty inners are decided alike, in integers and with no
-    LP.  In any other dimension each row left is maximized over inner's grid
-    rows by the exact LP, whose x is inner's den times the rational one,
-    all of them on one tableau (``lp.maximize_each``): the dual-rule phase 1
-    repairs the slack basis once, and each row starts from the basis
-    the previous one ended at.  The results are taken one at a time, so the
-    first row that fails, or an empty inner, ends the test without solving
-    the rest."""
+    LP.
+
+    In any other dimension each row left is a question of LP duality.  A
+    row a.x <= c / m holds on a nonempty inner {x >= 0 : A'x <= n' / den'}
+    iff some y >= 0 has yA' >= a and y.n' / den' <= c / m: weak duality
+    gives the if, and strong duality the only if (an unbounded max has no
+    such y).  That is the set {y >= 0 : -A'^T y <= -a, m*n'.y <= c*den'},
+    one column per inner grid row, whose matrix is the same for every row
+    left, so one ``lp.Feasibility`` tableau decides them all in turn, each
+    from the basis the previous one left, with the integer right-hand side
+    (-a, c*den').  ``one_row_bound``'s certificate is the one-sparse case
+    of its y.  A row with no y fails unless inner is empty, which one more
+    ``Feasibility`` on inner's own grid rows decides.  The first row that
+    fails ends the test without deciding the rest."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     den, rows = outer.grid
@@ -294,16 +298,14 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
         return not any(w for _, _, w in ring) or all(
             m * (a * x + b * y) <= c * w for x, y, w in ring for (a, b), c in left)
     den, inner_rows = grid
-    results = maximize_each((a for a, _ in left), [a for a, _, _ in inner_rows],
-                            [n for _, _, n in inner_rows])
-    for (_, c), res in zip(left, results):
-        if res.status == "infeasible":
-            return True  # empty inner
-        if res.status == "unbounded":
-            return False
-        # res.value is den times the rational max: it must be <= den * c / m
-        if res.value.numerator * m > den * c * res.value.denominator:
-            return False
+    A_in, b_in = [a for a, _, _ in inner_rows], [n for _, _, n in inner_rows]
+    # a column per inner row: -A'^T y <= -a, m*n'.y <= c*den'
+    dual = Feasibility([*([-a[i] for a in A_in] for i in range(len(outer.dims))),
+                        [m * n for n in b_in]])
+    for a, c in left:
+        if dual.point([*(-v for v in a), c * den]) is None:
+            # no y: the row fails unless inner is empty
+            return Feasibility(A_in).point(b_in) is None
     return True
 
 

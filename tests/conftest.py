@@ -6,8 +6,10 @@ from icregions import dist, lp
 @pytest.fixture
 def lp_calls(monkeypatch):
     """A two-element list: the number of feasibility problems decided, that
-    is the calls of ``lp.Feasibility.point`` (one per pruning LP), and their
-    total number of usable structural columns."""
+    is the calls of ``lp.Feasibility.point``, and their total number of
+    usable structural columns.  A derivation makes one call per pruning LP;
+    a 4-D containment and ``solve_lp`` make calls too, so a test that counts
+    pruning LPs runs derivations only."""
     count = [0, 0]
     point = lp.Feasibility.point
 

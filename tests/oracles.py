@@ -8,7 +8,9 @@ the pruning LP written with equality rows only, and one Fourier-Motzkin
 step over ``Fraction`` dictionaries.  Three references keep an
 earlier form of library code: the 2-D clip over ``Fraction`` points,
 containment decided by the exact LP alone, and the exact LP's tableau
-as lists of Python ints.
+as lists of Python ints, with the Bland's-rule primal simplex the
+library no longer has.  Every LP of these oracles is solved on that
+tableau (``reference_maximize_each``), not by ``icregions.lp``.
 """
 
 import math
@@ -18,8 +20,7 @@ from math import gcd, lcm
 
 from icregions.dist import Var
 from icregions.linsys import LinearSystem
-from icregions.lp import LPResult, _as_ub, solve_lp
-from icregions.polytope import UnboundedRegionError
+from icregions.lp import LPResult, _as_ub
 from icregions.terms import BASE_SYMBOLS
 
 VARS = list(Var)
@@ -168,11 +169,11 @@ def prune_redundant_eq(system, axioms):
     for each rate variable, the axioms and term facts, 0 <= s for each term
     symbol and a nonnegative constant, one equality row per rate variable,
     term symbol and the constant.  Rows are visited in order, and each LP
-    is decided by ``solve_lp`` with a zero objective.  Its phase 1 is the
-    dual rule the library's ``lp.Feasibility`` runs, so this oracle differs
-    from the library in the statement of the LP only: equality rows (each
-    as two ``<=`` rows) with fixed columns for -v <= 0, 0 <= s and the
-    constant."""
+    is decided by ``reference_maximize_each`` with a zero objective.  Its
+    phase 1 is the dual rule the library's ``lp.Feasibility`` runs, on the
+    reference tableau, so this oracle differs from the library in the
+    statement of the LP: equality rows (each as two ``<=`` rows) with fixed
+    columns for -v <= 0, 0 <= s and the constant."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]
 
     def column(lhs, coeffs, const):
@@ -191,8 +192,9 @@ def prune_redundant_eq(system, axioms):
     for i in range(len(cols)):
         others = [j for j in kept if j != i]
         use = [*(cols[j] for j in others), *fixed]
-        if solve_lp([0] * len(use), A_eq=[list(r) for r in zip(*use)],
-                    b_eq=cols[i]).status != "infeasible":
+        (res,), _ = reference_maximize_each([[0] * len(use)],
+                                            A_eq=[list(r) for r in zip(*use)], b_eq=cols[i])
+        if res.status != "infeasible":
             kept = others
     return LinearSystem.of(system.rate_vars,
                            [system.inequalities[j] for j in kept],
@@ -254,11 +256,11 @@ def vertices2_fraction(p):
     ``vertices2`` must return."""
     if len(p.dims) != 2:
         raise ValueError("vertices2 requires a 2-D polytope")
-    res = p.maximize([1, 1])
+    res = reference_max(p, [1, 1])
     if res.status == "infeasible":
         return []
     if res.status != "optimal":
-        raise UnboundedRegionError("2-D region is unbounded; missing a box constraint")
+        raise ValueError("2-D region is unbounded; missing a box constraint")
     m = res.value
     ring = [(Fraction(0), Fraction(0)), (m, Fraction(0)), (m, m), (Fraction(0), m)]
     for (a, b), c in p.rows:
@@ -279,12 +281,21 @@ def vertices2_fraction(p):
     return corners[i:] + corners[:i]
 
 
+def reference_max(p, objective):
+    """The max of objective.x over the polytope p by
+    ``reference_maximize_each``, as an ``LPResult``."""
+    (res,), _ = reference_maximize_each([list(objective)], [list(lhs) for lhs, _ in p.rows],
+                                        [rhs for _, rhs in p.rows])
+    return res
+
+
 def contains_lp(outer, inner, eps):
     """Containment by the exact LP alone: inner lies in outer slackened by
     eps iff inner is empty or no outer row's maximum over inner exceeds
-    its rhs + eps."""
+    its rhs + eps.  Each maximum is a cold Bland's-rule solve on the
+    reference tableau."""
     for lhs, rhs in outer.rows:
-        res = inner.maximize(list(lhs))
+        res = reference_max(inner, lhs)
         if res.status == "infeasible":
             return True
         if res.status == "unbounded" or res.value > rhs + eps:
@@ -453,9 +464,11 @@ class ReferenceFeasibility:
 
 
 def reference_maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-    """``lp.maximize_each`` on a ``ReferenceTableau``: the list of every
-    objective's ``LPResult`` (one ``infeasible`` result for an empty set)
-    and the pivots taken."""
+    """Maximize each objective over {x >= 0 : A_ub x <= b_ub, A_eq x = b_eq}
+    on one ``ReferenceTableau``: phase 1 by the least-index dual rule once,
+    then each objective priced onto the last basis and maximized by
+    Bland's rule.  Returns the list of every objective's ``LPResult`` (one
+    ``infeasible`` result for an empty set) and the pivots taken."""
     A, b = _as_ub(A_ub, b_ub, A_eq, b_eq)
     n = len(objectives[0])
     t, scale = _reference_slack_tableau(A, n)

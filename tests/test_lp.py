@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from icregions import lp, polytope
 from icregions.claims import run_all, run_claim
 from icregions.linsys import AXIOM_SETS, QUADRUPLE_SYSTEMS, derive_region
-from icregions.lp import Feasibility, feasible, maximize_each, solve_lp
+from icregions.lp import Feasibility, feasible, solve_lp
 from oracles import ReferenceFeasibility, reference_maximize_each
 
 F = Fraction
@@ -78,6 +78,18 @@ class TestSolveLp:
         assert res.status == "optimal"
         assert res.value == 4
         assert res.x == [2, 2, 2]
+
+    @pytest.mark.parametrize("c, status", [([-1, 1], "optimal"), ([1, 0], "unbounded"),
+                                           ([0, 0], "infeasible")])
+    def test_second_tableau_only_without_an_optimum(self, tableaus, c, status):
+        # max c.x over x2 <= 1 and, for c = 0, x1 + x2 <= -1: an optimal
+        # primal-dual point needs one tableau, and telling infeasible from
+        # unbounded one more, over the primal rows alone
+        A, b = [[0, 1]], [1]
+        if status == "infeasible":
+            A, b = [*A, [1, 1]], [*b, -1]
+        assert solve_lp(c, A_ub=A, b_ub=b).status == status
+        assert tableaus[0] == (1 if status == "optimal" else 2)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"A_ub": [[1, 1, 5]], "b_ub": [1]}, "row 0 of A_ub"),
@@ -173,27 +185,40 @@ class TestPivotBudget:
         assert lp_calls[1] <= 8950
         assert pivots[0] <= 1000
 
-    def test_containment(self, monkeypatch, pivots, tableaus):
+    def test_containment(self, monkeypatch):
         """cmg-subset-hod's 50 containments CMG_Q in HOD_Q: a one-row dual
         bound proves 678 of the 700 HOD_Q rows, so only the 6 failing
-        samples build a tableau, over CMG_Q's 8 rows, each pricing one
-        objective, the first row no single CMG_Q row proves, which fails;
-        they take 6 pivots in all.  Maximizing all 14 rows on one warm
-        tableau per sample built 50, priced 675 and took 640; with a fresh
-        tableau for every outer row they built 675 and took 1114."""
-        priced, price = [0], lp._Tableau.price
+        samples build a tableau.  Each is the dual tableau of one
+        containment, 5 rows (a row per rate variable and the budget row)
+        over a column per CMG_Q row and 5 slacks, and decides one row, the
+        first that no single CMG_Q row proves, which has no multipliers;
+        the 6 take 11 pivots in all.  Each then builds a tableau over
+        CMG_Q's own 8 rows, which finds CMG_Q nonempty with no pivot.
+        Maximizing the first row left by Bland's rule took 6 pivots;
+        maximizing all 14 rows on one warm tableau per sample built 50
+        tableaus and took 640 pivots, and a fresh tableau for every outer
+        row built 675 and took 1114."""
+        log, init, pivot = [], lp._Tableau.__init__, lp._Tableau.pivot
 
-        def counted(self, cost):
-            priced[0] += 1
-            price(self, cost)
+        def logged_init(self, rows, basis):
+            log.append([rows.shape, 0])
+            self.logged = log[-1]
+            init(self, rows, basis)
 
-        monkeypatch.setattr(lp._Tableau, "price", counted)
+        def logged_pivot(self, r, c):
+            self.logged[1] += 1
+            pivot(self, r, c)
+
+        monkeypatch.setattr(lp._Tableau, "__init__", logged_init)
+        monkeypatch.setattr(lp._Tableau, "pivot", logged_pivot)
         assert run_claim("cmg-subset-hod", 50, 7).failed == 6
-        assert (tableaus[0], priced[0]) == (6, 6)
-        assert pivots[0] <= 6
+        assert [shape for shape, _ in log] == [(5, 13), (8, 12)] * 6
+        assert sum(n for shape, n in log if shape == (5, 13)) == 11
+        assert sum(n for shape, n in log if shape == (8, 12)) == 0
 
     def test_origin_optimal_needs_no_pivot(self, pivots):
-        # b >= 0 makes the slack basis feasible and c <= 0 makes it optimal
+        # b >= 0 makes x = 0 feasible and c <= 0 makes y = 0 dual feasible,
+        # so the slack basis of the primal-dual system is feasible
         res = solve_lp([F(-1), F(0), F(-2, 3)],
                        A_ub=[[F(1), F(2), F(-1)], [F(-3), F(1, 2), F(1)],
                              [F(0), F(1), F(1)], [F(1), F(1), F(1)]],
@@ -204,32 +229,31 @@ class TestPivotBudget:
 
 def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
     """Every LP the package solves, in the 8 derivations and in every
-    claim, has only ``<=`` rows; ``A_eq`` serves outside callers such as
-    the equality-form oracle.  The derivations decide their pruning LPs on
-    ``Feasibility``, which has only ``<=`` rows, and never reach
-    ``maximize_each``; ``solve_lp`` and ``contains`` both reach the tableau
-    through ``maximize_each``, so the check on the claims sits there.
-    Every right-hand side ``maximize_each`` gets is >= 0 as well, so phase 1
-    makes no pivot there and each containment's phase 2 starts from the
-    slack basis.  Six samples at seed 7 include index 5, whose
-    cmg-subset-hod containment is the first that one-row bounds leave to
-    the LP."""
-    each, calls = lp.maximize_each, [0]
+    claim, is a ``Feasibility`` problem with only ``<=`` rows; ``A_eq``
+    serves outside callers of ``solve_lp`` and ``feasible``, such as the
+    equality-form oracle, and only ``_as_ub`` reads it.  The derivations
+    decide their pruning LPs, and ``contains`` its 4-D rows, on
+    ``Feasibility`` directly, so neither reaches ``_as_ub``.  Six samples
+    at seed 7 include index 5, whose cmg-subset-hod containment is the
+    first that one-row bounds leave to the LP: it builds its dual tableau
+    and a tableau over the inner rows."""
+    def refused(*args):
+        raise AssertionError("_as_ub called")
 
-    def checked(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):
-        assert A_eq is None and b_eq is None
-        assert all(v >= 0 for v in b_ub)
-        calls[0] += 1
-        return each(objectives, A_ub=A_ub, b_ub=b_ub)
+    built, feasibility = [], polytope.Feasibility
 
-    monkeypatch.setattr(lp, "maximize_each", checked)
-    monkeypatch.setattr(polytope, "maximize_each", checked)
+    def spied(A_ub):
+        built.append(A_ub)
+        return feasibility(A_ub)
+
+    monkeypatch.setattr(lp, "_as_ub", refused)
+    monkeypatch.setattr(polytope, "Feasibility", spied)
     for s in QUADRUPLE_SYSTEMS:
         for a in AXIOM_SETS:
             derive_region(s, a)
-    assert lp_calls[0] and calls[0] == 0
+    assert lp_calls[0] and not built
     run_all(6, 7)
-    assert calls[0]
+    assert len(built) == 2
 
 
 def _dot(a, x):
@@ -332,48 +356,37 @@ def multi_objective_lps(draw):
     return [c, *draw(st.lists(row, max_size=4))], A_ub, b_ub, A_eq, b_eq
 
 
-class TestMaximizeEach:
+class TestAgainstReference:
     @settings(max_examples=100, deadline=None)
     @given(multi_objective_lps())
-    # an unbounded objective, then bounded ones from the basis it leaves
+    # an unbounded objective among bounded ones
     @example(([[F(1), F(0)], [F(0), F(1)], [F(1), F(1)]],
               [[F(0), F(1)]], [F(1)], [], []))
-    # x + y >= 1 as a negative rhs, so phase 1 pivots before the first
-    # objective
+    # x + y >= 1 as a negative rhs, so the primal rows need a pivot
     @example(([[F(1), F(1)], [F(-1), F(-1)], [F(1), F(-2)], [F(0), F(0)]],
               [[F(-1), F(-1)], [F(1), F(0)], [F(0), F(1)]],
               [F(-1), F(2), F(3)], [], []))
-    # an empty set: one infeasible result for three objectives
+    # an empty set: the reference gives one infeasible result
     @example(([[F(1)], [F(-1)], [F(0)]], [[F(1)]], [F(-1)], [], []))
-    def test_warm_equals_cold(self, problem):
-        """Each objective maximized on the shared tableau has the status
-        and value of a cold ``solve_lp`` of it; each optimal point is
-        feasible and attains the value.  An empty set yields one result."""
+    def test_solve_lp_equals_bland(self, problem):
+        """Each objective, over rows with equality rows among them, has the
+        status and value ``reference_maximize_each`` gives it by Bland's
+        rule on the reference tableau; each optimal point is feasible and
+        attains the value."""
         objectives, A_ub, b_ub, A_eq, b_eq = problem
-        results = list(maximize_each(objectives, A_ub, b_ub, A_eq, b_eq))
-        cold = [solve_lp(c, A_ub, b_ub, A_eq, b_eq) for c in objectives]
-        if cold[0].status == "infeasible":
-            assert [r.status for r in results] == ["infeasible"]
+        refs, _ = reference_maximize_each(objectives, A_ub, b_ub, A_eq, b_eq)
+        results = [solve_lp(c, A_ub, b_ub, A_eq, b_eq) for c in objectives]
+        if refs[0].status == "infeasible":
+            assert {r.status for r in results} == {"infeasible"}
             return
-        assert len(results) == len(objectives)
-        for c, warm, ref in zip(objectives, results, cold):
-            assert (warm.status, warm.value) == (ref.status, ref.value)
-            if warm.status == "optimal":
-                x = warm.x
+        for c, res, ref in zip(objectives, results, refs, strict=True):
+            assert (res.status, res.value) == (ref.status, ref.value)
+            if res.status == "optimal":
+                x = res.x
                 assert all(v >= 0 for v in x)
                 assert all(_dot(a, x) <= b for a, b in zip(A_ub, b_ub))
                 assert all(_dot(a, x) == b for a, b in zip(A_eq, b_eq))
-                assert _dot(c, x) == warm.value
-
-    def test_later_objective_of_wrong_length_refused(self):
-        results = maximize_each([[1, 1], [1]], A_ub=[[1, 1]], b_ub=[1])
-        assert next(results).value == 1
-        with pytest.raises(ValueError, match="objective 1 has 1 entries, objective 0 has 2"):
-            next(results)
-
-    def test_no_objective_builds_no_tableau(self, tableaus):
-        assert list(maximize_each([], A_ub=[[1]], b_ub=[-1])) == []
-        assert tableaus[0] == 0
+                assert _dot(c, x) == res.value
 
 
 small_entries = st.one_of(st.integers(-3, 3), st.sampled_from([F(1, 2), F(-3, 2)]))
@@ -408,8 +421,8 @@ def _assert_warm_equals_cold(problem):
     for b, without in problems:
         x = lps.point(b, without)
         keep = [j for j in range(n) if j not in without]
-        cold = solve_lp([0] * len(keep), A_ub=[[a[j] for j in keep] for a in A],
-                        b_ub=b)
+        (cold,), _ = reference_maximize_each([[0] * len(keep)],
+                                             A_ub=[[a[j] for j in keep] for a in A], b_ub=b)
         assert (x is None) == (cold.status == "infeasible")
         if x is None:
             _assert_empty_certified(lps, b, without)
@@ -434,8 +447,9 @@ class TestFeasibility:
                ([0, 0, 0], {0, 2})]))
     def test_warm_equals_cold(self, problem):
         """Each problem decided on the shared tableau has the verdict of a
-        cold ``solve_lp`` with a zero objective over the columns it may use,
-        which runs the same dual rule from the slack basis, so each empty
+        cold ``reference_maximize_each`` with a zero objective over the
+        columns it may use, which runs the same dual rule from the slack
+        basis on the reference tableau, so each empty
         verdict is also checked by its Farkas certificate; each point
         satisfies every row exactly, is >= 0 and is 0 on ``without``."""
         _assert_warm_equals_cold(problem)
@@ -496,68 +510,64 @@ def _logged_pivots():
         yield log
 
 
+@contextmanager
+def _recorded_points():
+    """Every ``Feasibility.point`` call in the block, as (tableau, b,
+    without, point, pivots)."""
+    calls, point = [], lp.Feasibility.point
+
+    def recorded(self, b_ub, without=()):
+        with _logged_pivots() as log:
+            x = point(self, b_ub, without)
+        calls.append((self, b_ub, set(without), x, log))
+        return x
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lp.Feasibility, "point", recorded)
+        yield calls
+
+
+def _replay(calls):
+    """Replay recorded ``point`` calls, in order, on one
+    ``ReferenceFeasibility`` per ``Feasibility``: each gives the same point
+    and pivots.  Returns the number of tableaus."""
+    refs = {}
+    for lps, b, without, x, pivots in calls:
+        if lps not in refs:
+            refs[lps] = ReferenceFeasibility(lps.A_ub)
+        assert refs[lps].point(b, without) == (x, pivots)
+    return len(refs)
+
+
 class TestReferenceTableau:
     """The tableau takes the pivots of ``oracles.ReferenceTableau``, the
-    list-of-ints tableau it replaced, and returns the same points and
-    values: its pivot choices read only signs and cross-multiplied ratios,
-    which the common denominator does not change."""
+    list-of-ints tableau it replaced, and returns the same points: its
+    pivot choices read only signs and basis indices, which the common
+    denominator does not change."""
 
-    def test_pruning_lps(self, monkeypatch):
-        calls = []  # (Feasibility, b, without, point, pivots)
-        point = lp.Feasibility.point
+    def test_pruning_lps(self):
+        with _recorded_points() as calls:
+            for s in QUADRUPLE_SYSTEMS:
+                for a in AXIOM_SETS:
+                    derive_region(s, a)
+        assert _replay(calls) == 8 and len(calls) >= 150
 
-        def recorded(self, b_ub, without=()):
-            with _logged_pivots() as log:
-                x = point(self, b_ub, without)
-            calls.append((self, b_ub, set(without), x, log))
-            return x
-
-        monkeypatch.setattr(lp.Feasibility, "point", recorded)
-        for s in QUADRUPLE_SYSTEMS:
-            for a in AXIOM_SETS:
-                derive_region(s, a)
-        refs = {}
-        for lps, b, without, x, pivots in calls:
-            if lps not in refs:
-                refs[lps] = ReferenceFeasibility(lps.A_ub)
-            assert refs[lps].point(b, without) == (x, pivots)
-        assert len(refs) == 8 and len(calls) >= 150
-
-    def test_containments(self, monkeypatch):
+    def test_containments(self):
         """cmg-subset-hod's containments at seed 7 that reach the LP, the 6
-        that fail, each over the objectives ``contains`` asked for before
-        it stopped."""
-        calls = []  # [objectives, A_ub, b_ub, results, pivots]
-        each = lp.maximize_each
-
-        def recorded(objectives, A_ub=None, b_ub=None):
-            call = [list(objectives), A_ub, b_ub, [], []]
-            calls.append(call)
-            results = each(call[0], A_ub, b_ub)
-            while True:
-                with _logged_pivots() as log:
-                    res = next(results, None)
-                call[4] += log
-                if res is None:
-                    return
-                call[3].append(res)
-                yield res
-
-        monkeypatch.setattr(polytope, "maximize_each", recorded)
-        run_claim("cmg-subset-hod", 50, 7)
-        assert len(calls) == 6
-        for objectives, A_ub, b_ub, results, pivots in calls:
-            assert reference_maximize_each(objectives[:len(results)], A_ub, b_ub) == (
-                results, pivots)
+        that fail: each dual tableau's one row and the tableau over the
+        inner rows."""
+        with _recorded_points() as calls:
+            run_claim("cmg-subset-hod", 50, 7)
+        assert _replay(calls) == len(calls) == 12
 
     @settings(max_examples=100, deadline=None)
-    @given(multi_objective_lps())
+    @given(mixed_lps())
     def test_mixed_problems(self, problem):
-        objectives, A_ub, b_ub, A_eq, b_eq = problem
-        with _logged_pivots() as pivots:
-            results = list(maximize_each(objectives, A_ub, b_ub, A_eq, b_eq))
-        assert reference_maximize_each(objectives, A_ub, b_ub, A_eq, b_eq) == (
-            results, pivots)
+        """The one or two feasibility problems of each ``solve_lp``."""
+        c, A_ub, b_ub, A_eq, b_eq = problem
+        with _recorded_points() as calls:
+            solve_lp(c, A_ub, b_ub, A_eq, b_eq)
+        assert _replay(calls) == len(calls) in (1, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(feasibility_problems())

@@ -14,8 +14,7 @@ from icregions.claims import run_claim
 from icregions.dist import Form, build_joint
 from icregions.linsys import (QUADRUPLE_SYSTEMS, Inequality, LinearSystem,
                               fm_eliminate, substitute_rate_sums)
-from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly,
-                                UnboundedRegionError, area2, bind, contains,
+from icregions.polytope import (DEFAULT_EPS, SNAP_DEN, HPoly, area2, bind, contains,
                                 fm_eliminate_numeric, one_row_bound, poly_equal,
                                 snap_terms, substitute_rate_sums_numeric, vertices2)
 from icregions.regions import REGION_IDS, build_system, region_for
@@ -271,7 +270,7 @@ class TestVertices2:
     def test_degenerate_regions_match_brute_force(self, poly):
         try:
             vs = vertices2(poly)
-        except UnboundedRegionError:
+        except ValueError:
             assert _recedes(poly)
             return
         assert set(vs) == brute_force_vertices(poly.rows)
@@ -300,8 +299,8 @@ class TestVertices2:
     def test_equals_the_fraction_clip(self, poly):
         try:
             expected = vertices2_fraction(poly)
-        except UnboundedRegionError:
-            with pytest.raises(UnboundedRegionError):
+        except ValueError:
+            with pytest.raises(ValueError, match="unbounded"):
                 vertices2(poly)
             return
         assert vertices2(poly) == expected
@@ -318,7 +317,7 @@ class TestVertices2:
         for poly in polys:
             try:
                 expected.append(vertices2_fraction(poly))
-            except UnboundedRegionError:
+            except ValueError:
                 expected.append(None)
 
         def no_lp(*args, **kwargs):
@@ -328,9 +327,9 @@ class TestVertices2:
         assert None in expected and [] in expected
         for poly, vs in zip(polys, expected):
             if vs is None:
-                with pytest.raises(UnboundedRegionError):
+                with pytest.raises(ValueError, match="unbounded"):
                     vertices2(poly)
-                with pytest.raises(UnboundedRegionError):
+                with pytest.raises(ValueError, match="unbounded"):
                     area2(poly)
                 continue
             assert vertices2(poly) == vs
@@ -351,7 +350,7 @@ class TestVertices2:
         assert vertices2(empty) == []
 
     def test_unbounded_detected(self):
-        with pytest.raises(UnboundedRegionError):
+        with pytest.raises(ValueError, match="unbounded"):
             vertices2(HPoly(("R1", "R2"), (((F(1), F(0)), F(1)),)))
 
     def test_vertices_satisfy_constraints_exactly(self):
@@ -405,6 +404,14 @@ QUAD_SLAB = HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), F(1)),))  # S1 <= 1
 QUARTERS = st.integers(-12, 12).map(lambda k: F(k, 4))
 quad_polys = st.lists(st.tuples(st.tuples(*[QUARTERS] * 4), QUARTERS), max_size=6).map(
     lambda rows: HPoly(QUAD_DIMS, tuple(rows)))  # maybe empty, unbounded or rowless
+SMALL = st.integers(-3, 3).map(F)
+small_quads = st.lists(st.tuples(st.tuples(*[SMALL] * 4), SMALL), max_size=7).map(
+    lambda rows: HPoly(QUAD_DIMS, tuple(rows)))
+
+
+def quad(*rows):
+    """The 4-D polytope of rows (a1, a2, a3, a4, rhs)."""
+    return HPoly(QUAD_DIMS, tuple((tuple(map(F, row[:4])), F(row[4])) for row in rows))
 
 
 @functools.cache
@@ -512,9 +519,9 @@ class TestContains:
         expected = [contains_lp(*case) for case in cases]
 
         def no_lp(*args, **kwargs):
-            raise AssertionError("maximize_each called")
+            raise AssertionError("Feasibility built")
 
-        monkeypatch.setattr(polytope, "maximize_each", no_lp)
+        monkeypatch.setattr(polytope, "Feasibility", no_lp)
         assert [contains(*case) for case in cases] == expected
 
     def test_reflexive(self):
@@ -555,29 +562,57 @@ class TestContains:
     @example((HPoly(QUAD_DIMS, (((F(1, 2), F(0), F(0), F(0)), F(1)),)),
               HPoly(QUAD_DIMS, (((F(1), F(0), F(0), F(0)), 2 + 2 * THIRD),))), THIRD)
     def test_4d_warm_lp_matches_cold_lp_loop(self, pair, eps):
-        """4-D containment, decided on one warm-started tableau, against
+        """4-D containment, decided on one warm-started dual tableau, against
         the oracle's cold LP per outer row: an empty inner, an unbounded
         inner inside and outside, and an outer with no rows among them."""
         outer, inner = pair
         assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_quads, small_quads, st.sampled_from((F(0), THIRD, DEFAULT_EPS)))
+    # empty inners, by one row and by two, under a row with no multipliers,
+    # and a nonempty one under such a row
+    @example(quad((0, 1, 0, 0, 0)), QUAD_EMPTY, F(0))
+    @example(quad((0, 0, 1, 0, 0)), quad((1, 0, 0, 0, 1), (-1, 0, 0, 0, -2)), F(0))
+    @example(quad((0, 1, 0, 0, 0)), quad((-1, 0, 0, 0, -1)), F(0))
+    # unbounded inners: outside, and inside by two rows' multipliers
+    @example(quad((0, 1, 0, 0, 3)), QUAD_SLAB, THIRD)
+    @example(quad((1, 0, 0, 0, 2)), quad((1, -1, 0, 0, 1), (0, 1, 0, 0, 1)), F(0))
+    @example(quad((1, 0, 0, 0, 1)), quad((1, -1, 0, 0, 1), (0, 1, 0, 0, 1)), DEFAULT_EPS)
+    # no-row inners and a no-row outer
+    @example(quad((1, 0, 0, 0, 3)), quad(), F(0))
+    @example(quad((-1, 0, 0, 0, -1)), quad(), THIRD)
+    @example(quad(), quad((1, 1, 1, 1, -1)), F(0))
+    def test_4d_dual_feasibility_matches_oracle(self, outer, inner, eps):
+        """4-D containment, each row left decided by its dual multipliers
+        on one ``Feasibility`` tableau, against the oracle's cold
+        Bland's-rule max per outer row, on small integer rows."""
+        assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
+
     @pytest.mark.parametrize("index", [0, 5])
     def test_4d_lp_gets_only_ints(self, monkeypatch, index):
-        """On golden 4-D pairs, contains hands ``maximize_each`` integer
-        objectives, rows and right-hand sides only: the grids, with no
-        ``Fraction`` for the exact LP to scale.  HK_Q's rows over CMG_Q and
-        HOD_Q at eps 0 and 2**-30 leave rows no single inner row proves, as
-        does the `two-rows` case at eps 1/3, an eps off the grid."""
-        each, calls = polytope.maximize_each, []
+        """On golden 4-D pairs, contains hands ``Feasibility`` integer
+        rows and right-hand sides only: the grids, with no ``Fraction``
+        for the exact LP to scale.  HK_Q's rows over CMG_Q and HOD_Q at eps
+        0 and 2**-30 leave rows no single inner row proves, as does the
+        `two-rows` case at eps 1/3, an eps off the grid.  Each builds its
+        dual tableau and decides one row on it, and each of the 6 that
+        fail one more tableau over the inner rows."""
+        calls = []
 
-        def checked(objectives, A_ub=None, b_ub=None):
-            objectives = list(objectives)
-            calls.append(objectives)
-            assert all(type(v) is int for row in (*objectives, *A_ub) for v in row)
-            assert all(type(v) is int for v in b_ub)
-            return each(objectives, A_ub, b_ub)
+        class Checked(polytope.Feasibility):
+            def __init__(self, A_ub):
+                assert all(type(v) is int for row in A_ub for v in row)
+                calls.append([])
+                self.asked = calls[-1]
+                super().__init__(A_ub)
 
-        monkeypatch.setattr(polytope, "maximize_each", checked)
+            def point(self, b_ub, without=()):
+                assert all(type(v) is int for v in b_ub)
+                self.asked.append(b_ub)
+                return super().point(b_ub, without)
+
+        monkeypatch.setattr(polytope, "Feasibility", Checked)
         binding = hod16_binding(index)
         pairs = [(bind(build_system(outer_id), binding), bind(build_system(inner_id), binding),
                   eps)
@@ -586,9 +621,10 @@ class TestContains:
                  for eps in (F(0), DEFAULT_EPS)]
         pairs.append((lifted(outer_rows((2, -1, 7)), QUAD_DIMS), lifted(CAPPED, QUAD_DIMS),
                       THIRD))
-        for outer, inner, eps in pairs:
-            assert contains(outer, inner, eps) == contains_lp(outer, inner, eps)
-        assert len(calls) == 7 and all(calls)
+        verdicts = [contains(*pair) for pair in pairs]
+        assert verdicts == [contains_lp(*pair) for pair in pairs]
+        assert len(calls) == 7 + verdicts.count(False) == 13
+        assert all(len(asked) == 1 for asked in calls)
 
     def test_quadruple_containment_via_lp(self):
         binding = hk2_binding(10)
@@ -635,12 +671,20 @@ def lifted(poly, dims):
 
 def certificates(outer, inner, eps):
     """``one_row_bound`` for each outer row raised by eps, folded as
-    ``contains`` folds it."""
+    ``contains`` folds it, with each integer certificate (j, t_n, t_d) read
+    as (j, t) for the ``Fraction`` t = t_n / t_d."""
     den, rows = outer.grid
     en, ed = eps.as_integer_ratio()
     m = math.lcm(den, ed)
-    return [one_row_bound(a, n * (m // den) + k * en * (m // ed), m, inner.grid)
-            for a, k, n in rows]
+    certs = []
+    for a, k, n in rows:
+        cert = one_row_bound(a, n * (m // den) + k * en * (m // ed), m, inner.grid)
+        if cert is not None:
+            j, t_n, t_d = cert
+            assert type(t_n) is int and type(t_d) is int and t_d > 0
+            cert = j, F(t_n, t_d)
+        certs.append(cert)
+    return certs
 
 
 def assert_certified(outer, inner, eps, certs):
@@ -750,13 +794,15 @@ class TestOneRowBound:
         assert certificates(outer, inner, eps) == certs
         assert_certified(outer, inner, eps, certs)
         reached = []
-        ring, each = polytope._ring, polytope.maximize_each
+        ring, feasibility = polytope._ring, polytope.Feasibility
         monkeypatch.setattr(polytope, "_ring", lambda p: reached.append(p) or ring(p))
-        monkeypatch.setattr(polytope, "maximize_each",
-                            lambda *args: reached.append(args) or each(*args))
+        monkeypatch.setattr(polytope, "Feasibility",
+                            lambda A_ub: reached.append(A_ub) or feasibility(A_ub))
         assert contains(outer, inner, eps) is expected
         assert contains_lp(outer, inner, eps) is expected
-        assert len(reached) == (None in certs)
+        # one ring, or one dual tableau and, for a row with no multipliers,
+        # one over the inner rows
+        assert len(reached) == (None in certs) * (1 if expected or len(dims) == 2 else 2)
 
     def test_golden_certificates_multiply_out(self, monkeypatch):
         """Every certificate for the containments of cmg-subset-hod (50
