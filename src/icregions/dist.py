@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -80,11 +81,14 @@ class AlphabetSpec:
             raise SpecError("joint tensor would exceed the 1e8 entry limit")
 
 
+_BLOCK = 1 << 16  # the entries a temporary array of a check may hold
+
+
 def _first_nonfinite(t: np.ndarray):
     """The index of ``t``'s first non-finite entry in C order, or None;
-    searched 2**16 entries at a time, so no temporary is as large as a
+    searched ``_BLOCK`` entries at a time, so no temporary is as large as a
     joint tensor."""
-    flat, block = t.reshape(-1), 1 << 16
+    flat, block = t.reshape(-1), _BLOCK
     for start in range(0, flat.size, block):
         bad = np.flatnonzero(~np.isfinite(flat[start:start + block]))
         if bad.size:
@@ -104,6 +108,27 @@ def _check_rows(name: str, table: np.ndarray, shape: tuple[int, ...]):
     if not (table.min() >= 0 and table.max() <= 1
             and np.abs(table.sum(axis=-1) - 1.0).max() <= NORM_TOL):
         _row_fault(name, table)
+
+
+def _tables_fine(tables) -> bool:
+    """Whether every (name, table, shape) passes ``_check_rows``'s one pass,
+    with the tables of one row length joined as the rows of one array.
+    NumPy sums each row of C-ordered tables as it does in the joined array,
+    so the verdict is ``_check_rows``'s.  False also for tables that are
+    not C-ordered ``float64`` of their shape, ``_BLOCK`` entries in all."""
+    if sum(t.size for _, t, _ in tables) > _BLOCK or not all(
+            type(t) is np.ndarray and t.dtype == np.float64 and t.flags.c_contiguous
+            and t.shape == shape for _, t, shape in tables):
+        return False
+    joined = {}
+    for _, t, shape in tables:
+        joined.setdefault(shape[-1], []).append(t.reshape(-1, shape[-1]))
+    for rows in joined.values():
+        rows = np.concatenate(rows)
+        if not (rows.min() >= 0 and rows.max() <= 1
+                and np.abs(rows.sum(axis=-1) - 1.0).max() <= NORM_TOL):
+            return False
+    return True
 
 
 def _row_fault(name: str, table: np.ndarray):
@@ -166,13 +191,17 @@ class FactorSpec:
         if self.form is Form.CMG9:
             if n[Var.U1] != n[Var.X1] or n[Var.U2] != n[Var.X2]:
                 raise SpecError("CMG9 requires U alphabets equal to X alphabets")
+        tables = []
         for name, given, of in FACTORS:
             table = getattr(self, name)
             if len(of) > 1:  # one probability vector over the joint outcome
                 table = table.reshape(table.shape[:len(given)]
                                       + (math.prod(table.shape[len(given):]),))
-            _check_rows(name, table, tuple(n[v] for v in given)
-                        + (math.prod(n[v] for v in of),))
+            tables.append((name, table, tuple(n[v] for v in given)
+                           + (math.prod(n[v] for v in of),)))
+        if not _tables_fine(tables):  # the first table at fault raises
+            for args in tables:
+                _check_rows(*args)
         if self.form is Form.HK2:
             # the stored conditional must not actually depend on W1/W2; every
             # entry is finite here, so one reduction decides it
@@ -213,7 +242,7 @@ def cmg9_spec(alphabets, q, w1_given_q, x1_given_q_w1, w2_given_q, x2_given_q_w2
 class JointDist:
     """Dense joint probability tensor over the nine variables.
 
-    ``entropy`` memoises each marginal entropy on the joint, and
+    ``entropies`` memoises each marginal entropy on the joint, and
     ``marginal_tensor`` keeps on it the partial sums it shares between
     marginals, both for the joint's lifetime.  So the tensor must not be
     mutated once the joint is built; ``build_joint`` makes it read-only,
@@ -224,7 +253,8 @@ class JointDist:
 
     alphabets: AlphabetSpec
     tensor: np.ndarray
-    _entropies: dict = field(default_factory=dict, init=False, repr=False)
+    _entropies: dict = field(default_factory=lambda: {frozenset(): 0.0},
+                             init=False, repr=False)
     _partials: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
@@ -338,7 +368,7 @@ def marginal_tensor(joint: JointDist, keep: Iterable[Var]) -> np.ndarray:
         if key not in partials:
             partials[key] = _partial_sum(t, tail)
         t = partials[key]
-    return np.ascontiguousarray(t.sum(axis=drop))
+    return np.ascontiguousarray(np.add.reduce(t, axis=drop))
 
 
 @functools.cache
@@ -358,13 +388,19 @@ def _marginal_plan(keep: frozenset, shape: tuple[int, ...]):
     return drop, () if tail == drop else tail, q_inner
 
 
+# The axes of the Q-inner copy in memory order, Q just before the last
+# one, and the transpose that views it back in canonical order.
+_Q_INNER_AXES = (*(v.value for v in VARS[:-1] if v is not Var.Q), Var.Q.value,
+                 VARS[-1].value)
+_CANONICAL_AXES = tuple(_Q_INNER_AXES.index(a) for a in range(len(VARS)))
+
+
 def _q_inner_copy(t: np.ndarray) -> np.ndarray:
     """A read-only C-ordered copy of ``t`` with the Q axis moved just
     before the last one, viewed back in canonical axis order."""
-    q = Var.Q.value
-    copy = np.ascontiguousarray(np.moveaxis(t, q, -2))
+    copy = np.ascontiguousarray(t.transpose(_Q_INNER_AXES))
     copy.setflags(write=False)
-    return np.moveaxis(copy, -2, q)
+    return copy.transpose(_CANONICAL_AXES)
 
 
 def _partial_sum(t: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
@@ -379,7 +415,7 @@ def _partial_sum(t: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
     """
     n = t.shape[-1]
     if tail != (t.ndim - 1,) or not 2 <= n < 8:
-        return t.sum(axis=tail, keepdims=True)
+        return np.add.reduce(t, axis=tail, keepdims=True)
     s = t[..., 0] + t[..., 1]
     for i in range(2, n):
         s += t[..., i]
@@ -387,25 +423,50 @@ def _partial_sum(t: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
 
 
 def entropy(joint: JointDist, A: Iterable[Var]) -> float:
-    """Shannon entropy H(A) in bits, with 0 log 0 := 0 and H() = 0.
+    """Shannon entropy H(A) in bits, with 0 log 0 := 0 and H() = 0,
+    memoised on the joint (``entropies``)."""
+    return entropies(joint, (frozenset(A),))[0]
 
-    Each variable set's value is computed once per joint and memoised on it.
-    """
-    A = frozenset(A)
-    if not A:
-        return 0.0
+
+def entropies(joint: JointDist, keys) -> list[float]:
+    """H(A) in bits of each variable set A in ``keys``, a sequence of
+    frozensets, in order, with 0 log 0 := 0 and H() = 0.
+
+    Each value is memoised on the joint, which holds H() = 0 from the
+    start.  The marginals not in the memo (``marginal_tensor``) are joined
+    in one array, shortest first, and -p log2 p is taken of all their
+    positive entries at once.  Each entropy is minus the sum of its own
+    slice, k slices of one length n summed as the rows of a (k, n) view.
+    log2 and the product work entry by entry, and NumPy sums a row along
+    the last axis pairwise, as it sums a 1-D array of that length, so each
+    value has the bits of ``-(p * np.log2(p)).sum()`` over its marginal."""
     memo = joint._entropies
-    if A not in memo:
-        p = marginal_tensor(joint, A).ravel()
-        p = p[p > 0]
-        memo[A] = float(-(p * np.log2(p)).sum())
-    return memo[A]
+    new = [A for A in dict.fromkeys(keys) if A not in memo]
+    if new:
+        p = [marginal_tensor(joint, A) for A in new]
+        sizes = [x.size for x in p]
+        order = sorted(range(len(new)), key=sizes.__getitem__)
+        new, sizes = [new[i] for i in order], [sizes[i] for i in order]
+        p = np.concatenate([p[i] for i in order], axis=None)
+        positive = p > 0
+        if not positive.all():
+            ends = np.cumsum(positive)[np.cumsum(sizes) - 1]
+            sizes = np.diff(ends, prepend=0).tolist()
+            p = p[positive]
+        p = p * np.log2(p)
+        sums, start = [], 0
+        for n, run in itertools.groupby(sizes):
+            k = len(list(run))
+            sums += np.add.reduce(p[start:start + k * n].reshape(k, n), axis=1).tolist()
+            start += k * n
+        memo.update(zip(new, [-s for s in sums]))
+    return list(map(memo.__getitem__, keys))
 
 
-def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
-    """I(A;B|C) in bits; tiny negative round-off is clamped to 0."""
-    ac, bc, abc, c = _entropy_keys(frozenset(A), frozenset(B), frozenset(C))
-    val = entropy(joint, ac) + entropy(joint, bc) - entropy(joint, abc) - entropy(joint, c)
+def mutual_info(h_ac: float, h_bc: float, h_abc: float, h_c: float) -> float:
+    """I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C) from its four entropies;
+    tiny negative round-off is clamped to 0."""
+    val = h_ac + h_bc - h_abc - h_c
     if val < 0:
         if val < -1e-12:
             raise ArithmeticError(f"conditional MI evaluated to {val}")
@@ -413,8 +474,14 @@ def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
     return val
 
 
+def cond_mutual_info(joint: JointDist, A, B, C=()) -> float:
+    """I(A;B|C) in bits; tiny negative round-off is clamped to 0."""
+    keys = entropy_keys(frozenset(A), frozenset(B), frozenset(C))
+    return mutual_info(*entropies(joint, keys))
+
+
 @functools.cache
-def _entropy_keys(A: frozenset, B: frozenset, C: frozenset):
+def entropy_keys(A: frozenset, B: frozenset, C: frozenset):
     """The four entropy keys of I(A;B|C), made once per (A, B, C); a bad
     triple raises on every call, since an exception is never cached."""
     if not A or not B:

@@ -42,7 +42,8 @@ measured, and once it is >= 2**31 the array turns into ``dtype=object``
 (Python ints, the same code) for good.  No pruning LP of the package
 gets there: their entries stay below 16.  A containment tableau of
 ``polytope.contains`` starts there, since its budget row holds
-right-hand sides on the 2**-48 grid.
+right-hand sides on the 2**-48 grid, so ``_slack_tableau`` builds it as
+``dtype=object`` at once.
 
 Each problem is decided by ``_repair``.  It sets the right-hand sides
 to B^-1 b, which the slack columns S already hold as D * B^-1, so this
@@ -109,15 +110,14 @@ class _Tableau:
     ``b``, a list of Python ints."""
 
     def __init__(self, rows, basis):
-        """``rows`` is the 2-D integer array of the coefficient rows."""
+        """``rows`` is the 2-D integer array of the coefficient rows, of
+        ``dtype=object`` when an entry reaches ``_WIDE``."""
         self.M = _bound(rows)
         if self.M < _WIDE:
             # every entry, now and after any pivot, is up to sign an m-by-m
             # minor of these rows (Cramer's rule), so at most the product
             # of their 1-norms (Hadamard's bound)
             self.cap = prod(np.abs(rows).sum(axis=1).tolist())
-        else:
-            rows = rows.astype(object)
         self.A = rows
         self.b = [0] * len(rows)
         self.basis = basis
@@ -177,16 +177,17 @@ def _slack_tableau(A_ub, n):
     the right-hand sides are set by ``_repair``."""
     m = len(A_ub)
     rows, scale = [], []
-    for i, a in enumerate(A_ub):
+    for a in A_ub:
         row, s = _integers(a)
-        row += [0] * m
-        row[n + i] = 1
         rows.append(row)
         scale.append(s)
-    try:
-        A = np.array(rows, dtype=np.int64).reshape(m, n + m)
-    except OverflowError:  # an entry beyond int64
-        A = np.array(rows, dtype=object).reshape(m, n + m)
+    # built once, in the type the tableau keeps: Python ints from the start
+    # when an entry reaches _WIDE, as the budget row of a containment does
+    big = m and n and max(max(map(max, rows)), -min(map(min, rows))) >= _WIDE
+    A = np.zeros((m, n + m), dtype=object if big else np.int64)
+    if m:
+        A[:, :n] = rows
+        A[:, n:][np.diag_indices(m)] = 1
     return _Tableau(A, [n + i for i in range(m)]), scale
 
 

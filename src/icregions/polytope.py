@@ -7,10 +7,11 @@ independently snapped values use a generous eps of 2**-30.
 
 A polytope has two views of its rows: ``rows``, rational, for its readers
 (JSON output, ``contains_point``, the projections), and ``grid``, the same
-rows over integers, for the computation.  ``bind`` fills both in one loop:
+rows over integers, for the computation.  ``bind`` fills only the grid:
 its rows have ``int`` coefficients and each rhs is summed in integers as
 const * 2**48 + sum(c * k), so the grid is those rows over the one
-denominator 2**48.  Any other polytope derives its grid on first use.
+denominator 2**48, and the rational rows are derived from it on first
+read.  Any other polytope derives its grid on first use.
 Integers, not ``Fraction``s (whose every operation runs a ``gcd`` on
 2**-48-scale denominators), carry every decision: ``vertices2`` clips the
 quadrant x, y >= 0 itself by each grid row, its two directions written as
@@ -81,6 +82,15 @@ class HPoly:
         den = math.lcm(*((k * b).denominator for _, k, b in rows))
         return den, tuple((tuple(a), k, int(k * b * den)) for a, k, b in rows)
 
+    def __getattr__(self, name):
+        # called only for an attribute not found: the rows of a polytope
+        # ``bind`` made, each (a, 1, n) of its grid read as (a, n / den)
+        if name != "rows" or "grid" not in self.__dict__:
+            raise AttributeError(f"'HPoly' object has no attribute {name!r}")
+        den, grid = self.grid
+        rows = self.__dict__["rows"] = tuple((a, F(n, den)) for a, _, n in grid)
+        return rows
+
     def contains_point(self, point, eps=F(0)) -> bool:
         if len(point) != len(self.dims):
             raise ValueError(f"point has {len(point)} coordinates, "
@@ -103,10 +113,11 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
     ``snap_terms``, each term symbol to the integer k of k * 2**-48.
 
     Each rhs is summed in integers as const * 2**48 + sum(c * k), with no
-    lcm or gcd, and the grid is filled in the same loop.  A row with a
+    lcm or gcd, into the grid; the rational rows, which the numeric path
+    never reads, are derived from it on first read.  A row with a
     coefficient that is not an ``int`` (no ``LinearSystem.of`` row has
     one), or a term value that is not, raises a ValueError."""
-    rows, grid = [], []
+    grid = []
     for i, (lhs, ineq) in enumerate(zip(system.dense_lhs, system.inequalities)):
         n = ineq.rhs.const * SNAP_DEN
         try:
@@ -117,10 +128,10 @@ def bind(system: LinearSystem, binding: dict) -> HPoly:
         if type(n) is not int or type(sum(lhs)) is not int:
             raise ValueError(f"row {i} has a coefficient or term value that is not "
                              "an int; bind takes the integers snap_terms gives")
-        rows.append((lhs, F(n, SNAP_DEN)))
         grid.append((lhs, 1, n))
-    poly = HPoly(tuple(system.rate_vars), tuple(rows))
-    poly.__dict__["grid"] = SNAP_DEN, tuple(grid)  # what the cached_property holds
+    poly = object.__new__(HPoly)
+    # the fields but rows, and what the grid's cached_property holds
+    poly.__dict__.update(dims=tuple(system.rate_vars), grid=(SNAP_DEN, tuple(grid)))
     return poly
 
 

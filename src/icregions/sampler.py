@@ -3,8 +3,10 @@
 Random conditional rows are independent uniform(0,1) draws normalized to
 sum 1.  Draw order is fixed: each stored table in ``FACTORS`` order
 (``dist.stored_factors``), each row-major; ``_perturb`` mixes the channel
-first.  So a seed fully determines the spec.  Per-sample generators are
-seeded with the pair (seed, index).
+first.  So a seed fully determines the spec.  ``sample_spec`` makes one
+draw for all the tables and splits it in that order, the stream that one
+draw per table gives.  Per-sample generators are seeded with the pair
+(seed, index).
 """
 
 from __future__ import annotations
@@ -35,14 +37,18 @@ def binary_alphabets(**overrides) -> AlphabetSpec:
 
 
 def sample_spec(alphabets: AlphabetSpec, form: Form, seed) -> FactorSpec:
-    """Draw a random FactorSpec of the given form, deterministically."""
+    """Draw a random FactorSpec of the given form, deterministically: one
+    uniform draw for all stored tables, split in ``stored_factors`` order,
+    and each table's rows normalised to sum 1."""
     alphabets.check_joint_size()
-    rng = np.random.default_rng(seed)
-    tables = []
-    for _, _, given, of in stored_factors(form):
-        rows = tuple(alphabets.size(v) for v in given)
-        cells = tuple(alphabets.size(v) for v in of)
-        tables.append(_rows(rng, rows + (math.prod(cells),)).reshape(rows + cells))
+    shapes = [(tuple(map(alphabets.size, given)), tuple(map(alphabets.size, of)))
+              for _, _, given, of in stored_factors(form)]
+    draws = np.random.default_rng(seed).random(sum(math.prod(r + c) for r, c in shapes))
+    tables, start = [], 0
+    for rows, cells in shapes:
+        t = draws[start:start + math.prod(rows + cells)].reshape(rows + (math.prod(cells),))
+        start += t.size
+        tables.append((t / t.sum(axis=-1, keepdims=True)).reshape(rows + cells))
     return from_stored(form, alphabets, tables)
 
 

@@ -18,7 +18,8 @@ written (Chong, Motani, Garg and El Gamal, IEEE Trans. IT 54(7), 2008).
 
 from __future__ import annotations
 
-from .dist import JointDist, Var, cond_mutual_info
+from .dist import (JointDist, Var, cond_mutual_info, entropies, entropy_keys,
+                   mutual_info)
 
 # The seven shapes above as (B, C) of I(Y_i; B | C Q), spelled in u = U_i,
 # w = W_i and v = W_j.
@@ -62,14 +63,17 @@ def eval_terms(joint: JointDist, symbols=ALL_SYMBOLS) -> dict[str, float]:
     the full joint, in ``ALL_SYMBOLS`` order.
 
     Only the base terms the symbols read are evaluated (a composite reads
-    its base and rho); their marginals share the partial sums that the
-    joint keeps (``dist.marginal_tensor``).
+    its base and rho), each from the four entropies of its ``TERMS`` entry,
+    read at call time.  ``dist.entropies`` makes the entropies of every
+    term in one pass over their marginals, which share the partial sums
+    that the joint keeps (``dist.marginal_tensor``).
     """
     symbols = set(symbols)
     if unknown := symbols.difference(_READ_BY, COMPOSITE_EXPANSION):
         raise ValueError(f"unknown term symbols: {sorted(unknown)}")
-    t = {sym: cond_mutual_info(joint, *abc) for sym, abc in TERMS.items()
-         if not symbols.isdisjoint(_READ_BY[sym])}
+    bases = [sym for sym in TERMS if not symbols.isdisjoint(_READ_BY[sym])]
+    h = entropies(joint, [key for sym in bases for key in entropy_keys(*TERMS[sym])])
+    t = {sym: mutual_info(*h[4 * i:4 * i + 4]) for i, sym in enumerate(bases)}
     for comp, (base, rho) in COMPOSITE_EXPANSION.items():
         if comp in symbols:
             t[comp] = t[base] + t[rho]

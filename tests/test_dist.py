@@ -230,6 +230,27 @@ class TestJointValidation:
             JointDist(joint.alphabets, 2 * joint.tensor)
 
 
+def _put(table, index, value):
+    table.flat[index] = value
+    return table
+
+
+def _per_table_fault(alphabets, tables):
+    """The SpecError message of the first table that ``dist._check_rows``
+    refuses, checking the tables one by one in ``FACTORS`` order."""
+    n = alphabets.size
+    for name, given, of in FACTORS:
+        table = tables[name]
+        if len(of) > 1:
+            table = table.reshape(table.shape[:len(given)] + (-1,))
+        try:
+            dist._check_rows(name, table, tuple(map(n, given))
+                             + (math.prod(map(n, of)),))
+        except SpecError as exc:
+            return str(exc)
+    return None
+
+
 class TestSpecValidation:
     def test_bad_row_sum_reports_factor(self):
         spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 3])
@@ -282,6 +303,37 @@ class TestSpecValidation:
         expected = None if fault is None else f"factor t: {fault}"
         assert verdict(dist._row_fault) == expected
         assert verdict(dist._check_rows, table.shape) == expected
+
+    # each fault written into a copy of one table
+    FAULTS = {
+        "shape": lambda t: np.concatenate([t, t[..., :1]], axis=-1),
+        "nan": lambda t: _put(t, 0, np.nan),
+        "+inf": lambda t: _put(t, -1, np.inf),
+        "negative": lambda t: _put(t, 1, -0.25),
+        "above-one": lambda t: _put(t, 0, 1.5),
+        "sum-off-2e-12": lambda t: _put(t, 0, t.flat[0] + 2e-12),
+    }
+
+    @pytest.mark.parametrize("sizes", [{}, {"Q": 3, "U1": 3, "W2": 3, "X1": 1, "Y2": 3}],
+                             ids=["binary", "mixed"])
+    @pytest.mark.parametrize("fault", FAULTS)
+    @pytest.mark.parametrize("position", range(len(FACTORS)),
+                             ids=[name for name, _, _ in FACTORS])
+    def test_joined_check_raises_what_the_per_table_loop_raises(self, sizes, fault,
+                                                                position):
+        """One table at fault, and a NaN in the channel as well when it is
+        not that table: the spec names the fault the loop over the tables
+        meets first."""
+        spec = sample_spec(binary_alphabets(**sizes), Form.HOD16, [11, 30])
+        tables = {name: np.array(getattr(spec, name)) for name, _, _ in FACTORS}
+        name = FACTORS[position][0]
+        tables[name] = self.FAULTS[fault](tables[name])
+        if name != "channel":
+            tables["channel"][0, 0, 1, 1] = np.nan
+        with pytest.raises(SpecError) as exc:
+            FactorSpec(Form.HOD16, spec.alphabets, **tables)
+        assert str(exc.value) == _per_table_fault(spec.alphabets, tables)
+        assert str(exc.value).startswith(f"factor {name}: ")
 
     def test_shape_mismatch(self):
         spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 5])
@@ -696,6 +748,61 @@ class TestEntropyMemo:
             joint.tensor[(0,) * 9] = 0.5
         with pytest.raises(ValueError):
             joint.tensor *= 1.0
+
+
+# The alphabets of the batched-entropy tests: binary, wide, one Q symbol
+# with ternary outputs, and size-1 axes among size-3 ones.
+TERM_SHAPES = {
+    "binary": {},
+    "wide": WIDE,
+    "q-one-y-three": {"Q": 1, "Y1": 3, "Y2": 3},
+    "ones-among-threes": ONES_AMONG_THREES,
+}
+
+
+def _alphabets_for(form, sizes):
+    """The alphabets of ``sizes``, with |U_i| = |X_i| for CMG9."""
+    alph = binary_alphabets(**sizes)
+    if form is Form.CMG9:
+        alph = binary_alphabets(**{**sizes, "U1": alph.size(Var.X1),
+                                   "U2": alph.size(Var.X2)})
+    return alph
+
+
+def _hex(values: dict) -> dict:
+    return {key: value.hex() for key, value in values.items()}
+
+
+class TestBatchedEntropies:
+    @pytest.mark.parametrize("sizes", TERM_SHAPES.values(), ids=TERM_SHAPES)
+    @pytest.mark.parametrize("form", list(Form), ids=lambda f: f.value)
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_terms_have_the_bits_of_four_unmemoised_entropies(self, sizes, form, seed):
+        """On a fresh joint every entropy the terms read is made in one pass
+        (``dist.entropies``); each term, of all 22 or of a subset, has the
+        bits of its four one-reduction entropies combined in order."""
+        spec = sample_spec(_alphabets_for(form, sizes), form, [seed, 0])
+        ref = _hex(_four_entropy_terms(build_joint(spec)))
+        assert _hex(eval_terms(build_joint(spec))) == ref
+        subset = ("a1", "C2", "rho1")
+        assert _hex(eval_terms(build_joint(spec), subset)) == {s: ref[s] for s in subset}
+
+    @pytest.mark.parametrize("sizes", MARGINAL_EDGES.values(), ids=MARGINAL_EDGES)
+    @pytest.mark.parametrize("form", [Form.HOD16, Form.CMG9], ids=lambda f: f.value)
+    def test_every_entropy_has_the_bits_of_one_reduction(self, sizes, form, marginals):
+        """All 511 entropies in one pass, and again from the memo, each with
+        the bits of its own unmemoised sum; CMG9 joints have zero cells,
+        which the pass leaves out of each slice."""
+        joint = build_joint(sample_spec(_alphabets_for(form, sizes), form, [11, 27]))
+        keys = [frozenset(keep) for r in range(1, 10)
+                for keep in itertools.combinations(VARS, r)]
+        ref = [_unmemoised_entropy(joint, keep).hex() for keep in keys]
+        assert [h.hex() for h in dist.entropies(joint, [frozenset(), *keys])] == \
+            [(0.0).hex(), *ref]
+        assert [h.hex() for h in dist.entropies(joint, keys[::-1])] == ref[::-1]
+        assert sorted(marginals, key=keys.index) == keys  # each made once
+        assert joint.tensor.all() == (form is not Form.CMG9)
 
 
 class TestIndependenceProjection:

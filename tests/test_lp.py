@@ -1,6 +1,8 @@
+import types
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -215,6 +217,36 @@ class TestPivotBudget:
         assert [shape for shape, _ in log] == [(5, 13), (8, 12)] * 6
         assert sum(n for shape, n in log if shape == (5, 13)) == 11
         assert sum(n for shape, n in log if shape == (8, 12)) == 0
+
+    def test_containment_tableaus_are_built_once(self, monkeypatch):
+        """Each tableau array of cmg-subset-hod's 6 containments that reach
+        the LP is built once, in the type the tableau keeps: the dual one
+        as Python ints, since its budget row holds 2**-48-grid integers
+        beyond int64, and the inner one in int64.  Building the dual one
+        in int64 first overflowed, so it was built again, and the tableau
+        copied it a third time."""
+        built, kept = [], []
+        init = lp._Tableau.__init__
+
+        def counted(make):
+            def made(*args, **kwargs):
+                built.append(make(*args, **kwargs))
+                return built[-1]
+            return made
+
+        def logged_init(self, rows, basis):
+            init(self, rows, basis)
+            kept.append(self.A)
+
+        monkeypatch.setattr(lp, "np", types.SimpleNamespace(**{
+            **vars(np), **{name: counted(getattr(np, name))
+                           for name in ("array", "zeros")}}))
+        monkeypatch.setattr(lp._Tableau, "__init__", logged_init)
+        assert run_claim("cmg-subset-hod", 50, 7).failed == 6
+        tables = [a for a in built if a.ndim == 2]  # not the right-hand sides
+        assert [(a.shape, a.dtype) for a in tables] == \
+            [((5, 13), object), ((8, 12), np.int64)] * 6
+        assert len(kept) == 12 and all(a is t for a, t in zip(kept, tables))
 
     def test_origin_optimal_needs_no_pivot(self, pivots):
         # b >= 0 makes x = 0 feasible and c <= 0 makes y = 0 dual feasible,

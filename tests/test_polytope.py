@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from icregions import claims, polytope, sampler
+from icregions import claims, cli, polytope, regions, sampler
 from icregions.claims import run_claim
 from icregions.dist import Form, build_joint
 from icregions.linsys import (QUADRUPLE_SYSTEMS, Inequality, LinearSystem,
@@ -159,6 +159,36 @@ class TestBind:
         with pytest.raises(ValueError) as exc:
             bind(self.ODD, {"a1": 1})
         assert str(exc.value) == "binding is missing term symbol 'g2'"
+
+    def test_verify_binds_without_a_fraction(self, monkeypatch, tmp_path):
+        """The numeric path reads only the grid, so ``bind`` makes no
+        ``Fraction``: a ``verify --claim all`` run binds its 20 polytopes
+        without one, and the rows of a bound polytope, derived on first
+        read, are the rows ``bind`` used to build."""
+        made, bound = [], []
+        new, real = Fraction.__new__, polytope.bind
+
+        def counting_new(cls, *args, **kwargs):
+            made.append(None)
+            return new(cls, *args, **kwargs)
+
+        def counting_bind(system, binding):
+            bound.append(None)
+            before = len(made)
+            poly = real(system, binding)
+            assert len(made) == before, "bind made a Fraction"
+            assert "rows" not in vars(poly)
+            return poly
+
+        monkeypatch.setattr(Fraction, "__new__", counting_new)
+        for module in (polytope, claims, regions, cli):
+            monkeypatch.setattr(module, "bind", counting_bind)
+        assert cli.main(["verify", "--claim", "all", "--samples", "2", "--seed", "7",
+                         "--out", str(tmp_path / "r.json")]) in (0, 1)
+        assert len(bound) == 20
+        poly = real(build_system("HOD_R"), hk2_binding(3))
+        assert poly.rows == tuple((lhs, F(n, SNAP_DEN)) for lhs, _, n in poly.grid[1])
+        assert vars(poly)["rows"] is poly.rows
 
     def test_feasibility_matches_direct_evaluation(self):
         binding = hk2_binding(0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from icregions import polytope
-from icregions.dist import FactorSpec, Form, spec_to_json
+from icregions.dist import FACTORS, FactorSpec, Form, spec_to_json
 from icregions.polytope import area2
 from icregions.sampler import (SearchConfig, binary_alphabets, cmg_as_hod,
                                hod_vs_projected_hk, improvement_search,
@@ -64,7 +64,8 @@ class TestSampleSpec:
 
 # U_i and X_i share sizes so that CMG9 specs exist on these alphabets too.
 MIXED = dict(Q=3, U1=3, W1=2, U2=2, W2=3, X1=3, X2=2, Y1=2, Y2=3)
-ALPHABETS = {"binary": {}, "mixed": MIXED}
+WIDE = dict(Q=2, **{f"{v}{i}": 4 for v in "UWXY" for i in (1, 2)})
+ALPHABETS = {"binary": {}, "mixed": MIXED, "wide": WIDE}
 
 
 def _digest(spec) -> str:
@@ -100,6 +101,36 @@ class TestDrawOrder:
     def test_sample_spec_digest(self, alphabets, form, digest):
         alph = binary_alphabets(**ALPHABETS[alphabets])
         assert _digest(sample_spec(alph, form, [91, 0])) == digest
+
+    # SHA-256 of the bytes of all eight tables of the specs drawn for
+    # [93, 0] to [93, 9], made by the sampler that drew each stored table
+    # with a call of its own; one draw for all tables must give the same
+    # stream and the same normalised bits.
+    TABLE_DIGESTS = {
+        ("binary", Form.GENERAL1): "8df4d6849a244f6ea474adc72107bb7e9cc17eb413ca3d9044d04199ff5a64e3",
+        ("binary", Form.HK2): "b2772a2042ea9ba0fd4ae8d9f138c369ad3b1bc7a1acf3c30a3eed0e98305c45",
+        ("binary", Form.CMG9): "e72769bccfb54a992d52502553b82e744edde328d454d3b99b4622384844a1fe",
+        ("binary", Form.HOD16): "8df4d6849a244f6ea474adc72107bb7e9cc17eb413ca3d9044d04199ff5a64e3",
+        ("mixed", Form.GENERAL1): "1f767ec45c4411a122601e616ca1416ee290cd0deadde0c80ed3a478971aca97",
+        ("mixed", Form.HK2): "0cac9d028ba4690d5e106f25ed61356275adaede49e6fe0fbe62a51dff7fef31",
+        ("mixed", Form.CMG9): "ced0c64aa88dcc8ee57214ceba216b451e6a2043aba351685b9c6e6b8a4aca24",
+        ("mixed", Form.HOD16): "1f767ec45c4411a122601e616ca1416ee290cd0deadde0c80ed3a478971aca97",
+        ("wide", Form.GENERAL1): "df3176673ef2370bb9e947d4b914a3dc7a5fea0c3fa03480c6bb4f508b645605",
+        ("wide", Form.HK2): "9e9564a65bd0cd1d235feae8327ed9ed257ebbf231a246227c186c96e4983fad",
+        ("wide", Form.CMG9): "8d1c3ff0bc15cf4765cc3076ef1fdad46ebc229219019f6c39aa502e8a776e19",
+        ("wide", Form.HOD16): "df3176673ef2370bb9e947d4b914a3dc7a5fea0c3fa03480c6bb4f508b645605",
+    }
+
+    @pytest.mark.parametrize("alphabets,form", TABLE_DIGESTS,
+                             ids=[f"{a}-{f.value}" for a, f in TABLE_DIGESTS])
+    def test_table_bytes_digest(self, alphabets, form):
+        alph = binary_alphabets(**ALPHABETS[alphabets])
+        digest = hashlib.sha256()
+        for i in range(10):
+            spec = sample_spec(alph, form, [93, i])
+            for name, _, _ in FACTORS:
+                digest.update(getattr(spec, name).tobytes())
+        assert digest.hexdigest() == self.TABLE_DIGESTS[alphabets, form]
 
     def test_perturb_digest(self):
         spec = sample_spec(binary_alphabets(**MIXED), Form.HOD16, [91, 0])
