@@ -28,8 +28,9 @@ JOINT_TOL = 1e-10
 MAX_JOINT_ENTRIES = 10**8
 
 
-class Var(enum.Enum):
-    """The nine variables, in canonical tensor-axis order."""
+class Var(enum.IntEnum):
+    """The nine variables, each its tensor axis in canonical order; as
+    ints they hash at C level."""
 
     Q = 0
     U1 = 1
@@ -281,7 +282,7 @@ class JointDist:
 # einsum subscripts of the factor product, one letter per variable in VARS
 # order: "q,qw,qwu,qv,qvm,quwx,qmvz,xzab->quwmvxzab".
 _AXES = "quwmvxzab"
-_JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v.value] for v in given + of)
+_JOINT_SUBSCRIPTS = ",".join("".join(_AXES[v] for v in given + of)
                              for _, given, of in FACTORS) + "->" + _AXES
 # The one contraction that np.einsum(_JOINT_SUBSCRIPTS, ..., optimize=True)
 # makes: every index is in the output, so its path search keeps all eight
@@ -305,7 +306,7 @@ def _factor_views(shape: tuple[int, ...]):
     canonical order and the shape broadcasts it over the joint."""
     views = []
     for _, given, of in _STEP_FACTORS[3:]:
-        axes = [v.value for v in given + of]
+        axes = given + of
         views.append((tuple(sorted(range(len(axes)), key=axes.__getitem__)),
                       tuple(n if a in axes else 1 for a, n in enumerate(shape))))
     return tuple(views)
@@ -377,21 +378,18 @@ def _marginal_plan(keep: frozenset, shape: tuple[int, ...]):
     trailing block summed first, or () when the tensor is reduced once, and
     whether to reduce from the Q-inner copy.  Made once per keep set and
     shape, so at most 511 per shape."""
-    keep = {v.value for v in keep}
     drop = tuple(a for a in range(len(shape)) if a not in keep)
     start = len(shape)
     while start and (start - 1 not in keep or shape[start - 1] == 1):
         start -= 1
     tail = tuple(a for a in drop if a >= start)
-    q = Var.Q.value
-    q_inner = q in keep and shape[q] > 1 and tail in ((), (len(shape) - 1,))
+    q_inner = Var.Q in keep and shape[Var.Q] > 1 and tail in ((), (len(shape) - 1,))
     return drop, () if tail == drop else tail, q_inner
 
 
 # The axes of the Q-inner copy in memory order, Q just before the last
 # one, and the transpose that views it back in canonical order.
-_Q_INNER_AXES = (*(v.value for v in VARS[:-1] if v is not Var.Q), Var.Q.value,
-                 VARS[-1].value)
+_Q_INNER_AXES = (*(v for v in VARS[:-1] if v is not Var.Q), Var.Q, VARS[-1])
 _CANONICAL_AXES = tuple(_Q_INNER_AXES.index(a) for a in range(len(VARS)))
 
 

@@ -22,11 +22,12 @@ outer's grid rows as an integer and first proves what rows it can from a
 single inner row by weak LP duality (``one_row_bound``, whose integer
 (j, t) is the one-multiplier containment certificate); it tests each
 point of inner's ring, vertex or direction, against the rows left, so a
-2-D verdict solves no LP, and in 4-D asks the exact LP, in integers,
-for each row left's dual multipliers.  Only the vertices returned are
-``Fraction``s.  The
-numeric projection runs the Fourier-Motzkin step, S->R substitution and
-canonicaliser of ``linsys`` on rows whose right-hand sides are constants.
+2-D verdict solves no LP, and in 4-D asks one exact LP tableau, in
+integers, for each row left's dual multipliers and, for a row with none,
+for a Farkas certificate of inner's emptiness.  Only the vertices
+returned are ``Fraction``s.  The numeric projection runs the
+Fourier-Motzkin step, S->R substitution and canonicaliser of ``linsys``
+on rows whose right-hand sides are constants.
 """
 
 from __future__ import annotations
@@ -223,17 +224,12 @@ def one_row_bound(a, c, m, inner_grid):
     Weak LP duality with y = t*e_j: if inner's grid row j, a'.x <= n' / den',
     and some t >= 0 have t*a' >= a componentwise, then every x >= 0 of
     inner has a.x <= t*a'.x <= t*n' / den', which proves the row when
-    t*n' / den' <= c / m.  The t allowed by a' form an interval: each
-    a'_i > 0 gives t >= a_i / a'_i, each a'_i < 0 gives t <= a_i / a'_i,
-    and each a'_i = 0 needs a_i <= 0.  The t in it that minimises t*n' is
-    its low end when n' >= 0 and its high end when n' < 0; a row with
-    n' < 0 and no a'_i < 0 proves inner empty, and its t is the least t in
-    the interval that meets c / m.  When a <= 0 and c >= 0, x >= 0 alone
-    proves the row, with j None and t = 0.  Every comparison is
-    cross-multiplied in integers; the certificate is (j, t_n, t_d), the
-    integers of t = t_n / t_d with t_d > 0, and rows are tried in order."""
-    if c >= 0 and max(a, default=0) <= 0:
-        return None, 0, 1
+    t*n' / den' <= c / m.  Each a'_i > 0 gives t >= a_i / a'_i, each
+    a'_i < 0 gives t <= a_i / a'_i, and each a'_i = 0 needs a_i <= 0; the
+    least such t >= 0 is tried, which is the best one when n' >= 0, as on
+    every bound polytope.  Rows are tried in order, every comparison is
+    cross-multiplied in integers, and the certificate is (j, t_n, t_d), the
+    integers of t = t_n / t_d with t_d > 0."""
     den, rows = inner_grid
     for j, (aj, _, n) in enumerate(rows):
         lo, lo_d, hi, hi_d = 0, 1, None, 1  # t in [lo / lo_d, hi / hi_d]
@@ -247,16 +243,8 @@ def one_row_bound(a, c, m, inner_grid):
             elif ai > 0:
                 break
         else:
-            if hi is not None and lo * hi_d > hi * lo_d:
-                continue
-            if n < 0 and hi is not None:
-                t, t_d = hi, hi_d
-            elif n < 0 and -c * den * lo_d > lo * -m * n:  # t*n' / den' = c / m
-                t, t_d = -c * den, -m * n
-            else:
-                t, t_d = lo, lo_d
-            if t * n * m <= c * den * t_d:
-                return j, t, t_d
+            if (hi is None or lo * hi_d <= hi * lo_d) and lo * n * m <= c * den * lo_d:
+                return j, lo, lo_d
     return None
 
 
@@ -265,11 +253,10 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
 
     Both read the grids.  Each outer grid row a.x <= n / den, raised by
     k * eps = k * en / ed, is a.x <= c / m over m = lcm(den, ed), so eps on
-    the 2**-48 grid keeps m = den.  A row that ``one_row_bound`` proves
-    from a single inner row, or from x >= 0 alone, is decided; only the
-    rows left go on, in their order, and when none is left no ring and no
-    tableau is built.  In 2-D, inner's ring (the clip that
-    ``vertices2`` reads) spans the cone of inner homogenised,
+    the 2**-48 grid keeps m = den.  A row that ``one_row_bound`` proves is
+    decided; only the rows left go on, in their order, and when none is
+    left no ring and no tableau is built.  In 2-D, inner's ring (the clip
+    that ``vertices2`` reads) spans the cone of inner homogenised,
     {(X, Y, W) >= 0 : lhs.(X, Y) <= rhs*W for each inner row}.  A ring
     with no W > 0 point is an empty inner, inside anything.  Otherwise its
     W > 0 points hold inner's vertices and its W = 0 points the directions
@@ -281,16 +268,15 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
 
     In any other dimension each row left is a question of LP duality.  A
     row a.x <= c / m holds on a nonempty inner {x >= 0 : A'x <= n' / den'}
-    iff some y >= 0 has yA' >= a and y.n' / den' <= c / m: weak duality
-    gives the if, and strong duality the only if (an unbounded max has no
-    such y).  That is the set {y >= 0 : -A'^T y <= -a, m*n'.y <= c*den'},
-    one column per inner grid row, whose matrix is the same for every row
-    left, so one ``lp.Feasibility`` tableau decides them all in turn, each
-    from the basis the previous one left, with the integer right-hand side
-    (-a, c*den').  ``one_row_bound``'s certificate is the one-sparse case
-    of its y.  A row with no y fails unless inner is empty, which one more
-    ``Feasibility`` on inner's own grid rows decides.  The first row that
-    fails ends the test without deciding the rest."""
+    iff some y >= 0 has yA' >= a and y.n' / den' <= c / m (weak duality
+    gives the if, strong duality the only if).  That is the set
+    {y >= 0 : -A'^T y <= -a, m*n'.y <= c*den'}, one column per inner grid
+    row, whose matrix is the same for every row left, so one
+    ``lp.Feasibility`` tableau decides them all in turn, each from the
+    basis the previous one left.  The first row with no y ends the test:
+    it fails unless inner is empty, which by Farkas' lemma holds iff some
+    y >= 0 has yA' >= 0 and n'.y < 0, the right-hand side (0, -1) on the
+    same tableau."""
     if outer.dims != inner.dims:
         raise ValueError("polytopes are over different rate variables or orders")
     den, rows = outer.grid
@@ -309,14 +295,12 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
         return not any(w for _, _, w in ring) or all(
             m * (a * x + b * y) <= c * w for x, y, w in ring for (a, b), c in left)
     den, inner_rows = grid
-    A_in, b_in = [a for a, _, _ in inner_rows], [n for _, _, n in inner_rows]
     # a column per inner row: -A'^T y <= -a, m*n'.y <= c*den'
-    dual = Feasibility([*([-a[i] for a in A_in] for i in range(len(outer.dims))),
-                        [m * n for n in b_in]])
+    dual = Feasibility([*([-a[i] for a, _, _ in inner_rows] for i in range(len(outer.dims))),
+                        [m * n for _, _, n in inner_rows]])
     for a, c in left:
         if dual.point([*(-v for v in a), c * den]) is None:
-            # no y: the row fails unless inner is empty
-            return Feasibility(A_in).point(b_in) is None
+            return dual.point([0] * len(a) + [-1]) is not None
     return True
 
 

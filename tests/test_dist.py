@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import functools
 import inspect
 import itertools
@@ -60,6 +61,26 @@ def uniform_hk2():
                     np.full((2, 2), 0.5), np.full((2, 2), 0.5),
                     np.full((2, 2, 2, 2), 0.5), np.full((2, 2, 2, 2), 0.5),
                     np.full((2, 2, 2, 2), 0.25))
+
+
+def test_var_hashes_at_c_level():
+    """``Var`` is an ``IntEnum``: its members are their axis ints, so the
+    sampling path, which hashes them in every alphabet and size lookup,
+    makes no Python-level ``Enum.__hash__`` call on one while drawing,
+    multiplying out and evaluating a fresh sample of each form."""
+    hash_code, hashed = enum.Enum.__hash__.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is hash_code:
+            hashed.append(frame.f_locals["self"])
+
+    sys.setprofile(profile)
+    try:
+        for i, form in enumerate((Form.HK2, Form.CMG9, Form.HOD16)):
+            eval_terms(build_joint(sample_spec(binary_alphabets(), form, [91, i])))
+    finally:
+        sys.setprofile(None)
+    assert not [v for v in hashed if isinstance(v, Var)]
 
 
 class TestBuildJoint:

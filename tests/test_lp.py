@@ -194,8 +194,9 @@ class TestPivotBudget:
         containment, 5 rows (a row per rate variable and the budget row)
         over a column per CMG_Q row and 5 slacks, and decides one row, the
         first that no single CMG_Q row proves, which has no multipliers;
-        the 6 take 11 pivots in all.  Each then builds a tableau over
-        CMG_Q's own 8 rows, which finds CMG_Q nonempty with no pivot.
+        the same tableau then finds no Farkas certificate of CMG_Q's
+        emptiness, and the 6 take 11 pivots in all.  Asking that on one
+        more tableau, over CMG_Q's own 8 rows, built 12 tableaus.
         Maximizing the first row left by Bland's rule took 6 pivots;
         maximizing all 14 rows on one warm tableau per sample built 50
         tableaus and took 640 pivots, and a fresh tableau for every outer
@@ -214,17 +215,15 @@ class TestPivotBudget:
         monkeypatch.setattr(lp._Tableau, "__init__", logged_init)
         monkeypatch.setattr(lp._Tableau, "pivot", logged_pivot)
         assert run_claim("cmg-subset-hod", 50, 7).failed == 6
-        assert [shape for shape, _ in log] == [(5, 13), (8, 12)] * 6
-        assert sum(n for shape, n in log if shape == (5, 13)) == 11
-        assert sum(n for shape, n in log if shape == (8, 12)) == 0
+        assert [shape for shape, _ in log] == [(5, 13)] * 6
+        assert sum(n for _, n in log) == 11
 
     def test_containment_tableaus_are_built_once(self, monkeypatch):
-        """Each tableau array of cmg-subset-hod's 6 containments that reach
-        the LP is built once, in the type the tableau keeps: the dual one
-        as Python ints, since its budget row holds 2**-48-grid integers
-        beyond int64, and the inner one in int64.  Building the dual one
-        in int64 first overflowed, so it was built again, and the tableau
-        copied it a third time."""
+        """The dual tableau array of each of cmg-subset-hod's 6 containments
+        that reach the LP is built once, in the type the tableau keeps:
+        Python ints, since its budget row holds 2**-48-grid integers beyond
+        int64.  Building it in int64 first overflowed, so it was built
+        again, and the tableau copied it a third time."""
         built, kept = [], []
         init = lp._Tableau.__init__
 
@@ -244,9 +243,8 @@ class TestPivotBudget:
         monkeypatch.setattr(lp._Tableau, "__init__", logged_init)
         assert run_claim("cmg-subset-hod", 50, 7).failed == 6
         tables = [a for a in built if a.ndim == 2]  # not the right-hand sides
-        assert [(a.shape, a.dtype) for a in tables] == \
-            [((5, 13), object), ((8, 12), np.int64)] * 6
-        assert len(kept) == 12 and all(a is t for a, t in zip(kept, tables))
+        assert [(a.shape, a.dtype) for a in tables] == [((5, 13), object)] * 6
+        assert len(kept) == 6 and all(a is t for a, t in zip(kept, tables))
 
     def test_origin_optimal_needs_no_pivot(self, pivots):
         # b >= 0 makes x = 0 feasible and c <= 0 makes y = 0 dual feasible,
@@ -267,8 +265,8 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
     decide their pruning LPs, and ``contains`` its 4-D rows, on
     ``Feasibility`` directly, so neither reaches ``_as_ub``.  Six samples
     at seed 7 include index 5, whose cmg-subset-hod containment is the
-    first that one-row bounds leave to the LP: it builds its dual tableau
-    and a tableau over the inner rows."""
+    first that one-row bounds leave to the LP: it builds its one dual
+    tableau."""
     def refused(*args):
         raise AssertionError("_as_ub called")
 
@@ -285,7 +283,7 @@ def test_package_lps_have_no_equality_rows(monkeypatch, lp_calls):
             derive_region(s, a)
     assert lp_calls[0] and not built
     run_all(6, 7)
-    assert len(built) == 2
+    assert len(built) == 1
 
 
 def _dot(a, x):
@@ -586,11 +584,11 @@ class TestReferenceTableau:
 
     def test_containments(self):
         """cmg-subset-hod's containments at seed 7 that reach the LP, the 6
-        that fail: each dual tableau's one row and the tableau over the
-        inner rows."""
+        that fail: on each dual tableau, its one row and then the Farkas
+        question of inner's emptiness."""
         with _recorded_points() as calls:
             run_claim("cmg-subset-hod", 50, 7)
-        assert _replay(calls) == len(calls) == 12
+        assert _replay(calls) == 6 and len(calls) == 12
 
     @settings(max_examples=100, deadline=None)
     @given(mixed_lps())

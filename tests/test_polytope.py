@@ -444,6 +444,13 @@ def quad(*rows):
     return HPoly(QUAD_DIMS, tuple((tuple(map(F, row[:4])), F(row[4])) for row in rows))
 
 
+# (outer, inner): S1 + T1 <= 3 holds by (S1 <= 1) + (T1 <= 2) only, which
+# takes pivots on the dual tableau; S2 <= 0 has no multipliers, and only the
+# pair S1 <= 1, S1 >= 2 shows inner empty
+WARM_EMPTY = (quad((1, 1, 0, 0, 3), (0, 0, 1, 0, 0)),
+              quad((1, 0, 0, 0, 1), (0, 1, 0, 0, 2), (-1, 0, 0, 0, -2)))
+
+
 @functools.cache
 def hod16_binding(index):
     spec = sample_spec(binary_alphabets(), Form.HOD16, [43, index])
@@ -609,10 +616,14 @@ class TestContains:
     @example(quad((0, 1, 0, 0, 3)), QUAD_SLAB, THIRD)
     @example(quad((1, 0, 0, 0, 2)), quad((1, -1, 0, 0, 1), (0, 1, 0, 0, 1)), F(0))
     @example(quad((1, 0, 0, 0, 1)), quad((1, -1, 0, 0, 1), (0, 1, 0, 0, 1)), DEFAULT_EPS)
-    # no-row inners and a no-row outer
+    # no-row inners, one with rows that hold on it, and a no-row outer
     @example(quad((1, 0, 0, 0, 3)), quad(), F(0))
     @example(quad((-1, 0, 0, 0, -1)), quad(), THIRD)
+    @example(quad((-1, 0, 0, 0, 0), (0, -1, 0, 0, 1)), quad(), F(0))
     @example(quad(), quad((1, 1, 1, 1, -1)), F(0))
+    # an inner empty by two rows, whose first row with no multipliers is
+    # asked after the dual pivoted for the row before it
+    @example(*WARM_EMPTY, F(0))
     def test_4d_dual_feasibility_matches_oracle(self, outer, inner, eps):
         """4-D containment, each row left decided by its dual multipliers
         on one ``Feasibility`` tableau, against the oracle's cold
@@ -626,8 +637,8 @@ class TestContains:
         for the exact LP to scale.  HK_Q's rows over CMG_Q and HOD_Q at eps
         0 and 2**-30 leave rows no single inner row proves, as does the
         `two-rows` case at eps 1/3, an eps off the grid.  Each builds its
-        dual tableau and decides one row on it, and each of the 6 that
-        fail one more tableau over the inner rows."""
+        one dual tableau and decides one row on it, and each of the 6 that
+        fail asks the same tableau once more, for inner's emptiness."""
         calls = []
 
         class Checked(polytope.Feasibility):
@@ -653,8 +664,32 @@ class TestContains:
                       THIRD))
         verdicts = [contains(*pair) for pair in pairs]
         assert verdicts == [contains_lp(*pair) for pair in pairs]
-        assert len(calls) == 7 + verdicts.count(False) == 13
-        assert all(len(asked) == 1 for asked in calls)
+        assert verdicts.count(False) == 6
+        assert [len(asked) for asked in calls] == [1 + (not v) for v in verdicts]
+        assert all(asked[1] == [0] * 4 + [-1] for asked in calls if len(asked) == 2)
+
+    def test_4d_builds_at_most_one_tableau(self, monkeypatch):
+        """A 4-D containment builds at most one ``Feasibility``, its dual
+        tableau: a row with no multipliers asks the same tableau for a
+        Farkas certificate of inner's emptiness.  Golden pairs on four
+        HOD16 specs at eps 0 and 2**-30, and an inner that is empty only
+        by two rows, asked after the dual pivoted."""
+        built = []
+        feasibility = polytope.Feasibility
+        monkeypatch.setattr(polytope, "Feasibility",
+                            lambda A_ub: built.append(A_ub) or feasibility(A_ub))
+        pairs = [(bind(build_system(p), hod16_binding(index)),
+                  bind(build_system(q), hod16_binding(index)), eps)
+                 for index in range(4) for p in ("HK_Q", "CMG_Q", "HOD_Q")
+                 for q in ("HK_Q", "CMG_Q", "HOD_Q") for eps in (F(0), DEFAULT_EPS)]
+        pairs.append((*WARM_EMPTY, F(0)))
+        counts, verdicts = [], []
+        for pair in pairs:
+            built.clear()
+            verdicts.append(contains(*pair))
+            counts.append(len(built))
+        assert max(counts) == 1 and counts[-1] == 1 and verdicts[-1]
+        assert any(n and not v for n, v in zip(counts, verdicts))
 
     def test_quadruple_containment_via_lp(self):
         binding = hk2_binding(10)
@@ -721,15 +756,12 @@ def assert_certified(outer, inner, eps, certs):
     """Multiply each certificate out on the rational rows: (j, t) makes
     y = t * k'_j / k_i, with k the grid's row scales, a nonnegative
     multiplier of inner row j with y * lhs_j >= lhs_i componentwise and
-    y * rhs_j <= rhs_i + eps; (None, 0) needs lhs_i <= 0 and rhs_i + eps >= 0."""
+    y * rhs_j <= rhs_i + eps."""
     for (lhs, rhs), (_, k, _), cert in zip(outer.rows, outer.grid[1], certs):
         if cert is None:
             continue
         j, t = cert
         assert type(t) is F and t >= 0
-        if j is None:
-            assert t == 0 and all(v <= 0 for v in lhs) and rhs + eps >= 0
-            continue
         inner_lhs, inner_rhs = inner.rows[j]
         y = t * inner.grid[1][j][1] / k
         assert all(y * u >= v for u, v in zip(inner_lhs, lhs))
@@ -765,8 +797,9 @@ def signed_pairs(draw):
     return outer, HPoly(dims, tuple(rows))
 
 
-# Triangles and strips whose rows need each branch of the bound; `two-rows`
-# holds by 1 * (R1 - 2 R2 <= 1) + 1 * (R1 <= 4) only.
+# Triangles and strips whose rows the bound proves, or leaves to the ring
+# or the dual tableau; `two-rows` holds by 1 * (R1 - 2 R2 <= 1) + 1 * (R1 <= 4)
+# only.
 CAPPED = HPoly(("R1", "R2"), (((F(1), F(-2)), F(1)), ((F(1), F(0)), F(4)),
                               ((F(0), F(1)), F(4))))
 BELOW = HPoly(("R1", "R2"), (((F(-1), F(1)), F(-1)), ((F(1), F(0)), F(4)),
@@ -785,18 +818,19 @@ BOUND_CASES = [
     # row 2 has no R1 entry; the max over inner is 13/2 (two rows)
     (outer_rows((2, -1, 7)), CAPPED, F(0), [None], True),
     (outer_rows((2, -1, 6)), CAPPED, F(0), [None], False),
-    # n' = -1 < 0: t in [1, 2] and only the high end gives -2 <= -2
-    (outer_rows((-2, 1, -2)), BELOW, F(0), [(0, F(2))], True),
-    (outer_rows((-2, 1, -2)), BELOW, TINY, [(0, F(2))], True),
-    # a <= 0: decided by x >= 0 alone when c >= 0, eps folded in
-    (outer_rows((-1, 0, 0)), NO_ROWS, F(0), [(None, F(0))], True),
+    # n' = -1 < 0: t in [1, 2], and only t = 2 gives -2 <= -2, so the least
+    # t leaves the row
+    (outer_rows((-2, 1, -2)), BELOW, F(0), [None], True),
+    (outer_rows((-2, 1, -2)), BELOW, TINY, [None], True),
+    # a <= 0 over a rowless inner, the quadrant: no row to take a multiplier
+    (outer_rows((-1, 0, 0)), NO_ROWS, F(0), [None], True),
     (outer_rows((-1, 0, -1)), NO_ROWS, F(0), [None], False),
     (HPoly(("R1", "R2"), (((F(-1), F(0)), -DEFAULT_EPS),)), NO_ROWS, DEFAULT_EPS,
-     [(None, F(0))], True),
-    # an empty inner shown by a row with n' < 0 and no negative entry: the
-    # least t >= 1 with -t <= -5
-    (outer_rows((1, 0, -5)), EMPTY, F(0), [(0, F(5))], True),
-    (outer_rows((1, 0, -5)), EMPTY, THIRD, [(0, F(14, 3))], True),
+     [None], True),
+    # an empty inner, shown by a row with n' < 0: the least t, 1, gives
+    # -1 > -5, so inner's emptiness decides the row
+    (outer_rows((1, 0, -5)), EMPTY, F(0), [None], True),
+    (outer_rows((1, 0, -5)), EMPTY, THIRD, [None], True),
 ]
 BOUND_IDS = ["capped-low-end", "two-rows", "two-rows-past", "negative-rhs-high-end",
              "negative-rhs-tiny-eps", "quadrant-only", "quadrant-refused",
@@ -808,6 +842,9 @@ class TestOneRowBound:
     @given(signed_pairs(), st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
     @example((NO_ROWS, EMPTY), F(0))
     @example((HPoly(QUAD_DIMS, ()), QUAD_EMPTY), THIRD)
+    @example(WARM_EMPTY, F(0))
+    @example((quad((-1, 0, 0, 0, 0), (0, 0, 0, -1, 1)), quad()), F(0))
+    @example((outer_rows((-1, 0, 0), (0, -1, 1)), NO_ROWS), F(0))
     def test_matches_lp(self, pair, eps):
         """contains against the oracle's cold LP per outer row, and every
         certificate the bound gives multiplied out."""
@@ -818,8 +855,8 @@ class TestOneRowBound:
     @pytest.mark.parametrize("dims", [("R1", "R2"), QUAD_DIMS], ids=["2d", "4d"])
     @pytest.mark.parametrize("outer,inner,eps,certs,expected", BOUND_CASES, ids=BOUND_IDS)
     def test_hand_built_cases(self, monkeypatch, dims, outer, inner, eps, certs, expected):
-        """Each branch of the bound; a row it leaves undecided, and only
-        such a row, reaches the ring (2-D) or the exact LP (4-D)."""
+        """Rows the bound proves and rows it leaves; a row it leaves, and
+        only such a row, reaches the ring (2-D) or the dual tableau (4-D)."""
         outer, inner = lifted(outer, dims), lifted(inner, dims)
         assert certificates(outer, inner, eps) == certs
         assert_certified(outer, inner, eps, certs)
@@ -830,9 +867,8 @@ class TestOneRowBound:
                             lambda A_ub: reached.append(A_ub) or feasibility(A_ub))
         assert contains(outer, inner, eps) is expected
         assert contains_lp(outer, inner, eps) is expected
-        # one ring, or one dual tableau and, for a row with no multipliers,
-        # one over the inner rows
-        assert len(reached) == (None in certs) * (1 if expected or len(dims) == 2 else 2)
+        # one ring, or one dual tableau, which also decides inner's emptiness
+        assert len(reached) == (None in certs)
 
     def test_golden_certificates_multiply_out(self, monkeypatch):
         """Every certificate for the containments of cmg-subset-hod (50
