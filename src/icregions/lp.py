@@ -1,12 +1,14 @@
 """Exact linear programming by one algorithm: the least-index dual rule
 on a fraction-free integer tableau.
 
-``Feasibility(A_ub).point(b, without)`` decides the set
-{x >= 0 : A_ub x <= b, x_j = 0 for j in without} exactly: it returns a
-point of it, as ``Fraction``s, or None when it is empty, so each answer
-is a proof, not a tolerance judgment.  One tableau serves many
-right-hand sides over the same matrix, each decided from the basis the
-previous one left.  Problem sizes here are tiny (tens of rows).
+``Feasibility(A_ub).decide(b, without)`` decides the set
+{x >= 0 : A_ub x <= b, x_j = 0 for j in without} exactly and in
+integers: it returns the support of a point of it, or, when it is
+empty, a Farkas certificate y, so each answer is a proof, not a
+tolerance judgment.  ``point`` gives the same answer as a point in
+``Fraction``s, or None.  One tableau serves many right-hand sides over
+the same matrix, each decided from the basis the previous one left.
+Problem sizes here are tiny (tens of rows).
 
 The tableau is fraction-free (Bareiss 1968; see also Applegate, Cook,
 Dash and Espinoza, "Exact solutions to linear programming problems",
@@ -24,7 +26,8 @@ and ``|p|`` is the new ``D``.  Scaling a row or a slack column or all
 right-hand sides by a positive number changes the sign of no entry, and
 ties are broken by basis index, so the pivot sequence is the one a
 ``Fraction`` tableau of the unscaled problem takes from the same basis.
-Results are returned as ``Fraction``.
+``point`` and ``solve_lp`` return ``Fraction``s; ``decide`` returns
+integers.
 
 The coefficient rows are one NumPy ``int64`` array, updated in one
 vectorised step per pivot, and every row sits at the one denominator
@@ -55,7 +58,10 @@ of the nonsingular B^-1, so one is nonzero, and a basic slack is 0
 there.  Feasibility is then repaired by the least-index dual rule: the
 negative row whose basic variable has the least index leaves, and the
 allowed column of least index with a negative entry in that row enters;
-when there is none, the row proves the set empty.  With no objective
+when there is none, the row proves the set empty.  Its slack entries
+are a row of D * B^-1, and times the row scales they are a y >= 0 with
+y.A_j >= 0 on every allowed column j and y.b < 0 (Farkas' lemma), which
+``decide`` returns.  With no objective
 every reduced cost is 0, so this is Terlaky's least-index criss-cross
 rule (T. Terlaky, "A convergent criss-cross method", Optimization 16,
 1985), which is finite.  On the slack basis with every right-hand side
@@ -83,6 +89,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,6 +101,18 @@ _WIDE = 2**31
 def _bound(A) -> int:
     """The largest |entry| of the integer array ``A`` (0 when empty)."""
     return max(int(A.max()), -int(A.min())) if A.size else 0
+
+
+class Decision(NamedTuple):
+    """The answer of ``Feasibility.decide``, in integers.  A nonempty set
+    gives ``support``, the nonzero coordinates of a point as {column:
+    x_j * den}, and ``den > 0``; an empty one gives ``den == 0`` and
+    ``farkas``, a y >= 0 with y.A_j >= 0 on every allowed column j and
+    y.b < 0, one entry per row of A_ub."""
+
+    support: dict | None
+    den: int
+    farkas: list | None
 
 
 @dataclass
@@ -196,7 +215,8 @@ def _repair(t, scale, b_ub, without=()):
     ``scale``: set its right-hand side column for ``b_ub``, pivot the basic columns of
     ``without`` out and repair feasibility by the least-index dual rule, no
     column of ``without`` entering (see the module docstring).  Returns the
-    factor K > 0 of the right-hand sides, or None when the set is empty."""
+    factor K > 0 of the right-hand sides and None, or, when the set is
+    empty, None and the index of the row that proves it."""
     basis, m = t.basis, len(scale)
     # b times the row scales and one K > 0 (a change of unit for x); the
     # slack columns S hold D * B^-1, so the right-hand sides are S @ b, in
@@ -220,21 +240,12 @@ def _repair(t, scale, b_ub, without=()):
         r = min((i for i, v in enumerate(t.b) if v < 0),
                 key=basis.__getitem__, default=None)
         if r is None:
-            return K
+            return K, None
         col = next((j for j, w in enumerate(t.A[r].tolist())
                     if w < 0 and j not in without), None)
         if col is None:
-            return None
+            return None, r
         t.pivot(r, col)
-
-
-def _point(t, n, K):
-    """The basic solution's first ``n`` coordinates, in the unit of x."""
-    x = [Fraction(0)] * n
-    for i, j in enumerate(t.basis):
-        if j < n:
-            x[j] = Fraction(t.b[i], t.D * K)
-    return x
 
 
 def _as_ub(A_ub, b_ub, A_eq, b_eq) -> tuple:
@@ -265,11 +276,12 @@ class Feasibility:
                                  f"row 0 has {self.n}")
         self._t = self._scale = None
 
-    def point(self, b_ub, without=()) -> list | None:
-        """A point of the set for ``b_ub`` (a list of ``Fraction``s, empty
-        when there are no columns), 0 on every column in ``without``, or
-        None when the set is empty.  Each entry of ``without`` must be an
-        ``int`` in ``range(n)``."""
+    def decide(self, b_ub, without=()) -> Decision:
+        """Decide the set for ``b_ub``, with no column of ``without`` used,
+        in integers.  The support is that of the basic point the tableau
+        ends on; the Farkas y is the slack part of the row that proves the
+        set empty, times the row scales.  Each entry of ``without`` must be
+        an ``int`` in ``range(n)``."""
         m = len(self.A_ub)
         if len(b_ub) != m:
             raise ValueError(f"b_ub has {len(b_ub)} entries for the {m} rows of A_ub")
@@ -279,8 +291,22 @@ class Feasibility:
                                  f"in range({self.n})")
         if self._t is None:
             self._t, self._scale = _slack_tableau(self.A_ub, self.n)
-        K = _repair(self._t, self._scale, b_ub, set(without))
-        return None if K is None else _point(self._t, self.n, K)
+        t, n = self._t, self.n
+        K, r = _repair(t, self._scale, b_ub, set(without))
+        if K is None:
+            y = [w * s for w, s in zip(t.A[r, n:].tolist(), self._scale)]
+            return Decision(None, 0, y)
+        return Decision({j: v for j, v in zip(t.basis, t.b) if j < n and v},
+                        t.D * K, None)
+
+    def point(self, b_ub, without=()) -> list | None:
+        """A point of the set for ``b_ub`` (a list of ``Fraction``s, empty
+        when there are no columns), 0 on every column in ``without``, or
+        None when the set is empty: ``decide``'s answer."""
+        support, den, _ = self.decide(b_ub, without)
+        if support is None:
+            return None
+        return [Fraction(support.get(j, 0), den) for j in range(self.n)]
 
 
 def feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> list | None:
@@ -308,7 +334,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None) -> LPResult:
     rows.append([*(-v for v in c), *b])
     xy = Feasibility(rows).point([*b, *(-v for v in c), 0])
     if xy is None:
-        status = "infeasible" if Feasibility(A).point(b) is None else "unbounded"
+        status = "infeasible" if Feasibility(A).decide(b).support is None else "unbounded"
         return LPResult(status, None, None)
     x = xy[:n]
     return LPResult("optimal", sum((Fraction(v) * w for v, w in zip(c, x)), Fraction(0)), x)

@@ -299,8 +299,8 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     dual = Feasibility([*([-a[i] for a, _, _ in inner_rows] for i in range(len(outer.dims))),
                         [m * n for _, _, n in inner_rows]])
     for a, c in left:
-        if dual.point([*(-v for v in a), c * den]) is None:
-            return dual.point([0] * len(a) + [-1]) is not None
+        if dual.decide([*(-v for v in a), c * den]).support is None:
+            return dual.decide([0] * len(a) + [-1]).support is not None
     return True
 
 

@@ -6,19 +6,20 @@ from icregions import dist, lp
 @pytest.fixture
 def lp_calls(monkeypatch):
     """A two-element list: the number of feasibility problems decided, that
-    is the calls of ``lp.Feasibility.point``, and their total number of
-    usable structural columns.  A derivation makes one call per pruning LP;
-    a 4-D containment and ``solve_lp`` make calls too, so a test that counts
-    pruning LPs runs derivations only."""
+    is the calls of ``lp.Feasibility.decide`` (``point`` decides through
+    it), and their total number of usable structural columns.  A
+    derivation makes one call per pruning LP; a 4-D containment and
+    ``solve_lp`` make calls too, so a test that counts pruning LPs runs
+    derivations only."""
     count = [0, 0]
-    point = lp.Feasibility.point
+    decide = lp.Feasibility.decide
 
     def counted(self, b_ub, without=()):
         count[0] += 1
         count[1] += self.n - len(set(without))
-        return point(self, b_ub, without)
+        return decide(self, b_ub, without)
 
-    monkeypatch.setattr(lp.Feasibility, "point", counted)
+    monkeypatch.setattr(lp.Feasibility, "decide", counted)
     return count
 
 

@@ -1,20 +1,25 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from icregions import lp
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               QUADRUPLE_SYSTEMS, Combo, Inequality,
-                              LinearSystem, derive_region, fm_eliminate,
-                              parse_bounds, prune_redundant,
-                              substitute_rate_sums, substitute_zero,
-                              system_equal, system_from_json, system_to_json)
+                              LinearSystem, _pruning, cone_rays,
+                              derive_region, fm_eliminate, parse_bounds,
+                              prune_redundant, substitute_rate_sums,
+                              substitute_zero, system_equal,
+                              system_from_json, system_to_json)
 from icregions.lp import feasible
 from icregions.polytope import (bind, fm_eliminate_numeric, poly_equal,
                                 snap_terms)
@@ -22,9 +27,10 @@ from icregions.regions import (HK_R_REDUNDANT, REGION_IDS, build_system,
                                hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import BASE_SYMBOLS, eval_terms
-from oracles import fm_step_keys, prune_redundant_eq
+from oracles import ReferenceFeasibility, fm_step_keys, prune_redundant_eq
 
 F = Fraction
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 _SWAP = str.maketrans("12", "21")
 
@@ -388,6 +394,12 @@ class TestPruning:
     @example(rows=[(0, 1, {"a1": -1}, 0)], axioms=())
     # no rate coefficient: the system has no rows, so no LP is decided
     @example(rows=[(0, 0, {"a1": -1}, 0)], axioms=())
+    # coefficients past int64, and rate coefficients whose products are:
+    # the one-row test and the Farkas products run over Python ints
+    @example(rows=[(1, 0, {"a1": 2**70}, 0), (1, 0, {"a1": 2**70, "b1": 1}, 0),
+                   (0, 1, {"a2": 1}, 0), (0, 1, {"a2": 1, "d1": 1}, 0)], axioms=AXIOMS_CHAIN)
+    @example(rows=[(3**30, 1, {"a1": 1}, 0), (1, 3**30, {"a1": 1, "b1": 1}, 5**20),
+                   (1, 0, {"d1": 1}, 0)], axioms=AXIOMS_HK_INDEP)
     def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
         """The pruning LP states every row as an inequality; it must keep
         exactly the rows that the LP with one equality row per rate
@@ -412,54 +424,63 @@ class TestMirrorReuse:
                Inequality.of({"R1": 1}, {"a1": 1, "b1": 1})]
 
     def test_twin_answers_carry_over(self, lp_calls):
-        # R1 <= a1 is kept and R1 <= a1 + b1 removed by LP; their twins
-        # follow without one
+        # the LP keeps R1 <= a1 and its Farkas point, mirrored, keeps
+        # R2 <= a2; R1 <= a1 alone removes R1 <= a1 + b1, and R2 <= a2
+        # removes R2 <= a2 + b2
         rows = self.R1_ROWS + [mirrored(i) for i in self.R1_ROWS]
         sys0 = LinearSystem.of(("R1", "R2"), rows)
         out = prune_redundant(sys0, AXIOMS_CHAIN)
+        assert lp_calls[0] == 1
         assert out.inequalities == prune_redundant_eq(sys0, AXIOMS_CHAIN).inequalities
         assert set(out.inequalities) == {rows[0], rows[2]}
-        assert lp_calls[0] == 2
+        assert [how for _, how, _ in _pruning(sys0, AXIOMS_CHAIN)] == [
+            "farkas", "row", "twin", "row"]
 
-    def test_certificate_row_already_removed_runs_the_lp(self, lp_calls):
-        # the LP removes R1 <= a1 + b1 with R1 <= a1, but R2 <= a2 - c2
-        # removes R2 <= a2 before R2 <= a2 + b2 is visited, so the mirrored
-        # certificate would use a row that is gone
-        rows = self.R1_ROWS + [mirrored(i) for i in self.R1_ROWS]
-        extra = Inequality.of({"R2": 1}, {"a2": 1, "c2": -1})
-        sys0 = LinearSystem.of(("R1", "R2"), rows + [extra])
-        assert sys0.inequalities == (rows[0], rows[1], rows[2], rows[3], extra)
-        out = prune_redundant(sys0, ())
-        assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
-        assert out.inequalities == (rows[0], extra)
-        assert lp_calls[0] == 5  # one per row
-
-    def test_fact_without_twin_blocks_the_kept_rule(self, lp_calls):
-        # R2 <= a2 has its twin R1 <= a1 kept, and every other row is the
-        # twin of a row R1 <= a1 was tested against, but the term fact
-        # b2 <= a2 has no twin: with it R2 <= b2 implies R2 <= a2
+    def test_one_row_certificate_needs_a_kept_row(self, lp_calls):
+        # with a1 = b1, R1 <= a1 and R1 <= b1 each prove the other: the
+        # first goes by the second, which then has only the removed row to
+        # use and is kept by the LP
         rows = [Inequality.of({"R1": 1}, {"a1": 1}),
                 Inequality.of({"R1": 1}, {"b1": 1})]
-        rows += [mirrored(i) for i in rows]
-        sys0 = LinearSystem.of(("R1", "R2"), rows, [Combo.of({"a2": 1, "b2": -1})])
-        assert sys0.inequalities == tuple(rows)
-        out = prune_redundant(sys0, AXIOMS_CHAIN)
-        assert out.inequalities == prune_redundant_eq(sys0, AXIOMS_CHAIN).inequalities
-        assert out.inequalities == (rows[0], rows[1], rows[3])
-        assert lp_calls[0] == 4  # one per row
-
-    def test_fact_without_twin_blocks_the_removed_rule(self, lp_calls):
-        # R1 <= a1 goes with R1 <= b1 and the term fact b1 <= a1, which has
-        # no twin, so nothing removes R2 <= a2
-        rows = [Inequality.of({"R1": 1}, {"a1": 1}),
-                Inequality.of({"R1": 1}, {"b1": 1})]
-        rows += [mirrored(i) for i in rows]
-        sys0 = LinearSystem.of(("R1", "R2"), rows, [Combo.of({"a1": 1, "b1": -1})])
+        sys0 = LinearSystem.of(("R1", "R2"), rows,
+                               [Combo.of({"a1": 1, "b1": -1}), Combo.of({"a1": -1, "b1": 1})])
         assert sys0.inequalities == tuple(rows)
         out = prune_redundant(sys0, ())
+        assert lp_calls[0] == 1
         assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
-        assert out.inequalities == (rows[1], rows[2], rows[3])
-        assert lp_calls[0] == 4  # one per row
+        assert out.inequalities == (rows[1],)
+        assert [(how, cert[0]) for _, how, cert in _pruning(sys0, ())][0] == ("row", 1)
+
+    def test_fact_without_twin_blocks_the_mirrored_farkas_point(self, lp_calls):
+        # R2 <= a2 is (R2 - R1 <= b2) + (R1 <= c2) with the term fact
+        # b2 + c2 <= a2, whose twin is absent, so its twin R1 <= a1 is kept;
+        # the kept twin's Farkas point, mirrored, is < 0 on that fact, so
+        # the LP runs for R2 <= a2 and removes it
+        rows = [Inequality.of({"R1": 1}, {"a1": 1}),
+                Inequality.of({"R1": 1, "R2": -1}, {"b1": 1}),
+                Inequality.of({"R2": 1}, {"c1": 1})]
+        rows += [mirrored(i) for i in rows]
+        sys0 = LinearSystem.of(("R1", "R2"), rows, [Combo.of({"a2": 1, "b2": -1, "c2": -1})])
+        out = prune_redundant(sys0, ())
+        assert lp_calls[0] == 5
+        assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
+        assert rows[3] not in out.inequalities and rows[0] in out.inequalities
+        decisions = {sys0.inequalities[i]: how for i, how, _ in _pruning(sys0, ())}
+        assert (decisions[rows[0]], decisions[rows[3]]) == ("farkas", "lp")
+
+    def test_fact_constants_are_homogenised(self, lp_calls):
+        # 0 <= 1 - a1 is a1 <= 1, not a1 <= 0: nothing proves
+        # R1 + R2 <= -a1 from R1 + R2 <= -a2, and reading the constant as 0
+        # removed it by one row
+        rows = [(0, 0, {"a1": -1}, 1), (1, 1, {"a1": -1}, 0)]
+        ineqs = [Inequality.of({"R1": r1, "R2": r2}, rhs, const)
+                 for r1, r2, rhs, const in rows]
+        sys0 = LinearSystem.of(("R1", "R2"), ineqs + [mirrored(i) for i in ineqs])
+        out = prune_redundant(sys0, ())
+        assert lp_calls[0] == 1
+        assert out.inequalities == prune_redundant_eq(sys0, ()).inequalities
+        assert len(out.inequalities) == 2
+        assert [how for _, how, _ in _pruning(sys0, ())] == ["farkas", "twin"]
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
@@ -469,6 +490,9 @@ class TestMirrorReuse:
                               st.sampled_from([0, 0, 1, -1])),
                     min_size=1, max_size=5),
            st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
+    # a term fact with a constant: read as 0, it made the one-row test
+    # remove a row the LP keeps
+    @example(rows=[(0, 0, {"a1": -1}, 1), (1, 1, {"a1": -1}, 0)], axioms=())
     def test_mirror_closed_systems_keep_what_the_lp_keeps(self, rows, axioms):
         """Rows plus their receiver-2 images (term facts included), so the
         mirror rules fire; the result must be the one an LP for every row
@@ -542,74 +566,195 @@ class TestDeriveRegion:
             derive_region("hk", "nope")
 
 
-def _lp_row(col, rate_vars):
-    """The key of the row or fact a pruning-LP column stands for: its rate
-    entries are the row's coefficients negated, then come the term-symbol
-    coefficients and the constant."""
-    nr = len(rate_vars)
-    lhs = sorted((v, -c) for v, c in zip(rate_vars, col) if c)
-    rhs = sorted((s, c) for s, c in zip(BASE_SYMBOLS, col[nr:-1]) if c)
-    return tuple(lhs), tuple(rhs), col[-1]
+def _dot(a, b):
+    return sum(u * v for u, v in zip(a, b))
+
+
+def _column(lhs, combo, rate_vars) -> list:
+    """The pruning LP's column of a row or fact: its rate coefficients
+    negated, then its term-symbol coefficients and its constant."""
+    lhs, rhs = dict(lhs), combo.as_dict()
+    return ([-lhs.get(v, 0) for v in rate_vars] + [rhs.get(s, 0) for s in BASE_SYMBOLS]
+            + [combo.const])
+
+
+def _fact_multipliers(residual, facts):
+    """Multipliers mu >= 0, one per fact, with sum mu_f f <= residual in
+    every term symbol and the constant, found on the reference tableau of
+    ``oracles``, or None when there are none."""
+    A = [[_column((), f, ())[k] for f in facts] for k in range(len(residual))]
+    return ReferenceFeasibility(A).point(residual)[0]
 
 
 class TestPruningCertificates:
-    """Every LP of the 8 derivations has only ``<=`` rows, and the point of
-    each LP that removes a row is a certificate for it: it is 0 on the
-    columns the LP may not use (the tested row and the rows already
-    removed), and multiplied out with the system's own rows and facts, the
-    combination's rate coefficients cover the row's and its term and
-    constant coefficients do not exceed the row's."""
+    """Every pruning decision of the 8 derivations carries a certificate,
+    checked here without the package's LP, against the rows still kept
+    when the decision was made:
+
+    - a removal by one row (j, t) has multipliers over the axioms and term
+      facts, found on the reference tableau, that together with t times
+      row j cover the row's rate coefficients and stay within its term and
+      constant coefficients, multiplied out exactly;
+    - a removal by the LP is its point, multiplied out the same way, 0 on
+      the tested row and the rows removed before;
+    - a keep, by the LP or by the twin's mirrored point, is a Farkas y:
+      y >= 0, y.col >= 0 on every other kept row and every fixed column,
+      and y.col < 0 on the row, by evaluation alone."""
 
     @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
-    def test_removals_certified(self, pair, monkeypatch):
+    def test_every_decision_certified(self, pair):
         system_id, axioms_id = pair
         sys2 = fm_eliminate(substitute_rate_sums(
             build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
-        axioms = AXIOM_SETS[axioms_id]
-        rows = {(i.lhs, i.rhs.coeffs, i.rhs.const): i for i in sys2.inequalities}
-        facts = {((), c.coeffs, c.const): c for c in (*axioms, *sys2.term_facts)}
-        lps = []
-        point = lp.Feasibility.point
-
-        def recording(self, b_ub, without=()):
-            x = point(self, b_ub, without)
-            lps.append((self.A_ub, b_ub, set(without), x))
-            return x
-
-        monkeypatch.setattr(lp.Feasibility, "point", recording)
-        out = prune_redundant(sys2, axioms)
-        assert lps
-        removed = 0
-        for A, b, without, x in lps:
-            row = rows[_lp_row(b, sys2.rate_vars)]
-            if x is None:
-                assert row in out.inequalities
+        dims, rows = sys2.rate_vars, sys2.inequalities
+        facts = (*AXIOM_SETS[axioms_id], *sys2.term_facts)
+        cols = [_column(r.lhs, r.rhs, dims) for r in rows]
+        fixed = [_column((), f, dims) for f in facts]
+        kept = set(range(len(rows)))
+        for i, how, cert in _pruning(sys2, AXIOM_SETS[axioms_id]):
+            row = rows[i]
+            if how in ("farkas", "twin"):
+                y = cert
+                assert all(v >= 0 for v in y)
+                assert _dot(y, cols[i]) < 0
+                assert all(_dot(y, cols[j]) >= 0 for j in kept if j != i)
+                assert all(_dot(y, f) >= 0 for f in fixed)
                 continue
-            removed += 1
-            assert row not in out.inequalities
-            assert all(w >= 0 for w in x)
-            assert all(x[j] == 0 for j in without)
-            lhs, rhs, const = {}, {}, F(0)
-            for j, w in enumerate(x):
-                if not w:
-                    continue
-                key = _lp_row([r[j] for r in A], sys2.rate_vars)
-                assert key != _lp_row(b, sys2.rate_vars)
-                if key in rows:
-                    used = rows[key]
-                    combo = used.rhs
-                    for v, c in used.lhs:
-                        lhs[v] = lhs.get(v, 0) + w * c
-                else:
-                    combo = facts[key]
-                for s, c in combo.coeffs:
-                    rhs[s] = rhs.get(s, 0) + w * c
-                const += w * combo.const
-            assert all(lhs.get(v, 0) >= row.coeff(v) for v in sys2.rate_vars)
-            assert all(rhs.get(s, 0) <= row.rhs.as_dict().get(s, 0)
-                       for s in BASE_SYMBOLS)
-            assert const <= row.rhs.const
-        assert removed
+            kept.remove(i)
+            if how == "row":
+                j, tn, td = cert
+                assert tn >= 0 < td and (j is None) == (tn == 0)
+                used = [] if j is None else [(F(tn, td), rows[j])]
+                residual = [F(v) for v in cols[i][len(dims):]]
+                if j is not None:
+                    assert j in kept
+                    residual = [v - F(tn, td) * w
+                                for v, w in zip(residual, cols[j][len(dims):])]
+                mu = _fact_multipliers(residual, facts)
+                assert mu is not None
+            else:
+                support, den, _ = cert
+                assert all(j in kept or j >= len(rows) for j in support)
+                x = [F(support.get(j, 0), den) for j in range(len(rows) + len(facts))]
+                used = [(w, rows[j]) for j, w in enumerate(x[:len(rows)]) if w]
+                mu = x[len(rows):]
+            assert all(w >= 0 for w in mu) and all(w >= 0 for w, _ in used)
+            lhs, rhs = {}, Combo()
+            for w, r in used:
+                for v, c in r.lhs:
+                    lhs[v] = lhs.get(v, 0) + w * c
+                rhs = rhs + r.rhs.scale(w)
+            for w, f in zip(mu, facts):
+                rhs = rhs + f.scale(w)
+            assert all(lhs.get(v, 0) >= row.coeff(v) for v in dims)
+            rest = row.rhs + rhs.scale(-1)
+            assert all(c >= 0 for _, c in rest.coeffs) and rest.const >= 0
+        assert prune_redundant(sys2, AXIOM_SETS[axioms_id]).inequalities == tuple(
+            rows[j] for j in sorted(kept))
+
+    def test_decision_counts(self):
+        """Of the 264 rows of the 8 derivations, one row over the rays
+        removes 174 (16 of them with no other row), the twins' mirrored
+        Farkas points keep 39, and the LP decides 51: it removes 4 and
+        keeps 47."""
+        hows = Counter()
+        for system_id, axioms_id in DERIVE_DIGESTS:
+            sys2 = fm_eliminate(substitute_rate_sums(
+                build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
+            for _, how, cert in _pruning(sys2, AXIOM_SETS[axioms_id]):
+                hows[how] += 1
+                hows["alone"] += how == "row" and cert[0] is None
+        assert hows == {"row": 174, "alone": 16, "twin": 39, "lp": 4, "farkas": 47}
+
+
+def _rank(rows) -> int:
+    """The rank of integer rows, by exact Gaussian elimination."""
+    rows, rank = [[F(v) for v in r] for r in rows], 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][c]:
+                k = rows[r][c] / rows[rank][c]
+                rows[r] = [a - k * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _fact_row(combo) -> list:
+    """0 <= combo over the term symbols and the constant."""
+    return _column((), combo, ())
+
+
+class TestConeRays:
+    """``cone_rays`` gives the extreme rays of the cone of term values
+    (and the homogenising constant w) that the axioms and term facts
+    allow, the dual of the cone the pruning LP's fixed columns span."""
+
+    @pytest.mark.parametrize("name, count", [("chain", 25), ("hk-indep", 17)])
+    def test_pinned_count(self, name, count):
+        assert len(cone_rays(AXIOM_SETS[name])) == count
+
+    @pytest.mark.parametrize("name", sorted(AXIOM_SETS))
+    def test_rays_lie_in_the_cone_and_are_extreme(self, name):
+        """Each ray is >= 0 and satisfies every axiom, in lowest terms and
+        once; the constraints tight at it (z_k >= 0 and the axioms) have
+        rank dim - 1, so it spans an edge of the cone."""
+        cons = [[int(k == j) for k in range(len(BASE_SYMBOLS) + 1)]
+                for j in range(len(BASE_SYMBOLS) + 1)]
+        cons += [_fact_row(ax) for ax in AXIOM_SETS[name]]
+        rays = [tuple(int(v) for v in r) for r in cone_rays(AXIOM_SETS[name])]
+        assert len(set(rays)) == len(rays)
+        for ray in rays:
+            assert gcd(*ray) == 1
+            assert all(_dot(c, ray) >= 0 for c in cons)
+            assert _rank([c for c in cons if _dot(c, ray) == 0]) == len(ray) - 1
+
+    def test_the_term_facts_of_a_system_cut_the_chain_rays(self):
+        """Of the shipped pairs only hk and hk-mod under the chain axioms
+        have a term fact that a ray violates, rho_i <= 0, and the two cuts
+        only drop rays."""
+        for system_id, axioms_id in DERIVE_DIGESTS:
+            sys2 = fm_eliminate(substitute_rate_sums(
+                build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
+            axioms = AXIOM_SETS[axioms_id]
+            rays = {tuple(r) for r in cone_rays(axioms).tolist()}
+            cut = {tuple(r) for r in cone_rays(axioms, sys2.term_facts).tolist()}
+            if system_id in ("hk", "hk-mod") and axioms_id == "chain":
+                assert cut < rays and len(cut) == 19
+            else:
+                assert cut == rays
+
+    def test_rays_are_computed_on_first_use(self):
+        code = ("from icregions import linsys; "
+                "print(linsys._rays.cache_info().currsize)")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert out.stdout.strip() == "0"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]),
+           st.lists(st.builds(Combo.of, st.dictionaries(
+               st.sampled_from(["a1", "b1", "d1", "g1", "rho1", "c2", "e2"]),
+               st.sampled_from([-2, -1, 1, 2, F(1, 3)]), min_size=1, max_size=3),
+               st.sampled_from([0, 0, 1, -1, 2, F(-1, 2)])), max_size=3),
+           st.dictionaries(st.sampled_from(["a1", "b1", "d1", "g1", "rho1", "c2", "e2"]),
+                           st.integers(-2, 2), max_size=4),
+           st.integers(-2, 2))
+    # rho1 <= 1/2 + a1/3, a fact with Fraction coefficients
+    @example(axioms=AXIOMS_CHAIN, facts=[Combo.of({"rho1": -1, "a1": F(1, 3)}, F(1, 2))],
+             coeffs={"rho1": 1, "a1": -1}, const=1)
+    # a1 <= 1, read as a1 <= 0 when the constant is dropped
+    @example(axioms=(), facts=[Combo.of({"a1": -1}, 1)], coeffs={"a1": -1}, const=0)
+    def test_rays_decide_cone_membership(self, axioms, facts, coeffs, const):
+        """c with constant c0 is >= 0 on every ray iff the reference LP
+        finds it a nonnegative combination of the axioms, the facts, the
+        unit vectors of the term symbols and a nonnegative constant."""
+        c = _fact_row(Combo.of(coeffs, const))
+        on_rays = all(_dot(c, v) >= 0 for v in cone_rays(axioms, facts).tolist())
+        assert on_rays == (_fact_multipliers(c, (*axioms, *facts)) is not None)
 
 
 class TestSystemEqual:

@@ -648,10 +648,10 @@ class TestContains:
                 self.asked = calls[-1]
                 super().__init__(A_ub)
 
-            def point(self, b_ub, without=()):
+            def decide(self, b_ub, without=()):
                 assert all(type(v) is int for v in b_ub)
                 self.asked.append(b_ub)
-                return super().point(b_ub, without)
+                return super().decide(b_ub, without)
 
         monkeypatch.setattr(polytope, "Feasibility", Checked)
         binding = hod16_binding(index)
