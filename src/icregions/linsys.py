@@ -19,9 +19,10 @@ LP: a removal that uses one other row is a multiplier t for it, checked
 against the extreme rays of the axioms' cone (``cone_rays``, by double
 description), and a row whose receiver twin the LP kept is kept by the
 twin's Farkas point, mirrored, when that point still separates.  The
-exact LP decides the rest.  Each axiom set is an irredundant basis of its
-cone: no fact is a nonnegative combination of the others and term
-nonnegativity.
+exact LP decides the rest over the same rays: one LP row per rate
+variable and per ray, one column per row, and none for an axiom or term
+fact.  Each axiom set is an irredundant basis of its cone: no fact is a
+nonnegative combination of the others and term nonnegativity.
 """
 
 from __future__ import annotations
@@ -320,7 +321,7 @@ def parse_bounds(texts) -> list:
 
 # Each axiom set is an irredundant basis of its cone, closed under the
 # receiver mirror: no fact is a nonnegative combination of the others and
-# 0 <= s for the term symbols s, so no column of the pruning LP is wasted.
+# 0 <= s for the term symbols s, so no double-description step is wasted.
 # True facts that the basis implies are left out: a1 <= d1, b1 <= d1,
 # a1 <= e1, b1 <= f1, g1 <= c1 + d1, g1 <= e1 + B1 and g1 <= a1 + F1 (a1 <= d1,
 # say, is g1 + a1 <= d1 + e1 plus e1 <= g1).
@@ -451,15 +452,16 @@ def _one_row_certified(C, nr, rays):
     least t >= 0 with t*lhs_j >= lhs_i, certifies row i, that is
     rhs_i - t*rhs_j (constant included) is >= 0 on every ray; and
     ``alone[i]``: row i needs no other row, lhs_i <= 0 and rhs_i >= 0 on
-    every ray.  ``C`` holds the rows' LP columns, the rate coefficients
-    negated, then the term coefficients and the constant.  Every test is
-    exact: in ``int64`` when no product can reach 2**63, over Python ints
-    otherwise."""
+    every ray.  ``C`` holds the rows over ``_pruning``'s keys, the rate
+    coefficients negated, then the term coefficients and the constant.
+    Also returns P, the rows' rhs on each ray, ``int64`` when it fits:
+    the pruning LP reads it.  Every test is exact: in ``int64`` when no
+    product can reach 2**63, over Python ints otherwise."""
     n = len(C)
     L, P = -C[:, :nr], _dot(C[:, nr:], rays)
-    lmax = L.size and int(np.abs(L).max())
+    Q, lmax = P, L.size and int(np.abs(L).max())
     if 2 * lmax * max(lmax, P.size and int(np.abs(P).max())) >= 2**63:
-        L, P = L.astype(object), P.astype(object)
+        L, Q = L.astype(object), P.astype(object)
     Li, Lj = L[:, None, :], L[None, :, :]
     # t = tn / td: the largest lhs_i / lhs_j over the coordinates with
     # lhs_j > 0, or 0, compared cross-multiplied
@@ -470,9 +472,9 @@ def _one_row_certified(C, nr, rays):
         better = (b > 0) & (a * td > tn * b)
         tn, td = np.where(better, a, tn), np.where(better, b, td)
     ok = ((tn[:, :, None] * Lj >= td[:, :, None] * Li).all(axis=2)
-          & (td[:, :, None] * P[:, None, :] >= tn[:, :, None] * P[None, :, :]).all(axis=2))
-    alone = (L <= 0).all(axis=1) & (P >= 0).all(axis=1)
-    return ok, alone, tn, td
+          & (td[:, :, None] * Q[:, None, :] >= tn[:, :, None] * Q[None, :, :]).all(axis=2))
+    alone = (L <= 0).all(axis=1) & (Q >= 0).all(axis=1)
+    return ok, alone, tn, td, P
 
 
 def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
@@ -497,23 +499,28 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
       pairs at once, and t = 0 with no row j.
     - *The receiver twin's Farkas point, mirrored.*  A row's twin swaps
       the indices 1 and 2 in every name.  When an LP kept the twin, its
-      Farkas y, one multiplier per LP row below, mirrored, keeps the row
-      if it is < 0 on the row's column and >= 0 on every other kept row's
-      column and every fixed column: one integer product.
-    - *The LP*, for the rows neither decides.  Its certificate is a point
-      with one column per usable fact and only ``<=`` rows.  The row of a
-      rate variable v, ``-sum_j lambda_j lhs_j[v] <= -lhs_i[v]``, says
-      that the combination's coefficient of v is at least the tested
-      row's; its surplus is the multiplier of 0 <= v.  The row of a term
-      symbol s, ``sum_j lambda_j rhs_j[s] <= rhs_i[s]``, and the
-      constant's have as slacks the multipliers of 0 <= s and of a
-      nonnegative constant.  All the LPs of one call share one
-      ``lp.Feasibility`` tableau with a column for every inequality and
-      fact: each sets its right-hand side to the tested row, may not use
-      that row or the rows already removed, and starts from the basis the
-      one before it left.  A feasible LP removes the row; an empty one
-      keeps it, and ``lp.Feasibility.decide`` gives the Farkas y that the
-      twin reads.
+      Farkas y over the rate variables, term symbols and constant (below),
+      mirrored, keeps the row if it is < 0 on the row's coefficients (the
+      rate ones negated) and >= 0 on every other kept row's and on every
+      axiom and term fact: one integer product.
+    - *The LP*, for the rows neither decides, of which the one-row test
+      is the one-column case.  Row i goes iff some lambda >= 0 over
+      the other kept rows has sum_j lambda_j lhs_j >= lhs_i and
+      sum_j lambda_j P_j <= P_i on every ray, where P_j is rhs_j
+      (constant included) on the rays.  So the LP has only ``<=`` rows,
+      ``-sum_j lambda_j lhs_j[v] <= -lhs_i[v]`` for each rate variable v
+      and ``sum_j lambda_j P_j[r] <= P_i[r]`` for each ray r, and one
+      column per row; the rays stand for every axiom and term fact, which
+      have no column.  All the LPs of one call share one
+      ``lp.Feasibility`` tableau: each sets its right-hand side to the
+      tested row, may not use that row or the rows already removed, and
+      starts from the basis the one before it left.  A feasible LP
+      removes the row; an empty one keeps it, and
+      ``lp.Feasibility.decide`` gives a Farkas y, one multiplier per rate
+      variable and per ray.  The ray part times V is a point of the
+      axioms' and facts' cone, so y maps to a y' >= 0 over the rate
+      variables, term symbols and constant that is >= 0 on every axiom
+      and term fact, and y'.row_j = y.column_j: the twin reads y'.
 
     On the 8 derivations 174 of the 264 rows go by one row over the rays
     and 39 stay by a twin's Farkas y, so the LP decides 51."""
@@ -527,17 +534,18 @@ def _pruning(system: LinearSystem, axioms):
     """The decisions of ``prune_redundant``, one per row in canonical
     order, as (i, how, certificate): ``"row"`` removes row i by one row
     over the rays, (j, tn, td) with t = tn / td, j None for t = 0 and no
-    row; ``"lp"`` removes it by the LP, whose ``lp.Decision`` gives the
-    multipliers of its columns (the rows, then the axioms and term facts,
-    as ``fixed`` lists them); ``"farkas"`` keeps it by the LP's Farkas y
-    and ``"twin"`` by the twin's, mirrored.  A y has one entry per LP row:
-    the rate variables, the term symbols, the constant."""
+    row; ``"lp"`` removes it by the LP, whose ``lp.Decision`` gives
+    multipliers over kept rows only, their combined rhs checked against
+    row i's on the rays as a (j, t) certificate's is; ``"farkas"`` keeps
+    it by the LP's Farkas y and ``"twin"`` by the twin's, mirrored.  A y
+    has one entry per key: the rate variables, the term symbols, the
+    constant (the LP's ray multipliers times the rays)."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
     index = {k: r for r, k in enumerate(keys)}
 
     def column(lhs, rhs: Combo) -> list:
-        """The LP column of a row: its rate coefficients negated, then its
-        term coefficients and its constant."""
+        """A row or fact over ``keys``: its rate coefficients negated,
+        then its term coefficients and its constant."""
         col = [0] * len(keys)
         for k, v in lhs:
             col[index[k]] = -v
@@ -553,8 +561,8 @@ def _pruning(system: LinearSystem, axioms):
     # every column in integers (a fact times a positive integer keeps the
     # sign of y.col for any y)
     M = _int64_or_object([*cols, *(lp._integers(f)[0] for f in fixed)], len(keys))
-    ok, alone, tn, td = _one_row_certified(M[:n], len(system.rate_vars),
-                                           cone_rays(axioms, system.term_facts))
+    nr, V = len(system.rate_vars), cone_rays(axioms, system.term_facts)
+    ok, alone, tn, td, P = _one_row_certified(M[:n], nr, V)
 
     mirror = [index.get(k if k is None else k.translate(_MIRROR)) for k in keys]
 
@@ -572,7 +580,9 @@ def _pruning(system: LinearSystem, axioms):
     row_of = {tuple(c): j for j, c in enumerate(cols)}
     twin_row = [row_of.get(twin(c)) for c in cols]
 
-    lps = lp.Feasibility([[c[r] for c in (*cols, *fixed)] for r in range(len(keys))])
+    # row j's LP column: its rate coefficients negated, then P_j
+    C = np.hstack([M[:n, :nr], P])
+    lps = lp.Feasibility(C.T.tolist())
     kept = list(range(n))
     farkas = {}  # row kept by an LP -> its Farkas y
     for i in range(n):
@@ -589,10 +599,13 @@ def _pruning(system: LinearSystem, axioms):
             if yM[i] < 0 and (yM[others] >= 0).all() and (yM[n:] >= 0).all():
                 yield i, "twin", y
                 continue
-        answer = lps.decide(cols[i], without=set(range(n)) - set(others))
+        answer = lps.decide(C[i].tolist(), without=set(range(n)) - set(others))
         if answer.support is None:
-            farkas[i] = answer.farkas
-            yield i, "farkas", answer.farkas
+            # the ray multipliers times V: a point of the cone, so >= 0 on
+            # every term symbol, axiom and term fact
+            mu = _int64_or_object([answer.farkas[nr:]], len(V))
+            y = farkas[i] = answer.farkas[:nr] + _dot(V.T, mu)[:, 0].tolist()
+            yield i, "farkas", y
         else:
             kept = others
             yield i, "lp", answer

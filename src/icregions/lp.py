@@ -43,10 +43,10 @@ exceeds Hadamard's bound on the minors, the product of the starting
 rows' 1-norms.  Before a pivot with ``M >= 2**31`` the largest entry is
 measured, and once it is >= 2**31 the array turns into ``dtype=object``
 (Python ints, the same code) for good.  No pruning LP of the package
-gets there: their entries stay below 16.  A containment tableau of
-``polytope.contains`` starts there, since its budget row holds
-right-hand sides on the 2**-48 grid, so ``_slack_tableau`` builds it as
-``dtype=object`` at once.
+gets there: on the 8 derivations no entry exceeds 8.  A containment
+tableau of ``polytope.contains`` starts there, since its budget row
+holds right-hand sides on the 2**-48 grid, so ``_slack_tableau`` builds
+it as ``dtype=object`` at once.
 
 Each problem is decided by ``_repair``.  It sets the right-hand sides
 to B^-1 b, which the slack columns S already hold as D * B^-1, so this

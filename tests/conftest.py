@@ -8,7 +8,8 @@ def lp_calls(monkeypatch):
     """A two-element list: the number of feasibility problems decided, that
     is the calls of ``lp.Feasibility.decide`` (``point`` decides through
     it), and their total number of usable structural columns.  A
-    derivation makes one call per pruning LP; a 4-D containment and
+    derivation makes one call per pruning LP, whose columns are the
+    derived rows not yet removed, one each; a 4-D containment and
     ``solve_lp`` make calls too, so a test that counts pruning LPs runs
     derivations only."""
     count = [0, 0]

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from icregions import lp
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               QUADRUPLE_SYSTEMS, Combo, Inequality,
@@ -392,8 +393,19 @@ class TestPruning:
            st.sampled_from([(), AXIOMS_CHAIN, AXIOMS_HK_INDEP]))
     # one row, no axiom and no term fact: the LP has no columns
     @example(rows=[(0, 1, {"a1": -1}, 0)], axioms=())
-    # no rate coefficient: the system has no rows, so no LP is decided
+    # no rate coefficient: a term fact, and the system has no rows, so no
+    # LP is decided
     @example(rows=[(0, 0, {"a1": -1}, 0)], axioms=())
+    @example(rows=[], axioms=AXIOMS_CHAIN)
+    # rho1 <= 0 cuts the chain cone's rays, and only with it does
+    # R1 <= a1 + rho1 prove R1 <= a1 + b1
+    @example(rows=[(0, 0, {"rho1": -1}, 0), (1, 0, {"a1": 1, "rho1": 1}, 0),
+                   (1, 0, {"a1": 1, "b1": 1}, 0), (1, 1, {"g1": 1, "rho1": 1}, 0),
+                   (0, 1, {"c2": 1}, 0)], axioms=AXIOMS_CHAIN)
+    # 0 <= 1 - a1 is a1 <= 1, read on the rays by the homogenising
+    # coordinate: R1 + R2 <= -c2 does not prove R1 + R2 <= -a1
+    @example(rows=[(0, 0, {"a1": -1}, 1), (1, 1, {"a1": -1}, 0), (1, 1, {"c2": -1}, 0),
+                   (1, 0, {"d1": 1}, -1)], axioms=AXIOMS_HK_INDEP)
     # coefficients past int64, and rate coefficients whose products are:
     # the one-row test and the Farkas products run over Python ints
     @example(rows=[(1, 0, {"a1": 2**70}, 0), (1, 0, {"a1": 2**70, "b1": 1}, 0),
@@ -401,15 +413,19 @@ class TestPruning:
     @example(rows=[(3**30, 1, {"a1": 1}, 0), (1, 3**30, {"a1": 1, "b1": 1}, 5**20),
                    (1, 0, {"d1": 1}, 0)], axioms=AXIOMS_HK_INDEP)
     def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
-        """The pruning LP states every row as an inequality; it must keep
-        exactly the rows that the LP with one equality row per rate
-        variable, term symbol and the constant, and fixed -v <= 0 and
-        0 <= s columns, keeps."""
+        """The pruning LP states every row as an inequality over the rate
+        variables and the rays of the axioms' and term facts' cone; it must
+        keep exactly the rows that the LP with one equality row per rate
+        variable, term symbol and the constant, and fixed -v <= 0, 0 <= s
+        and fact columns, keeps.  A row with no rate coefficient is a term
+        fact.  Every Farkas y the LP gives, mapped back from the rays, is
+        >= 0 and >= 0 on every axiom and term fact."""
         sys0 = LinearSystem.of(("R1", "R2"), [
             Inequality.of({"R1": r1, "R2": r2}, rhs, const)
-            for r1, r2, rhs, const in rows if r1 or r2])
+            for r1, r2, rhs, const in rows])
         assert (prune_redundant(sys0, axioms).inequalities
                 == prune_redundant_eq(sys0, axioms).inequalities)
+        _assert_farkas_in_cone(sys0, axioms)
 
 
 def mirrored(ineq):
@@ -571,11 +587,22 @@ def _dot(a, b):
 
 
 def _column(lhs, combo, rate_vars) -> list:
-    """The pruning LP's column of a row or fact: its rate coefficients
-    negated, then its term-symbol coefficients and its constant."""
+    """A row or fact as pruning reads it: its rate coefficients negated,
+    then its term-symbol coefficients and its constant."""
     lhs, rhs = dict(lhs), combo.as_dict()
     return ([-lhs.get(v, 0) for v in rate_vars] + [rhs.get(s, 0) for s in BASE_SYMBOLS]
             + [combo.const])
+
+
+def _assert_farkas_in_cone(system, axioms):
+    """Every ``"farkas"`` y of ``_pruning`` is >= 0 and >= 0 on every axiom
+    and term-fact column: its ray multipliers times the rays lie in the
+    cone those facts cut out."""
+    facts = [_column((), f, system.rate_vars) for f in (*axioms, *system.term_facts)]
+    for _, how, y in _pruning(system, axioms):
+        if how == "farkas":
+            assert all(v >= 0 for v in y)
+            assert all(_dot(y, f) >= 0 for f in facts)
 
 
 def _fact_multipliers(residual, facts):
@@ -591,15 +618,17 @@ class TestPruningCertificates:
     checked here without the package's LP, against the rows still kept
     when the decision was made:
 
-    - a removal by one row (j, t) has multipliers over the axioms and term
-      facts, found on the reference tableau, that together with t times
-      row j cover the row's rate coefficients and stay within its term and
-      constant coefficients, multiplied out exactly;
-    - a removal by the LP is its point, multiplied out the same way, 0 on
-      the tested row and the rows removed before;
-    - a keep, by the LP or by the twin's mirrored point, is a Farkas y:
-      y >= 0, y.col >= 0 on every other kept row and every fixed column,
-      and y.col < 0 on the row, by evaluation alone."""
+    - a removal, by one row (j, t) or by the LP's point, gives multipliers
+      >= 0 over kept rows only; the residual of the row's term and
+      constant coefficients gets multipliers over the axioms and term
+      facts, found on the reference tableau, and everything is multiplied
+      out exactly: the rows cover the row's rate coefficients and the
+      rows and facts stay within its term and constant coefficients;
+    - a keep, by the LP or by the twin's mirrored point, is a Farkas y
+      over the rate variables, term symbols and constant (the LP's ray
+      multipliers mapped back through the rays): y >= 0, y.col >= 0 on
+      every other kept row and every axiom and term fact, and y.col < 0
+      on the row, by evaluation alone."""
 
     @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
     def test_every_decision_certified(self, pair):
@@ -624,26 +653,22 @@ class TestPruningCertificates:
             if how == "row":
                 j, tn, td = cert
                 assert tn >= 0 < td and (j is None) == (tn == 0)
-                used = [] if j is None else [(F(tn, td), rows[j])]
-                residual = [F(v) for v in cols[i][len(dims):]]
-                if j is not None:
-                    assert j in kept
-                    residual = [v - F(tn, td) * w
-                                for v, w in zip(residual, cols[j][len(dims):])]
-                mu = _fact_multipliers(residual, facts)
-                assert mu is not None
+                used = [] if j is None else [(F(tn, td), j)]
             else:
                 support, den, _ = cert
-                assert all(j in kept or j >= len(rows) for j in support)
-                x = [F(support.get(j, 0), den) for j in range(len(rows) + len(facts))]
-                used = [(w, rows[j]) for j, w in enumerate(x[:len(rows)]) if w]
-                mu = x[len(rows):]
-            assert all(w >= 0 for w in mu) and all(w >= 0 for w, _ in used)
+                assert den > 0
+                used = [(F(w, den), j) for j, w in support.items()]
+            assert all(j in kept and w >= 0 for w, j in used)
+            residual = [F(v) for v in cols[i][len(dims):]]
+            for w, j in used:
+                residual = [v - w * u for v, u in zip(residual, cols[j][len(dims):])]
+            mu = _fact_multipliers(residual, facts)
+            assert mu is not None and all(w >= 0 for w in mu)
             lhs, rhs = {}, Combo()
-            for w, r in used:
-                for v, c in r.lhs:
+            for w, j in used:
+                for v, c in rows[j].lhs:
                     lhs[v] = lhs.get(v, 0) + w * c
-                rhs = rhs + r.rhs.scale(w)
+                rhs = rhs + rows[j].rhs.scale(w)
             for w, f in zip(mu, facts):
                 rhs = rhs + f.scale(w)
             assert all(lhs.get(v, 0) >= row.coeff(v) for v in dims)
@@ -651,6 +676,33 @@ class TestPruningCertificates:
             assert all(c >= 0 for _, c in rest.coeffs) and rest.const >= 0
         assert prune_redundant(sys2, AXIOM_SETS[axioms_id]).inequalities == tuple(
             rows[j] for j in sorted(kept))
+
+    def test_lp_columns_are_the_rows_only(self, monkeypatch):
+        """Each derivation's pruning LP has one ``<=`` row per rate
+        variable and per ray of ``cone_rays(axioms, term_facts)`` and one
+        column per row of the eliminated system: row j's rate coefficients
+        negated, then its rhs on each ray.  No axiom or term fact has a
+        column."""
+        built, init = [], lp.Feasibility.__init__
+
+        def spied(self, A_ub):
+            built.append(A_ub)
+            init(self, A_ub)
+
+        monkeypatch.setattr(lp.Feasibility, "__init__", spied)
+        for system_id, axioms_id in sorted(DERIVE_DIGESTS):
+            sys2 = fm_eliminate(substitute_rate_sums(
+                build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
+            rays = cone_rays(AXIOM_SETS[axioms_id], sys2.term_facts).tolist()
+            del built[:]
+            derive_region(system_id, axioms_id)
+            (A_ub,) = built
+            assert len(A_ub) == len(sys2.rate_vars) + len(rays)
+            assert {len(r) for r in A_ub} == {len(sys2.inequalities)}
+            cols = [_column(r.lhs, r.rhs, sys2.rate_vars) for r in sys2.inequalities]
+            nr = len(sys2.rate_vars)
+            assert [list(c) for c in zip(*A_ub)] == [
+                c[:nr] + [_dot(c[nr:], v) for v in rays] for c in cols]
 
     def test_decision_counts(self):
         """Of the 264 rows of the 8 derivations, one row over the rays
@@ -691,7 +743,8 @@ def _fact_row(combo) -> list:
 class TestConeRays:
     """``cone_rays`` gives the extreme rays of the cone of term values
     (and the homogenising constant w) that the axioms and term facts
-    allow, the dual of the cone the pruning LP's fixed columns span."""
+    allow, the dual of the cone that they and 0 <= s span; the pruning LP
+    has a row per ray in place of a column per fact."""
 
     @pytest.mark.parametrize("name, count", [("chain", 25), ("hk-indep", 17)])
     def test_pinned_count(self, name, count):

@@ -168,12 +168,15 @@ def tableaus(monkeypatch):
 
 class TestPivotBudget:
     def test_derivations(self, pivots, lp_calls):
-        """The 8 derivations decide 51 LPs with 496 pivots and 2721 usable
+        """The 8 derivations decide 51 LPs with 321 pivots and 1225 usable
         structural columns in all, on one ``Feasibility`` tableau per
-        ``prune_redundant`` call.  Before one-row certificates over the
-        axiom cone's rays and the twins' mirrored Farkas points decided
-        the other 213 rows, they decided 158 LPs with 996 pivots and 8944
-        columns.  With a fresh tableau and primal phase 1
+        ``prune_redundant`` call, posed over the axiom cone's extreme rays:
+        a column per derived row and none per axiom or term fact.  With a
+        column per axiom and term fact beside the rows, the same 51 LPs
+        took 496 pivots and 2721 columns.  Before one-row certificates
+        over the axiom cone's rays and the twins' mirrored Farkas points
+        decided the other 213 rows, they decided 158 LPs with 996 pivots
+        and 8944 columns.  With a fresh tableau and primal phase 1
         for each LP they took 2922 pivots.  With two equality rows and two
         fixed -v <= 0 columns for the rate variables they took 3591 pivots and
         9260 columns; with the axiom sets before they were reduced to bases
@@ -186,8 +189,8 @@ class TestPivotBudget:
         for s in QUADRUPLE_SYSTEMS:
             for a in AXIOM_SETS:
                 derive_region(s, a)
-        assert lp_calls == [51, 2721]
-        assert pivots[0] == 496
+        assert lp_calls == [51, 1225]
+        assert pivots[0] == 321
 
     def test_containment(self, monkeypatch):
         """cmg-subset-hod's 50 containments CMG_Q in HOD_Q: a one-row dual
