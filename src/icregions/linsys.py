@@ -6,8 +6,10 @@ Composite symbols (B, C, F) are expanded into base + rho at construction,
 so all arithmetic happens in the 16-symbol base space.  Coefficients are
 Python ``int``s where they are integral and ``Fraction``s otherwise; every
 row of a ``LinearSystem`` is canonical, with ``int`` coefficients of
-content 1, so substitution, Fourier-Motzkin and the pruning LP work in
-integers.
+content 1.  Substitution, Fourier-Motzkin and the pruning LP work on one
+layout, ``LinearSystem.rows``: each row an integer tuple over the rate
+variables, ``BASE_SYMBOLS`` and the constant.  A derived system builds
+its ``Inequality`` objects only when they are read.
 
 ``fm_eliminate`` is exact Fourier-Motzkin projection, which drops the rows
 Imbert's rule proves implied.  ``prune_redundant`` removes an inequality
@@ -31,6 +33,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import repeat
 from fractions import Fraction
 from math import gcd, isfinite, lcm
 
@@ -76,20 +79,6 @@ class Combo:
             raise ValueError(f"unknown term symbols: {sorted(unknown)}")
         return Combo(tuple(sorted(d.items())), _num(const))
 
-    def as_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    def __add__(self, other: "Combo") -> "Combo":
-        d = dict(self.coeffs)
-        for k, v in other.coeffs:
-            d[k] = d.get(k, 0) + v
-        return Combo(tuple(sorted((k, v) for k, v in d.items() if v)),
-                     self.const + other.const)
-
-    def scale(self, s) -> "Combo":
-        s = _num(s)
-        return Combo(tuple((k, v * s) for k, v in self.coeffs), self.const * s)
-
     def is_zero(self) -> bool:
         return not self.coeffs and self.const == 0
 
@@ -114,9 +103,6 @@ class Inequality:
         if unknown:
             raise ValueError(f"unknown rate variables: {sorted(unknown)}")
         return Inequality(tuple(sorted(lhs.items())), rhs)
-
-    def coeff(self, v):
-        return dict(self.lhs).get(v, 0)
 
     def is_term_fact(self) -> bool:
         return not self.lhs
@@ -159,17 +145,36 @@ def _facts(facts) -> tuple:
 class LinearSystem:
     """Inequalities plus implicit rate nonnegativity and pure term-facts.
 
-    The inequalities are canonical, distinct and sorted."""
+    The inequalities are canonical, distinct and sorted.  ``rows`` is the
+    same rows as integer tuples, the view the derivation works on."""
 
     rate_vars: tuple
     inequalities: tuple
     term_facts: tuple = field(default=())  # Combos asserted >= 0
 
     @cached_property
+    def rows(self) -> tuple:
+        """Each row as integers over the rate variables, ``BASE_SYMBOLS``
+        and the constant.  ``substitute_rate_sums`` and ``fm_eliminate``
+        set it; any other system derives it here on first use."""
+        return tuple((*(lhs.get(v, 0) for v in self.rate_vars),
+                      *(rhs.get(s, 0) for s in BASE_SYMBOLS), ineq.rhs.const)
+                     for ineq, lhs, rhs in ((i, dict(i.lhs), dict(i.rhs.coeffs))
+                                            for i in self.inequalities))
+
+    def __getattr__(self, name):
+        # called only for an attribute not found: the inequalities of a
+        # system built from its rows, each built on first read
+        if name != "inequalities" or "rows" not in self.__dict__:
+            raise AttributeError(f"'LinearSystem' object has no attribute {name!r}")
+        ineqs = self.__dict__["inequalities"] = _inequalities(self.rate_vars, self.rows)
+        return ineqs
+
+    @cached_property
     def dense_lhs(self) -> tuple:
-        """``dense_lhs`` of the rows, built on first use and kept: binding
+        """The rows' rate coefficients, built on first use and kept: binding
         the system sets only its right-hand sides."""
-        return dense_lhs(self.rate_vars, self.inequalities)
+        return tuple(row[:len(self.rate_vars)] for row in self.rows)
 
     @cached_property
     def rhs_symbols(self) -> frozenset:
@@ -195,41 +200,66 @@ class LinearSystem:
         return LinearSystem(dims, tuple(rows[k] for k in sorted(rows)), facts)
 
 
-def dense_lhs(dims, ineqs) -> tuple:
-    """Each inequality's lhs as a tuple over dims, of its own coefficients
-    (``int`` for a canonical row) and 0 where it has none."""
-    return tuple(tuple(lhs.get(v, 0) for v in dims)
-                 for lhs in (dict(ineq.lhs) for ineq in ineqs))
+# --- the integer row layout -------------------------------------------------
+
+# BASE_SYMBOLS's positions in name order, the order a Combo keeps
+_BY_NAME = sorted(range(len(BASE_SYMBOLS)), key=BASE_SYMBOLS.__getitem__)
 
 
-def fm_rows(rows, v: str, most=None) -> list:
-    """One Fourier-Motzkin step, unsorted, on (inequality, history) pairs: the
-    rows free of ``v``, then each upper bound on ``v`` paired with each lower
-    bound, of which the implicit v >= 0 (history ``{v}``) is the last.  A
-    pair's history is the union of its two.  A pair that keeps a rate
-    variable and whose history has more than ``most`` members is skipped
-    before its rhs is built."""
+def _parts(rate_vars):
+    """The function taking a row to its (lhs, rhs coefficients, constant)
+    as an ``Inequality`` holds them, names sorted and zeros left out:
+    ``LinearSystem.of``'s sort key."""
+    nr, order = len(rate_vars), sorted(range(len(rate_vars)), key=rate_vars.__getitem__)
+    return lambda row: (tuple([(rate_vars[k], row[k]) for k in order if row[k]]),
+                        tuple([(BASE_SYMBOLS[k], row[nr + k]) for k in _BY_NAME if row[nr + k]]),
+                        row[-1])
+
+
+def _inequalities(rate_vars, rows) -> tuple:
+    return tuple(Inequality(lhs, Combo(coeffs, const))
+                 for lhs, coeffs, const in map(_parts(rate_vars), rows))
+
+
+def _canonical(row) -> tuple:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return row if g < 2 else tuple(v // g for v in row)
+
+
+def _system(rate_vars, rows, facts) -> LinearSystem:
+    """The system of these distinct canonical rows, in the order given."""
+    system = object.__new__(LinearSystem)
+    system.__dict__.update(rate_vars=rate_vars, rows=tuple(rows), term_facts=facts)
+    return system
+
+
+def fm_rows(rows, col: int, nr: int, bit: int = 0, most=None) -> list:
+    """One Fourier-Motzkin step, unsorted, on (row, history) pairs of integer
+    rows with ``nr`` rate columns: the rows free of column ``col``, then each
+    upper bound on it paired with each lower bound, of which the implicit
+    -v <= 0 (history ``bit``) is the last, each with the column dropped.  A
+    pair's history bitmask is the union of its two; a pair that keeps a rate
+    variable and whose history has more than ``most`` bits is dropped."""
     keep, uppers, lowers = [], [], []
-    for ineq, hist in rows:
-        c = ineq.coeff(v)
+    for row, hist in rows:
+        c = row[col]
         if c == 0:
-            keep.append((ineq, hist))
+            keep.append((row[:col] + row[col + 1:], hist))
         elif c > 0:
-            uppers.append((ineq, c, hist))
+            uppers.append((row, c, hist))
         else:
-            lowers.append((ineq, -c, hist))
-    lowers.append((Inequality(((v, -1),), Combo()), 1, frozenset([v])))  # -v <= 0
+            lowers.append((row, -c, hist))
+    width = len(uppers[0][0]) if uppers else 0
+    lowers.append(([-1 if k == col else 0 for k in range(width)], 1, bit))
     for up, a, up_hist in uppers:
         for lo, b, lo_hist in lowers:
             hist = up_hist | lo_hist
-            combined = {k: b * val for k, val in up.lhs if k != v}
-            for k, val in lo.lhs:
-                if k != v:
-                    combined[k] = combined.get(k, 0) + a * val
-            lhs = tuple(sorted((k, val) for k, val in combined.items() if val))
-            if most is not None and len(hist) > most and lhs:
+            row = [b * x + a * y for x, y in zip(up, lo)]
+            del row[col]
+            if most is not None and hist.bit_count() > most and any(row[:nr - 1]):
                 continue
-            keep.append((Inequality(lhs, up.rhs.scale(b) + lo.rhs.scale(a)), hist))
+            keep.append((tuple(row), hist))
     return keep
 
 
@@ -238,59 +268,57 @@ def fm_eliminate(system: LinearSystem, *variables) -> LinearSystem:
     v >= 0 supplies a lower bound); pure term-facts generated by pairing are
     kept as facts, in order.
 
-    Each row carries its history, the set of input rows (and implicit
-    -v <= 0 rows) it combines.  After the k-th elimination a row whose
-    history has more than k + 1 members is implied by the others and is
-    dropped (Imbert's first acceleration theorem: J.-L. Imbert, "Fourier's
-    elimination: which to choose?", PPCP 1993), so a one-variable call
-    drops nothing.  After each elimination the rows are canonicalised,
-    deduplicated (a duplicate keeps the smallest history) and sorted as
-    ``LinearSystem.of`` does, so the result is built from them directly."""
+    Works on ``system.rows``.  Each row carries its history, the bitmask of
+    the input rows (and implicit -v <= 0 rows, a bit each) it combines.
+    After the k-th elimination a row whose history has more than k + 1
+    bits is implied by the others and is dropped (Imbert's first
+    acceleration theorem: J.-L. Imbert, "Fourier's elimination: which to
+    choose?", PPCP 1993), so a one-variable call drops nothing.  After each
+    elimination the rows are canonicalised, deduplicated (a duplicate keeps
+    the smallest history) and sorted as ``LinearSystem.of`` does, so the
+    result is built from them directly."""
     rate_vars, facts = system.rate_vars, list(system.term_facts)
-    rows = [(ineq, frozenset([n])) for n, ineq in enumerate(system.inequalities)]
+    rows = [(row, 1 << n) for n, row in enumerate(system.rows)]
     for k, v in enumerate(variables, 1):
         if v not in rate_vars:
             raise ValueError(f"variable {v!r} not in system dims {rate_vars}")
-        rate_vars = tuple(r for r in rate_vars if r != v)
-        best = {}
-        for ineq, hist in fm_rows(rows, v, most=k + 1):
-            if ineq.is_term_fact():
-                facts.append(ineq.rhs)
+        col, nr = rate_vars.index(v), len(rate_vars)
+        rate_vars = rate_vars[:col] + rate_vars[col + 1:]
+        best, parts = {}, _parts(rate_vars)
+        for row, hist in fm_rows(rows, col, nr, 1 << (len(system.rows) + k), most=k + 1):
+            if not any(row[:nr - 1]):
+                facts.append(Combo(*parts(row)[1:]))
                 continue
-            c = ineq.canonical()
-            key = (c.lhs, c.rhs.coeffs, c.rhs.const)
-            if key not in best or len(hist) < len(best[key][1]):
-                best[key] = (c, hist)
-        rows = [best[key] for key in sorted(best)]
-    return LinearSystem(rate_vars, tuple(ineq for ineq, _ in rows), _facts(facts))
+            row = _canonical(row)
+            if row not in best or hist.bit_count() < best[row].bit_count():
+                best[row] = hist
+        rows = sorted(best.items(), key=lambda item: parts(item[0]))
+    return _system(rate_vars, (row for row, _ in rows), _facts(facts))
 
 
-def substitution_rows(inequalities) -> list:
-    """Rewrite rows over (S1,T1,S2,T2) over (R1,T1,R2,T2) via R_i = S_i + T_i,
-    in order, followed by S_i >= 0 as T_i <= R_i."""
+def substitution_rows(rows, dims, width: int) -> list:
+    """Rewrite rows over dims, of (S1,T1,S2,T2) and R1, R2 unused, and then
+    ``width`` right-hand-side entries, over (R1,T1,R2,T2) via
+    R_i = S_i + T_i, in order, followed by S_i >= 0 as T_i <= R_i."""
+    at = {v: k for k, v in enumerate(dims)}
+    if any(row[at[r]] for r in ("R1", "R2") if r in at for row in rows):
+        raise ValueError("system already mentions R variables")
     out = []
-    for ineq in inequalities:
-        if ineq.coeff("R1") or ineq.coeff("R2"):
-            raise ValueError("system already mentions R variables")
-        lhs = dict(ineq.lhs)
-        for s, r, t in (("S1", "R1", "T1"), ("S2", "R2", "T2")):
-            c = lhs.pop(s, 0)
-            if c:
-                lhs[r] = lhs.get(r, 0) + c
-                lhs[t] = lhs.get(t, 0) - c
-        out.append(Inequality.of(lhs, ineq.rhs))
-    out.append(Inequality.of({"T1": 1, "R1": -1}, Combo()))
-    out.append(Inequality.of({"T2": 1, "R2": -1}, Combo()))
-    return out
+    for row in rows:
+        s1, t1, s2, t2 = (row[at[v]] if v in at else 0 for v in ("S1", "T1", "S2", "T2"))
+        out.append((s1, t1 - s1, s2, t2 - s2, *row[len(dims):]))
+    zero = (0,) * width
+    return out + [(-1, 1, 0, 0, *zero), (0, 0, -1, 1, *zero)]
 
 
 def substitute_rate_sums(system: LinearSystem) -> LinearSystem:
     """Rewrite the (S1,T1,S2,T2) system over (R1,T1,R2,T2) via R_i = S_i + T_i.
 
-    S_i >= 0 materializes as T_i <= R_i."""
-    return LinearSystem.of(("R1", "T1", "R2", "T2"),
-                           substitution_rows(system.inequalities),
-                           system.term_facts)
+    S_i >= 0 materializes as T_i <= R_i.  The substitution is unimodular,
+    so canonical rows stay canonical."""
+    dims = ("R1", "T1", "R2", "T2")
+    rows = substitution_rows(system.rows, system.rate_vars, len(BASE_SYMBOLS) + 1)
+    return _system(dims, sorted(dict.fromkeys(rows), key=_parts(dims)), system.term_facts)
 
 
 # --- bound notation and axioms ----------------------------------------------
@@ -336,8 +364,9 @@ _BASIS = (
 # Chain-rule monotonicity of c1; under hk-indep c1 + g1 <= e1 + f1 with
 # f1 <= g1 gives c1 <= e1, and with e1 <= g1 gives c1 <= f1.
 _MONOTONE_C = ("c1 <= e1", "c1 <= f1")
-# Facts that additionally need U_i independent of W_i given Q (C1 <= e1 is
-# c1 <= e1 plus rho1 <= 0).
+# Facts that need U_i independent of W_i given Q, and only through rho1:
+# c1 + g1 <= e1 + f1 + rho1 holds for every distribution, and dropping its
+# rho1 takes rho1 <= 0 (C1 <= e1 is c1 <= e1 plus rho1 <= 0).
 _INDEP = ("c1 + g1 <= e1 + f1", "rho1 <= 0")
 
 AXIOMS_CHAIN = tuple(i.rhs for i in parse_bounds(_MONOTONE_C + _BASIS))
@@ -348,12 +377,18 @@ AXIOM_SETS = {"chain": AXIOMS_CHAIN, "hk-indep": AXIOMS_HK_INDEP}
 
 # --- redundancy pruning -----------------------------------------------------
 
-def _integer_row(combo: Combo) -> list:
+def _integer_row(combo: Combo) -> tuple:
     """A term fact 0 <= combo as integers over ``BASE_SYMBOLS`` and the
     constant, scaled by the least positive integer that clears its
     denominators (the half-space does not change)."""
-    d = combo.as_dict()
-    return lp._integers([*(d.get(s, 0) for s in BASE_SYMBOLS), combo.const])[0]
+    return tuple(lp._integers([*map(dict(combo.coeffs).get, BASE_SYMBOLS, repeat(0)),
+                               combo.const])[0])
+
+
+@lru_cache(maxsize=16)
+def _axiom_rows(axioms: tuple) -> tuple:
+    """``_integer_row`` of each axiom, computed once per axiom set."""
+    return tuple(map(_integer_row, axioms))
 
 
 def _dd_step(rays, tight, row, bit):
@@ -524,9 +559,9 @@ def prune_redundant(system: LinearSystem, axioms) -> LinearSystem:
 
     On the 8 derivations 174 of the 264 rows go by one row over the rays
     and 39 stay by a twin's Farkas y, so the LP decides 51."""
-    kept = [i for i, how, _ in _pruning(system, axioms) if how in ("farkas", "twin")]
-    return LinearSystem(system.rate_vars,
-                        tuple(system.inequalities[j] for j in kept),
+    kept = [system.rows[i] for i, how, _ in _pruning(system, axioms)
+            if how in ("farkas", "twin")]
+    return LinearSystem(system.rate_vars, _inequalities(system.rate_vars, kept),
                         system.term_facts)
 
 
@@ -542,55 +577,42 @@ def _pruning(system: LinearSystem, axioms):
     constant (the LP's ray multipliers times the rays)."""
     keys = list(system.rate_vars) + list(BASE_SYMBOLS) + [None]  # None: constant
     index = {k: r for r, k in enumerate(keys)}
-
-    def column(lhs, rhs: Combo) -> list:
-        """A row or fact over ``keys``: its rate coefficients negated,
-        then its term coefficients and its constant."""
-        col = [0] * len(keys)
-        for k, v in lhs:
-            col[index[k]] = -v
-        for k, v in rhs.coeffs:
-            col[index[k]] = v
-        col[-1] = rhs.const
-        return col
-
-    # 0 <= ax contributes +ax to the certified rhs
-    fixed = [column((), ax) for ax in (*axioms, *system.term_facts)]
-    cols = [column(i.lhs, i.rhs) for i in system.inequalities]
-    n = len(cols)
-    # every column in integers (a fact times a positive integer keeps the
-    # sign of y.col for any y)
-    M = _int64_or_object([*cols, *(lp._integers(f)[0] for f in fixed)], len(keys))
-    nr, V = len(system.rate_vars), cone_rays(axioms, system.term_facts)
+    rows, nr = system.rows, len(system.rate_vars)
+    n = len(rows)
+    # every row and every fact in integers, the rows' rate coefficients
+    # negated; 0 <= ax contributes +ax to the certified rhs (a fact times a
+    # positive integer keeps the sign of y.col for any y)
+    facts = (*_axiom_rows(tuple(axioms)), *map(_integer_row, system.term_facts))
+    M = _int64_or_object([*rows, *((0,) * nr + f for f in facts)], len(keys))
+    M = M.astype(object) if (M == -2**63).any() else M  # whose negation int64 lacks
+    M[:n, :nr] *= -1
+    V = cone_rays(axioms, system.term_facts)
     ok, alone, tn, td, P = _one_row_certified(M[:n], nr, V)
 
+    # the receiver mirror as one permutation of ``keys``; a key whose
+    # image is not in ``keys`` stays put, and a vector nonzero there has no twin
     mirror = [index.get(k if k is None else k.translate(_MIRROR)) for k in keys]
+    lone = [r for r, m in enumerate(mirror) if m is None]
+    mirror = [r if m is None else m for r, m in enumerate(mirror)]
 
     def twin(vec):
         """The vector over ``keys`` with the indices 1 and 2 swapped in
         every key, or None when a swapped key is not in ``keys``."""
-        out = [0] * len(keys)
-        for r, v in enumerate(vec):
-            if v:
-                if mirror[r] is None:
-                    return None
-                out[mirror[r]] = v
-        return tuple(out)
+        return None if any(vec[r] for r in lone) else tuple(map(vec.__getitem__, mirror))
 
-    row_of = {tuple(c): j for j, c in enumerate(cols)}
-    twin_row = [row_of.get(twin(c)) for c in cols]
+    row_of = {row: j for j, row in enumerate(rows)}
+    twin_row = [row_of.get(twin(row)) for row in rows]
 
     # row j's LP column: its rate coefficients negated, then P_j
     C = np.hstack([M[:n, :nr], P])
     lps = lp.Feasibility(C.T.tolist())
     kept = list(range(n))
     farkas = {}  # row kept by an LP -> its Farkas y
-    for i in range(n):
+    for i, ok_i, alone_i in zip(range(n), ok.tolist(), alone.tolist()):
         others = [j for j in kept if j != i]
-        by = ok[i, others]
-        if alone[i] or by.any():
+        j = None if alone_i else next((j for j in others if ok_i[j]), None)
+        if alone_i or j is not None:
             kept = others
-            j = None if alone[i] else others[by.argmax()]
             yield i, "row", (j, 0, 1) if j is None else (j, int(tn[i, j]), int(td[i, j]))
             continue
         y = twin(farkas[twin_row[i]]) if twin_row[i] in farkas else None

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .lp import Feasibility, _integers, solve_lp
-from .linsys import Combo, Inequality, LinearSystem, dense_lhs, fm_rows, substitution_rows
+from .linsys import LinearSystem, _canonical, fm_rows, substitution_rows
 
 F = Fraction
 
@@ -308,37 +308,35 @@ def poly_equal(p: HPoly, q: HPoly, eps=F(0)) -> bool:
     return contains(p, q, eps) and contains(q, p, eps)
 
 
-def _ineqs(p: HPoly) -> list:
-    """The rows as inequalities whose right-hand sides are constants."""
-    return [Inequality.of(dict(zip(p.dims, lhs)), Combo(const=rhs))
-            for lhs, rhs in p.rows]
-
-
-def _hpoly(dims, ineqs) -> HPoly:
-    """The inequalities, whose right-hand sides are constants, in order as
-    dense rows over dims with ``Fraction`` right-hand sides."""
-    return HPoly(dims, tuple(zip(dense_lhs(dims, ineqs), (F(i.rhs.const) for i in ineqs))))
+def _hpoly(dims, rows) -> HPoly:
+    """The rows, each its coefficients and then its rhs, with ``Fraction`` rhs."""
+    return HPoly(dims, tuple((row[:-1], F(row[-1])) for row in rows))
 
 
 def fm_eliminate_numeric(p: HPoly, dim: str) -> HPoly:
     """Exact Fourier-Motzkin projection of a numeric polytope.
 
-    The implicit dim >= 0 row participates as a lower bound."""
+    The implicit dim >= 0 row participates as a lower bound.  ``linsys``'s
+    step runs on the grid's rows as canonical integers, a . x <= n read as
+    (den * a, n), and each result is canonical."""
     if dim not in p.dims:
         raise ValueError(f"variable {dim!r} not in system dims {p.dims}")
+    den, grid = p.grid
+    rows = [(_canonical((*(v * den for v in a), n)), 0) for a, _, n in grid]
     # drop vacuous 0 <= rhs rows and exact duplicates, keeping first occurrences
-    rows = {}
-    for ineq, _ in fm_rows([(i, frozenset()) for i in _ineqs(p)], dim):
-        if ineq.is_term_fact():
-            if ineq.rhs.const < 0:
-                raise ValueError("projection produced an infeasible constant row")
-            continue
-        rows.setdefault(ineq.canonical())
-    return _hpoly(tuple(d for d in p.dims if d != dim), list(rows))
+    out = {}
+    for row, _ in fm_rows(rows, p.dims.index(dim), len(p.dims)):
+        if any(row[:-1]):
+            out.setdefault(_canonical(row))
+        elif row[-1] < 0:
+            raise ValueError("projection produced an infeasible constant row")
+    return _hpoly(tuple(d for d in p.dims if d != dim), out)
 
 
 def substitute_rate_sums_numeric(p: HPoly) -> HPoly:
-    """Numeric analogue of the symbolic S_i := R_i - T_i substitution."""
+    """Numeric analogue of the symbolic S_i := R_i - T_i substitution, by
+    ``linsys``'s step on the rows as they are, each keeping its scale."""
     if p.dims != ("S1", "T1", "S2", "T2"):
         raise ValueError("expected a quadruple polytope over (S1, T1, S2, T2)")
-    return _hpoly(("R1", "T1", "R2", "T2"), substitution_rows(_ineqs(p)))
+    return _hpoly(("R1", "T1", "R2", "T2"),
+                  substitution_rows([(*lhs, rhs) for lhs, rhs in p.rows], p.dims, 1))

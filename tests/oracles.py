@@ -4,8 +4,8 @@ These deliberately avoid the library's vectorized/einsum code paths:
 joints are built by explicit nested loops over flat index tuples, mutual
 informations by direct summation over dictionaries, polygon vertices
 by a from-scratch pairwise-intersection search, redundancy pruning by
-the pruning LP written with equality rows only, and one Fourier-Motzkin
-step over ``Fraction`` dictionaries.  Three references keep an
+the pruning LP written with equality rows only, and Fourier-Motzkin
+steps over ``Fraction`` dictionaries that drop no row.  Three references keep an
 earlier form of library code: the 2-D clip over ``Fraction`` points,
 containment decided by the exact LP alone, and the exact LP's tableau
 as lists of Python ints, with the Bland's-rule primal simplex the
@@ -201,49 +201,62 @@ def prune_redundant_eq(system, axioms):
                            system.term_facts)
 
 
-def fm_step_keys(system, v):
-    """One Fourier-Motzkin step on ``Fraction`` dictionaries, every row
-    paired with every other (the implicit -v <= 0 as a lower bound).
-    Returns the canonical keys of the rows that keep a rate variable, each
-    scaled to integers of content 1, and the term facts (the system's own
-    and the pairs' that keep none) as (coefficients, constant) pairs with
-    zero ones left out."""
-    def as_dicts(ineq):
-        lhs = {k: Fraction(c) for k, c in ineq.lhs}
-        rhs = {k: Fraction(c) for k, c in ineq.rhs.coeffs}
-        return lhs, rhs, Fraction(ineq.rhs.const)
-
-    rows = [as_dicts(i) for i in system.inequalities]
-    rows.append(({v: Fraction(-1)}, {}, Fraction(0)))
-    keep = [r for r in rows if r[0].get(v, 0) == 0]
-    for up in (r for r in rows if r[0].get(v, 0) > 0):
-        for lo in (r for r in rows if r[0].get(v, 0) < 0):
-            a, b = up[0][v], -lo[0][v]
-            pair = []
-            for part in range(2):
-                d = {}
-                for k in set(up[part]) | set(lo[part]):
-                    d[k] = b * up[part].get(k, 0) + a * lo[part].get(k, 0)
-                pair.append(d)
-            pair[0].pop(v)
-            keep.append((pair[0], pair[1], b * up[2] + a * lo[2]))
+def fm_step_keys(system, *variables):
+    """Fourier-Motzkin on ``Fraction`` dictionaries, one step per variable
+    in turn, every row paired with every other (the implicit -v <= 0 as a
+    lower bound) and no row dropped.  Returns the canonical keys of the
+    rows that keep a rate variable after the last step, each scaled to
+    integers of content 1, and the term facts (the system's own and the
+    pairs' that keep none) as (coefficients, constant) pairs with zero ones
+    left out."""
+    def as_dicts(lhs, rhs, const):
+        return ({k: Fraction(c) for k, c in lhs}, {k: Fraction(c) for k, c in rhs},
+                Fraction(const))
 
     def nonzero(d):
         return tuple(sorted((k, c) for k, c in d.items() if c != 0))
 
-    keys, facts = set(), {(c.coeffs, c.const) for c in system.term_facts}
-    for lhs, rhs, const in keep:
-        lhs, rhs = nonzero(lhs), nonzero(rhs)
-        if not lhs:
-            if rhs or const:
-                facts.add((rhs, const))
-            continue
-        values = [c for _, c in lhs + rhs] + [const]
-        scale = Fraction(lcm(*(c.denominator for c in values)),
-                         gcd(*(c.numerator for c in values)))
-        keys.add((tuple((k, int(c * scale)) for k, c in lhs),
-                  tuple((k, int(c * scale)) for k, c in rhs), int(const * scale)))
+    keys = {(i.lhs, i.rhs.coeffs, i.rhs.const) for i in system.inequalities}
+    facts = {(c.coeffs, c.const) for c in system.term_facts}
+    for v in variables:
+        rows = [as_dicts(*key) for key in keys]
+        rows.append(({v: Fraction(-1)}, {}, Fraction(0)))
+        keep = [r for r in rows if r[0].get(v, 0) == 0]
+        for up in (r for r in rows if r[0].get(v, 0) > 0):
+            for lo in (r for r in rows if r[0].get(v, 0) < 0):
+                a, b = up[0][v], -lo[0][v]
+                pair = []
+                for part in range(2):
+                    d = {}
+                    for k in set(up[part]) | set(lo[part]):
+                        d[k] = b * up[part].get(k, 0) + a * lo[part].get(k, 0)
+                    pair.append(d)
+                pair[0].pop(v)
+                keep.append((pair[0], pair[1], b * up[2] + a * lo[2]))
+        keys = set()
+        for lhs, rhs, const in keep:
+            lhs, rhs = nonzero(lhs), nonzero(rhs)
+            if not lhs:
+                if rhs or const:
+                    facts.add((rhs, const))
+                continue
+            values = [c for _, c in lhs + rhs] + [const]
+            scale = Fraction(lcm(*(c.denominator for c in values)),
+                             gcd(*(c.numerator for c in values)))
+            keys.add((tuple((k, int(c * scale)) for k, c in lhs),
+                      tuple((k, int(c * scale)) for k, c in rhs), int(const * scale)))
     return keys, facts
+
+
+def combination(terms) -> dict:
+    """sum w * c over the (w, Combo) pairs, exactly: a dict from term symbol
+    to coefficient, with None for the constant.  Certificates are
+    multiplied out with it; the library has no Combo arithmetic."""
+    out = {None: Fraction(0)}
+    for w, c in terms:
+        for k, v in (*c.coeffs, (None, c.const)):
+            out[k] = out.get(k, 0) + w * v
+    return out
 
 
 def vertices2_fraction(p):

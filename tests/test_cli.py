@@ -388,6 +388,25 @@ class TestProject:
         assert out.read_text() == json.dumps(expected, indent=2,
                                              sort_keys=True) + "\n"
 
+    def test_derived_projection_bytes_pinned(self, tmp_path):
+        """``derive`` and then ``project --eliminate R1``: the derivation's
+        rows and their order reach the projected bytes."""
+        sys_path, terms_path = tmp_path / "sys.json", tmp_path / "terms.json"
+        assert main(["derive", "--system", "hod", "--axioms", "chain",
+                     "--out", str(sys_path)]) == 0
+        terms_path.write_text(json.dumps(self.DYADIC_TERMS))
+        out = tmp_path / "proj.json"
+        assert main(["project", "--system", str(sys_path), "--terms",
+                     str(terms_path), "--eliminate", "R1", "--out", str(out)]) == 0
+        rows = [(32, 7), (8, 3), (16, 5), (32, 17), (2, 1), (32, 13), (64, 23),
+                (32, 23), (16, 13)]
+        expected = {
+            "dims": ["R2"],
+            "implicit": "all coordinates nonnegative",
+            "rows": [{"coeffs": [c], "rhs": r} for c, r in rows],
+        }
+        assert out.read_text() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
 
 def _one_usage_line(err: str, prefix: str, message: str):
     assert err.startswith(prefix) and message in err, err

@@ -861,6 +861,14 @@ class TestIndependenceProjection:
         with pytest.raises(SpecError, match="requires form hod16, got general1$"):
             independence_projection(spec)
 
+    def test_tables_changed_after_construction_are_checked_again(self):
+        # a spec's arrays are mutable, so the projection checks the tables
+        # it takes over even though the spec checked them when built
+        spec = sample_spec(binary_alphabets(), Form.HOD16, [11, 20])
+        spec.channel[0, 1, 0, 1] = np.nan
+        with pytest.raises(SpecError, match="^factor channel: non-finite entry at "):
+            independence_projection(spec)
+
 
 class TestMarkovChains:
     def test_cmg9_chains_hold(self):

@@ -22,13 +22,14 @@ from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               substitute_zero, system_equal,
                               system_from_json, system_to_json)
 from icregions.lp import feasible
-from icregions.polytope import (bind, fm_eliminate_numeric, poly_equal,
+from icregions.polytope import (SNAP_DEN, bind, fm_eliminate_numeric, poly_equal,
                                 snap_terms)
 from icregions.regions import (HK_R_REDUNDANT, REGION_IDS, build_system,
                                hk_r_with_redundant)
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import BASE_SYMBOLS, eval_terms
-from oracles import ReferenceFeasibility, fm_step_keys, prune_redundant_eq
+from oracles import (ReferenceFeasibility, combination, fm_step_keys,
+                     prune_redundant_eq)
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -44,17 +45,20 @@ def hk2_binding(index):
 class TestCombo:
     def test_composites_expand(self):
         c = Combo.of({"B1": 1, "a2": 2})
-        assert c.as_dict() == {"b1": F(1), "rho1": F(1), "a2": F(2)}
+        assert dict(c.coeffs) == {"b1": F(1), "rho1": F(1), "a2": F(2)}
 
     def test_unknown_symbol_rejected(self):
         with pytest.raises(ValueError, match="unknown term symbols"):
             Combo.of({"z9": 1})
 
-    def test_arithmetic(self):
-        c = Combo.of({"a1": 1}) + Combo.of({"a1": -1, "b1": 2})
-        assert c.as_dict() == {"b1": F(2)}
-        assert c.scale(-1).as_dict() == {"b1": F(-2)}
-        assert c.scale(F(1, 2)).as_dict() == {"b1": F(1)}
+    def test_coefficients_in_name_order(self):
+        # a Combo keeps its symbols sorted by name, not in BASE_SYMBOLS
+        # order (a1..g1, a2..g2, rho1, rho2), and so must a derived row
+        c = Combo.of({"rho1": 1, "a2": 2, "g1": 3})
+        assert [k for k, _ in c.coeffs] == ["a2", "g1", "rho1"]
+        out = substitute_rate_sums(LinearSystem.of(("S1", "T1", "S2", "T2"),
+                                                   [Inequality.of({"T1": 1}, c)]))
+        assert [i.rhs for i in out.inequalities if i.rhs.coeffs] == [c]
 
 
 class TestInequality:
@@ -160,8 +164,8 @@ class TestAxioms:
             lam = implied_by(fact, basis)
             assert lam is not None, fact
             assert all(v >= 0 for v in lam)
-            rest = fact + sum((ax.scale(-v) for ax, v in zip(basis, lam)), Combo())
-            assert all(v >= 0 for _, v in rest.coeffs) and rest.const >= 0, fact
+            rest = combination([(1, fact), *((-v, ax) for ax, v in zip(basis, lam))])
+            assert all(v >= 0 for v in rest.values()), fact
 
     @pytest.mark.parametrize("name", sorted(AXIOM_SETS))
     def test_irredundant_and_mirror_closed(self, name):
@@ -233,6 +237,33 @@ class TestFmEliminate:
             shadow = fm_eliminate_numeric(bind(sys0, {}), v)
             assert {Inequality.of(dict(zip(shadow.dims, lhs)), {}, rhs).key()
                     for lhs, rhs in shadow.rows} == keys
+
+    @settings(max_examples=60, deadline=None)
+    @given(json_systems(), st.permutations(["S1", "T1", "R1"]),
+           st.fixed_dictionaries({s: st.floats(0, 1) for s in ("a1", "b1", "e2")}))
+    def test_two_steps_keep_a_subset_of_the_chained_oracle(self, obj, order, terms):
+        """Eliminating two variables in one call keeps only rows of the
+        oracle's two chained steps, which drop nothing, with the same term
+        facts; where those facts hold, the rows bound the same polytope,
+        so the rows Imbert's rule drops are implied."""
+        v1, v2, _ = order
+        try:
+            sys0 = system_from_json(obj)
+            out = fm_eliminate(sys0, v1, v2)
+        except ValueError:  # a negative constant fact, given or derived
+            assume(False)
+        keys, facts = fm_step_keys(sys0, v1, v2)
+        assert {i.key() for i in out.inequalities} <= keys
+        assert {(c.coeffs, c.const) for c in out.term_facts} == facts
+        # the facts come in the order of two one-variable calls, whose
+        # first result is sorted
+        assert out.term_facts == fm_eliminate(fm_eliminate(sys0, v1), v2).term_facts
+        binding = snap_terms(terms)
+        assume(all(c * SNAP_DEN + sum(v * binding[k] for k, v in coeffs) >= 0
+                   for coeffs, c in facts))
+        chained = LinearSystem.of(out.rate_vars, [
+            Inequality.of(dict(lhs), dict(rhs), const) for lhs, rhs, const in keys])
+        assert poly_equal(bind(out, binding), bind(chained, binding), F(0))
 
     def test_textbook_pair(self):
         # {x <= a1, y - x <= b1} with implicit x >= 0 -> {y <= a1 + b1}
@@ -318,6 +349,24 @@ class TestFmEliminate:
             assert poly_equal(bind(ab, binding), bind(ba, binding), F(0))
 
 
+class TestRowView:
+    """``LinearSystem.rows`` and the inequalities are two views of one
+    system: one built from rows builds its inequalities on first read,
+    canonical and sorted, and they give back the same rows."""
+
+    @pytest.mark.parametrize("system_id", sorted(QUADRUPLE_SYSTEMS))
+    def test_views_agree(self, system_id):
+        sys1 = substitute_rate_sums(build_system(QUADRUPLE_SYSTEMS[system_id]))
+        for system in (sys1, fm_eliminate(sys1, "T1"), fm_eliminate(sys1, "T1", "T2")):
+            assert "inequalities" not in vars(system)
+            rebuilt = LinearSystem.of(system.rate_vars, system.inequalities,
+                                      system.term_facts)
+            assert rebuilt == system and rebuilt.rows == system.rows
+
+    def test_derived_region_is_built_before_it_returns(self):
+        assert "inequalities" in vars(derive_region("hk"))
+
+
 class TestSubstituteRateSums:
     def test_direct_substitution(self):
         sys0 = LinearSystem.of(("S1", "T1", "S2", "T2"),
@@ -356,7 +405,7 @@ class TestPruning:
         ])
         out = prune_redundant(sys0, ())
         assert len(out.inequalities) == 1
-        assert out.inequalities[0].rhs.as_dict() == {"a1": F(1)}
+        assert dict(out.inequalities[0].rhs.coeffs) == {"a1": F(1)}
 
     def test_prune_respects_axioms(self):
         # R1 <= d1 prunes R1 <= a1 + b1 + rho1 only with the d-bound axiom
@@ -412,6 +461,9 @@ class TestPruning:
                    (0, 1, {"a2": 1}, 0), (0, 1, {"a2": 1, "d1": 1}, 0)], axioms=AXIOMS_CHAIN)
     @example(rows=[(3**30, 1, {"a1": 1}, 0), (1, 3**30, {"a1": 1, "b1": 1}, 5**20),
                    (1, 0, {"d1": 1}, 0)], axioms=AXIOMS_HK_INDEP)
+    # a rate coefficient of -2**63 fits int64, but its negation does not
+    @example(rows=[(-2**63, 1, {"a1": 1}, 0), (0, 1, {"a1": 1, "b1": 1}, 0),
+                   (1, 0, {"d1": 1}, 0)], axioms=AXIOMS_CHAIN)
     def test_keeps_what_the_equality_form_keeps(self, rows, axioms):
         """The pruning LP states every row as an inequality over the rate
         variables and the rays of the axioms' and term facts' cone; it must
@@ -533,12 +585,29 @@ DERIVE_DIGESTS = {
     ("hod", "hk-indep"): "eca49185edaa6906cfc7b70171d33dc945fde6f3ff958634d2fba28fcd81a124",
 }
 
+# The same digest of fm_eliminate(substitute_rate_sums(build_system(q)),
+# "T1", "T2") for each quadruple system q: the rows and term facts before
+# pruning, and their order.
+ELIMINATED_DIGESTS = {
+    "cmg": "cc5e794376c3688d45b7c9d91f5b0b7137cbf90ea6fe0a312227b18ddf72e422",
+    "hk": "f1ec90b334a8bff0c636a7969e587b3cf661bf083fdf7cd8d386bf8f76ac8660",
+    "hk-mod": "223aa3f198ea287fc11d4661e205226dd27bbca9dcd3c0e99ae5f5a33f5e49d9",
+    "hod": "8dd4f85239704eeca003adfbb82c2cd3d45711828e649b95d2eb97c3bce93759",
+}
+
 
 class TestDeriveRegion:
     @pytest.mark.parametrize("pair", sorted(DERIVE_DIGESTS), ids="/".join)
     def test_bytes_pinned(self, pair):
         text = json.dumps(system_to_json(derive_region(*pair)), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == DERIVE_DIGESTS[pair]
+
+    @pytest.mark.parametrize("system_id", sorted(ELIMINATED_DIGESTS))
+    def test_eliminated_bytes_pinned(self, system_id):
+        sys2 = fm_eliminate(substitute_rate_sums(
+            build_system(QUADRUPLE_SYSTEMS[system_id])), "T1", "T2")
+        text = json.dumps(system_to_json(sys2), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == ELIMINATED_DIGESTS[system_id]
 
     def test_hk_with_chain_axioms_gives_eleven(self):
         eq, diff = system_equal(derive_region("hk", "chain"),
@@ -589,7 +658,7 @@ def _dot(a, b):
 def _column(lhs, combo, rate_vars) -> list:
     """A row or fact as pruning reads it: its rate coefficients negated,
     then its term-symbol coefficients and its constant."""
-    lhs, rhs = dict(lhs), combo.as_dict()
+    lhs, rhs = dict(lhs), dict(combo.coeffs)
     return ([-lhs.get(v, 0) for v in rate_vars] + [rhs.get(s, 0) for s in BASE_SYMBOLS]
             + [combo.const])
 
@@ -664,16 +733,14 @@ class TestPruningCertificates:
                 residual = [v - w * u for v, u in zip(residual, cols[j][len(dims):])]
             mu = _fact_multipliers(residual, facts)
             assert mu is not None and all(w >= 0 for w in mu)
-            lhs, rhs = {}, Combo()
+            lhs, own = {}, dict(row.lhs)
             for w, j in used:
                 for v, c in rows[j].lhs:
                     lhs[v] = lhs.get(v, 0) + w * c
-                rhs = rhs + rows[j].rhs.scale(w)
-            for w, f in zip(mu, facts):
-                rhs = rhs + f.scale(w)
-            assert all(lhs.get(v, 0) >= row.coeff(v) for v in dims)
-            rest = row.rhs + rhs.scale(-1)
-            assert all(c >= 0 for _, c in rest.coeffs) and rest.const >= 0
+            assert all(lhs.get(v, 0) >= own.get(v, 0) for v in dims)
+            rest = combination([(1, row.rhs), *((-w, rows[j].rhs) for w, j in used),
+                                *((-w, f) for w, f in zip(mu, facts))])
+            assert all(c >= 0 for c in rest.values())
         assert prune_redundant(sys2, AXIOM_SETS[axioms_id]).inequalities == tuple(
             rows[j] for j in sorted(kept))
 
