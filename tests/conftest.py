@@ -1,6 +1,18 @@
+import threading
+
 import pytest
 
 from icregions import dist, lp
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """Fail a test that leaves a thread it started still running: the
+    package joins every thread it starts before the call returns."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, (
+        f"threads left running: {threading.enumerate()}")
 
 
 @pytest.fixture

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from icregions import polytope
+from icregions import dist, polytope, regions, sampler
 from icregions.dist import FACTORS, FactorSpec, Form, spec_to_json
 from icregions.polytope import area2
+from icregions.regions import region_for
 from icregions.sampler import (SearchConfig, binary_alphabets, cmg_as_hod,
                                hod_vs_projected_hk, improvement_search,
                                sample_spec, _objective, _perturb)
@@ -221,3 +225,104 @@ class TestSumRate:
             spec = sample_spec(binary_alphabets(), Form.HOD16, [67, i])
             gap, hod, hk = _objective(spec, "sumrate")
             assert gap == hod.maximize([1, 1]).value - hk.maximize([1, 1]).value
+
+
+# 2 * 4**4 * 3**4 = 41 472 cells: above the gate, with a quarter of WIDE's
+# joint, so the concurrent path runs at a small cost.
+ABOVE_GATE = dict(Q=2, U1=4, W1=4, U2=4, W2=4, X1=3, X2=3, Y1=3, Y2=3)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started while the test runs."""
+    threads = []
+
+    class Spy(threading.Thread):
+        def start(self):
+            threads.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Spy)
+    return threads
+
+
+def _search_bytes(res):
+    return (res.trace, res.objective, res.hod_vertices, res.hk_vertices,
+            res.restart, json.dumps(spec_to_json(res.best_spec)))
+
+
+class TestConcurrentRegions:
+    def test_above_gate_equals_direct_calls(self, started):
+        alph = binary_alphabets(**ABOVE_GATE)
+        for i in range(3):
+            spec = sample_spec(alph, Form.HOD16, [68, i])
+            hod, hk = hod_vs_projected_hk(spec)
+            assert hod.grid == region_for(spec, "HOD_R").grid
+            assert hk.grid == region_for(dist.independence_projection(spec), "HK_R").grid
+        assert len(started) == 3
+        assert not any(t.is_alive() for t in started)
+
+    def test_cold_caches_and_fast_switching(self, monkeypatch):
+        # the caches the two threads share start empty and the interpreter
+        # switches threads every microsecond: a lost or mixed-up cache
+        # entry would change a grid row
+        alph = binary_alphabets(**ABOVE_GATE)
+        specs = [sample_spec(alph, Form.HOD16, [69, i]) for i in range(3)]
+        monkeypatch.setattr(sampler, "CONCURRENT_CELLS", 10**9)
+        serial = [tuple(p.grid for p in hod_vs_projected_hk(s)) for s in specs]
+        monkeypatch.undo()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for s, want in zip(specs, serial):
+                for cache in (regions.build_system, dist._factor_views,
+                              dist._marginal_plan, dist.entropy_keys):
+                    cache.cache_clear()
+                assert tuple(p.grid for p in hod_vs_projected_hk(s)) == want
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_wide_search_byte_identical(self, monkeypatch):
+        cfg = SearchConfig(alphabets=binary_alphabets(**WIDE), budget=3,
+                           restarts=2, seed=70)
+        first = _search_bytes(improvement_search(cfg))
+        assert _search_bytes(improvement_search(cfg)) == first
+        monkeypatch.setattr(sampler, "CONCURRENT_CELLS", 10**9)
+        assert _search_bytes(improvement_search(cfg)) == first
+
+    def test_binary_spec_starts_no_thread(self, started):
+        cfg = SearchConfig(alphabets=binary_alphabets(), budget=3, restarts=1,
+                           seed=71)
+        improvement_search(cfg)
+        assert started == []
+
+    def test_worker_exception_reaches_caller(self, monkeypatch):
+        raised = OverflowError("HK_R failed")
+
+        def failing(spec, region_id):
+            if region_id == "HK_R":
+                raise raised
+            return region_for(spec, region_id)
+
+        monkeypatch.setattr(sampler, "region_for", failing)
+        spec = sample_spec(binary_alphabets(**ABOVE_GATE), Form.HOD16, [72, 0])
+        with pytest.raises(OverflowError) as info:
+            hod_vs_projected_hk(spec)
+        assert info.value is raised
+
+    def test_worker_joined_when_caller_interrupted(self, monkeypatch, started):
+        done = []
+
+        def interrupted(spec, region_id):
+            if region_id == "HK_R":
+                time.sleep(0.2)
+                done.append(region_id)
+                raise OverflowError("dropped: the correlated region raised first")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sampler, "region_for", interrupted)
+        spec = sample_spec(binary_alphabets(**ABOVE_GATE), Form.HOD16, [72, 1])
+        with pytest.raises(KeyboardInterrupt):
+            hod_vs_projected_hk(spec)
+        assert done == ["HK_R"]
+        assert len(started) == 1 and not started[0].is_alive()
