@@ -497,17 +497,22 @@ def _one_row_certified(C, nr, rays):
     Q, lmax = P, L.size and int(np.abs(L).max())
     if 2 * lmax * max(lmax, P.size and int(np.abs(P).max())) >= 2**63:
         L, Q = L.astype(object), P.astype(object)
-    Li, Lj = L[:, None, :], L[None, :, :]
     # t = tn / td: the largest lhs_i / lhs_j over the coordinates with
-    # lhs_j > 0, or 0, compared cross-multiplied
+    # lhs_j > 0, or 0, compared cross-multiplied (i down, j across)
     tn = np.zeros((n, n), dtype=L.dtype)
     td = np.ones((n, n), dtype=L.dtype)
     for k in range(nr):
-        a, b = Li[:, :, k], Lj[:, :, k]
+        a, b = L[:, k, None], L[:, k]
         better = (b > 0) & (a * td > tn * b)
         tn, td = np.where(better, a, tn), np.where(better, b, td)
-    ok = ((tn[:, :, None] * Lj >= td[:, :, None] * Li).all(axis=2)
-          & (td[:, :, None] * Q[:, None, :] >= tn[:, :, None] * Q[None, :, :]).all(axis=2))
+    # t*lhs_j >= lhs_i, one coordinate at a time; the rays are tested on
+    # the pairs so covered only (59% of them on the 8 derivations)
+    ok = np.ones((n, n), dtype=bool)
+    for k in range(nr):
+        ok &= tn * L[:, k] >= td * L[:, k, None]
+    i, j = np.nonzero(ok)
+    t_n, t_d = tn[i, j][:, None], td[i, j][:, None]
+    ok[i, j] = (t_d * Q[i] >= t_n * Q[j]).all(axis=1)
     alone = (L <= 0).all(axis=1) & (Q >= 0).all(axis=1)
     return ok, alone, tn, td, P
 
@@ -585,9 +590,6 @@ def _pruning(system: LinearSystem, axioms):
     facts = (*_axiom_rows(tuple(axioms)), *map(_integer_row, system.term_facts))
     M = _int64_or_object([*rows, *((0,) * nr + f for f in facts)], len(keys))
     M = M.astype(object) if (M == -2**63).any() else M  # whose negation int64 lacks
-    M[:n, :nr] *= -1
-    V = cone_rays(axioms, system.term_facts)
-    ok, alone, tn, td, P = _one_row_certified(M[:n], nr, V)
 
     # the receiver mirror as one permutation of ``keys``; a key whose
     # image is not in ``keys`` stays put, and a vector nonzero there has no twin
@@ -600,28 +602,37 @@ def _pruning(system: LinearSystem, axioms):
         every key, or None when a swapped key is not in ``keys``."""
         return None if any(vec[r] for r in lone) else tuple(map(vec.__getitem__, mirror))
 
+    # every row's twin at once, by permuting the columns of the rows
     row_of = {row: j for j, row in enumerate(rows)}
-    twin_row = [row_of.get(twin(row)) for row in rows]
+    twin_row = [None if hit else row_of.get(tuple(row)) for hit, row in
+                zip(M[:n, lone].any(axis=1).tolist(), M[:n, mirror].tolist())]
 
-    # row j's LP column: its rate coefficients negated, then P_j
+    M[:n, :nr] *= -1
+    V = cone_rays(axioms, system.term_facts)
+    ok, alone, tn, td, P = _one_row_certified(M[:n], nr, V)
+
+    # row j's LP column: its rate coefficients negated, then P_j; the
+    # tableau takes the integer array as it is
     C = np.hstack([M[:n, :nr], P])
-    lps = lp.Feasibility(C.T.tolist())
+    lps = lp.Feasibility(C.T)
     kept = list(range(n))
+    removed = set()
     farkas = {}  # row kept by an LP -> its Farkas y
     for i, ok_i, alone_i in zip(range(n), ok.tolist(), alone.tolist()):
-        others = [j for j in kept if j != i]
-        j = None if alone_i else next((j for j in others if ok_i[j]), None)
+        j = None if alone_i else next((j for j in kept if ok_i[j] and j != i), None)
         if alone_i or j is not None:
-            kept = others
+            kept.remove(i)
+            removed.add(i)
             yield i, "row", (j, 0, 1) if j is None else (j, int(tn[i, j]), int(td[i, j]))
             continue
         y = twin(farkas[twin_row[i]]) if twin_row[i] in farkas else None
         if y is not None:
+            others = [j for j in kept if j != i]
             yM = _dot(M, _int64_or_object([y], len(keys)))[:, 0]
             if yM[i] < 0 and (yM[others] >= 0).all() and (yM[n:] >= 0).all():
                 yield i, "twin", y
                 continue
-        answer = lps.decide(C[i].tolist(), without=set(range(n)) - set(others))
+        answer = lps.decide(C[i].tolist(), without=removed | {i})
         if answer.support is None:
             # the ray multipliers times V: a point of the cone, so >= 0 on
             # every term symbol, axiom and term fact
@@ -629,7 +640,8 @@ def _pruning(system: LinearSystem, axioms):
             y = farkas[i] = answer.farkas[:nr] + _dot(V.T, mu)[:, 0].tolist()
             yield i, "farkas", y
         else:
-            kept = others
+            kept.remove(i)
+            removed.add(i)
             yield i, "lp", answer
 
 

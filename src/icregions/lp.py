@@ -15,8 +15,11 @@ Dash and Espinoza, "Exact solutions to linear programming problems",
 2007).  Each row is scaled by a positive integer ``s_i`` to integer
 coefficients, and its slack column is scaled to 1 (a change of unit for
 a slack the caller never sees); one common factor ``K`` scales the
-right-hand sides to integers.  The tableau starts from the basis the
-problem already has (the slack, or crash, start), which is the identity.
+right-hand sides to integers.  A matrix given as a 2-D integer array,
+as ``linsys`` gives its pruning LP's columns, goes into the tableau as
+it is, every s_i = 1, and integer right-hand sides keep K = 1.  The
+tableau starts from the basis the problem already has (the slack, or
+crash, start), which is the identity.
 The stored tableau is the rational one times ``D = |det B|``, the
 determinant of the current basis in the scaled integer matrix, and it is
 integral: by Cramer's rule each entry is, up to sign, an m-by-m minor of
@@ -193,16 +196,21 @@ def _integers(values):
 def _slack_tableau(A_ub, n):
     """The tableau of row i of ``A_ub`` (``n`` entries) times s_i > 0
     (integer lhs), its slack in units of 1/s_i basic, and the scales s_i;
-    the right-hand sides are set by ``_repair``."""
+    the right-hand sides are set by ``_repair``.  An integer array is
+    taken as it is, every s_i = 1."""
     m = len(A_ub)
-    rows, scale = [], []
-    for a in A_ub:
-        row, s = _integers(a)
-        rows.append(row)
-        scale.append(s)
+    if isinstance(A_ub, np.ndarray):
+        rows, scale = A_ub, [1] * m
+        big = _bound(rows) >= _WIDE
+    else:
+        rows, scale = [], []
+        for a in A_ub:
+            row, s = _integers(a)
+            rows.append(row)
+            scale.append(s)
+        big = m and n and max(max(map(max, rows)), -min(map(min, rows))) >= _WIDE
     # built once, in the type the tableau keeps: Python ints from the start
     # when an entry reaches _WIDE, as the budget row of a containment does
-    big = m and n and max(max(map(max, rows)), -min(map(min, rows))) >= _WIDE
     A = np.zeros((m, n + m), dtype=object if big else np.int64)
     if m:
         A[:, :n] = rows
@@ -221,9 +229,12 @@ def _repair(t, scale, b_ub, without=()):
     # b times the row scales and one K > 0 (a change of unit for x); the
     # slack columns S hold D * B^-1, so the right-hand sides are S @ b, in
     # int64 when no partial sum can reach 2**63 (|S| <= M)
-    b = [v * s if type(v) is int else Fraction(v) * s for v, s in zip(b_ub, scale)]
-    K = lcm(*(v.denominator for v in b))
-    b = [v.numerator * (K // v.denominator) for v in b]
+    if all(type(v) is int for v in b_ub):
+        b, K = [v * s for v, s in zip(b_ub, scale)], 1
+    else:
+        b = [Fraction(v) * s for v, s in zip(b_ub, scale)]
+        K = lcm(*(v.denominator for v in b))
+        b = [v.numerator * (K // v.denominator) for v in b]
     wide = t.A.dtype == object or t.M * sum(map(abs, b)) >= 2**63
     S = t.A[:, t.A.shape[1] - m:]
     t.b = (S @ np.array(b, dtype=object if wide else np.int64)).tolist()
@@ -268,13 +279,19 @@ class Feasibility:
     built when the first point is asked for (see the module docstring)."""
 
     def __init__(self, A_ub):
+        """``A_ub`` is a list of rows of numbers, or a 2-D integer array
+        (``int64``, or ``object`` holding Python ints), which the tableau
+        takes as it is."""
         self.A_ub = A_ub
+        self._t = self._scale = None
+        if isinstance(A_ub, np.ndarray):
+            self.n = A_ub.shape[1]  # 2-D: no ragged rows
+            return
         self.n = len(A_ub[0]) if A_ub else 0
         for i, a in enumerate(A_ub):
             if len(a) != self.n:
                 raise ValueError(f"row {i} of A_ub has {len(a)} entries, "
                                  f"row 0 has {self.n}")
-        self._t = self._scale = None
 
     def decide(self, b_ub, without=()) -> Decision:
         """Decide the set for ``b_ub``, with no column of ``without`` used,

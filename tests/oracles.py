@@ -18,6 +18,8 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
+import numpy as np
+
 from icregions.dist import Var
 from icregions.linsys import LinearSystem
 from icregions.lp import LPResult, _as_ub
@@ -462,9 +464,12 @@ def _reference_point(t, n, K):
 
 class ReferenceFeasibility:
     """``lp.Feasibility`` on a ``ReferenceTableau``: ``point`` returns the
-    point (or None) and the pivots that problem took."""
+    point (or None) and the pivots that problem took.  ``A_ub`` is a list
+    of rows or, as ``lp.Feasibility`` also takes it, an integer array."""
 
     def __init__(self, A_ub):
+        if isinstance(A_ub, np.ndarray):
+            A_ub = A_ub.tolist()
         self.A_ub = A_ub
         self.n = len(A_ub[0]) if A_ub else 0
         self.t, self.scale = _reference_slack_tableau(A_ub, self.n)
@@ -474,6 +479,35 @@ class ReferenceFeasibility:
         K = _reference_repair(self.t, self.scale, b_ub, set(without))
         x = None if K is None else _reference_point(self.t, self.n, K)
         return x, self.t.pivots[start:]
+
+
+def reference_one_row(C, nr, rays):
+    """``linsys._one_row_certified`` pair by pair over ``Fraction``s, for
+    rows ``C`` (lists of ints: the rate coefficients negated, then the
+    rest) and ``rays`` (lists of ints over the rest).  For rows i and j,
+    t is the largest lhs_i[k] / lhs_j[k] over the k with lhs_j[k] > 0
+    when it is > 0, as (tn, td) = (lhs_i[k], lhs_j[k]) at the first such
+    k, and t = 0 = 0 / 1 otherwise; ``ok[i][j]`` when t*lhs_j >= lhs_i
+    and P_i - t*P_j >= 0 on every ray, P_i being row i's rest on each ray.
+    Returns ok, alone, tn, td and P as nested lists."""
+    L = [[-v for v in c[:nr]] for c in C]
+    P = [[sum(a * b for a, b in zip(c[nr:], r)) for r in rays] for c in C]
+    n = len(C)
+    ok = [[False] * n for _ in range(n)]
+    tn = [[0] * n for _ in range(n)]
+    td = [[1] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        ratios = [(Fraction(L[i][k], L[j][k]), k) for k in range(nr) if L[j][k] > 0]
+        t = max((q for q, _ in ratios), default=Fraction(0))
+        if t > 0:
+            k = next(k for q, k in ratios if q == t)
+            tn[i][j], td[i][j] = L[i][k], L[j][k]
+        else:
+            t = Fraction(0)
+        ok[i][j] = (all(t * a >= b for a, b in zip(L[j], L[i]))
+                    and all(p - t * q >= 0 for p, q in zip(P[i], P[j])))
+    alone = [all(v <= 0 for v in L[i]) and all(v >= 0 for v in P[i]) for i in range(n)]
+    return ok, alone, tn, td, P
 
 
 def reference_maximize_each(objectives, A_ub=None, b_ub=None, A_eq=None, b_eq=None):

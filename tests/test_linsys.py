@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from icregions import lp
 from icregions.dist import Form, build_joint
 from icregions.linsys import (AXIOM_SETS, AXIOMS_CHAIN, AXIOMS_HK_INDEP,
                               QUADRUPLE_SYSTEMS, Combo, Inequality,
-                              LinearSystem, _pruning, cone_rays,
+                              LinearSystem, _one_row_certified, _pruning, cone_rays,
                               derive_region, fm_eliminate, parse_bounds,
                               prune_redundant, substitute_rate_sums,
                               substitute_zero, system_equal,
@@ -29,7 +30,7 @@ from icregions.regions import (HK_R_REDUNDANT, REGION_IDS, build_system,
 from icregions.sampler import binary_alphabets, sample_spec
 from icregions.terms import BASE_SYMBOLS, eval_terms
 from oracles import (ReferenceFeasibility, combination, fm_step_keys,
-                     prune_redundant_eq)
+                     prune_redundant_eq, reference_one_row)
 
 F = Fraction
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -478,6 +479,38 @@ class TestPruning:
         assert (prune_redundant(sys0, axioms).inequalities
                 == prune_redundant_eq(sys0, axioms).inequalities)
         _assert_farkas_in_cone(sys0, axioms)
+
+
+@st.composite
+def one_row_tables(draw):
+    """Rows C over nr rate and 1 to 3 other coordinates, and 1 to 4 rays
+    over the others, of small integers, at times 2**31 in size, where
+    products leave int64."""
+    entry = st.one_of(st.integers(-4, 4), st.sampled_from([2**31, -2**31]))
+    n, nr, w = draw(st.integers(1, 5)), draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    C = draw(st.lists(st.lists(entry, min_size=nr + w, max_size=nr + w),
+                      min_size=n, max_size=n))
+    rays = draw(st.lists(st.lists(st.integers(0, 3), min_size=w, max_size=w),
+                         min_size=1, max_size=4))
+    return C, nr, rays
+
+
+class TestOneRowTable:
+    @settings(max_examples=150, deadline=None)
+    @given(one_row_tables())
+    # products of 2**31-sized lhs and rays values reach 2**63: the table is
+    # computed over Python ints
+    @example(([[-2**31, 2**31, 1], [1, -2**31, 3], [0, 5, -2**31]], 1, [[4, 1], [0, 2]]))
+    # t = 3/2 covers row 0 by row 1 (its rate side exactly), and the rays
+    # then decide
+    @example(([[-3, -6, 1], [-2, -4, 1], [1, 1, 0]], 2, [[1], [2]]))
+    def test_matches_the_fraction_oracle(self, table):
+        """For every pair (i, j), ``ok``, ``tn`` and ``td``, and ``alone``
+        and P for every row, equal the pair-by-pair ``Fraction`` oracle."""
+        C, nr, rays = table
+        got = _one_row_certified(np.array(C, dtype=np.int64), nr,
+                                 np.array(rays, dtype=np.int64))
+        assert [a.tolist() for a in got] == list(reference_one_row(C, nr, rays))
 
 
 def mirrored(ineq):

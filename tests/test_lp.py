@@ -154,12 +154,14 @@ def pivots(monkeypatch):
 
 @pytest.fixture
 def tableaus(monkeypatch):
-    """A one-element list counting the tableaus ``lp`` builds."""
+    """A list: the number of tableaus ``lp`` builds, then the ``dtype``
+    each starts with."""
     count = [0]
     init = lp._Tableau.__init__
 
     def counted(self, rows, basis):
         count[0] += 1
+        count.append(rows.dtype)
         init(self, rows, basis)
 
     monkeypatch.setattr(lp._Tableau, "__init__", counted)
@@ -167,11 +169,13 @@ def tableaus(monkeypatch):
 
 
 class TestPivotBudget:
-    def test_derivations(self, pivots, lp_calls):
+    def test_derivations(self, pivots, lp_calls, tableaus):
         """The 8 derivations decide 51 LPs with 321 pivots and 1225 usable
         structural columns in all, on one ``Feasibility`` tableau per
         ``prune_redundant`` call, posed over the axiom cone's extreme rays:
-        a column per derived row and none per axiom or term fact.  With a
+        a column per derived row and none per axiom or term fact.  Each of
+        the 8 tableaus is built from the ``int64`` array of the LP's
+        columns and stays ``int64``.  With a
         column per axiom and term fact beside the rows, the same 51 LPs
         took 496 pivots and 2721 columns.  Before one-row certificates
         over the axiom cone's rays and the twins' mirrored Farkas points
@@ -191,6 +195,7 @@ class TestPivotBudget:
                 derive_region(s, a)
         assert lp_calls == [51, 1225]
         assert pivots[0] == 321
+        assert tableaus == [8, *[np.dtype(np.int64)] * 8]
 
     def test_containment(self, monkeypatch):
         """cmg-subset-hod's 50 containments CMG_Q in HOD_Q: a one-row dual
@@ -627,11 +632,29 @@ class TestReferenceTableau:
         assert _replay(calls) == len(calls) in (1, 2)
 
     @settings(max_examples=100, deadline=None)
-    @given(feasibility_problems())
+    @given(feasibility_problems(st.one_of(small_entries,
+                                          st.sampled_from([2**31 - 1, 2**31, -2**31]))))
+    # the widest entry an int64 tableau starts with, and the least it does not
+    @example(([[2**31 - 1, -1], [-1, 2]], [([-1, 3], set()), ([1, -1], {0})]))
+    @example(([[2**31, -1], [-1, 2]], [([-1, 3], set()), ([2, -1], {1})]))
     def test_feasibility_problems(self, problem):
+        """A matrix of ints is also asked as an ``int64`` array, the form
+        the pruning LP passes: it takes the list's pivots and gives equal
+        decisions, and its tableau starts as ``object`` when an entry
+        reaches 2**31."""
         A, problems = problem
         lps, ref = Feasibility(A), ReferenceFeasibility(A)
+        ints = all(type(v) is int for a in A for v in a)
+        array = Feasibility(np.array(A, dtype=np.int64)) if ints else None
         for b, without in problems:
             with _logged_pivots() as pivots:
-                x = lps.point(b, without)
-            assert ref.point(b, without) == (x, pivots)
+                answer = lps.decide(b, without)
+            assert ref.point(b, without) == (_as_point(answer, lps.n), pivots)
+            if array is not None:
+                with _logged_pivots() as array_pivots:
+                    assert array.decide(b, without) == answer
+                assert array_pivots == pivots
+        if array is not None:
+            wide = any(abs(v) >= 2**31 for a in A for v in a)
+            start = lp._slack_tableau(array.A_ub, array.n)[0].A
+            assert (start.dtype == object) == wide
