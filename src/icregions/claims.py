@@ -8,8 +8,9 @@ per-distribution harness cannot decide).
 
 The harness runs sample-major: every requested claim checks sample ``i``
 before any claim checks sample ``i + 1``.  So the spec drawn in a form for
-``[seed, i]`` and its joint are made once and read by every claim that
-asks for them (``_sample``, which keeps the last three draws), and
+``[seed, i]`` is one ``_Sample`` record, read by every claim that asks for
+it (``_sample``, which keeps the last three draws): its joint, term
+values, binding and bound regions are each made once, on first use.
 ``run_all(n, seed)`` draws 3n specs, not 7n, and holds at most three.
 """
 
@@ -23,10 +24,10 @@ from typing import Callable
 from .dist import Form, Var, build_joint, cond_mutual_info, spec_to_json
 from .linsys import AXIOMS_HK_INDEP, derive_region, prune_redundant, \
     substitute_zero, system_equal
-from .polytope import DEFAULT_EPS, bind, contains, poly_equal, snap_terms
+from .polytope import DEFAULT_EPS, HPoly, bind, contains, poly_equal, snap_terms
 from .regions import build_system, hk_r_with_redundant
 from .sampler import binary_alphabets, sample_spec
-from .terms import COMPOSITE_EXPANSION, eval_terms
+from .terms import COMPOSITE_EXPANSION, TERMS, eval_terms
 
 F = Fraction
 
@@ -129,9 +130,9 @@ def run_all(n: int, seed: int) -> dict:
 def _run(claim_ids, n, seed, specs=None) -> list:
     """The reports of ``claim_ids``, in order, checked sample-major.
 
-    Sample ``i`` is ``specs[i]`` when specs are given, else the spec drawn
-    in the claim's form for ``[seed, i]`` (``_sample``).  A given spec gets
-    its own joint.  ``check(rep, i, spec, joint, terms)`` returns (ok,
+    Sample ``i`` is ``specs[i]`` when specs are given, one ``_Sample``
+    that every claim reads, else the spec drawn in the claim's form for
+    ``[seed, i]`` (``_sample``).  ``check(rep, i, sample)`` returns (ok,
     witness), and a failed sample carries its spec.  An ``n`` or ``seed``
     that is not a nonnegative ``int`` (``bool`` included) is refused with
     a ``ValueError``."""
@@ -149,37 +150,75 @@ def _run(claim_ids, n, seed, specs=None) -> list:
             sampled.append((rep, claim))
         reports.append(rep)
     for i in range(n if sampled else 0):
+        given = None if specs is None else _Sample(specs[i])
         for rep, claim in sampled:
-            if specs is None:
-                spec, joint = _sample(claim.form, seed, i)
-            else:
-                spec = specs[i]
-                if claim.strict and spec.form is not claim.form:
-                    rep.add(i, False, {"form_violation": spec.form.value})
-                    continue
-                joint = build_joint(spec)
-            ok, witness = claim.check(rep, i, spec, joint, eval_terms(joint))
-            rep.add(i, ok, witness, spec)
+            sample = _sample(claim.form, seed, i) if given is None else given
+            if given is not None and claim.strict and given.spec.form is not claim.form:
+                rep.add(i, False, {"form_violation": given.spec.form.value})
+                continue
+            ok, witness = claim.check(rep, i, sample)
+            rep.add(i, ok, witness, sample.spec)
     for rep, claim in sampled:
         if claim.note and rep.failed:
             rep.notes.append(claim.note)
     return reports
 
 
-@functools.lru_cache(maxsize=3)
-def _sample(form: Form, seed: int, i: int):
-    """The spec drawn in ``form`` for ``[seed, i]`` on binary alphabets, and
-    its joint, shared by every claim that checks that sample.
+class _Sample:
+    """One sample's spec and what the claims that check it read, each made
+    on first use and kept: the joint, the term values, their binding and
+    each system bound at it (a bound 2-D region keeps its clip ring).
 
-    The draw depends on (form, seed, i) alone and the joint is read-only, so
-    sharing it changes no output.  The claims draw in three forms, and the
-    harness runs sample-major, so the last three draws are all that sample
-    ``i`` needs: ``run_all`` makes each draw once, and so does a caller that
-    runs the claims one at a time on one sample, as ``run_claim(c, 1, s)``.
-    Term values are not kept: each claim evaluates them on the shared joint,
-    whose entropy memo makes that cheap."""
-    spec = sample_spec(binary_alphabets(), form, [seed, i])
-    return spec, build_joint(spec)
+    All of it depends on the spec alone and is read-only, so sharing it
+    changes no output.  The term values are kept with the ``TERMS``
+    definitions they were evaluated under; when those change, the values
+    are evaluated again and the binding and bound systems made anew."""
+
+    __slots__ = ("spec", "_joint", "_defs", "_terms", "_binding", "_bound")
+
+    def __init__(self, spec):
+        self.spec, self._joint, self._defs = spec, None, None
+
+    @property
+    def joint(self):
+        if self._joint is None:
+            self._joint = build_joint(self.spec)
+        return self._joint
+
+    def terms(self) -> dict:
+        """All term values, by ``eval_terms`` on the joint."""
+        defs = tuple(TERMS.items())
+        if defs != self._defs:
+            self._defs, self._terms = defs, eval_terms(self.joint)
+            self._binding, self._bound = None, []
+        return self._terms
+
+    def bound(self, system) -> HPoly:
+        """``system`` bound at the snapped term values; a system is looked
+        up by identity, as ``build_system`` hands out one object per id."""
+        terms = self.terms()
+        for known, poly in self._bound:
+            if known is system:
+                return poly
+        if self._binding is None:
+            self._binding = snap_terms(terms)
+        poly = bind(system, self._binding)
+        self._bound.append((system, poly))
+        return poly
+
+
+@functools.lru_cache(maxsize=3)
+def _sample(form: Form, seed: int, i: int) -> _Sample:
+    """The record of the spec drawn in ``form`` for ``[seed, i]`` on binary
+    alphabets, shared by every claim that checks that sample.
+
+    The draw depends on (form, seed, i) alone.  The claims draw in three
+    forms, and the harness runs sample-major, so the last three draws are
+    all that sample ``i`` needs: ``run_all`` makes each draw once, and so
+    does a caller that runs the claims one at a time on one sample, as
+    ``run_claim(c, 1, s)``.  What a record holds goes with it when it
+    leaves the memo."""
+    return _Sample(sample_spec(binary_alphabets(), form, [seed, i]))
 
 
 # Witness key of each composite's growth over its base term ("B1-b1", ...),
@@ -194,23 +233,24 @@ def _growth(tv) -> dict:
 
 @_claim("reduction-independence", True, Form.HK2,
         "rho<=1e-12, composite gaps<=1e-9, polytopes at 2^-30", strict=True)
-def claim_reduction_independence(rep, i, spec, joint, tv):
+def claim_reduction_independence(rep, i, sample):
     """Independent U_i, W_i: the composite bounds collapse (B=b, C=c, F=f)
     and the correlated-form region equals the HK region."""
+    tv = sample.terms()
     gaps = {"rho1": tv["rho1"], "rho2": tv["rho2"], **_growth(tv)}
     terms_ok = (tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12
                 and all(abs(v) <= 1e-9 for v in gaps.values()))
-    binding = snap_terms(tv)
-    poly_ok = poly_equal(bind(build_system("HOD_R"), binding),
-                         bind(build_system("HK_R"), binding), DEFAULT_EPS)
+    poly_ok = poly_equal(sample.bound(build_system("HOD_R")),
+                         sample.bound(build_system("HK_R")), DEFAULT_EPS)
     return (terms_ok and poly_ok,
             {"terms_ok": terms_ok, "polytopes_equal": poly_ok, **gaps})
 
 
 @_claim("redundancy-relations", True, Form.HK2, "slack>=-1e-9, polytopes at eps=0")
-def claim_redundancy_relations(rep, i, spec, joint, tv):
+def claim_redundancy_relations(rep, i, sample):
     """The two conditioning relations behind the redundancy of the two
     extra sum-rate inequalities, plus the polytope-level redundancy."""
+    joint, tv = sample.joint, sample.terms()
     # relation (I(Y;U|Q) <= I(Y;U|QW)) per receiver
     slack6 = {
         side: cond_mutual_info(joint, {y}, {u}, {Var.Q, w})
@@ -222,15 +262,14 @@ def claim_redundancy_relations(rep, i, spec, joint, tv):
         side: tv[f"e{s}"] + tv[f"f{s}"] - tv[f"c{s}"] - tv[f"g{s}"]
         for s, side in ((1, "side1"), (2, "side2"))
     }
-    if spec.form is not Form.HK2:
+    if sample.spec.form is not Form.HK2:
         rep.notes.append(
-            f"sample {i}: form {spec.form.value} is out of contract; the "
+            f"sample {i}: form {sample.spec.form.value} is out of contract; the "
             "conditioning relations may legitimately fail there")
         return None, {"slack6": slack6, "slack7": slack7, "out_of_contract": True}
     slack_ok = all(v >= -1e-9 for v in (*slack6.values(), *slack7.values()))
-    binding = snap_terms(tv)
-    poly_ok = poly_equal(bind(build_system("HK_R"), binding),
-                         bind(hk_r_with_redundant(), binding), F(0))
+    poly_ok = poly_equal(sample.bound(build_system("HK_R")),
+                         sample.bound(hk_r_with_redundant()), F(0))
     return (slack_ok and poly_ok,
             {"slack6": slack6, "slack7": slack7, "polytopes_equal": poly_ok})
 
@@ -241,16 +280,16 @@ def claim_redundancy_relations(rep, i, spec, joint, tv):
     "distributions; per-distribution counterexamples occur when the "
     "re-expressed common-rate bound I(X_i;W_i|Q) is smaller than the "
     "T-rate range the superposition region leaves unbounded")
-def claim_cmg_subset_hod(rep, i, spec, joint, tv):
+def claim_cmg_subset_hod(rep, i, sample):
     """Containment of the superposition quadruple region in the correlated
     quadruple region of the re-expressed spec (a one-row dual bound per
     constraint, and the exact LP for the constraints it leaves).
 
     ``cmg_as_hod`` keeps every table, so the re-expressed spec has the same
     joint tensor and both regions bind the same terms."""
-    binding = snap_terms(tv)
-    ok = contains(bind(build_system("HOD_Q"), binding),
-                  bind(build_system("CMG_Q"), binding), DEFAULT_EPS)
+    tv = sample.terms()
+    ok = contains(sample.bound(build_system("HOD_Q")),
+                  sample.bound(build_system("CMG_Q")), DEFAULT_EPS)
     witness = {k: tv[k] for k in ("rho1", "rho2", "B1", "C1", "B2", "C2",
                                   "d1", "d2", "e1", "e2")}
     if tv["rho1"] <= 1e-12 and tv["rho2"] <= 1e-12:
@@ -259,14 +298,15 @@ def claim_cmg_subset_hod(rep, i, spec, joint, tv):
 
 
 @_claim("hod-extra-terms", True, Form.HOD16, "1e-9")
-def claim_hod_extra_terms(rep, i, spec, joint, tv):
+def claim_hod_extra_terms(rep, i, sample):
     """Every T-rate bound grows by exactly the correlation penalty while the
     S-involving bounds are unchanged relative to the independent formulas.
 
     Each composite and S-bound is checked against chain-rule forms that
     ``eval_terms`` does not compute, so a wrong term definition shows.  The
     composites use (U_i, W_i) independent of W_j given Q."""
-    I = functools.partial(cond_mutual_info, joint)  # noqa: E741
+    tv = sample.terms()
+    I = functools.partial(cond_mutual_info, sample.joint)  # noqa: E741
     Q, ok = Var.Q, True
     for s, o in ((1, 2), (2, 1)):
         Y, U, W, Wo = Var[f"Y{s}"], Var[f"U{s}"], Var[f"W{s}"], Var[f"W{o}"]
@@ -320,7 +360,7 @@ def claim_fm_reproduction(rep):
 
 
 @_claim("compact-equivalence", False, Form.HK2, "eps=0")
-def compact_equivalence_report(rep, i, spec, joint, tv):
+def compact_equivalence_report(rep, i, sample):
     """Exploratory: containments around the seven-inequality description.
 
     The forced directions (dropping constraints only enlarges) are checked;
@@ -329,21 +369,20 @@ def compact_equivalence_report(rep, i, spec, joint, tv):
     spec with the CMG9 spec drawn for the same ``[seed, i]``, the draw that
     ``cmg-subset-hod`` shares, also when the HK2 specs are given."""
     compact, witness = build_system("COMPACT_R"), {}
-    cmg_tv = eval_terms(_sample(Form.CMG9, rep.seed, i)[1])
-    for region_id, terms, inside, outside in (
-            ("HK_R", tv, "hk_in_compact", "compact_in_hk"),
-            ("CMG_R", cmg_tv, "cmg_in_compact", "compact_in_cmg")):
-        binding = snap_terms(terms)
-        region, comp = bind(build_system(region_id), binding), bind(compact, binding)
+    for region_id, on, inside, outside in (
+            ("HK_R", sample, "hk_in_compact", "compact_in_hk"),
+            ("CMG_R", _sample(Form.CMG9, rep.seed, i), "cmg_in_compact", "compact_in_cmg")):
+        region, comp = on.bound(build_system(region_id)), on.bound(compact)
         witness[inside] = contains(comp, region, F(0))
         witness[outside] = contains(region, comp, F(0))
     return witness["hk_in_compact"] and witness["cmg_in_compact"], witness
 
 
 @_claim("remark2-data", False, Form.HK2, "data only")
-def remark2_report(rep, i, spec, joint, tv):
+def remark2_report(rep, i, sample):
     """Exploratory: per-sample term relations used informally in the
     equivalence argument for the seven-inequality description."""
+    tv = sample.terms()
     return None, {
         "e1<=a1+c1": bool(tv["e1"] <= tv["a1"] + tv["c1"] + 1e-9),
         "e2<=a2+c2": bool(tv["e2"] <= tv["a2"] + tv["c2"] + 1e-9),

@@ -387,7 +387,9 @@ def _integer_row(combo: Combo) -> tuple:
 
 @lru_cache(maxsize=16)
 def _axiom_rows(axioms: tuple) -> tuple:
-    """``_integer_row`` of each axiom, computed once per axiom set."""
+    """``_integer_row`` of each axiom, computed once per axiom set.  Its
+    tuple of integer tuples keys ``_rays``, whose lookups so hash ints,
+    not the axioms' ``Combo``s."""
     return tuple(map(_integer_row, axioms))
 
 
@@ -438,22 +440,22 @@ def _dot(A, B) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _rays(axioms: tuple, cuts: tuple = ()) -> tuple:
-    """The extreme rays of {z >= 0 : c.z >= 0 for each axiom and cut c}
-    over the term symbols and the homogenising constant coordinate w: as
-    integer tuples, their tight-constraint bitmasks (bits 0 to dim - 1 are
-    z >= 0, one bit per axiom and cut follows) and an integer array, a row
-    per ray.  Computed on first use, not at import, and kept; a cut is one
-    more step on the rays without it."""
+    """The extreme rays of {z >= 0 : c.z >= 0 for each axiom and cut c},
+    each given as its ``_integer_row``, over the term symbols and the
+    homogenising constant coordinate w: as integer tuples, their
+    tight-constraint bitmasks (bits 0 to dim - 1 are z >= 0, one bit per
+    axiom and cut follows) and an integer array, a row per ray.  Computed
+    on first use, not at import, and kept; a cut is one more step on the
+    rays without it."""
     dim = len(BASE_SYMBOLS) + 1
     if cuts:
         rays, tight, _ = _rays(axioms, cuts[:-1])
-        rays, tight = _dd_step(rays, tight, _integer_row(cuts[-1]),
-                               dim + len(axioms) + len(cuts) - 1)
+        rays, tight = _dd_step(rays, tight, cuts[-1], dim + len(axioms) + len(cuts) - 1)
     else:
         rays = [tuple(int(k == j) for k in range(dim)) for j in range(dim)]
         tight = [((1 << dim) - 1) ^ 1 << j for j in range(dim)]
         for bit, ax in enumerate(axioms, dim):
-            rays, tight = _dd_step(rays, tight, _integer_row(ax), bit)
+            rays, tight = _dd_step(rays, tight, ax, bit)
     V = _int64_or_object(rays, dim)
     V.flags.writeable = False  # shared by every caller
     return rays, tight, V
@@ -470,15 +472,20 @@ def cone_rays(axioms, term_facts=()) -> np.ndarray:
     a further double-description step, a cut, only where some ray
     violates it: a fact that no ray of the axiom cone violates holds on
     that cone, and on every cone inside it."""
-    axioms, cuts = tuple(axioms), ()
-    V = _rays(axioms)[2]
-    if not term_facts:
+    return _cone(_axiom_rows(tuple(axioms)), [*map(_integer_row, term_facts)])
+
+
+def _cone(axiom_rows: tuple, fact_rows: list) -> np.ndarray:
+    """``cone_rays`` of the axioms and term facts given as their
+    ``_integer_row``s."""
+    V, cuts = _rays(axiom_rows)[2], ()
+    if not fact_rows:
         return V
-    F = _int64_or_object([_integer_row(f) for f in term_facts], V.shape[1])
-    for fact, row, low in zip(term_facts, F, _dot(F, V).min(axis=1, initial=0)):
+    F = _int64_or_object(fact_rows, V.shape[1])
+    for fact, row, low in zip(fact_rows, F, _dot(F, V).min(axis=1, initial=0)):
         if low < 0 and (_dot(row[None, :], V) < 0).any():
             cuts += (fact,)
-            V = _rays(axioms, cuts)[2]
+            V = _rays(axiom_rows, cuts)[2]
     return V
 
 
@@ -586,9 +593,10 @@ def _pruning(system: LinearSystem, axioms):
     n = len(rows)
     # every row and every fact in integers, the rows' rate coefficients
     # negated; 0 <= ax contributes +ax to the certified rhs (a fact times a
-    # positive integer keeps the sign of y.col for any y)
-    facts = (*_axiom_rows(tuple(axioms)), *map(_integer_row, system.term_facts))
-    M = _int64_or_object([*rows, *((0,) * nr + f for f in facts)], len(keys))
+    # positive integer keeps the sign of y.col for any y); each converted once
+    axiom_rows, fact_rows = _axiom_rows(tuple(axioms)), [*map(_integer_row, system.term_facts)]
+    M = _int64_or_object([*rows, *((0,) * nr + f for f in (*axiom_rows, *fact_rows))],
+                         len(keys))
     M = M.astype(object) if (M == -2**63).any() else M  # whose negation int64 lacks
 
     # the receiver mirror as one permutation of ``keys``; a key whose
@@ -608,7 +616,7 @@ def _pruning(system: LinearSystem, axioms):
                 zip(M[:n, lone].any(axis=1).tolist(), M[:n, mirror].tolist())]
 
     M[:n, :nr] *= -1
-    V = cone_rays(axioms, system.term_facts)
+    V = _cone(axiom_rows, fact_rows)
     ok, alone, tn, td, P = _one_row_certified(M[:n], nr, V)
 
     # row j's LP column: its rate coefficients negated, then P_j; the

@@ -19,8 +19,9 @@ points at infinity, keeps its ring in integer homogeneous coordinates and
 decides each step by the sign of an integer expression (Yap, "Towards
 exact geometric computation", 1997).  ``contains`` folds eps into
 outer's grid rows as an integer and first proves what rows it can from a
-single inner row by weak LP duality (``one_row_bound``, whose integer
-(j, t) is the one-multiplier containment certificate); it tests each
+single inner row by weak LP duality: an inner row with the same integer
+lhs at t = 1, looked up, else ``one_row_bound``, whose integer (j, t) is
+the one-multiplier containment certificate; it tests each
 point of inner's ring, vertex or direction, against the rows left, so a
 2-D verdict solves no LP, and in 4-D asks one exact LP tableau, in
 integers, for each row left's dual multipliers and, for a row with none,
@@ -82,6 +83,24 @@ class HPoly:
         rows = [(*_integers(lhs), F(rhs)) for lhs, rhs in self.rows]
         den = math.lcm(*((k * b).denominator for _, k, b in rows))
         return den, tuple((tuple(a), k, int(k * b * den)) for a, k, b in rows)
+
+    @cached_property
+    def ring(self) -> list:
+        """The clip ring of the 2-D polytope (``_ring``), made on first use
+        and kept, so that ``contains`` clips a region that several
+        containments read once; ``vertices2`` clips afresh and keeps none."""
+        return _ring(self)
+
+    @cached_property
+    def same_normal(self) -> dict:
+        """Each grid lhs with a positive entry -> the least n over the grid
+        rows (a, k, n) with that lhs, made on first use and kept: the one
+        row that ``contains`` tries first for an outer row of that lhs."""
+        least = {}
+        for a, _, n in self.grid[1]:
+            if any(v > 0 for v in a) and n < least.get(a, n + 1):
+                least[a] = n
+        return least
 
     def __getattr__(self, name):
         # called only for an attribute not found: the rows of a polytope
@@ -253,10 +272,14 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
 
     Both read the grids.  Each outer grid row a.x <= n / den, raised by
     k * eps = k * en / ed, is a.x <= c / m over m = lcm(den, ed), so eps on
-    the 2**-48 grid keeps m = den.  A row that ``one_row_bound`` proves is
-    decided; only the rows left go on, in their order, and when none is
-    left no ring and no tableau is built.  In 2-D, inner's ring (the clip
-    that ``vertices2`` reads) spans the cone of inner homogenised,
+    the 2**-48 grid keeps m = den.  A row whose a is the integer lhs of an
+    inner row a.x <= n' / den' with a positive entry is proved by t = 1
+    when n'*m <= c*den' (n' the least over such rows), with no scan; the
+    least t of ``one_row_bound`` on that row is 1, so it proves every such
+    row too.  Any other row that ``one_row_bound`` proves is decided; only
+    the rows left go on, in their order, and when none is left no ring and
+    no tableau is built.  In 2-D, inner's ring (the clip that ``vertices2``
+    reads, kept with inner) spans the cone of inner homogenised,
     {(X, Y, W) >= 0 : lhs.(X, Y) <= rhs*W for each inner row}.  A ring
     with no W > 0 point is an empty inner, inside anything.  Otherwise its
     W > 0 points hold inner's vertices and its W = 0 points the directions
@@ -282,16 +305,19 @@ def contains(outer: HPoly, inner: HPoly, eps=F(0)) -> bool:
     den, rows = outer.grid
     en, ed = eps.as_integer_ratio()
     m = math.lcm(den, ed)
-    grid = inner.grid
+    grid, same = inner.grid, inner.same_normal
     left = []  # the rows no single inner row proves, (a, c)
     for a, k, n in rows:
         c = n * (m // den) + k * en * (m // ed)
+        # the inner row with this lhs at t = 1: one comparison, no scan
+        if (n_same := same.get(a)) is not None and n_same * m <= c * grid[0]:
+            continue
         if one_row_bound(a, c, m, grid) is None:
             left.append((a, c))
     if not left:
         return True
     if len(outer.dims) == 2:
-        ring = _ring(inner)
+        ring = inner.ring
         return not any(w for _, _, w in ring) or all(
             m * (a * x + b * y) <= c * w for x, y, w in ring for (a, b), c in left)
     den, inner_rows = grid

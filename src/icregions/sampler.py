@@ -11,6 +11,7 @@ draw per table gives.  Per-sample generators are seeded with the pair
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, field, replace
@@ -19,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import polytope
-from .dist import (FACTORS, AlphabetSpec, FactorSpec, Form, Var, from_stored,
+from .dist import (FACTORS, VARS, AlphabetSpec, FactorSpec, Form, Var, from_stored,
                    independence_projection, stored_factors)
 from .polytope import area2
 from .regions import region_for
@@ -42,15 +43,30 @@ def sample_spec(alphabets: AlphabetSpec, form: Form, seed) -> FactorSpec:
     uniform draw for all stored tables, split in ``stored_factors`` order,
     and each table's rows normalised to sum 1."""
     alphabets.check_joint_size()
-    shapes = [(tuple(map(alphabets.size, given)), tuple(map(alphabets.size, of)))
-              for _, _, given, of in stored_factors(form)]
-    draws = np.random.default_rng(seed).random(sum(math.prod(r + c) for r, c in shapes))
-    tables, start = [], 0
-    for rows, cells in shapes:
-        t = draws[start:start + math.prod(rows + cells)].reshape(rows + (math.prod(cells),))
-        start += t.size
-        tables.append((t / t.sum(axis=-1, keepdims=True)).reshape(rows + cells))
+    size, plan = _split_plan(form, alphabets.shape)
+    draws = np.random.default_rng(seed).random(size)
+    tables = []
+    for start, stop, rows, shape in plan:
+        t = draws[start:stop].reshape(rows)
+        tables.append((t / t.sum(axis=-1, keepdims=True)).reshape(shape))
     return from_stored(form, alphabets, tables)
+
+
+@functools.lru_cache(maxsize=32)
+def _split_plan(form: Form, shape: tuple) -> tuple:
+    """How ``sample_spec`` splits its one draw in ``form`` on alphabets of
+    this shape (``VARS`` order), made once per (form, shape): the draw's
+    size, and for each stored table in ``stored_factors`` order its slice
+    (start, stop) of the draw, read as rows of its conditioned cells, and
+    its shape."""
+    sizes = dict(zip(VARS, shape))
+    plan, start = [], 0
+    for _, _, given, of in stored_factors(form):
+        rows, cells = tuple(map(sizes.get, given)), tuple(map(sizes.get, of))
+        stop = start + math.prod(rows + cells)
+        plan.append((start, stop, rows + (math.prod(cells),), rows + cells))
+        start = stop
+    return start, tuple(plan)
 
 
 def cmg_as_hod(spec: FactorSpec) -> FactorSpec:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from icregions import claims
+from icregions import claims, polytope
 from icregions.claims import (ALL_CLAIMS, HARD_CLAIMS, claim_cmg_subset_hod,
                               claim_fm_reproduction, claim_hod_extra_terms,
                               claim_reduction_independence,
@@ -190,12 +190,51 @@ class TestSharedSamples:
             for i in range(3)}
 
     def test_run_all_reports_equal_claims_run_alone(self):
-        together = run_all(3, 7)["reports"]
+        # each claim alone starts from an empty memo, so it makes every
+        # record it reads itself
+        together = run_all(20, 7)["reports"]
         for cid, rep in zip(ALL_CLAIMS, together):
             claims._sample.cache_clear()
-            alone = run_claim(cid, 3, 7).to_json()
+            alone = run_claim(cid, 20, 7).to_json()
             assert json.dumps(rep, sort_keys=True) == \
                 json.dumps(alone, sort_keys=True), cid
+
+    def test_each_sample_is_evaluated_snapped_and_clipped_once(self, monkeypatch):
+        """Every claim on a sample reads its record: the terms of each of
+        the 9 joints are evaluated once, each HK2 and CMG9 sample's values
+        snapped once (no claim binds a HOD16 sample), each of their 8
+        systems bound once per sample, and a bound region's ring clipped
+        at most once."""
+        calls = {}
+
+        def spy(module, name):
+            real, log = getattr(module, name), calls.setdefault(name, [])
+            monkeypatch.setattr(module, name, lambda *args: log.append(args) or real(*args))
+
+        for module, name in ((claims, "eval_terms"), (claims, "snap_terms"),
+                             (claims, "bind"), (polytope, "_ring")):
+            spy(module, name)
+        run_all(3, 7)
+        joints = [joint for joint, in calls["eval_terms"]]
+        assert len(joints) == 9 and len(set(map(id, joints))) == 9
+        values = [tv for tv, in calls["snap_terms"]]
+        assert len(values) == 6 and len(set(map(id, values))) == 6
+        bound = {(id(system), id(binding)) for system, binding in calls["bind"]}
+        assert len(calls["bind"]) == len(bound) == 24
+        rings = [p for p, in calls["_ring"]]
+        assert rings and len(set(map(id, rings))) == len(rings)
+
+    def test_given_specs_build_one_joint_per_index(self, monkeypatch):
+        """With given specs every claim reads one record per index; only
+        compact-equivalence's drawn CMG9 partners add joints of their own."""
+        built, real = [], claims.build_joint
+        monkeypatch.setattr(claims, "build_joint", lambda spec: built.append(spec) or real(spec))
+        specs = [sample_spec(binary_alphabets(), Form.HK2, [79, i]) for i in range(2)]
+        together = claims._run(ALL_CLAIMS, 2, 79, specs)
+        assert [id(s) for s in built if s.form is Form.HK2] == list(map(id, specs))
+        for rep in together:
+            alone = run_claim(rep.claim_id, 2, 79, specs=specs)
+            assert alone.to_json() == rep.to_json(), rep.claim_id
 
     def test_the_memo_holds_at_most_three_draws(self):
         run_all(4, 7)

@@ -162,9 +162,10 @@ class TestBind:
 
     def test_verify_binds_without_a_fraction(self, monkeypatch, tmp_path):
         """The numeric path reads only the grid, so ``bind`` makes no
-        ``Fraction``: a ``verify --claim all`` run binds its 20 polytopes
-        without one, and the rows of a bound polytope, derived on first
-        read, are the rows ``bind`` used to build."""
+        ``Fraction``: a ``verify --claim all`` run binds its 16 polytopes
+        (each sample's record binds a system once, whichever claims read
+        it) without one, and the rows of a bound polytope, derived on
+        first read, are the rows ``bind`` used to build."""
         made, bound = [], []
         new, real = Fraction.__new__, polytope.bind
 
@@ -185,7 +186,7 @@ class TestBind:
             monkeypatch.setattr(module, "bind", counting_bind)
         assert cli.main(["verify", "--claim", "all", "--samples", "2", "--seed", "7",
                          "--out", str(tmp_path / "r.json")]) in (0, 1)
-        assert len(bound) == 20
+        assert len(bound) == 16
         poly = real(build_system("HOD_R"), hk2_binding(3))
         assert poly.rows == tuple((lhs, F(n, SNAP_DEN)) for lhs, _, n in poly.grid[1])
         assert vars(poly)["rows"] is poly.rows
@@ -894,6 +895,84 @@ class TestOneRowBound:
             found.append(sum(c is not None for c in certs))
         assert sum(found[:cmg]) == 678
         assert sum(found) > len(asked)
+
+
+@st.composite
+def same_normal_pairs(draw):
+    """(outer, inner) over 2 or 4 dims with small integer lhs, some with no
+    positive entry, and quarter rhs of either sign; inner carries up to two
+    copies of each outer row's lhs, each with the rhs moved by 0, +-1 or
+    +-2**-60, so that a same-lhs row proves its outer row, just fails, or
+    fails while another inner row proves it."""
+    dims = draw(st.sampled_from((("R1", "R2"), QUAD_DIMS)))
+    row = st.tuples(st.tuples(*[st.integers(-2, 2)] * len(dims)),
+                    st.integers(-8, 8).map(lambda k: F(k, 4)))
+    outer = draw(st.lists(row, max_size=5))
+    inner = draw(st.lists(row, max_size=3))
+    for lhs, rhs in outer:
+        for _ in range(draw(st.integers(0, 2))):
+            inner.append((lhs, rhs + draw(st.sampled_from((F(0), F(1), F(-1), TINY, -TINY)))))
+    return HPoly(dims, tuple(outer)), HPoly(dims, tuple(draw(st.permutations(inner))))
+
+
+def rows_left(outer, inner, eps):
+    """The outer rows, raised by eps as ``contains`` raises them, for which
+    ``one_row_bound`` finds no one-row certificate, as (a, c) in order."""
+    den, rows = outer.grid
+    en, ed = eps.as_integer_ratio()
+    m = math.lcm(den, ed)
+    left = [(a, n * (m // den) + k * en * (m // ed)) for a, k, n in rows]
+    return [(a, c) for a, c in left if one_row_bound(a, c, m, inner.grid) is None]
+
+
+class TestSameNormal:
+    """``contains`` proves an outer row by the inner row with its integer
+    lhs at t = 1 before it scans; the rows it leaves are the scan's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(same_normal_pairs(), st.sampled_from((F(0), DEFAULT_EPS, THIRD)))
+    @example((outer_rows((1, -1, 0), (-1, 0, -1)),
+              outer_rows((1, -1, 1), (1, -1, 0), (-1, 0, -1))), F(0))
+    def test_rows_left_match_the_scan(self, pair, eps):
+        outer, inner = pair
+        scanned, real = [], polytope.one_row_bound
+
+        def scan(a, c, m, grid):
+            cert = real(a, c, m, grid)
+            scanned.append((a, c, cert))
+            return cert
+
+        polytope.one_row_bound = scan
+        try:
+            verdict = contains(outer, inner, eps)
+        finally:
+            polytope.one_row_bound = real
+        assert [(a, c) for a, c, cert in scanned if cert is None] == \
+            rows_left(outer, inner, eps)
+        assert verdict == contains_lp(outer, inner, eps)
+
+    def test_a_same_normal_row_needs_no_scan(self, monkeypatch):
+        """Of R1 - R2 <= 0 and -R1 <= -1 in an inner that has both rows,
+        the first is proved by its own lhs; the second, with no positive
+        entry, and R1 - R2 <= -1, which the same lhs (rhs 0) does not
+        prove, are scanned."""
+        scanned = []
+        monkeypatch.setattr(polytope, "one_row_bound",
+                            lambda *args: scanned.append(args[:2]) or one_row_bound(*args))
+        inner = outer_rows((1, -1, 1), (1, -1, 0), (-1, 0, -1))
+        assert contains(outer_rows((1, -1, 0), (-1, 0, -1)), inner) is True
+        assert scanned == [((-1, 0), -1)]
+        assert inner.same_normal == {(1, -1): 0}
+        assert contains(outer_rows((1, -1, -1)), inner) is False
+        assert len(scanned) == 2
+
+    def test_a_ring_is_clipped_once_per_inner(self, monkeypatch):
+        clipped, ring = [], polytope._ring
+        monkeypatch.setattr(polytope, "_ring", lambda p: clipped.append(p) or ring(p))
+        inner = HPoly(("R1", "R2"), CAPPED.rows)
+        for top in (7, 6, 7):
+            contains(outer_rows((2, -1, top)), inner)
+        assert clipped == [inner] and inner.ring == ring(inner)
 
 
 def assert_views_agree(poly):
